@@ -37,6 +37,7 @@ from .losses import (
     height_loss,
     height_variance_reg,
     lane_iou,
+    lane_loss,
     perspective_losses,
     total_loss,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "invert_to_ground",
     "lane_from_vector",
     "lane_iou",
+    "lane_loss",
     "lane_to_vector",
     "match_lanes",
     "matching_cost",

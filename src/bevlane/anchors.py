@@ -9,7 +9,7 @@ checks the dictionary covers what actually occurs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -223,7 +223,6 @@ _FIT_DEFAULTS = {
     "plateau": 15,
     "keypoints": 72,
     "ipm_height": 1.5,
-    "seed": 0,
 }
 
 
@@ -232,7 +231,6 @@ def _fit_config(opts) -> fitting.FitConfig:
         max_iters=int(opts.max_iters),
         step_size=float(opts.step_size),
         plateau_patience=int(opts.plateau),
-        seed=int(opts.seed),
         order=opts.order,
         keypoints=int(opts.keypoints),
         ipm_camera_height=float(opts.ipm_height),
@@ -602,7 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--plateau": {"type": int, "help": "stop after this many non-improving iters"},
             "--keypoints": {"type": int, "help": "height keypoints per lane"},
             "--ipm-height": {"dest": "ipm_height", "type": float, "help": "assumed camera height for 2d init"},
-            "--seed": {"type": int},
         },
     )
     add(
@@ -671,10 +668,7 @@ def main(argv=None) -> int:
     except NonFiniteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (VersionError, SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (LaneError, OSError) as exc:
+    except (VersionError, SchemaError, LaneError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

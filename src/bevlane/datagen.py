@@ -11,7 +11,7 @@ which matches the flat-or-undulating roads the representation targets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 

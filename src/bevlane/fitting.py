@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .assignment import ResampledLane2D
 from .camera import CameraIntrinsics, Lane2D, invert_to_ground, project_points
@@ -32,11 +33,7 @@ from .losses import (
     IoUConfig,
     LossWeights,
     bernstein_basis,
-    bev_iou_loss,
-    endpoint_z_loss,
-    height_loss,
-    height_variance_reg,
-    perspective_losses,
+    lane_loss,
 )
 
 MOMENTUM = 0.9
@@ -76,7 +73,6 @@ class FitConfig:
     step_size: float = 1e-2
     convergence_tol: float = 1e-9
     plateau_patience: int = 30
-    seed: int = 0
     order: int | str = 3
     keypoints: int = 72
     ipm_camera_height: float = 1.5
@@ -105,11 +101,8 @@ class PolyFit:
     z_span: tuple[float, float] | None = None
 
     def x_at(self, z):
-        z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
-        for coef in self.coefficients[::-1]:
-            out = out * z + coef
-        return float(out) if out.ndim == 0 else out
+        x = polyval(np.asarray(z, dtype=float), self.coefficients)
+        return float(x) if np.ndim(x) == 0 else x
 
     def to_curve(self) -> BevCurve:
         """Collapse to the cubic lane curve; degree-4 fits do not fit."""
@@ -222,11 +215,8 @@ class PerspectiveFit:
     max_residual: float
 
     def u_at(self, v):
-        v = np.asarray(v, dtype=float)
-        out = np.zeros_like(v)
-        for coef in self.coefficients[::-1]:
-            out = out * v + coef
-        return float(out) if out.ndim == 0 else out
+        u = polyval(np.asarray(v, dtype=float), self.coefficients)
+        return float(u) if np.ndim(u) == 0 else u
 
 
 def fit_perspective_baseline(lane: Lane2D, order: int = 3) -> PerspectiveFit:
@@ -319,6 +309,18 @@ def _descend(theta: np.ndarray, objective, cfg: FitConfig, basis: str, freeze=()
     return best_theta, best_terms, iterations, converged
 
 
+def _objective(**lane_args):
+    """lane_loss as a descent objective; no overlap reads as +inf, gradient 0."""
+
+    def objective(theta):
+        out = lane_loss(theta, **lane_args)
+        if out is None:
+            return float("inf"), np.zeros(theta.size), {"total": float("inf")}
+        return out
+
+    return objective
+
+
 def _theta_to_lane(theta: np.ndarray, basis: str) -> Lane3D:
     z_min, z_max = float(theta[-2]), float(theta[-1])
     if basis == "bernstein":
@@ -361,22 +363,7 @@ def fit_lane_2d(
     if cfg.order == 2:
         theta0[0] = 0.0
 
-    inf_terms = {"l_per": float("inf"), "l_v": float("inf"), "l_reg": 0.0, "total": float("inf")}
-
-    def objective(theta):
-        per = perspective_losses(None, k, gt, per_iou, basis=basis, geo_params=theta)
-        if not per.overlap:
-            return float("inf"), np.zeros(theta.size), dict(inf_terms)
-        heights = theta[4:-2]
-        centered = heights - heights.mean()
-        sigma = float(np.sqrt(np.mean(centered**2)))
-        grad = weights.beta * (per.grad_per + per.grad_v)
-        if sigma > 0.0:
-            grad[4:-2] += centered / (heights.size * sigma)
-        loss = weights.beta * (per.l_per + per.l_v) + sigma
-        terms = {"l_per": per.l_per, "l_v": per.l_v, "l_reg": sigma, "total": loss}
-        return loss, grad, terms
-
+    objective = _objective(k=k, gt2d=gt, per_iou=per_iou, weights=weights, basis=basis)
     theta, terms, iterations, converged = _descend(theta0, objective, cfg, basis, freeze)
     return FitReport(_theta_to_lane(theta, basis), iterations, converged, terms)
 
@@ -402,43 +389,15 @@ def fit_lane_3d(
     gt3 = np.asarray(gt3, dtype=float)
     order = np.argsort(gt3[:, 2], kind="stable")
     gt3 = gt3[order]
-    gt_z_min, gt_z_max = float(gt3[0, 2]), float(gt3[-1, 2])
-
     if init is None:
         poly = fit_bev_polynomial(gt3, order=cfg.order)
-        profile = fit_heights_direct(gt3, cfg.keypoints, max(gt_z_min, Z_FLOOR), gt_z_max)
+        profile = fit_heights_direct(gt3, cfg.keypoints, max(gt3[0, 2], Z_FLOOR), gt3[-1, 2])
         init = Lane3D(curve=poly.to_curve(), profile=profile, score=1.0)
     freeze = (0,) if cfg.order == 2 else ()
     theta0 = _lane_to_theta(init, "power")
-
-    def objective(theta):
-        lane = _theta_to_lane(theta, "power")
-        z = np.linspace(lane.z_min, lane.z_max, bev_iou.sample_count)
-        l_bev, g_bev = bev_iou_loss(lane, np.interp(z, gt3[:, 2], gt3[:, 0]), bev_iou)
-        gt_h = np.interp(lane.profile.keypoint_z(), gt3[:, 2], gt3[:, 1])
-        l_h, g_h = height_loss(lane, gt_h)
-        l_z, (g_zmin, g_zmax) = endpoint_z_loss(lane, gt_z_min, gt_z_max)
-        per = perspective_losses(lane, k, gt2d, per_iou)
-        if not per.overlap:
-            bad = {key: float("inf") for key in ("l_bev", "l_h", "l_z", "l_per", "l_v", "total")}
-            return float("inf"), np.zeros(theta.size), bad
-        grad = np.zeros(theta.size)
-        grad[0:4] = weights.alpha * g_bev
-        grad[4:-2] = weights.alpha * g_h
-        grad[-2] = weights.alpha * g_zmin
-        grad[-1] = weights.alpha * g_zmax
-        grad += weights.beta * (per.grad_per + per.grad_v)
-        loss = weights.alpha * (l_bev + l_h + l_z) + weights.beta * (per.l_per + per.l_v)
-        terms = {
-            "l_bev": l_bev,
-            "l_h": l_h,
-            "l_z": l_z,
-            "l_per": per.l_per,
-            "l_v": per.l_v,
-            "total": loss,
-        }
-        return loss, grad, terms
-
+    objective = _objective(
+        k=k, gt2d=gt2d, gt3=gt3, bev_iou=bev_iou, per_iou=per_iou, weights=weights
+    )
     theta, terms, iterations, converged = _descend(theta0, objective, cfg, "power", freeze)
     return FitReport(_theta_to_lane(theta, "power"), iterations, converged, terms)
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import ValidationError
 
@@ -44,9 +45,8 @@ class BevCurve:
 
     def x_at(self, z):
         """Lateral offset at forward distance z (scalar or array)."""
-        z = np.asarray(z, dtype=float)
-        x = ((self.a * z + self.b) * z + self.c) * z + self.d
-        return float(x) if x.ndim == 0 else x
+        x = polyval(np.asarray(z, dtype=float), self.coefficients())
+        return float(x) if np.ndim(x) == 0 else x
 
     def slope_at(self, z):
         """dx/dz at forward distance z (scalar or array)."""

@@ -179,8 +179,10 @@ def read_dataset(path: str) -> list[FrameRecord]:
         except (TypeError, ValueError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad frame record: {exc}") from exc
         for pts in frame.lanes3d:
-            if pts.ndim != 2 or pts.shape[1] != 3:
-                raise SchemaError(f"{where}: lanes3d entries must be (m, 3) point lists")
+            if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
+                raise SchemaError(f"{where}: lanes3d entries must be (m >= 2, 3) point lists")
+            if not np.isfinite(pts).all() or (pts[:, 2] <= 0.0).any():
+                raise SchemaError(f"{where}: lanes3d points must be finite with z > 0")
         frames.append(frame)
     return frames
 

@@ -18,14 +18,14 @@ and the terms stay piecewise smooth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .assignment import MatchResult, ResampledLane2D, first_crossings
 from .camera import CameraIntrinsics
 from .errors import DimensionMismatchError, ValidationError
-from .geometry import Lane3D
+from .geometry import Lane3D, lane_from_vector, lane_to_vector
 
 BCE_EPS = 1e-7
 
@@ -139,12 +139,15 @@ def height_variance_reg(pred: Lane3D):
     spread itself is penalized. Returns (sigma, gradient over keypoints);
     the gradient at sigma = 0 is the zero subgradient.
     """
-    h = np.asarray(pred.profile.heights, dtype=float)
-    centered = h - h.mean()
+    return _height_spread(np.asarray(pred.profile.heights, dtype=float))
+
+
+def _height_spread(heights: np.ndarray):
+    centered = heights - heights.mean()
     sigma = float(np.sqrt(np.mean(centered**2)))
     if sigma == 0.0:
-        return 0.0, np.zeros_like(h)
-    return sigma, centered / (h.size * sigma)
+        return 0.0, np.zeros_like(heights)
+    return sigma, centered / (heights.size * sigma)
 
 
 def classification_loss(scores: np.ndarray, labels: np.ndarray):
@@ -303,8 +306,6 @@ def perspective_losses(
     uses it to differentiate in the Bernstein basis.
     """
     if geo_params is None:
-        from .geometry import lane_to_vector
-
         geo_params = lane_to_vector(pred)[:-1]
     u, v, Ju, Jv = project_with_jacobian(geo_params, k, cfg.sample_count, basis)
 
@@ -340,6 +341,58 @@ def perspective_losses(
     l_v = abs(d_first) + abs(d_last)
     grad_v = np.sign(d_first) * Jv[0] + np.sign(d_last) * Jv[-1]
     return PerspectiveLosses(l_per, l_v, grad_per, grad_v, overlap=True)
+
+
+def lane_loss(
+    geo_params: np.ndarray,
+    k: CameraIntrinsics,
+    gt2d: ResampledLane2D,
+    gt3: np.ndarray | None = None,
+    bev_iou: IoUConfig = DEFAULT_BEV_IOU,
+    per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
+    weights: LossWeights = LossWeights(),
+    basis: str = "power",
+):
+    """The objective of one predicted lane against its target.
+
+    geo_params is [4 curve params, n heights, z_min, z_max] in the given
+    curve basis. With 3D labels (gt3, (m, 3) points ordered by z; power
+    basis only) the loss is alpha * (l_bev + l_h + l_z) + beta * (l_per +
+    l_v); without them it is beta * (l_per + l_v) + l_reg, the height
+    spread. Returns (loss, gradient over geo_params, terms), where terms
+    holds the pieces present in the branch plus "total", or None when
+    the projection shares no row with the target.
+    """
+    per = perspective_losses(None, k, gt2d, per_iou, basis=basis, geo_params=geo_params)
+    if not per.overlap:
+        return None
+    grad = weights.beta * (per.grad_per + per.grad_v)
+    terms = {"l_per": per.l_per, "l_v": per.l_v}
+    if gt3 is None:
+        l_reg, g_reg = _height_spread(geo_params[4:-2])
+        grad[4:-2] += g_reg
+        loss = weights.beta * (per.l_per + per.l_v) + l_reg
+        terms["l_reg"] = l_reg
+    else:
+        if basis != "power":
+            raise ValidationError("3D supervision uses the power curve basis")
+        lane = lane_from_vector(np.append(geo_params, 1.0))
+        gt3 = np.asarray(gt3, dtype=float)
+        z = np.linspace(lane.z_min, lane.z_max, bev_iou.sample_count)
+        l_bev, g_bev = bev_iou_loss(lane, np.interp(z, gt3[:, 2], gt3[:, 0]), bev_iou)
+        gt_h = np.interp(lane.profile.keypoint_z(), gt3[:, 2], gt3[:, 1])
+        l_h, g_h = height_loss(lane, gt_h)
+        l_z, (g_zmin, g_zmax) = endpoint_z_loss(
+            lane, float(gt3[:, 2].min()), float(gt3[:, 2].max())
+        )
+        grad[0:4] += weights.alpha * g_bev
+        grad[4:-2] += weights.alpha * g_h
+        grad[-2] += weights.alpha * g_zmin
+        grad[-1] += weights.alpha * g_zmax
+        loss = weights.alpha * (l_bev + l_h + l_z) + weights.beta * (per.l_per + per.l_v)
+        terms.update(l_bev=l_bev, l_h=l_h, l_z=l_z)
+    terms["total"] = loss
+    return loss, grad, terms
 
 
 @dataclass(frozen=True)
@@ -390,58 +443,30 @@ def total_loss(
     if gts_3d is not None and len(gts_3d) != len(gts_2d):
         raise DimensionMismatchError("gts_3d must align with gts_2d")
 
-    from .geometry import lane_to_vector
-
     vectors = [lane_to_vector(p) for p in preds]
     dim = vectors[0].size
     if any(vec.size != dim for vec in vectors):
         raise DimensionMismatchError("all predictions must share one keypoint count")
 
-    use_3d = gts_3d is not None
-    grad = np.zeros((n_pred, dim))
     sums = {"l_bev": 0.0, "l_h": 0.0, "l_z": 0.0, "l_per": 0.0, "l_v": 0.0, "l_reg": 0.0}
     kept: list[tuple[int, int]] = []
-    pair_terms: list[tuple[int, np.ndarray]] = []
-
+    pair_grads: list[np.ndarray] = []
     for i, j, _cost in matches.pairs:
-        pred = preds[i]
-        per = perspective_losses(pred, k, gts_2d[j], per_iou)
-        if not per.overlap:
+        gt3 = None if gts_3d is None else gts_3d[j]
+        out = lane_loss(vectors[i][:-1], k, gts_2d[j], gt3, bev_iou, per_iou, weights)
+        if out is None:
             continue
-        geo = np.zeros(dim)
-        geo[:-1] += weights.beta * (per.grad_per + per.grad_v)
-        sums["l_per"] += per.l_per
-        sums["l_v"] += per.l_v
-
-        if use_3d:
-            gt3 = np.asarray(gts_3d[j], dtype=float)
-            z = np.linspace(pred.z_min, pred.z_max, bev_iou.sample_count)
-            gt_x = np.interp(z, gt3[:, 2], gt3[:, 0])
-            l_bev, g_bev = bev_iou_loss(pred, gt_x, bev_iou)
-            gt_h = np.interp(pred.profile.keypoint_z(), gt3[:, 2], gt3[:, 1])
-            l_h, g_h = height_loss(pred, gt_h)
-            l_z, (g_zmin, g_zmax) = endpoint_z_loss(
-                pred, float(gt3[:, 2].min()), float(gt3[:, 2].max())
-            )
-            geo[0:4] += weights.alpha * g_bev
-            geo[4:-3] += weights.alpha * g_h
-            geo[-3] += weights.alpha * g_zmin
-            geo[-2] += weights.alpha * g_zmax
-            sums["l_bev"] += l_bev
-            sums["l_h"] += l_h
-            sums["l_z"] += l_z
-        else:
-            l_reg, g_reg = height_variance_reg(pred)
-            geo[4:-3] += g_reg
-            sums["l_reg"] += l_reg
-
+        _loss, geo_grad, terms = out
+        for key in sums:
+            sums[key] += terms.get(key, 0.0)
         kept.append((i, j))
-        pair_terms.append((i, geo))
+        pair_grads.append(geo_grad)
 
+    grad = np.zeros((n_pred, dim))
     m = len(kept)
     if m > 0:
-        for i, geo in pair_terms:
-            grad[i, :] += geo / m
+        for (i, _j), geo_grad in zip(kept, pair_grads):
+            grad[i, :-1] += geo_grad / m
         for key in sums:
             sums[key] /= m
 
@@ -452,24 +477,12 @@ def total_loss(
     l_cls, g_cls = classification_loss(scores, labels)
     grad[:, -1] += g_cls
 
-    if use_3d:
-        total = (
-            l_cls
-            + weights.alpha * (sums["l_bev"] + sums["l_h"] + sums["l_z"])
-            + weights.beta * (sums["l_per"] + sums["l_v"])
-        )
-    else:
-        total = l_cls + weights.beta * (sums["l_per"] + sums["l_v"]) + sums["l_reg"]
-
-    return LossBreakdown(
-        l_cls=l_cls,
-        l_bev=sums["l_bev"],
-        l_h=sums["l_h"],
-        l_z=sums["l_z"],
-        l_per=sums["l_per"],
-        l_v=sums["l_v"],
-        l_reg=sums["l_reg"],
-        total=total,
-        gradient=grad,
-        matched=tuple(kept),
+    # Terms outside the active branch are exactly zero, so one formula
+    # serves both branches.
+    total = (
+        l_cls
+        + weights.alpha * (sums["l_bev"] + sums["l_h"] + sums["l_z"])
+        + weights.beta * (sums["l_per"] + sums["l_v"])
+        + sums["l_reg"]
     )
+    return LossBreakdown(l_cls=l_cls, **sums, total=total, gradient=grad, matched=tuple(kept))

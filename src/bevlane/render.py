@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .camera import Lane2D
+from .camera import Lane2D, project_lane
 from .datagen import FrameRecord
 from .errors import ValidationError
 from .geometry import DEFAULT_SAMPLE_COUNT, Lane3D, sample_lane
@@ -44,11 +44,7 @@ def _pred_points_2d(preds, frame, sample_count):
     out = []
     for lane in preds or []:
         if isinstance(lane, Lane3D):
-            pts3 = sample_lane(lane, sample_count)
-            z = pts3[:, 2]
-            u = frame.intrinsics.fx * pts3[:, 0] / z + frame.intrinsics.ox
-            v = frame.intrinsics.fy * pts3[:, 1] / z + frame.intrinsics.oy
-            out.append(np.column_stack([u, v]))
+            out.append(project_lane(frame.intrinsics, lane, sample_count).points)
         elif isinstance(lane, Lane2D):
             out.append(np.asarray(lane.points))
         else:

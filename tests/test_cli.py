@@ -156,6 +156,49 @@ class TestEval:
         assert main(["eval", "--dataset", flat_dataset]) == 2
 
 
+class TestInputContract:
+    """Bad lanes3d records are rejected when the dataset is read, before any fit."""
+
+    def _corrupt(self, dataset, tmp_path, edit):
+        lines = open(dataset).read().splitlines()
+        record = json.loads(lines[1])
+        edit(record["lanes3d"][0])
+        lines[1] = json.dumps(record)
+        path = tmp_path / "corrupt.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    def _assert_rejected(self, flat_dataset, corrupt, tmp_path, capsys):
+        preds = str(tmp_path / "preds.jsonl")
+        assert main(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds]) == 0
+        commands = [
+            ["fit", "--dataset", corrupt, "--mode", mode, "--out", str(tmp_path / "p.jsonl")]
+            for mode in ("2d", "3d")
+        ]
+        commands.append(["eval", "--dataset", corrupt, "--pred", preds, "--out", str(tmp_path / "r.json")])
+        for argv in commands:
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "lanes3d" in err
+            assert "Traceback" not in err
+
+    def test_nan_in_lanes3d_exits_2(self, flat_dataset, tmp_path, capsys):
+        def edit(points):
+            points[5][1] = float("nan")
+
+        corrupt = self._corrupt(flat_dataset, tmp_path, edit)
+        assert "NaN" in open(corrupt).read()
+        self._assert_rejected(flat_dataset, corrupt, tmp_path, capsys)
+
+    def test_nonpositive_z_in_lanes3d_exits_2(self, flat_dataset, tmp_path, capsys):
+        def edit(points):
+            points[0][2] = -3.0
+
+        corrupt = self._corrupt(flat_dataset, tmp_path, edit)
+        self._assert_rejected(flat_dataset, corrupt, tmp_path, capsys)
+
+
 class TestAnchorsCommand:
     def test_cluster_and_write(self, flat_dataset, tmp_path, capsys):
         out = str(tmp_path / "anchors.json")

@@ -13,6 +13,7 @@ import pytest
 
 from bevlane.assignment import MatchResult, match_lanes, resample_lane
 from bevlane.camera import project_lane
+from bevlane.fitting import power_to_bernstein
 from bevlane.geometry import lane_from_vector, lane_to_vector, sample_lane
 from bevlane.losses import (
     LossWeights,
@@ -21,6 +22,7 @@ from bevlane.losses import (
     endpoint_z_loss,
     height_loss,
     height_variance_reg,
+    lane_loss,
     perspective_losses,
     total_loss,
 )
@@ -143,6 +145,22 @@ def test_total_loss_gradient_2d_branch(rng, k, image):
         out = total_loss([lane_from_vector(theta)], [gt], matches, k, gts_3d=None)
         fd = fd_gradient(f, theta, full_scales(72, geo[-1]))
         assert_grad_close(out.gradient[0], fd, label="total_2d")
+
+
+def test_lane_loss_gradient_2d_bernstein(rng, k, image):
+    """The 2D-only objective in the Bernstein basis, as fit_lane_2d(order="bezier") descends it."""
+    for _ in range(8):
+        geo, gt = draw_perspective_pair(rng, k, image)
+        theta = geo.copy()
+        theta[:4] = power_to_bernstein(geo[3::-1], geo[-2], geo[-1])
+
+        def f(t):
+            return lane_loss(t, k, gt, basis="bernstein")[0]
+
+        _, grad, terms = lane_loss(theta, k, gt, basis="bernstein")
+        assert terms["l_reg"] > 1e-3
+        fd = fd_gradient(f, theta, np.ones(theta.size))
+        assert_grad_close(grad, fd, label="lane_loss_2d_bernstein")
 
 
 def test_total_loss_gradient_recombines_terms(rng, k, image):

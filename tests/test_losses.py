@@ -6,7 +6,7 @@ import pytest
 from bevlane.assignment import MatchResult, match_lanes, resample_lane
 from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, project_lane, project_points
 from bevlane.errors import DimensionMismatchError
-from bevlane.geometry import BevCurve, HeightProfile, Lane3D, sample_lane
+from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector, sample_lane
 from bevlane.losses import (
     IoUConfig,
     LossWeights,
@@ -16,6 +16,7 @@ from bevlane.losses import (
     height_loss,
     height_variance_reg,
     lane_iou,
+    lane_loss,
     perspective_losses,
     total_loss,
 )
@@ -255,6 +256,7 @@ def test_total_loss_no_overlap_pair_demoted(k, image):
     matches = MatchResult(pairs=((0, 0, 1.0),), unmatched_predictions=(), unmatched_ground_truths=())
     out = total_loss([near], gts, matches, k)
     assert out.matched == ()
+    assert lane_loss(lane_to_vector(near)[:-1], k, gts[0]) is None
     assert out.total == classification_loss(np.array([0.9]), np.array([0.0]))[0]
 
 
