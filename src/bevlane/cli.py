@@ -254,6 +254,8 @@ def _cmd_fit(opts) -> int:
     fitted = 0
     residual_sums = []
     for frame in frames:
+        if opts.mode == "3d" and len(frame.lanes3d) != len(frame.lanes2d):
+            raise SchemaError(f"frame {frame.frame_id} has no lanes3d labels; use --mode 2d")
         lanes3d = []
         lanes2d = []
         for idx, gt2d in enumerate(frame.lanes2d):
@@ -595,9 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--beta": {"type": float, "help": "2D loss weight"},
             "--e-bev": {"dest": "e_bev", "type": float, "help": "BEV IoU half-width [m]"},
             "--e-per": {"dest": "e_per", "type": float, "help": "image IoU half-width [px]"},
-            "--max-iters": {"dest": "max_iters", "type": int},
-            "--step-size": {"dest": "step_size", "type": float},
-            "--plateau": {"type": int, "help": "stop after this many non-improving iters"},
+            "--max-iters": {"dest": "max_iters", "type": int, "help": "descent iterations (2d mode)"},
+            "--step-size": {"dest": "step_size", "type": float, "help": "descent step (2d mode)"},
+            "--plateau": {"type": int, "help": "stop after this many non-improving iters (2d mode)"},
             "--keypoints": {"type": int, "help": "height keypoints per lane"},
             "--ipm-height": {"dest": "ipm_height", "type": float, "help": "assumed camera height for 2d init"},
         },

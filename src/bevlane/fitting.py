@@ -1,13 +1,12 @@
 """Fitting lanes to labeled points: least squares plus gradient refinement.
 
 Direct fits handle the supervised pieces (polynomial BEV curve, height
-keypoints, a perspective-space polynomial baseline). Projective fitting
-descends the image-plane losses with momentum gradient descent so lanes
-can be recovered from 2D-only labels, or polished against full 3D
-labels. The descent runs in a diagonally rescaled parameter space: curve
-coefficients act on different powers of z, so their raw gradient
-magnitudes differ by orders of magnitude and unscaled steps either crawl
-or blow up.
+keypoints, a perspective-space polynomial baseline); with 3D labels they
+are the whole fit. With 2D labels only, momentum gradient descent on the
+image-plane losses recovers the lane. The descent runs in a diagonally
+rescaled parameter space: curve coefficients act on different powers of
+z, so their raw gradient magnitudes differ by orders of magnitude and
+unscaled steps either crawl or blow up.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .errors import (
     RankDeficientError,
     ValidationError,
 )
-from .geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector
+from .geometry import BevCurve, HeightProfile, Lane3D, lane_from_vector, lane_to_vector
 from .losses import (
     DEFAULT_BEV_IOU,
     DEFAULT_PERSPECTIVE_IOU,
@@ -37,6 +36,8 @@ from .losses import (
 )
 
 MOMENTUM = 0.9
+# The descent stops once the scaled gradient norm falls to this.
+CONVERGENCE_TOL = 1e-9
 # Hard floor on z_min and on the span so samples stay in front of the camera.
 Z_FLOOR = 0.1
 MIN_SPAN = 0.5
@@ -61,17 +62,20 @@ _BERNSTEIN_TO_S = np.array(
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for gradient refinement and model selection.
+    """Knobs for the fitters and model selection.
 
     order picks the BEV curve model: polynomial degree 2, 3 or 4, or
     "bezier" for a cubic on the Bernstein basis. Degree 4 is available
     for the least-squares comparison only; the lane representation (and
     gradient refinement) is cubic.
+
+    fit_lane_3d reads order and keypoints. fit_lane_2d reads order and
+    the descent knobs max_iters, step_size and plateau_patience.
+    ipm_init reads order, keypoints and ipm_camera_height.
     """
 
     max_iters: int = 400
     step_size: float = 1e-2
-    convergence_tol: float = 1e-9
     plateau_patience: int = 30
     order: int | str = 3
     keypoints: int = 72
@@ -244,10 +248,10 @@ def fit_perspective_baseline(lane: Lane2D, order: int = 3) -> PerspectiveFit:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a gradient refinement run.
+    """Outcome of a fit.
 
-    terms holds the loss pieces at the returned iterate, which is the
-    best one seen, never worse than the initialization.
+    terms holds the loss pieces at the returned lane: for fit_lane_2d
+    the best iterate seen, never worse than the initialization.
     """
 
     lane: Lane3D
@@ -274,6 +278,11 @@ def _clamp_span(theta: np.ndarray) -> None:
     theta[-1] = max(theta[-1], theta[-2] + MIN_SPAN)
 
 
+def _check_finite(loss: float, grad: np.ndarray, iteration: int) -> None:
+    if math.isnan(loss) or (np.isfinite(loss) and not np.isfinite(grad).all()):
+        raise NonFiniteError(f"objective became non-finite at iteration {iteration}")
+
+
 def _descend(theta: np.ndarray, objective, cfg: FitConfig, basis: str, freeze=()):
     """Momentum descent with per-parameter scaling and best-iterate return."""
     theta = theta.astype(float).copy()
@@ -290,11 +299,10 @@ def _descend(theta: np.ndarray, objective, cfg: FitConfig, basis: str, freeze=()
     converged = False
     iterations = 0
     for it in range(1, cfg.max_iters + 1):
-        if math.isnan(loss) or (np.isfinite(loss) and not np.isfinite(grad).all()):
-            raise NonFiniteError(f"objective became non-finite at iteration {it - 1}")
+        _check_finite(loss, grad, it - 1)
         if np.isfinite(loss):
             scaled_norm = float(np.linalg.norm(grad * mask * scales))
-            if scaled_norm <= cfg.convergence_tol:
+            if scaled_norm <= CONVERGENCE_TOL:
                 converged = True
                 break
         velocity = MOMENTUM * velocity - step * (grad * mask)
@@ -322,22 +330,16 @@ def _objective(**lane_args):
 
 
 def _theta_to_lane(theta: np.ndarray, basis: str) -> Lane3D:
-    z_min, z_max = float(theta[-2]), float(theta[-1])
+    vec = np.append(theta, 1.0)  # score
     if basis == "bernstein":
-        coeffs = bernstein_to_power(theta[:4], z_min, z_max)
-    else:
-        coeffs = theta[:4][::-1].copy()  # stored high-to-low in theta
-    curve = BevCurve(a=float(coeffs[3]), b=float(coeffs[2]), c=float(coeffs[1]), d=float(coeffs[0]))
-    profile = HeightProfile(heights=tuple(theta[4:-2]), z_min=z_min, z_max=z_max)
-    return Lane3D(curve=curve, profile=profile, score=1.0)
+        vec[:4] = bernstein_to_power(theta[:4], float(theta[-2]), float(theta[-1]))[::-1]
+    return lane_from_vector(vec)
 
 
 def _lane_to_theta(lane: Lane3D, basis: str) -> np.ndarray:
     geo = lane_to_vector(lane)[:-1]
     if basis == "bernstein":
-        coeffs = np.array([lane.curve.d, lane.curve.c, lane.curve.b, lane.curve.a])
-        geo = geo.copy()
-        geo[:4] = power_to_bernstein(coeffs, lane.z_min, lane.z_max)
+        geo[:4] = power_to_bernstein(geo[3::-1], lane.z_min, lane.z_max)
     return geo
 
 
@@ -376,30 +378,27 @@ def fit_lane_3d(
     bev_iou: IoUConfig = DEFAULT_BEV_IOU,
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
-    init: Lane3D | None = None,
 ) -> FitReport:
-    """Fit a lane to 3D labeled points plus their 2D projection.
+    """Fit a lane to 3D labeled points by least squares.
 
-    Initializes from least squares (curve and heights read off the
-    points, span from their z range) and descends alpha * (BEV + height
-    + span losses) + beta * (projected losses).
+    Curve and heights are read off the points, the span from their z
+    range; alpha * (BEV + height + span losses) + beta * (projected
+    losses) scores the result once. Descent from here never lowered
+    that loss, so none runs.
     """
     if cfg.order == 4 or cfg.order == "bezier":
-        raise ValidationError("3D refinement uses the cubic representation")
+        raise ValidationError("3D fitting uses the cubic representation")
     gt3 = np.asarray(gt3, dtype=float)
-    order = np.argsort(gt3[:, 2], kind="stable")
-    gt3 = gt3[order]
-    if init is None:
-        poly = fit_bev_polynomial(gt3, order=cfg.order)
-        profile = fit_heights_direct(gt3, cfg.keypoints, max(gt3[0, 2], Z_FLOOR), gt3[-1, 2])
-        init = Lane3D(curve=poly.to_curve(), profile=profile, score=1.0)
-    freeze = (0,) if cfg.order == 2 else ()
-    theta0 = _lane_to_theta(init, "power")
-    objective = _objective(
+    gt3 = gt3[np.argsort(gt3[:, 2], kind="stable")]
+    poly = fit_bev_polynomial(gt3, order=cfg.order)
+    profile = fit_heights_direct(gt3, cfg.keypoints, max(gt3[0, 2], Z_FLOOR), gt3[-1, 2])
+    theta = _lane_to_theta(Lane3D(curve=poly.to_curve(), profile=profile), "power")
+    _clamp_span(theta)
+    loss, grad, terms = _objective(
         k=k, gt2d=gt2d, gt3=gt3, bev_iou=bev_iou, per_iou=per_iou, weights=weights
-    )
-    theta, terms, iterations, converged = _descend(theta0, objective, cfg, "power", freeze)
-    return FitReport(_theta_to_lane(theta, "power"), iterations, converged, terms)
+    )(theta)
+    _check_finite(loss, grad, 0)
+    return FitReport(_theta_to_lane(theta, "power"), 0, False, terms)
 
 
 def ipm_init(gt: Lane2D, k: CameraIntrinsics, cfg: FitConfig = FitConfig()) -> Lane3D:

@@ -48,37 +48,42 @@ def _header(kind: str) -> str:
     return _dump({"kind": kind, "schema_version": SCHEMA_VERSION})
 
 
-class _LineReader:
-    """Parses one JSON object per line, pinning errors to line numbers."""
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
 
-    def __init__(self, path: str, kind: str):
-        self.path = path
-        self.kind = kind
-        with open(path, "r", encoding="utf-8") as f:
-            self.lines = [line for line in f.read().splitlines() if line.strip()]
-        if not self.lines:
-            raise SchemaError(f"{path}: empty file, expected a {kind} header")
-        header = self.parse(0)
-        version = header.get("schema_version")
+
+# json.loads would turn NaN and Infinity literals into floats.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _parse_object(text: str, where: str, kind: str | None = None) -> dict:
+    """Decode one JSON object; with kind, also check its envelope."""
+    try:
+        obj = _DECODER.decode(text)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    if kind is not None:
+        version = obj.get("schema_version")
         if version != SCHEMA_VERSION:
             raise VersionError(
-                f"{path}: schema_version {version!r} is not supported (expected {SCHEMA_VERSION!r})"
+                f"{where}: schema_version {version!r} is not supported (expected {SCHEMA_VERSION!r})"
             )
-        if header.get("kind") != kind:
-            raise SchemaError(f"{path}: kind {header.get('kind')!r}, expected {kind!r}")
+        if obj.get("kind") != kind:
+            raise SchemaError(f"{where}: kind {obj.get('kind')!r}, expected {kind!r}")
+    return obj
 
-    def parse(self, index: int) -> dict:
-        try:
-            obj = json.loads(self.lines[index])
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{self.path}:{index + 1}: invalid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise SchemaError(f"{self.path}:{index + 1}: expected an object")
-        return obj
 
-    def records(self):
-        for index in range(1, len(self.lines)):
-            yield index + 1, self.parse(index)
+def _records(path: str, kind: str):
+    """Check the header line, then yield (line number, object) per record."""
+    with open(path, "r", encoding="utf-8") as f:
+        lines = [line for line in f.read().splitlines() if line.strip()]
+    if not lines:
+        raise SchemaError(f"{path}: empty file, expected a {kind} header")
+    _parse_object(lines[0], f"{path}:1", kind)
+    for index in range(1, len(lines)):
+        yield index + 1, _parse_object(lines[index], f"{path}:{index + 1}")
 
 
 def _field(obj: dict, key: str, where: str):
@@ -124,7 +129,7 @@ def _lane3d_from_json(obj: dict, where: str) -> Lane3D:
             z_max=float(_field(obj, "z_max", where)),
         )
         return Lane3D(curve=curve, profile=profile, score=float(_field(obj, "score", where)))
-    except (TypeError, ValueError, ValidationError) as exc:
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad 3D lane: {exc}") from exc
 
 
@@ -149,9 +154,8 @@ def write_dataset(frames: list[FrameRecord], path: str) -> None:
 
 
 def read_dataset(path: str) -> list[FrameRecord]:
-    reader = _LineReader(path, "dataset")
     frames = []
-    for line_no, obj in reader.records():
+    for line_no, obj in _records(path, "dataset"):
         where = f"{path}:{line_no}"
         try:
             intr = _field(obj, "intrinsics", where)
@@ -176,8 +180,10 @@ def read_dataset(path: str) -> list[FrameRecord]:
                 ),
                 lanes2d=tuple(Lane2D(p) for p in _field(obj, "lanes2d", where)),
             )
-        except (TypeError, ValueError, ValidationError) as exc:
+        except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad frame record: {exc}") from exc
+        if frame.lanes3d and len(frame.lanes3d) != len(frame.lanes2d):
+            raise SchemaError(f"{where}: {len(frame.lanes3d)} lanes3d for {len(frame.lanes2d)} lanes2d")
         for pts in frame.lanes3d:
             if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
                 raise SchemaError(f"{where}: lanes3d entries must be (m >= 2, 3) point lists")
@@ -203,9 +209,8 @@ def write_predictions(frames: list[PredictionFrame], path: str) -> None:
 
 
 def read_predictions(path: str) -> list[PredictionFrame]:
-    reader = _LineReader(path, "predictions")
     frames = []
-    for line_no, obj in reader.records():
+    for line_no, obj in _records(path, "predictions"):
         where = f"{path}:{line_no}"
         try:
             frame = PredictionFrame(
@@ -215,7 +220,7 @@ def read_predictions(path: str) -> list[PredictionFrame]:
                 ),
                 lanes2d=tuple(Lane2D(p) for p in obj.get("lanes2d", [])),
             )
-        except (TypeError, ValueError, ValidationError) as exc:
+        except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad prediction record: {exc}") from exc
         frames.append(frame)
     return frames
@@ -251,15 +256,7 @@ def write_anchors(anchors: AnchorSet, path: str) -> None:
 
 def read_anchors(path: str) -> AnchorSet:
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise VersionError(f"{path}: schema_version {version!r} is not supported")
-    if obj.get("kind") != "anchors":
-        raise SchemaError(f"{path}: kind {obj.get('kind')!r}, expected 'anchors'")
+        obj = _parse_object(f.read(), path, "anchors")
     where = path
     img = _field(obj, "image", where)
     try:
@@ -280,7 +277,7 @@ def read_anchors(path: str) -> AnchorSet:
             ),
             inertia=float(_field(obj, "inertia", where)),
         )
-    except (TypeError, ValueError, ValidationError) as exc:
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad anchor file: {exc}") from exc
 
 
@@ -292,12 +289,4 @@ def write_report(report: dict, path: str) -> None:
 
 def read_report(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
-    if obj.get("schema_version") != SCHEMA_VERSION:
-        raise VersionError(f"{path}: schema_version {obj.get('schema_version')!r} is not supported")
-    if obj.get("kind") != "report":
-        raise SchemaError(f"{path}: kind {obj.get('kind')!r}, expected 'report'")
-    return obj
+        return _parse_object(f.read(), path, "report")

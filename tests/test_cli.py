@@ -162,7 +162,7 @@ class TestInputContract:
     def _corrupt(self, dataset, tmp_path, edit):
         lines = open(dataset).read().splitlines()
         record = json.loads(lines[1])
-        edit(record["lanes3d"][0])
+        edit(record["lanes3d"])
         lines[1] = json.dumps(record)
         path = tmp_path / "corrupt.jsonl"
         path.write_text("\n".join(lines) + "\n")
@@ -184,19 +184,43 @@ class TestInputContract:
             assert "Traceback" not in err
 
     def test_nan_in_lanes3d_exits_2(self, flat_dataset, tmp_path, capsys):
-        def edit(points):
-            points[5][1] = float("nan")
+        def edit(lanes3d):
+            lanes3d[0][5][1] = float("nan")
 
         corrupt = self._corrupt(flat_dataset, tmp_path, edit)
         assert "NaN" in open(corrupt).read()
         self._assert_rejected(flat_dataset, corrupt, tmp_path, capsys)
 
     def test_nonpositive_z_in_lanes3d_exits_2(self, flat_dataset, tmp_path, capsys):
-        def edit(points):
-            points[0][2] = -3.0
+        def edit(lanes3d):
+            lanes3d[0][0][2] = -3.0
 
         corrupt = self._corrupt(flat_dataset, tmp_path, edit)
         self._assert_rejected(flat_dataset, corrupt, tmp_path, capsys)
+
+    def test_lanes3d_count_mismatch_exits_2(self, flat_dataset, tmp_path, capsys):
+        def edit(lanes3d):
+            del lanes3d[-1]
+
+        corrupt = self._corrupt(flat_dataset, tmp_path, edit)
+        self._assert_rejected(flat_dataset, corrupt, tmp_path, capsys)
+
+    def test_2d_only_dataset_fits_in_2d_mode_only(self, flat_dataset, tmp_path, capsys):
+        lines = open(flat_dataset).read().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        for record in records:
+            record["lanes3d"] = []
+        dataset = tmp_path / "2d_only.jsonl"
+        dataset.write_text("\n".join(lines[:1] + [json.dumps(r) for r in records]) + "\n")
+        preds = str(tmp_path / "preds.jsonl")
+        capsys.readouterr()
+        assert main(["fit", "--dataset", str(dataset), "--mode", "3d", "--out", preds]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"frame {records[0]['frame_id']}" in err
+        assert main(["fit", "--dataset", str(dataset), "--mode", "2d", "--out", preds]) == 0
+        report = str(tmp_path / "report.json")
+        assert main(["eval", "--dataset", str(dataset), "--pred", preds, "--out", report]) == 0
+        assert read_report(report)["cd_error"] is None
 
 
 class TestAnchorsCommand:

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
-from bevlane import datagen
+from bevlane import datagen, fitting
 from bevlane.assignment import resample_lane
 from bevlane.camera import Lane2D, project_lane
-from bevlane.errors import DegenerateInputError, RankDeficientError, ValidationError
+from bevlane.errors import (
+    DegenerateInputError,
+    NonFiniteError,
+    RankDeficientError,
+    ValidationError,
+)
 from bevlane.fitting import (
     FitConfig,
     bernstein_to_power,
@@ -18,6 +23,7 @@ from bevlane.fitting import (
     reprojection_residuals,
 )
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector
+from bevlane.losses import lane_loss
 from oracles import normal_equations_fit
 
 
@@ -195,17 +201,40 @@ def test_fit_lane_3d_bump_scene(k, image):
     assert abs(report.lane.curve.b) < 1e-3
 
 
-def test_fit_lane_3d_at_optimum_stays_put(k):
+def test_fit_lane_3d_at_optimum_stays_put(k, monkeypatch):
     frame = datagen.generate_frame(datagen.flat_scene())
     gt3 = frame.lanes3d[0]
     gt2d = resample_lane(frame.lanes2d[0], frame.image)
     poly = fit_bev_polynomial(gt3, 3)
     profile = fit_heights_direct(gt3, 72)
-    init = Lane3D(poly.to_curve(), profile, 1.0)
-    report = fit_lane_3d(gt3, gt2d, frame.intrinsics, init=init)
-    delta = lane_to_vector(report.lane) - lane_to_vector(init)
-    assert np.abs(delta).max() < 1e-6
-    assert report.terms["total"] < 1e-9
+    least_squares = Lane3D(poly.to_curve(), profile, 1.0)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lane_loss(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "lane_loss", counted)
+    # descent knobs do not reach the 3D fit
+    for cfg in (FitConfig(), FitConfig(max_iters=0), FitConfig(step_size=1.0, plateau_patience=1)):
+        calls.clear()
+        report = fit_lane_3d(gt3, gt2d, frame.intrinsics, cfg)
+        assert len(calls) == 1
+        assert np.array_equal(lane_to_vector(report.lane), lane_to_vector(least_squares))
+        assert (report.iterations, report.converged) == (0, False)
+        assert report.terms["total"] < 1e-9
+
+
+def test_fit_lane_3d_non_finite_loss_raises(monkeypatch):
+    frame = datagen.generate_frame(datagen.flat_scene())
+    gt2d = resample_lane(frame.lanes2d[0], frame.image)
+
+    def nan_loss(theta, **kwargs):
+        return float("nan"), np.zeros(theta.size), {"total": float("nan")}
+
+    monkeypatch.setattr(fitting, "lane_loss", nan_loss)
+    with pytest.raises(NonFiniteError, match="iteration 0"):
+        fit_lane_3d(frame.lanes3d[0], gt2d, frame.intrinsics)
 
 
 def test_fit_lane_3d_never_worse_than_init(k, rng):

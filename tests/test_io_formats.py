@@ -2,6 +2,8 @@
 
 import json
 import os
+import tempfile
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -25,12 +27,25 @@ from bevlane.io_formats import (
     write_report,
 )
 
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
+
 IMAGE = ImageSpec(800, 320)
 
 
 def sample_dataset():
     jitter = JitterSpec(curve_delta=(0.0, 5e-4, 0.02, 0.5), amplitude_delta=0.05)
     return generate_dataset([flat_scene(), bump_scene()], 2, jitter=jitter, seed=7)
+
+
+def sample_anchors():
+    lanes = [Lane2D([[u, 319.0], [u + 5.0, 165.0]]) for u in (100.0, 400.0, 650.0)]
+    return cluster_anchors([build_descriptor(l, IMAGE) for l in lanes], 2, IMAGE)
 
 
 def sample_prediction():
@@ -132,6 +147,17 @@ class TestDatasetRoundTrip:
         with pytest.raises(SchemaError):
             read_dataset(path)
 
+    def test_lanes3d_count_must_match_lanes2d(self, tmp_path):
+        frames = sample_dataset()
+        frames[1] = type(frames[1])(**{**vars(frames[1]), "lanes3d": frames[1].lanes3d[:-1]})
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(frames, path)
+        with pytest.raises(SchemaError, match=":3: 3 lanes3d for 4 lanes2d"):
+            read_dataset(path)
+        frames[1] = type(frames[1])(**{**vars(frames[1]), "lanes3d": ()})
+        write_dataset(frames, path)
+        assert read_dataset(path)[1].lanes3d == ()  # 2D-only frames stay valid
+
 
 class TestPredictionsRoundTrip:
     def test_exact_round_trip(self, tmp_path):
@@ -170,9 +196,7 @@ class TestPredictionsRoundTrip:
 
 class TestAnchorsRoundTrip:
     def test_exact_round_trip(self, tmp_path):
-        lanes = [Lane2D([[u, 319.0], [u + 5.0, 165.0]]) for u in (100.0, 400.0, 650.0)]
-        descs = [build_descriptor(l, IMAGE) for l in lanes]
-        anchors = cluster_anchors(descs, 2, IMAGE)
+        anchors = sample_anchors()
         path = str(tmp_path / "anchors.json")
         write_anchors(anchors, path)
         back = read_anchors(path)
@@ -224,3 +248,100 @@ class TestAtomicWrite:
         open(path, "w").write("old, much longer content that must fully vanish")
         atomic_write_text(path, "new\n")
         assert open(path).read() == "new\n"
+
+
+@lru_cache(maxsize=None)
+def valid_documents():
+    """Per reader: (reader, header line, one valid document, substitutable field paths)."""
+    header, record = _written(lambda p: write_dataset(sample_dataset()[:1], p)).splitlines(True)
+    report = _written(lambda p: write_report({"mf1": 0.5, "f1": {"0.50": {"tp": 3}}}, p))
+    anchors = _written(lambda p: write_anchors(sample_anchors(), p))
+    envelope = [("kind",), ("schema_version",)]
+    return {
+        "dataset": (read_dataset, header, record, [
+            ("frame_id",), ("tag",), ("seed",), ("camera_height",), ("intrinsics",),
+            ("intrinsics", "fx"), ("image",), ("image", "height"), ("lanes3d",),
+            ("lanes3d", 0), ("lanes3d", 0, 0), ("lanes3d", 0, 0, 2), ("lanes2d",),
+            ("lanes2d", 0), ("lanes2d", 0, 0), ("lanes2d", 0, 0, 1),
+        ]),
+        "report": (read_report, "", report, envelope + [("mf1",), ("f1",), ("f1", "0.50")]),
+        "anchors": (read_anchors, "", anchors, envelope + [
+            ("image",), ("image", "width"), ("rows",), ("rows", 0), ("inertia",),
+            ("descriptors",), ("descriptors", 0), ("descriptors", 0, "u"),
+            ("descriptors", 0, "u", 0), ("descriptors", 0, "v_end"),
+        ]),
+    }
+
+
+def _written(write) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc")
+        write(path)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+
+
+def _substitute(document: str, path: tuple, fragment: str) -> str:
+    """The document with the value at path replaced by the raw JSON fragment."""
+    doc = json.loads(document)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = "@VALUE@"
+    return json.dumps(doc).replace('"@VALUE@"', fragment) + "\n"
+
+
+@pytest.mark.parametrize("reader", [read_report, read_anchors])
+def test_non_object_document_rejected(tmp_path, reader):
+    path = tmp_path / "doc.json"
+    path.write_text("[1,2]")
+    with pytest.raises(SchemaError, match="expected an object"):
+        reader(str(path))
+
+
+@pytest.mark.parametrize(
+    "kind, field, fragment, message",
+    [
+        ("report", ("mf1",), "NaN", "invalid JSON"),
+        ("anchors", ("inertia",), "NaN", "invalid JSON"),
+        ("anchors", ("descriptors", 0, "u", 0), "NaN", "invalid JSON"),
+        ("dataset", ("camera_height",), "NaN", ":2: invalid JSON"),
+        ("dataset", ("frame_id",), "1e400", ":2: bad frame record"),
+    ],
+)
+def test_non_finite_literal_rejected(tmp_path, kind, field, fragment, message):
+    reader, header, document, _ = valid_documents()[kind]
+    path = tmp_path / "doc"
+    path.write_text(header + _substitute(document, field, fragment))
+    with pytest.raises(SchemaError, match=message):
+        reader(str(path))
+
+
+if HAVE_HYPOTHESIS:
+    _JSON = st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers()
+        | st.floats(allow_nan=False, allow_infinity=False)
+        | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=12,
+    )
+    # Raw tokens json.dumps never writes: non-finite literals and overflowing numbers.
+    _FRAGMENTS = _JSON.map(json.dumps) | st.sampled_from(
+        ["NaN", "-Infinity", "Infinity", "1e400", "-1e400", "1" + "0" * 400]
+    )
+
+    @pytest.mark.parametrize("kind", ["dataset", "report", "anchors"])
+    @given(data=st.data())
+    def test_readers_raise_only_schema_errors(tmp_path_factory, kind, data):
+        reader, header, document, paths = valid_documents()[kind]
+        path = data.draw(st.sampled_from(paths), label="field")
+        fragment = data.draw(_FRAGMENTS, label="value")
+        target = tmp_path_factory.getbasetemp() / f"fuzz-{kind}"
+        target.write_text(header + _substitute(document, path, fragment))
+        try:
+            reader(str(target))
+        except (SchemaError, VersionError):
+            pass
