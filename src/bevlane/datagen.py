@@ -49,6 +49,8 @@ class GroundModel:
             raise ValidationError("amplitude must be >= 0")
         if self.kind in ("sine", "smooth_noise") and self.wavelength < MIN_WAVELENGTH:
             raise ValidationError(f"wavelength must be >= {MIN_WAVELENGTH} m")
+        if self.seed < 0:
+            raise ValidationError("ground seed must be >= 0")
 
 
 def _noise_components(model: GroundModel):
@@ -106,6 +108,8 @@ class SceneSpec:
             raise ValidationError("samples_per_lane must be >= 2")
         if self.camera_height <= 0.0:
             raise ValidationError("camera_height must be > 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     @property
     def lane_count(self) -> int:
@@ -207,6 +211,8 @@ def generate_dataset(
         specs = [specs]
     if frames_per_spec < 1:
         raise ValidationError("frames_per_spec must be >= 1")
+    if seed is not None and seed < 0:
+        raise ValidationError("seed must be >= 0")
     frames = []
     frame_id = 0
     for scene_index, spec in enumerate(specs):
@@ -257,3 +263,7 @@ def rough_scene(amplitude: float = 0.2, seed: int = 0, **overrides) -> SceneSpec
     )
     defaults.update(overrides)
     return SceneSpec(**defaults)
+
+
+# Scene spec files name these in their "preset" key.
+SCENE_PRESETS = {"flat": flat_scene, "slope": slope_scene, "bump": bump_scene, "rough": rough_scene}

@@ -1,22 +1,26 @@
 """Serialization: JSON Lines datasets and predictions, JSON reports.
 
-Every file starts with a header object declaring schema_version and
+Every data file starts with a header object declaring schema_version and
 kind. Floats are written with Python's shortest-repr JSON encoding,
 which round-trips exactly. Writes go through a temp file and an atomic
-replace so readers never observe a half-written file.
+replace so readers never observe a half-written file. Scene specs and
+CLI config files are read with the same JSON decoder as the data files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .anchors import AnchorSet, LaneDescriptor
 from .camera import CameraIntrinsics, ImageSpec, Lane2D
-from .datagen import FrameRecord
+from .datagen import SCENE_PRESETS, FrameRecord, JitterSpec, SceneSpec
 from .errors import SchemaError, ValidationError, VersionError
 from .geometry import BevCurve, HeightProfile, Lane3D
 
@@ -52,8 +56,24 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
-# json.loads would turn NaN and Infinity literals into floats.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+# json.loads would turn NaN and Infinity literals, and overflowing ones
+# such as 1e400, into non-finite floats.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _parse_object(text: str, where: str, kind: str | None = None) -> dict:
@@ -77,8 +97,7 @@ def _parse_object(text: str, where: str, kind: str | None = None) -> dict:
 
 def _records(path: str, kind: str):
     """Check the header line, then yield (line number, object) per record."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = [line for line in f.read().splitlines() if line.strip()]
+    lines = [line for line in _read_text(path).splitlines() if line.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a {kind} header")
     _parse_object(lines[0], f"{path}:1", kind)
@@ -255,8 +274,7 @@ def write_anchors(anchors: AnchorSet, path: str) -> None:
 
 
 def read_anchors(path: str) -> AnchorSet:
-    with open(path, "r", encoding="utf-8") as f:
-        obj = _parse_object(f.read(), path, "anchors")
+    obj = _parse_object(_read_text(path), path, "anchors")
     where = path
     img = _field(obj, "image", where)
     try:
@@ -268,7 +286,7 @@ def read_anchors(path: str) -> AnchorSet:
             )
             for d in _field(obj, "descriptors", where)
         )
-        return AnchorSet(
+        anchors = AnchorSet(
             descriptors=descriptors,
             rows=np.asarray(_field(obj, "rows", where), dtype=float),
             image=ImageSpec(
@@ -279,6 +297,9 @@ def read_anchors(path: str) -> AnchorSet:
         )
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad anchor file: {exc}") from exc
+    if anchors.rows.ndim != 1 or any(d.u.shape != anchors.rows.shape for d in descriptors):
+        raise SchemaError(f"{where}: rows and every descriptor u must be 1-d of one length")
+    return anchors
 
 
 def write_report(report: dict, path: str) -> None:
@@ -288,5 +309,82 @@ def write_report(report: dict, path: str) -> None:
 
 
 def read_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return _parse_object(f.read(), path, "report")
+    return _parse_object(_read_text(path), path, "report")
+
+
+def read_json_object(path: str) -> dict:
+    """A JSON object file without an envelope: a scene spec or a CLI config."""
+    return _parse_object(_read_text(path), path)
+
+
+def read_scene_spec(path: str) -> tuple[list[SceneSpec], JitterSpec | None]:
+    """Scenes and jitter from a spec file.
+
+    The file holds one scene object, or {"scenes": [...], "jitter": {...}}
+    with jitter optional. A scene object may name a preset; each other key
+    overrides that field of the preset's scene (or of SceneSpec()).
+    """
+    obj = read_json_object(path)
+    if "scenes" not in obj:
+        return [_scene(obj, f"{path}:scene")], None
+    if set(obj) - {"scenes", "jitter"} or not isinstance(obj["scenes"], list):
+        raise SchemaError(f"{path}: expected a scenes list and an optional jitter object")
+    scenes = [_scene(s, f"{path}:scenes[{i}]") for i, s in enumerate(obj["scenes"])]
+    if "jitter" not in obj:
+        return scenes, None
+    return scenes, _decode(JitterSpec, obj["jitter"], f"{path}:jitter", JitterSpec())
+
+
+def _scene(obj, where: str) -> SceneSpec:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    fields = dict(obj)
+    base = SceneSpec()
+    if "preset" in fields:
+        name = fields.pop("preset")
+        if not isinstance(name, str) or name not in SCENE_PRESETS:
+            raise SchemaError(
+                f"{where}: unknown preset {name!r:.60}, choose from {sorted(SCENE_PRESETS)}"
+            )
+        base = SCENE_PRESETS[name]()
+    return _decode(SceneSpec, fields, where, base)
+
+
+def _decode(hint, value, where: str, base=None):
+    """A decoded JSON value of the type hint: a dataclass, tuple, float, int or str.
+
+    A dataclass comes from a JSON object whose keys override those fields
+    of base, recursively; unknown keys, wrong types, non-finite floats and
+    tuples of the wrong length are SchemaErrors.
+    """
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise SchemaError(f"{where}: expected an object")
+        hints = get_type_hints(hint)
+        unknown = set(value) - set(hints)
+        if unknown:
+            raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+        changes = {
+            key: _decode(hints[key], item, f"{where}.{key}", getattr(base, key))
+            for key, item in value.items()
+        }
+        try:
+            return replace(base, **changes)
+        except ValidationError as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if not isinstance(value, list):
+            raise SchemaError(f"{where}: expected a list")
+        if items[-1] is Ellipsis:
+            items = items[:1] * len(value)
+        if len(value) != len(items):
+            raise SchemaError(f"{where}: expected {len(items)} values, got {len(value)}")
+        return tuple(_decode(h, v, f"{where}[{i}]") for i, (h, v) in enumerate(zip(items, value)))
+    # Python compares ints with floats exactly, so 10**400 fails the bound too.
+    if hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if type(value) is hint and hint in (int, str):
+        return value
+    kind = f"finite {hint.__name__}" if hint is float else hint.__name__
+    raise SchemaError(f"{where}: expected a {kind}, got {value!r:.60}")

@@ -22,7 +22,6 @@ from bevlane.datagen import (
     generate_frame,
 )
 from bevlane.fitting import (
-    FitConfig,
     fit_bev_polynomial,
     fit_lane_3d,
     fit_perspective_baseline,
@@ -90,9 +89,7 @@ def test_criterion_1_decoupling_beats_row_polynomial():
     ratios = []
     for gt3, lane2d in zip(frame.lanes3d, frame.lanes2d):
         gt2d = resample_lane(lane2d, frame.image)
-        report = fit_lane_3d(
-            gt3, gt2d, frame.intrinsics, FitConfig(max_iters=60, plateau_patience=15)
-        )
+        report = fit_lane_3d(gt3, gt2d, frame.intrinsics)
         ours = reprojection_residuals(report.lane, frame.intrinsics, gt3).max()
         baseline = fit_perspective_baseline(lane2d, order=3).max_residual
         assert abs(report.lane.curve.a) < 1e-3

@@ -1,18 +1,30 @@
 """End-to-end tests for the command-line pipeline, run in process."""
 
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bevlane.camera import project_lane
 from bevlane.cli import main
+from bevlane.datagen import bump_scene, generate_frame
 from bevlane.io_formats import (
     read_anchors,
     read_dataset,
     read_predictions,
     read_report,
 )
+
+try:
+    from hypothesis import given
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 FLAT_SPEC = {"preset": "flat"}
 MIXED_SPEC = {
@@ -75,6 +87,19 @@ class TestGenerate:
     def test_missing_spec_exits_2(self, tmp_path):
         assert main(["generate", "--out", str(tmp_path / "d.jsonl")]) == 2
 
+    def test_nested_object_overrides_preset_fields(self, tmp_path):
+        spec = write_json(
+            tmp_path / "spec.json",
+            {"preset": "bump", "ground": {"amplitude": 0.5}, "intrinsics": {"fx": 900}},
+        )
+        out = str(tmp_path / "d.jsonl")
+        assert main(["generate", "--spec", spec, "--out", out]) == 0
+        frame = read_dataset(out)[0]
+        assert (frame.intrinsics.fx, frame.intrinsics.fy) == (900.0, 1000.0)
+        want = generate_frame(bump_scene(amplitude=0.5))
+        for got, expected in zip(frame.lanes3d, want.lanes3d, strict=True):
+            np.testing.assert_array_equal(got, expected)
+
     def test_byte_identical_reruns(self, tmp_path):
         spec = write_json(tmp_path / "spec.json", MIXED_SPEC)
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -101,6 +126,12 @@ class TestFit:
             assert len(p.lanes3d) == 4 and not p.lanes2d
             for lane in p.lanes3d:
                 assert lane.score == 1.0
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--e-bev"])
+    def test_removed_3d_weights_exit_2(self, flat_dataset, tmp_path, capsys, flag):
+        out = str(tmp_path / "preds.jsonl")
+        assert main(["fit", "--dataset", flat_dataset, "--out", out, flag, "7"]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_mode_exits_2(self, flat_dataset, tmp_path):
         out = str(tmp_path / "preds.jsonl")
@@ -310,6 +341,214 @@ class TestConfigFile:
         ])
         assert code == 2
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_config_with_every_flag_matches_flags(self, flat_dataset, tmp_path):
+        spec = write_json(tmp_path / "spec.json", FLAT_SPEC)
+        preds = str(tmp_path / "preds.jsonl")
+        assert main(["fit", "--dataset", flat_dataset, "--out", preds]) == 0
+        sections = {
+            "generate": {"spec": spec, "frames": 2, "seed": 5},
+            "fit": {
+                "dataset": flat_dataset, "mode": "2d", "order": 2, "beta": 0.5, "e_per": 10.0,
+                "max_iters": 5, "step_size": 0.02, "plateau": 3, "keypoints": 40,
+                "ipm_height": 1.4,
+            },
+            "eval": {
+                "dataset": flat_dataset, "pred": preds, "lane_width": 25.0, "raster_scale": 0.5,
+                "match_threshold": 20.0, "sample_count": 50, "tusimple_tol": 15.0,
+                "tusimple_row_step": 8,
+            },
+            "anchors": {
+                "dataset": flat_dataset, "k": 3, "rows": 20, "restarts": 2, "seed": 4,
+                "match_threshold": 25.0,
+            },
+            "project": {"dataset": flat_dataset, "pred": preds, "sample_count": 48},
+            "render": {
+                "dataset": flat_dataset, "pred": preds, "frame": 1, "view": "bev",
+                "sample_count": 40,
+            },
+        }
+        for command, section in sections.items():
+            by_flags, by_config = str(tmp_path / "flags.out"), str(tmp_path / "config.out")
+            argv = [command, "--out", by_flags]
+            for key, value in section.items():
+                argv += ["-" + key if len(key) == 1 else "--" + key.replace("_", "-"), str(value)]
+            config = write_json(tmp_path / "config.json", {command: {**section, "out": by_config}})
+            assert main(argv) == 0, argv
+            assert main([command, "--config", config]) == 0, command
+            with open(by_flags, "rb") as a, open(by_config, "rb") as b:
+                assert a.read() == b.read(), command
+
+
+def _run(argv):
+    """main(argv) with its output captured: (exit code, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+SCENE = {"preset": "bump", "lateral_offsets": [-1.75, 1.75], "samples_per_lane": 40}
+
+
+BAD_INPUTS = {
+    "spec-seed-1e400": ({**SCENE, "seed": 1e400}, {}),
+    "spec-seed-negative": ({**SCENE, "seed": -1}, {}),
+    "config-seed-1e400": (SCENE, {"generate": {"seed": 1e400}}),
+    "config-seed-negative": (SCENE, {"generate": {"seed": -1}}),
+    "config-frames-text": (SCENE, {"generate": {"frames": "x"}}),
+    "config-frames-list": (SCENE, {"generate": {"frames": [1]}}),
+    "centerline-list": ({**SCENE, "centerline": [1]}, {}),
+    "ground-text": ({**SCENE, "ground": "flat"}, {}),
+    "ground-unknown-key": ({**SCENE, "ground": {"amp": 0.5}}, {}),
+    "ground-seed-negative": ({**SCENE, "ground": {"seed": -2}}, {}),
+    "z-range-short": ({**SCENE, "z_range": [3.0]}, {}),
+    "samples-float": ({**SCENE, "samples_per_lane": 40.5}, {}),
+    "tag-number": ({**SCENE, "tag": 7}, {}),
+    "preset-list": ({**SCENE, "preset": ["flat"]}, {}),
+    "curve-delta-short": ({"scenes": [SCENE], "jitter": {"curve_delta": [0.1]}}, {}),
+    "grade-delta-text": ({"scenes": [SCENE], "jitter": {"grade_delta": "x"}}, {}),
+    "scenes-object": ({"scenes": SCENE}, {}),
+    "spec-unknown-key": ({"scenes": [SCENE], "extra": 1}, {}),
+}
+
+
+@pytest.mark.parametrize("spec, config", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+def test_bad_spec_or_config_exits_2(tmp_path, spec, config):
+    argv = ["generate", "--spec", write_json(tmp_path / "spec.json", spec)]
+    if config:
+        argv += ["--config", write_json(tmp_path / "config.json", config)]
+    code, err = _run(argv + ["--out", str(tmp_path / "d.jsonl")])
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("eval", {"lane_width": "wide"}),
+        ("eval", {"tusimple_row_step": 0}),
+        ("eval", {"sample_count": None}),
+        ("fit", {"mode": "psychic"}),
+        ("fit", {"config": "other.json"}),
+    ],
+)
+def test_bad_config_section_exits_2(flat_dataset, tmp_path, command, section):
+    preds = str(tmp_path / "preds.jsonl")
+    assert main(["fit", "--dataset", flat_dataset, "--out", preds]) == 0
+    config = write_json(tmp_path / "config.json", {command: section})
+    argv = [command, "--config", config, "--dataset", flat_dataset, "--out", str(tmp_path / "o")]
+    code, err = _run(argv + (["--pred", preds] if command == "eval" else []))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["spec", "config", "dataset"])
+def test_non_utf8_input_exits_2(flat_dataset, tmp_path, which):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(FLAT_SPEC))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"generate": {"frames": 1}}))
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(Path(flat_dataset).read_bytes())
+    target = {"spec": spec, "config": config, "dataset": dataset}[which]
+    target.write_bytes(target.read_text().encode("utf-16"))
+    argvs = [
+        ["generate", "--spec", str(spec), "--config", str(config), "--out", str(tmp_path / "d")],
+        ["fit", "--dataset", str(dataset), "--out", str(tmp_path / "p")],
+    ]
+    code, err = _run(argvs[which == "dataset"])
+    assert code == 2
+    assert "not UTF-8" in err and "Traceback" not in err
+
+
+if HAVE_HYPOTHESIS:
+    _JSON = st.recursive(
+        st.none()
+        | st.booleans()
+        # Small numbers only: a drawn frames or samples_per_lane of 1e300 would
+        # never finish. The overflowing and non-finite literals come below.
+        | st.integers(-5, 50)
+        | st.floats(-64.0, 64.0)
+        | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+        max_leaves=12,
+    )
+    _FRAGMENTS = _JSON.map(json.dumps) | st.sampled_from(["NaN", "-Infinity", "1e400", "-1e400"])
+    FUZZ_SPEC = {
+        "scenes": [
+            {
+                "preset": "rough",
+                "centerline": {"a": 0.0, "b": 1e-4, "c": 0.01, "d": 0.5},
+                "lateral_offsets": [-1.75, 1.75],
+                "ground": {"kind": "sine", "amplitude": 0.3, "wavelength": 20.0, "grade": 0.0,
+                           "seed": 1},
+                "z_range": [3.0, 60.0],
+                "samples_per_lane": 40,
+                "camera_height": 1.5,
+                "intrinsics": {"fx": 1000.0, "fy": 1000.0, "ox": 400.0, "oy": 160.0},
+                "image": {"width": 800, "height": 320},
+                "seed": 2,
+                "tag": "fuzz",
+            }
+        ],
+        "jitter": {"curve_delta": [0.0, 1e-4, 0.01, 0.2], "amplitude_delta": 0.05,
+                   "grade_delta": 0.01, "wavelength_delta": 2.0},
+    }
+    FUZZ_CONFIG = {
+        "generate": {"frames": 1, "seed": 3},
+        "eval": {"lane_width": 30.0, "match_threshold": 30.0, "tusimple_row_step": 10},
+    }
+
+    def _leaf_paths(obj, prefix=()):
+        """Every key or index path into obj, parents before children."""
+        items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+        for key, value in items:
+            yield prefix + (key,)
+            if isinstance(value, (dict, list)):
+                yield from _leaf_paths(value, prefix + (key,))
+
+    FUZZ_TARGETS = [("spec", p) for p in _leaf_paths(FUZZ_SPEC)] + [
+        ("config", p) for p in _leaf_paths(FUZZ_CONFIG)
+    ]
+
+    def _substitute(document, path, fragment):
+        """The document as JSON text with the value at path replaced by a raw fragment."""
+        doc = json.loads(json.dumps(document))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = "@VALUE@"
+        return json.dumps(doc).replace('"@VALUE@"', fragment)
+
+    @pytest.fixture(scope="module")
+    def fuzz_dir(tmp_path_factory):
+        """A 1-frame dataset and its 3D fit, for the eval runs."""
+        root = tmp_path_factory.mktemp("cli-fuzz")
+        spec = write_json(root / "base-spec.json", FUZZ_SPEC)
+        assert main(["generate", "--spec", spec, "--out", str(root / "d.jsonl")]) == 0
+        assert main(["fit", "--dataset", str(root / "d.jsonl"), "--out", str(root / "p.jsonl")]) == 0
+        return root
+
+    @given(data=st.data())
+    def test_cli_exits_cleanly_on_any_field(fuzz_dir, data):
+        which, path = data.draw(st.sampled_from(FUZZ_TARGETS), label="field")
+        fragment = data.draw(_FRAGMENTS, label="value")
+        documents = {"spec": FUZZ_SPEC, "config": FUZZ_CONFIG}
+        for name, document in documents.items():
+            text = _substitute(document, path, fragment) if name == which else json.dumps(document)
+            (fuzz_dir / f"{name}.json").write_text(text)
+        config = str(fuzz_dir / "config.json")
+        if path[0] == "eval":
+            argv = ["eval", "--config", config, "--dataset", str(fuzz_dir / "d.jsonl"),
+                    "--pred", str(fuzz_dir / "p.jsonl"), "--out", str(fuzz_dir / "r.json")]
+        else:
+            argv = ["generate", "--config", config, "--spec", str(fuzz_dir / "spec.json"),
+                    "--out", str(fuzz_dir / "out.jsonl")]
+        code, err = _run(argv)
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err
 
 
 class TestParser:

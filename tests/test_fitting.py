@@ -192,7 +192,7 @@ def test_fit_lane_3d_bump_scene(k, image):
     frame = bump_frame()
     gt3 = frame.lanes3d[1]
     gt2d = resample_lane(frame.lanes2d[1], frame.image)
-    report = fit_lane_3d(gt3, gt2d, frame.intrinsics, FitConfig(max_iters=60, plateau_patience=15))
+    report = fit_lane_3d(gt3, gt2d, frame.intrinsics)
     residuals = reprojection_residuals(report.lane, frame.intrinsics, gt3)
     # floor ~1.1 px: chords between height keypoints sag below the bump
     # at the nearest (off-image) depths
@@ -237,7 +237,7 @@ def test_fit_lane_3d_non_finite_loss_raises(monkeypatch):
         fit_lane_3d(frame.lanes3d[0], gt2d, frame.intrinsics)
 
 
-def test_fit_lane_3d_never_worse_than_init(k, rng):
+def test_fit_lane_3d_noisy_labels_ignore_descent_knobs(k, rng):
     frame = bump_frame(seed=5)
     gt3 = np.array(frame.lanes3d[2])
     noisy = gt3.copy()
@@ -246,13 +246,11 @@ def test_fit_lane_3d_never_worse_than_init(k, rng):
     gt2d = resample_lane(frame.lanes2d[2], frame.image)
     at_init = fit_lane_3d(noisy, gt2d, frame.intrinsics, FitConfig(max_iters=0))
     refined = fit_lane_3d(noisy, gt2d, frame.intrinsics, FitConfig(max_iters=80, plateau_patience=20))
-    assert refined.terms["total"] <= at_init.terms["total"]
+    assert np.array_equal(lane_to_vector(refined.lane), lane_to_vector(at_init.lane))
+    assert refined.terms == at_init.terms
     z = gt3[:, 2]
-    true_x = gt3[:, 0]
-    fit_x = refined.lane.curve.x_at(z)
-    r = np.corrcoef(true_x + z * 0.0, fit_x)[0, 1] if np.std(true_x) > 0 else 1.0
     # the lane is straight laterally; require the fit not to invent curvature
-    assert np.abs(fit_x - true_x).max() < 0.25
+    assert np.abs(refined.lane.curve.x_at(z) - gt3[:, 0]).max() < 0.25
 
 
 def test_decoupled_beats_baseline_tenfold(k):
@@ -260,7 +258,7 @@ def test_decoupled_beats_baseline_tenfold(k):
     worst_ratio = np.inf
     for gt3, lane2d in zip(frame.lanes3d, frame.lanes2d):
         gt2d = resample_lane(lane2d, frame.image)
-        report = fit_lane_3d(gt3, gt2d, frame.intrinsics, FitConfig(max_iters=60, plateau_patience=15))
+        report = fit_lane_3d(gt3, gt2d, frame.intrinsics)
         ours = reprojection_residuals(report.lane, frame.intrinsics, gt3).max()
         baseline = fit_perspective_baseline(lane2d, order=3).max_residual
         worst_ratio = min(worst_ratio, baseline / max(ours, 1e-12))
@@ -286,9 +284,8 @@ def test_fit_determinism(k):
     frame = bump_frame(seed=9)
     gt3 = frame.lanes3d[0]
     gt2d = resample_lane(frame.lanes2d[0], frame.image)
-    cfg = FitConfig(max_iters=40, plateau_patience=10)
-    a = fit_lane_3d(gt3, gt2d, frame.intrinsics, cfg)
-    b = fit_lane_3d(gt3, gt2d, frame.intrinsics, cfg)
+    a = fit_lane_3d(gt3, gt2d, frame.intrinsics)
+    b = fit_lane_3d(gt3, gt2d, frame.intrinsics)
     assert np.array_equal(lane_to_vector(a.lane), lane_to_vector(b.lane))
     assert a.terms == b.terms
 

@@ -306,7 +306,10 @@ def test_non_object_document_rejected(tmp_path, reader):
         ("anchors", ("inertia",), "NaN", "invalid JSON"),
         ("anchors", ("descriptors", 0, "u", 0), "NaN", "invalid JSON"),
         ("dataset", ("camera_height",), "NaN", ":2: invalid JSON"),
-        ("dataset", ("frame_id",), "1e400", ":2: bad frame record"),
+        ("dataset", ("frame_id",), "1e400", ":2: invalid JSON"),
+        ("dataset", ("camera_height",), "1e400", ":2: invalid JSON"),
+        ("report", ("mf1",), "1e400", "invalid JSON"),
+        ("anchors", ("inertia",), "-1e400", "invalid JSON"),
     ],
 )
 def test_non_finite_literal_rejected(tmp_path, kind, field, fragment, message):
@@ -315,6 +318,35 @@ def test_non_finite_literal_rejected(tmp_path, kind, field, fragment, message):
     path.write_text(header + _substitute(document, field, fragment))
     with pytest.raises(SchemaError, match=message):
         reader(str(path))
+
+
+@pytest.mark.parametrize(
+    "reader, write",
+    [
+        (read_dataset, lambda p: write_dataset(sample_dataset()[:1], p)),
+        (read_predictions, lambda p: write_predictions([sample_prediction()], p)),
+        (read_report, lambda p: write_report({"mf1": 0.5}, p)),
+        (read_anchors, lambda p: write_anchors(sample_anchors(), p)),
+    ],
+    ids=["dataset", "predictions", "report", "anchors"],
+)
+def test_non_utf8_file_rejected(tmp_path, reader, write):
+    path = tmp_path / "doc"
+    path.write_bytes(_written(write).encode("utf-16"))
+    with pytest.raises(SchemaError, match="not UTF-8"):
+        reader(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, fragment",
+    [(("rows",), "5"), (("descriptors", 0, "u"), '"7"'), (("descriptors", 1, "u"), "[1.0, 2.0]")],
+)
+def test_shapeless_anchors_rejected(tmp_path, field, fragment):
+    _, _, document, _ = valid_documents()["anchors"]
+    path = tmp_path / "anchors.json"
+    path.write_text(_substitute(document, field, fragment))
+    with pytest.raises(SchemaError, match="1-d of one length"):
+        read_anchors(str(path))
 
 
 if HAVE_HYPOTHESIS:
