@@ -124,12 +124,19 @@ def matching_cost(p: ResampledLane2D, g: ResampledLane2D) -> float:
     return horizontal + abs(p.v_start - g.v_start) + abs(p.v_end - g.v_end)
 
 
-def cost_matrix(preds: list[ResampledLane2D], gts: list[ResampledLane2D]) -> np.ndarray:
-    """Pairwise matching costs, shape (len(preds), len(gts))."""
-    costs = np.empty((len(preds), len(gts)))
+def cost_matrix(
+    preds: list[ResampledLane2D | None], gts: list[ResampledLane2D | None]
+) -> np.ndarray:
+    """Pairwise matching costs, shape (len(preds), len(gts)).
+
+    A None entry stands for a lane that could not be resampled; its row
+    or column is +inf.
+    """
+    costs = np.full((len(preds), len(gts)), np.inf)
     for i, p in enumerate(preds):
         for j, g in enumerate(gts):
-            costs[i, j] = matching_cost(p, g)
+            if p is not None and g is not None:
+                costs[i, j] = matching_cost(p, g)
     return costs
 
 
@@ -211,14 +218,4 @@ def match_lanes(
                 out.append(None)
         return out
 
-    rp = resample_all(preds)
-    rg = resample_all(gts)
-    costs = np.full((len(preds), len(gts)), np.inf)
-    for i, p in enumerate(rp):
-        if p is None:
-            continue
-        for j, g in enumerate(rg):
-            if g is None:
-                continue
-            costs[i, j] = matching_cost(p, g)
-    return hungarian_assign(costs, match_threshold)
+    return hungarian_assign(cost_matrix(resample_all(preds), resample_all(gts)), match_threshold)

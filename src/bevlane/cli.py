@@ -42,6 +42,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cmd_generate(opts) -> int:
     scenes, jitter = io_formats.read_scene_spec(opts.spec)
     frames = datagen.generate_dataset(
@@ -375,7 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--out": {"required": True, "help": "output report JSON"},
             "--lane-width": {"type": float, "default": 30.0, "help": "raster lane width [px]"},
             "--raster-scale": {"type": float, "default": 1.0, "help": "raster scale, in (0, 1]"},
-            "--match-threshold": {"type": float, "default": 30.0, "help": "match distance [px]"},
+            "--match-threshold": {
+                "type": _non_negative_float,
+                "default": 30.0,
+                "help": "match distance [px]",
+            },
             "--sample-count": sample_count,
             "--tusimple-tol": {"type": float, "default": 20.0, "help": "row-anchor tolerance [px]"},
             "--tusimple-row-step": {"type": _positive_int, "default": 10, "help": "row step [px]"},
@@ -392,7 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--rows": {"type": int, "default": 36, "help": "descriptor rows"},
             "--restarts": {"type": int, "default": 10, "help": "k-means restarts"},
             "--seed": {"type": int, "default": 0, "help": "k-means seed"},
-            "--match-threshold": {"type": float, "default": 30.0, "help": "recall distance [px]"},
+            "--match-threshold": {
+                "type": _non_negative_float,
+                "default": 30.0,
+                "help": "recall distance [px]",
+            },
         },
     )
     add(

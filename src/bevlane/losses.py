@@ -57,6 +57,10 @@ class LossWeights:
     alpha: float = 1.0
     beta: float = 1.0
 
+    def __post_init__(self):
+        if not (self.alpha >= 0.0 and self.beta >= 0.0):
+            raise ValidationError(f"weights must be >= 0, got alpha={self.alpha}, beta={self.beta}")
+
 
 def lane_iou(xs_pred: np.ndarray, xs_gt: np.ndarray, e: float) -> float:
     """Mean widened-lane IoU between two lanes sampled at shared positions.

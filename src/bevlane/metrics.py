@@ -11,7 +11,6 @@ lanes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,14 +34,25 @@ class EvalConfig:
     raster_scale: float = 1.0
 
     def __post_init__(self):
-        if self.lane_width < 1.0:
-            raise ValidationError("lane_width must be >= 1 pixel")
+        if not 1.0 <= self.lane_width < np.inf:
+            raise ValidationError("lane_width must be finite and >= 1 pixel")
         if len(self.iou_thresholds) == 0 or any(
             t2 <= t1 for t1, t2 in zip(self.iou_thresholds, self.iou_thresholds[1:])
         ):
             raise ValidationError("iou_thresholds must be strictly increasing")
         if not 0.0 < self.raster_scale <= 1.0:
             raise ValidationError("raster_scale must be in (0, 1]")
+        if not self.tusimple_pixel_tol >= 0.0:
+            raise ValidationError("tusimple_pixel_tol must be >= 0")
+        if not 0.0 <= self.tusimple_min_correct <= 1.0:
+            raise ValidationError("tusimple_min_correct must be in [0, 1]")
+
+
+# Width, relative to the coordinate magnitudes involved, of the band around
+# a capsule's edge where rasterize_lane evaluates the per-pixel test instead
+# of trusting the analytic row interval. Rounding moves a computed distance
+# by a few 1e-16 of those magnitudes, so 1e-9 leaves a wide safety factor.
+_EDGE_BAND = 1e-9
 
 
 def rasterize_lane(
@@ -55,9 +65,17 @@ def rasterize_lane(
     the polyline, so a vertical lane through a center covers exactly
     `width` columns. With scale < 1 the rule is applied on a
     proportionally smaller canvas.
+
+    The widened segment is a capsule, which is convex, so it meets each
+    pixel row in one interval of centers. Per (segment, row) pair the
+    interval of a capsule slightly narrower than the lane is filled
+    outright; the centers between it and a slightly wider capsule's
+    interval are decided by the per-pixel test (distance squared to the
+    clamped projection onto the segment, against the radius squared), so
+    the mask is the one that test gives on every pixel.
     """
-    if width < 1.0:
-        raise ValidationError("width must be >= 1 pixel")
+    if not 1.0 <= width < np.inf:
+        raise ValidationError("width must be finite and >= 1 pixel")
     h = int(round(image.height * scale))
     w = int(round(image.width * scale))
     mask = np.zeros((h, w), dtype=bool)
@@ -66,29 +84,117 @@ def rasterize_lane(
     if radius < 0.0:
         return mask
 
-    for (ua, va), (ub, vb) in zip(pts[:-1], pts[1:]):
-        lo_u = int(math.floor(min(ua, ub) - radius)) - 1
-        hi_u = int(math.ceil(max(ua, ub) + radius)) + 1
-        lo_v = int(math.floor(min(va, vb) - radius)) - 1
-        hi_v = int(math.ceil(max(va, vb) + radius)) + 1
-        lo_u, hi_u = max(lo_u, 0), min(hi_u, w - 1)
-        lo_v, hi_v = max(lo_v, 0), min(hi_v, h - 1)
-        if lo_u > hi_u or lo_v > hi_v:
-            continue
-        uu, vv = np.meshgrid(
-            np.arange(lo_u, hi_u + 1, dtype=float) + 0.5,
-            np.arange(lo_v, hi_v + 1, dtype=float) + 0.5,
-        )
-        du, dv = ub - ua, vb - va
-        seg_len2 = du * du + dv * dv
-        if seg_len2 == 0.0:
-            dist2 = (uu - ua) ** 2 + (vv - va) ** 2
-        else:
-            t = np.clip(((uu - ua) * du + (vv - va) * dv) / seg_len2, 0.0, 1.0)
-            dist2 = (uu - (ua + t * du)) ** 2 + (vv - (va + t * dv)) ** 2
-        inside = dist2 <= radius * radius
-        mask[lo_v : hi_v + 1, lo_u : hi_u + 1] |= inside
+    a, b = pts[:-1], pts[1:]
+    d = b - a
+    seg_len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    band = _EDGE_BAND * (1.0 + radius + h + w + np.abs(np.hstack([a, b])).max(axis=1))
+    outer, inner = radius + band, radius - band
+
+    # Every (segment, row) pair whose row the wider capsule can reach.
+    v_lo = np.minimum(a[:, 1], b[:, 1]) - outer - 0.5
+    v_hi = np.maximum(a[:, 1], b[:, 1]) + outer - 0.5
+    first = np.ceil(np.clip(v_lo, 0, h)).astype(np.int64)
+    last = np.floor(np.clip(v_hi, -1, h - 1)).astype(np.int64)
+    counts = np.maximum(last - first + 1, 0)
+    seg = np.repeat(np.arange(len(d)), counts)
+    rows = first[seg] + _ranks(counts)
+    y = rows + 0.5
+
+    # Pixel columns inside the wider capsule (candidates) and inside the
+    # narrower one (certainly in the mask; none when the radius is within
+    # the band of 0).
+    (cand_lo, cand_hi), (in_lo, in_hi) = _capsule_columns(
+        a[seg], b[seg], seg_len2[seg], y, (outer[seg], inner[seg]), w
+    )
+    empty = (in_lo > in_hi) | (inner[seg] <= 0.0)
+    in_lo = np.where(empty, cand_hi + 1, in_lo)
+    in_hi = np.where(empty, cand_hi, in_hi)
+
+    # The per-pixel test, operation for operation, on the edge bands
+    # [cand_lo, in_lo) and (in_hi, cand_hi]: the center's projection onto
+    # the segment clamped to it (the start point for a zero-length
+    # segment), then squared distance against squared radius.
+    starts = np.concatenate([cand_lo, in_hi + 1])
+    lengths = np.maximum(np.concatenate([in_lo - cand_lo, cand_hi - in_hi]), 0)
+    pair = np.repeat(np.tile(np.arange(len(seg)), 2), lengths)
+    cols = np.repeat(starts, lengths) + _ranks(lengths)
+    k = seg[pair]
+    ua, va, du, dv, len2 = a[k, 0], a[k, 1], d[k, 0], d[k, 1], seg_len2[k]
+    uu, vv = cols + 0.5, y[pair]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(((uu - ua) * du + (vv - va) * dv) / len2, 0.0, 1.0)
+    t = np.where(len2 == 0.0, 0.0, t)
+    dist2 = (uu - (ua + t * du)) ** 2 + (vv - (va + t * dv)) ** 2
+    edge = (rows[pair] * w + cols)[dist2 <= radius * radius]
+
+    # Merge the inside intervals and the edge pixels in flat canvas
+    # indices, then fill each merged run.
+    keep = ~empty
+    run_lo = np.concatenate([rows[keep] * w + in_lo[keep], edge])
+    run_hi = np.concatenate([rows[keep] * w + in_hi[keep], edge])
+    if run_lo.size == 0:
+        return mask
+    order = np.argsort(run_lo)
+    run_lo, run_hi = run_lo[order], run_hi[order]
+    reach = np.maximum.accumulate(run_hi)
+    heads = np.flatnonzero(np.concatenate([[True], run_lo[1:] > reach[:-1] + 1]))
+    run_lo, run_hi = run_lo[heads], np.maximum.reduceat(run_hi, heads)
+    lengths = run_hi - run_lo + 1
+    mask.reshape(-1)[np.repeat(run_lo, lengths) + _ranks(lengths)] = True
     return mask
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _capsule_columns(a, b, seg_len2, y, radii, w):
+    """Per pair and radius, the columns [lo, hi] whose centers on row y lie in the capsule.
+
+    The capsule is every point within the radius of segment a-b: the
+    disks at both ends and the slab between them, so its interval on a
+    row is the hull of theirs. Columns are clipped to [0, w - 1];
+    lo > hi marks an empty range.
+    """
+    du, dv = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    rel_a, rel_b = y - a[:, 1], y - b[:, 1]
+    length = np.sqrt(seg_len2)
+    # The slab, relative to a: 0 <= X du + Y dv <= L^2 and |X dv - Y du| <= r L.
+    along_lo, along_hi = _linear_range(du, -rel_a * dv, seg_len2 - rel_a * dv)
+    columns = []
+    for radius in radii:
+        # A radius past 1e154 px overflows to inf here, which still
+        # gives the right (whole-row) intervals.
+        with np.errstate(over="ignore"):
+            reach, radius2 = radius * length, radius * radius
+        across_lo, across_hi = _linear_range(dv, rel_a * du - reach, rel_a * du + reach)
+        lo = a[:, 0] + np.maximum(along_lo, across_lo)
+        hi = a[:, 0] + np.minimum(along_hi, across_hi)
+        slab = (lo <= hi) & (seg_len2 > 0.0)
+        lo, hi = np.where(slab, lo, np.inf), np.where(slab, hi, -np.inf)
+        # Disk chords; the square root of a negative (a missed disk) is NaN,
+        # which fmin and fmax skip.
+        with np.errstate(invalid="ignore"):
+            for end, rel in ((a, rel_a), (b, rel_b)):
+                half = np.sqrt(radius2 - rel * rel)
+                lo, hi = np.fmin(lo, end[:, 0] - half), np.fmax(hi, end[:, 0] + half)
+        columns.append((
+            np.ceil(np.clip(lo - 0.5, 0, w)).astype(np.int64),
+            np.floor(np.clip(hi - 0.5, -1, w - 1)).astype(np.int64),
+        ))
+    return columns
+
+
+def _linear_range(slope, low, high):
+    """The x-interval where low <= slope * x <= high (whole or empty at slope 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x1, x2 = low / slope, high / slope
+    rising, falling = slope > 0, slope < 0
+    flat = np.where((low <= 0.0) & (0.0 <= high), np.inf, -np.inf)
+    lo = np.where(rising, x1, np.where(falling, x2, -flat))
+    hi = np.where(rising, x2, np.where(falling, x1, flat))
+    return lo, hi
 
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
@@ -266,9 +372,13 @@ def point_polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.nda
     seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
     rel = points[:, None, :] - a[None, :, :]
     t = np.clip(np.einsum("pkd,kd->pk", rel, d) / seg_len2, 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    dist = np.linalg.norm(points[:, None, :] - closest, axis=2)
-    return dist.min(axis=1)
+    # Squared distances summed coordinate by coordinate, in order, then
+    # one square root of the minimum: the same numbers as taking the norm
+    # of every point-to-closest-spot vector, since sqrt is monotone.
+    dist2 = sum(
+        (points[:, c, None] - (a[:, c] + t * d[:, c])) ** 2 for c in range(points.shape[1])
+    )
+    return np.sqrt(dist2.min(axis=1))
 
 
 def cd_error_per_pair(

@@ -443,6 +443,26 @@ def test_bad_config_section_exits_2(flat_dataset, tmp_path, command, section):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("fit", ["--mode", "2d", "--beta", "-1"]),
+        ("eval", ["--tusimple-tol", "-1"]),
+        ("eval", ["--match-threshold", "-1"]),
+        ("anchors", ["-k", "2", "--match-threshold", "-1"]),
+        ("eval", ["--lane-width", "nan"]),
+        ("eval", ["--lane-width", "inf"]),
+    ],
+)
+def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, flags):
+    preds = str(tmp_path / "preds.jsonl")
+    assert main(["fit", "--dataset", flat_dataset, "--out", preds]) == 0
+    argv = [command, "--dataset", flat_dataset, "--out", str(tmp_path / "o"), *flags]
+    code, err = _run(argv + (["--pred", preds] if command == "eval" else []))
+    assert code == 2
+    assert "error:" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("which", ["spec", "config", "dataset"])
 def test_non_utf8_input_exits_2(flat_dataset, tmp_path, which):
     spec = tmp_path / "spec.json"

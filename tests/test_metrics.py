@@ -14,11 +14,20 @@ from bevlane.metrics import (
     f1_counts,
     f1_suite,
     mask_iou,
+    point_polyline_distances,
     rasterize_lane,
     resample_at_rows,
     tusimple_accuracy,
 )
 from oracles import chamfer_oracle, f1_counts_oracle, raster_oracle, resample_rows_oracle
+
+try:
+    from hypothesis import example, given
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:
+    HAVE_HYPOTHESIS = False
 
 SMALL = ImageSpec(64, 64)
 
@@ -70,6 +79,54 @@ class TestRasterize:
         lane = Lane2D([[10.0, 50.0], [10.0, 10.0]])
         with pytest.raises(ValidationError):
             rasterize_lane(lane, SMALL, width=0.5)
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def adversarial_lanes(draw):
+        """A small canvas, a scale, a width and a polyline built to hit edge cases.
+
+        Coordinates sit on a 1/2, 1/4 or 1/8 pixel grid, so pixel centers
+        land exactly on capsule edges; polylines may be all horizontal,
+        all vertical, a single repeated point, folded (v not monotone),
+        repeat a point (a zero-length segment) or leave the canvas.
+        """
+        scale = draw(st.sampled_from([1.0, 0.5, 0.25]))
+        image = ImageSpec(
+            width=draw(st.integers(4, 40)), height=draw(st.integers(4, 40))
+        )
+        step = draw(st.sampled_from([0.5, 0.25, 0.125]))
+        n = draw(st.integers(2, 6))
+
+        def coords(limit):
+            ticks = st.integers(int(-12 / step), int((limit + 12) / step))
+            return [draw(ticks) * step for _ in range(n)]
+
+        u, v = coords(image.width), coords(image.height)
+        shape = draw(st.sampled_from(["free", "horizontal", "vertical", "dot"]))
+        if shape in ("horizontal", "dot"):
+            v = [v[0]] * n
+        if shape in ("vertical", "dot"):
+            u = [u[0]] * n
+        points = list(zip(u, v))
+        repeat = draw(st.integers(-1, n - 1))
+        if repeat >= 0:
+            points.insert(repeat, points[repeat])
+        scaled_width = draw(st.integers(8, 48).map(lambda k: k / 4) | st.floats(2.0, 12.0))
+        return Lane2D(points), image, scaled_width / scale, scale
+
+    @given(case=adversarial_lanes())
+    # Centers exactly on the capsule's edge: a 3-4-5 direction puts
+    # centers at distance exactly 7 from the segment, and a single point
+    # on a center has centers exactly 3 away.
+    @example(case=(Lane2D([[-5.5, 34.5], [38.5, 1.5]]), ImageSpec(21, 16), 15.0, 1.0))
+    @example(case=(Lane2D([[10.5, 10.5], [10.5, 10.5]]), ImageSpec(21, 16), 7.0, 1.0))
+    def test_rasterize_matches_oracle_on_adversarial_lanes(case):
+        lane, image, width, scale = case
+        mask = rasterize_lane(lane, image, width=width, scale=scale)
+        oracle = raster_oracle(lane.points, image.height, image.width, width, scale=scale)
+        np.testing.assert_array_equal(mask, oracle)
 
 
 class TestMaskIoU:
@@ -271,6 +328,21 @@ class TestCurveDistance:
             got = cd_error([pred], [gt], [(0, 0)], sample_count=72)
             want = chamfer_oracle(sample_lane(pred, 72), gt)
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_distances_equal_norm_of_offset_to_closest_point(self, rng):
+        # Bit for bit the minimum over segments of the norm of each
+        # point-to-closest-spot vector, so eval reports do not move.
+        for _ in range(20):
+            points = rng.normal(scale=30.0, size=(rng.integers(1, 40), 3))
+            poly = rng.normal(scale=30.0, size=(rng.integers(3, 40), 3))
+            poly[1] = poly[0]
+            a, d = poly[:-1], np.diff(poly, axis=0)
+            len2 = np.einsum("kd,kd->k", d, d)
+            rel = points[:, None, :] - a
+            t = np.einsum("pkd,kd->pk", rel, d) / np.where(len2 == 0.0, 1.0, len2)
+            closest = a + np.clip(t, 0.0, 1.0)[:, :, None] * d
+            want = np.linalg.norm(points[:, None, :] - closest, axis=2).min(axis=1)
+            np.testing.assert_array_equal(point_polyline_distances(points, poly), want)
 
     def test_per_pair_and_mean(self):
         preds = [straight_lane3d(0.1), straight_lane3d(5.3)]
