@@ -27,19 +27,48 @@ def first_crossings(points: np.ndarray, rows: np.ndarray):
     when r lies within its v-interval (inclusive). The first covering
     segment wins; within it the crossing sits at fraction
     t = (r - v_i) / (v_i+1 - v_i), with t = 0 for a segment lying exactly
-    on the row. Returns (found, seg_index, t) arrays over rows.
+    on the row. Returns (found, seg_index, t) arrays over rows; rows no
+    segment covers read seg 0.
     """
-    v = points[:, 1]
-    va, vb = v[:-1], v[1:]
-    r = rows[:, None]
-    lo = np.minimum(va, vb)[None, :]
-    hi = np.maximum(va, vb)[None, :]
-    covers = (lo <= r) & (r <= hi)
-    found = covers.any(axis=1)
-    seg = np.argmax(covers, axis=1)
-    dv = vb[seg] - va[seg]
+    found, seg, t = first_crossings_batch(np.asarray(points)[None, :, 1], rows)
+    return found[0], seg[0], t[0]
+
+
+def first_crossings_batch(v: np.ndarray, rows: np.ndarray):
+    """first_crossings for a stack of polylines given by their rows v, shape (L, m).
+
+    Each segment covers the run of rows between its endpoint rows, found
+    by binary search in the sorted rows; the first segment per (lane,
+    row) is the minimum over the runs that cover it. Returns (found, seg,
+    t), each of shape (L, len(rows)).
+    """
+    v = np.asarray(v, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    n_lanes, n_seg = v.shape[0], v.shape[1] - 1
+    va, vb = v[:, :-1], v[:, 1:]
+    lo = np.minimum(va, vb).ravel()
+    hi = np.maximum(va, vb).ravel()
+    first = np.searchsorted(sorted_rows, lo, side="left")
+    stop = np.searchsorted(sorted_rows, hi, side="right")
+    counts = np.where(lo <= hi, stop - first, 0)  # NaN rows cover nothing
+
+    # One entry per (segment, covered row): its flat (lane, row) cell.
+    owner = np.repeat(np.arange(lo.size), counts)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    cell = (owner // n_seg) * rows.size + order[first[owner] + offset]
+    seg = np.full(n_lanes * rows.size, n_seg)
+    np.minimum.at(seg, cell, owner % n_seg)
+    seg = seg.reshape(n_lanes, rows.size)
+    found = seg < n_seg
+    seg[~found] = 0
+
+    at = (np.arange(n_lanes) * (n_seg + 1))[:, None] + seg
+    va_s = v.ravel()[at]
+    dv = v.ravel()[at + 1] - va_s
     safe_dv = np.where(dv == 0.0, 1.0, dv)
-    t = np.where(dv == 0.0, 0.0, (rows - va[seg]) / safe_dv)
+    t = np.where(dv == 0.0, 0.0, (rows - va_s) / safe_dv)
     t = np.clip(t, 0.0, 1.0)
     return found, seg, t
 

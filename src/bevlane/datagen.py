@@ -17,12 +17,15 @@ import numpy as np
 
 from .camera import CameraIntrinsics, ImageSpec, Lane2D, project_points
 from .errors import ValidationError
-from .geometry import BevCurve
+from .geometry import MAX_SAMPLE_COUNT, BevCurve
 
 GROUND_KINDS = ("flat", "slope", "sine", "smooth_noise")
 # Seeded undulation mixes a few long sinusoids; shorter than this would
 # not read as road surface.
 MIN_WAVELENGTH = 10.0
+# Upper limit on frames per scene recipe in one dataset. Every stage holds
+# a dataset in memory whole; the default scene writes about 75 kB per frame.
+MAX_FRAMES_PER_SPEC = 1000
 
 
 @dataclass(frozen=True)
@@ -104,8 +107,8 @@ class SceneSpec:
         z0, z1 = self.z_range
         if not 0.0 < z0 < z1:
             raise ValidationError(f"need 0 < z_min < z_max, got {self.z_range}")
-        if self.samples_per_lane < 2:
-            raise ValidationError("samples_per_lane must be >= 2")
+        if not 2 <= self.samples_per_lane <= MAX_SAMPLE_COUNT:
+            raise ValidationError(f"samples_per_lane must be in [2, {MAX_SAMPLE_COUNT}]")
         if self.camera_height <= 0.0:
             raise ValidationError("camera_height must be > 0")
         if self.seed < 0:
@@ -209,8 +212,8 @@ def generate_dataset(
     """
     if isinstance(specs, SceneSpec):
         specs = [specs]
-    if frames_per_spec < 1:
-        raise ValidationError("frames_per_spec must be >= 1")
+    if not 1 <= frames_per_spec <= MAX_FRAMES_PER_SPEC:
+        raise ValidationError(f"frames_per_spec must be in [1, {MAX_FRAMES_PER_SPEC}]")
     if seed is not None and seed < 0:
         raise ValidationError("seed must be >= 0")
     frames = []

@@ -3,7 +3,10 @@
 Direct fits handle the supervised pieces (polynomial BEV curve, height
 keypoints, a perspective-space polynomial baseline); with 3D labels they
 are the whole fit. With 2D labels only, momentum gradient descent on the
-image-plane losses recovers the lane. The descent runs in a diagonally
+image-plane losses recovers the lane. fit_lanes_2d runs that descent on
+a stack of lanes at once, each lane with its own step scales, velocity,
+best iterate and stopping test; fit_lane_2d is its stack of one, and a
+lane gets the same result in any stack. The descent runs in a diagonally
 rescaled parameter space: curve coefficients act on different powers of
 z, so their raw gradient magnitudes differ by orders of magnitude and
 unscaled steps either crawl or blow up.
@@ -11,16 +14,17 @@ unscaled steps either crawl or blow up.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .assignment import ResampledLane2D
-from .camera import CameraIntrinsics, Lane2D, invert_to_ground, project_points
+from .camera import CameraIntrinsics, Lane2D, project_points
 from .errors import (
     DegenerateInputError,
+    DimensionMismatchError,
+    DomainError,
     NonFiniteError,
     RankDeficientError,
     ValidationError,
@@ -30,9 +34,12 @@ from .losses import (
     DEFAULT_BEV_IOU,
     DEFAULT_PERSPECTIVE_IOU,
     IoUConfig,
+    LaneTargets,
     LossWeights,
     bernstein_basis,
     lane_loss,
+    lane_losses_2d,
+    terms_2d,
 )
 
 MOMENTUM = 0.9
@@ -46,6 +53,10 @@ MIN_SPAN = 0.5
 # slopes of order 1/(e * rows). Equal steps overshoot those creases by
 # meters, so these parameters take steps damped by this factor squared.
 ROW_TERM_DAMP = 1e-2
+
+# Upper limit on height keypoints per lane; the 2D fit holds (lanes x
+# keypoints) arrays, and every predicted lane stores its keypoints.
+MAX_KEYPOINTS = 1000
 
 _ORDERS = (2, 3, 4, "bezier")
 
@@ -69,14 +80,15 @@ class FitConfig:
     for the least-squares comparison only; the lane representation (and
     gradient refinement) is cubic.
 
-    fit_lane_3d reads order and keypoints. fit_lane_2d reads order and
-    the descent knobs max_iters, step_size and plateau_patience.
-    ipm_init reads order, keypoints and ipm_camera_height.
+    fit_lane_3d reads order and keypoints. fit_lanes_2d reads order and
+    the descent knobs max_iters, step_size and plateau_patience (at least
+    1). ipm_init reads order, keypoints and ipm_camera_height. keypoints
+    runs from 2 to MAX_KEYPOINTS. The CLI takes its defaults from here.
     """
 
-    max_iters: int = 400
+    max_iters: int = 60
     step_size: float = 1e-2
-    plateau_patience: int = 30
+    plateau_patience: int = 15
     order: int | str = 3
     keypoints: int = 72
     ipm_camera_height: float = 1.5
@@ -84,8 +96,12 @@ class FitConfig:
     def __post_init__(self):
         if self.order not in _ORDERS:
             raise ValidationError(f"order must be one of {_ORDERS}, got {self.order!r}")
-        if self.max_iters < 0 or self.step_size <= 0.0 or self.keypoints < 2:
+        if self.max_iters < 0 or self.step_size <= 0.0 or self.plateau_patience < 1:
             raise ValidationError("bad fit configuration")
+        if not 2 <= self.keypoints <= MAX_KEYPOINTS:
+            raise ValidationError(
+                f"keypoints must be in [2, {MAX_KEYPOINTS}], got {self.keypoints}"
+            )
 
 
 @dataclass(frozen=True)
@@ -274,59 +290,16 @@ def _scales(theta: np.ndarray, basis: str) -> np.ndarray:
 
 
 def _clamp_span(theta: np.ndarray) -> None:
-    theta[-2] = max(theta[-2], Z_FLOOR)
-    theta[-1] = max(theta[-1], theta[-2] + MIN_SPAN)
+    """Keep z_min above the floor and the span at least MIN_SPAN, per lane."""
+    theta[..., -2] = np.maximum(theta[..., -2], Z_FLOOR)
+    theta[..., -1] = np.maximum(theta[..., -1], theta[..., -2] + MIN_SPAN)
 
 
-def _check_finite(loss: float, grad: np.ndarray, iteration: int) -> None:
-    if math.isnan(loss) or (np.isfinite(loss) and not np.isfinite(grad).all()):
+def _check_finite(loss, grad: np.ndarray, iteration: int) -> None:
+    loss = np.asarray(loss)
+    grad_ok = np.isfinite(grad).all(axis=-1)
+    if np.any(np.isnan(loss) | (np.isfinite(loss) & ~grad_ok)):
         raise NonFiniteError(f"objective became non-finite at iteration {iteration}")
-
-
-def _descend(theta: np.ndarray, objective, cfg: FitConfig, basis: str, freeze=()):
-    """Momentum descent with per-parameter scaling and best-iterate return."""
-    theta = theta.astype(float).copy()
-    _clamp_span(theta)
-    scales = _scales(theta, basis)
-    step = cfg.step_size * scales**2
-    mask = np.ones(theta.size)
-    for idx in freeze:
-        mask[idx] = 0.0
-
-    velocity = np.zeros_like(theta)
-    loss, grad, terms = objective(theta)
-    best_loss, best_theta, best_terms, best_iter = loss, theta.copy(), terms, 0
-    converged = False
-    iterations = 0
-    for it in range(1, cfg.max_iters + 1):
-        _check_finite(loss, grad, it - 1)
-        if np.isfinite(loss):
-            scaled_norm = float(np.linalg.norm(grad * mask * scales))
-            if scaled_norm <= CONVERGENCE_TOL:
-                converged = True
-                break
-        velocity = MOMENTUM * velocity - step * (grad * mask)
-        theta = theta + velocity
-        _clamp_span(theta)
-        iterations = it
-        loss, grad, terms = objective(theta)
-        if loss < best_loss:
-            best_loss, best_theta, best_terms, best_iter = loss, theta.copy(), terms, it
-        if it - best_iter >= cfg.plateau_patience:
-            break
-    return best_theta, best_terms, iterations, converged
-
-
-def _objective(**lane_args):
-    """lane_loss as a descent objective; no overlap reads as +inf, gradient 0."""
-
-    def objective(theta):
-        out = lane_loss(theta, **lane_args)
-        if out is None:
-            return float("inf"), np.zeros(theta.size), {"total": float("inf")}
-        return out
-
-    return objective
 
 
 def _theta_to_lane(theta: np.ndarray, basis: str) -> Lane3D:
@@ -343,6 +316,91 @@ def _lane_to_theta(lane: Lane3D, basis: str) -> np.ndarray:
     return geo
 
 
+def fit_lanes_2d(
+    gts: list[ResampledLane2D],
+    intrinsics: list[CameraIntrinsics],
+    inits: list[Lane3D],
+    cfg: FitConfig = FitConfig(),
+    per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
+    weights: LossWeights = LossWeights(),
+) -> list[FitReport]:
+    """Refine a stack of lanes against 2D labels only, one report per lane.
+
+    Momentum descent on beta * (image IoU loss + endpoint loss) plus the
+    height spread regularizer, run on all lanes at once. Each lane keeps
+    its own step scales, velocity and best iterate, and leaves the
+    active set when its scaled gradient vanishes or its loss plateaus;
+    a lane whose projection misses its target reads +inf with a zero
+    gradient. The targets must share one row grid; intrinsics holds each
+    lane's camera. Every lane's result is the one it gets alone. The 3D
+    scale stays whatever the initialization pinned it to; 2D labels
+    cannot determine it.
+    """
+    if cfg.order == 4:
+        raise ValidationError("gradient refinement is cubic; degree 4 is least-squares only")
+    if len(inits) != len(gts):
+        raise DimensionMismatchError("need one initial lane per target")
+    if not gts:
+        return []
+    basis = "bernstein" if cfg.order == "bezier" else "power"
+    thetas = [_lane_to_theta(init, basis) for init in inits]
+    if any(t.size != thetas[0].size for t in thetas):
+        raise DimensionMismatchError("all initial lanes must share one keypoint count")
+    theta = np.stack(thetas)
+    mask = np.ones(theta.shape[1])
+    if cfg.order == 2:
+        theta[:, 0] = 0.0
+        mask[0] = 0.0
+    _clamp_span(theta)
+    scales = np.stack([_scales(row, basis) for row in theta])
+    step = cfg.step_size * scales**2
+    targets = LaneTargets.stack(gts, intrinsics)
+
+    def objective(lanes):
+        return lane_losses_2d(theta[lanes], targets.take(lanes), per_iou, weights, basis)
+
+    active = np.arange(len(gts))
+    velocity = np.zeros_like(theta)
+    loss, grad, terms, overlap = objective(active)
+    best_loss, best_theta = loss.copy(), theta.copy()
+    best_terms, best_overlap = terms.copy(), overlap.copy()
+    best_iter = np.zeros(len(gts), dtype=int)
+    iterations = np.zeros(len(gts), dtype=int)
+    converged = np.zeros(len(gts), dtype=bool)
+    for it in range(1, cfg.max_iters + 1):
+        if active.size == 0:
+            break
+        _check_finite(loss, grad, it - 1)
+        scaled_norm = np.sqrt(np.sum((grad * mask * scales[active]) ** 2, axis=1))
+        done = np.isfinite(loss) & (scaled_norm <= CONVERGENCE_TOL)
+        converged[active[done]] = True
+        active, grad = active[~done], grad[~done]
+
+        velocity[active] = MOMENTUM * velocity[active] - step[active] * (grad * mask)
+        moved = theta[active] + velocity[active]
+        _clamp_span(moved)
+        theta[active] = moved
+        iterations[active] = it
+        loss, grad, terms, overlap = objective(active)
+        better = loss < best_loss[active]
+        lanes = active[better]
+        best_loss[lanes], best_theta[lanes] = loss[better], theta[lanes]
+        best_terms[lanes], best_overlap[lanes] = terms[better], overlap[better]
+        best_iter[lanes] = it
+        going = it - best_iter[active] < cfg.plateau_patience
+        active, loss, grad = active[going], loss[going], grad[going]
+
+    return [
+        FitReport(
+            _theta_to_lane(best_theta[i], basis),
+            int(iterations[i]),
+            bool(converged[i]),
+            terms_2d(best_terms[i], best_loss[i]) if best_overlap[i] else {"total": float("inf")},
+        )
+        for i in range(len(gts))
+    ]
+
+
 def fit_lane_2d(
     gt: ResampledLane2D,
     k: CameraIntrinsics,
@@ -351,23 +409,8 @@ def fit_lane_2d(
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
 ) -> FitReport:
-    """Refine a lane against 2D labels only.
-
-    Descends beta * (image IoU loss + endpoint loss) plus the height
-    spread regularizer. The 3D scale stays whatever the initialization
-    pinned it to; 2D labels cannot determine it.
-    """
-    basis = "bernstein" if cfg.order == "bezier" else "power"
-    if cfg.order == 4:
-        raise ValidationError("gradient refinement is cubic; degree 4 is least-squares only")
-    freeze = (0,) if cfg.order == 2 else ()
-    theta0 = _lane_to_theta(init, basis)
-    if cfg.order == 2:
-        theta0[0] = 0.0
-
-    objective = _objective(k=k, gt2d=gt, per_iou=per_iou, weights=weights, basis=basis)
-    theta, terms, iterations, converged = _descend(theta0, objective, cfg, basis, freeze)
-    return FitReport(_theta_to_lane(theta, basis), iterations, converged, terms)
+    """Refine one lane against 2D labels only: fit_lanes_2d on a stack of one."""
+    return fit_lanes_2d([gt], [k], [init], cfg, per_iou, weights)[0]
 
 
 def fit_lane_3d(
@@ -394,9 +437,9 @@ def fit_lane_3d(
     profile = fit_heights_direct(gt3, cfg.keypoints, max(gt3[0, 2], Z_FLOOR), gt3[-1, 2])
     theta = _lane_to_theta(Lane3D(curve=poly.to_curve(), profile=profile), "power")
     _clamp_span(theta)
-    loss, grad, terms = _objective(
-        k=k, gt2d=gt2d, gt3=gt3, bev_iou=bev_iou, per_iou=per_iou, weights=weights
-    )(theta)
+    loss, grad, terms = lane_loss(
+        theta, k=k, gt2d=gt2d, gt3=gt3, bev_iou=bev_iou, per_iou=per_iou, weights=weights
+    ) or (float("inf"), np.zeros(theta.size), {"total": float("inf")})
     _check_finite(loss, grad, 0)
     return FitReport(_theta_to_lane(theta, "power"), 0, False, terms)
 
@@ -409,13 +452,15 @@ def ipm_init(gt: Lane2D, k: CameraIntrinsics, cfg: FitConfig = FitConfig()) -> L
     The assumed height also pins the overall scale, which 2D data leaves
     free. Raises DegenerateInputError when too few points back-project.
     """
-    rows = []
-    for u, v in gt.points:
-        if v > k.oy + 1e-9:
-            rows.append(invert_to_ground(k, u, v, cfg.ipm_camera_height))
-    if len(rows) < 2:
+    y = cfg.ipm_camera_height
+    if y <= 0.0:
+        raise DomainError(f"ground plane height must be > 0, got {y}")
+    below = gt.points[gt.points[:, 1] > k.oy + 1e-9]
+    if below.shape[0] < 2:
         raise DegenerateInputError("too few points below the horizon to back-project")
-    pts = np.array(rows)
+    # camera.invert_to_ground on every point at once, with the same operations.
+    z = k.fy * y / (below[:, 1] - k.oy)
+    pts = np.column_stack([(below[:, 0] - k.ox) * z / k.fx, np.full(z.size, y), z])
     fit_order = 3 if cfg.order in (4, "bezier") else cfg.order
     if np.unique(pts[:, 2]).size < fit_order + 1:
         raise DegenerateInputError("back-projected points span too few distinct depths")

@@ -21,6 +21,9 @@ from .errors import ValidationError
 DEFAULT_HEIGHT_KEYPOINTS = 72
 # Sample count for densifying a lane into a polyline.
 DEFAULT_SAMPLE_COUNT = 72
+# Upper limit on samples per lane, for densifying and for synthetic labels:
+# a single count is otherwise enough to ask for gigabytes.
+MAX_SAMPLE_COUNT = 2000
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -133,8 +136,8 @@ def sample_lane(lane: Lane3D, count: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
     Samples are uniform in z over the lane's span, so consecutive points
     strictly increase in z.
     """
-    if count < 2:
-        raise ValidationError(f"sample count must be >= 2, got {count}")
+    if not 2 <= count <= MAX_SAMPLE_COUNT:
+        raise ValidationError(f"sample count must be in [2, {MAX_SAMPLE_COUNT}], got {count}")
     z = np.linspace(lane.z_min, lane.z_max, count)
     x = lane.curve.x_at(z)
     y = lane.profile.y_at(z)

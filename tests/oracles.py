@@ -109,6 +109,25 @@ def resample_rows_oracle(points: np.ndarray, rows: np.ndarray):
     return us, present
 
 
+def first_crossings_oracle(v: np.ndarray, rows: np.ndarray):
+    """(found, segment, t) per row: the first segment, in point order, whose
+    closed v-interval holds the row, and the row's fraction along it."""
+    found, seg, frac = [], [], []
+    for r in rows:
+        for s in range(len(v) - 1):
+            va, vb = float(v[s]), float(v[s + 1])
+            if min(va, vb) <= r <= max(va, vb):
+                found.append(True)
+                seg.append(s)
+                frac.append(0.0 if vb == va else min(1.0, max(0.0, (r - va) / (vb - va))))
+                break
+        else:
+            found.append(False)
+            seg.append(-1)
+            frac.append(np.nan)
+    return np.array(found, dtype=bool), np.array(seg), np.array(frac)
+
+
 def lane_iou_oracle(xa, xb, e: float) -> float:
     vals = []
     for p, g in zip(xa, xb):

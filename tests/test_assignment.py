@@ -4,6 +4,7 @@ import pytest
 from bevlane.assignment import (
     cost_matrix,
     first_crossings,
+    first_crossings_batch,
     hungarian_assign,
     match_lanes,
     matching_cost,
@@ -12,7 +13,7 @@ from bevlane.assignment import (
 )
 from bevlane.camera import ImageSpec, Lane2D
 from bevlane.errors import DegenerateLaneError, GridMismatchError, ValidationError
-from oracles import assign_brute_force, resample_rows_oracle
+from oracles import assign_brute_force, first_crossings_oracle, resample_rows_oracle
 
 try:
     from hypothesis import given
@@ -67,6 +68,52 @@ def test_first_crossings_picks_first_branch():
     assert found[0] and seg[0] == 0
     us, present = resample_rows_oracle(pts, np.array([150.0]))
     assert present[0] and us[0] == pytest.approx(0.0 + 10.0 * (200.0 - 150.0) / 100.0)
+
+
+def _assert_crossings_match_oracle(v, rows):
+    found, seg, t = first_crossings_batch(v, rows)
+    for lane, lane_v in enumerate(v):
+        want_found, want_seg, want_t = first_crossings_oracle(lane_v, rows)
+        one = first_crossings(np.column_stack([np.zeros(lane_v.size), lane_v]), rows)
+        assert np.array_equal(found[lane], want_found)
+        assert np.array_equal(seg[lane][want_found], want_seg[want_found])
+        assert np.array_equal(t[lane][want_found], want_t[want_found])
+        for got, alone in zip((found[lane], seg[lane], t[lane]), one):
+            assert np.array_equal(got, alone)
+
+
+def test_batched_crossings_on_folds_flats_and_vertices_on_rows():
+    v = np.array(
+        [
+            [200.0, 100.0, 180.0, 150.0],  # folds back twice
+            [150.0, 150.0, 120.0, 120.0],  # flat segments lying on rows
+            [130.5, 125.0, 125.0, 110.25],  # vertices exactly on rows, one flat
+            [-40.0, -10.0, -30.0, -20.0],  # entirely above the grid
+        ]
+    )
+    _assert_crossings_match_oracle(v, np.arange(60) * 2.5 + 90.0)
+    _assert_crossings_match_oracle(v, np.arange(321.0))
+
+
+if HAVE_HYPOTHESIS:
+    _ROW_VALUES = st.one_of(
+        st.integers(-5, 45).map(float),  # on unit rows
+        st.integers(-10, 90).map(lambda i: i / 4.0),  # on or between quarter rows
+        st.floats(-10.0, 50.0, allow_nan=False),
+        st.sampled_from([-1e3, 1e3]),  # far off the grid
+    )
+    _STACKS = st.integers(2, 8).flatmap(
+        lambda m: st.lists(st.lists(_ROW_VALUES, min_size=m, max_size=m), min_size=1, max_size=4)
+    )
+
+    @given(
+        stack=_STACKS,
+        step=st.sampled_from([1.0, 0.5, 0.25, 2.5, 3.0]),
+        count=st.integers(1, 40),
+        start=st.sampled_from([0.0, -2.0, 0.25]),
+    )
+    def test_batched_crossings_equal_first_crossings(stack, step, count, start):
+        _assert_crossings_match_oracle(np.array(stack), start + np.arange(count) * step)
 
 
 def test_resample_matches_oracle_on_folded_polylines(rng):

@@ -8,9 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bevlane import cli, fitting
+from bevlane.assignment import resample_lane
 from bevlane.camera import project_lane
-from bevlane.cli import main
-from bevlane.datagen import bump_scene, generate_frame
+from bevlane.cli import build_parser, main
+from bevlane.datagen import MAX_FRAMES_PER_SPEC, bump_scene, generate_frame
+from bevlane.fitting import MAX_KEYPOINTS, fit_lane_2d, ipm_init
+from bevlane.geometry import MAX_SAMPLE_COUNT, lane_to_vector
 from bevlane.io_formats import (
     read_anchors,
     read_dataset,
@@ -145,6 +149,52 @@ class TestFit:
             "--order", "bezier", "--out", out,
         ])
         assert code == 2
+
+    def test_2d_fit_is_the_same_in_any_block(self, tmp_path, monkeypatch):
+        # two row grids in one dataset: the 300-row frames fit in their own blocks
+        spec = write_json(tmp_path / "spec.json", {"scenes": [
+            {"preset": "bump"}, {"preset": "slope", "image": {"width": 800, "height": 300}},
+        ]})
+        dataset = str(tmp_path / "d.jsonl")
+        assert main(["generate", "--spec", spec, "--frames", "2", "--out", dataset]) == 0
+        outputs = []
+        for size in (1, 3, cli.FIT_BLOCK_LANES):
+            monkeypatch.setattr(cli, "FIT_BLOCK_LANES", size)
+            out = tmp_path / f"preds-{size}.jsonl"
+            assert main(["fit", "--dataset", dataset, "--mode", "2d", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        frames = read_dataset(dataset)
+        assert {f.image.height for f in frames} == {300, 320}
+        for frame, pred in zip(frames, read_predictions(str(out)), strict=True):
+            for lane2d, got in zip(frame.lanes2d, pred.lanes3d, strict=True):
+                gt = resample_lane(lane2d, frame.image)
+                init = ipm_init(lane2d, frame.intrinsics)
+                want = fit_lane_2d(gt, frame.intrinsics, init).lane
+                assert np.array_equal(lane_to_vector(got), lane_to_vector(want))
+
+    def test_nan_objective_in_a_block_exits_3(self, flat_dataset, tmp_path, monkeypatch):
+        real = fitting.lane_losses_2d
+
+        def nan_in_second_lane(theta, *args):
+            loss, grad, terms, overlap = real(theta, *args)
+            if theta.shape[0] > 1:
+                loss[1] = np.nan
+            return loss, grad, terms, overlap
+
+        monkeypatch.setattr(fitting, "lane_losses_2d", nan_in_second_lane)
+        out = str(tmp_path / "preds.jsonl")
+        code, err = _run(["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", out])
+        assert code == 3
+        assert "non-finite at iteration 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("plateau", ["0", "-5"])
+    def test_plateau_below_one_exits_2(self, flat_dataset, tmp_path, plateau):
+        out = str(tmp_path / "preds.jsonl")
+        argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", out]
+        code, err = _run(argv + ["--plateau", plateau])
+        assert code == 2
+        assert "bad fit configuration" in err and "Traceback" not in err
 
     def test_deterministic_predictions(self, flat_dataset, tmp_path):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -410,7 +460,40 @@ BAD_INPUTS = {
     "grade-delta-text": ({"scenes": [SCENE], "jitter": {"grade_delta": "x"}}, {}),
     "scenes-object": ({"scenes": SCENE}, {}),
     "spec-unknown-key": ({"scenes": [SCENE], "extra": 1}, {}),
+    "samples-over-limit": ({**SCENE, "samples_per_lane": MAX_SAMPLE_COUNT + 1}, {}),
+    "config-frames-over-limit": (SCENE, {"generate": {"frames": MAX_FRAMES_PER_SPEC + 1}}),
+    "config-frames-huge": (SCENE, {"generate": {"frames": 10**30}}),
 }
+
+
+COUNT_FLAGS = [
+    ("generate", "--frames", MAX_FRAMES_PER_SPEC),
+    ("fit", "--keypoints", MAX_KEYPOINTS),
+    ("eval", "--sample-count", MAX_SAMPLE_COUNT),
+    ("project", "--sample-count", MAX_SAMPLE_COUNT),
+    ("render", "--sample-count", MAX_SAMPLE_COUNT),
+]
+
+
+@pytest.mark.parametrize("command, flag, limit", COUNT_FLAGS)
+def test_count_flags_are_bounded(tmp_path, command, flag, limit):
+    paths = {f: str(tmp_path / f) for f in ("--spec", "--dataset", "--pred", "--out")}
+    required = {
+        "generate": ["--spec", "--out"],
+        "fit": ["--dataset", "--out"],
+        "eval": ["--dataset", "--pred", "--out"],
+        "project": ["--dataset", "--pred", "--out"],
+        "render": ["--dataset", "--out"],
+    }[command]
+    argv = [command] + [token for f in required for token in (f, paths[f])]
+    parser = build_parser()
+    opts = parser.parse_args(argv + [flag, str(limit)])
+    assert getattr(opts, flag[2:].replace("-", "_")) == limit
+    # past the limit the parser refuses, before any file is read
+    for value in (limit + 1, 10**30):
+        code, err = _run(argv + [flag, str(value)])
+        assert code == 2
+        assert f"in [1, {limit}]" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("spec, config", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
@@ -486,9 +569,11 @@ if HAVE_HYPOTHESIS:
     _JSON = st.recursive(
         st.none()
         | st.booleans()
-        # Small numbers only: a drawn frames or samples_per_lane of 1e300 would
-        # never finish. The overflowing and non-finite literals come below.
+        # Small counts, or counts past every limit: those exit 2 before
+        # anything is allocated. The overflowing and non-finite literals
+        # come below.
         | st.integers(-5, 50)
+        | st.integers(min_value=10**6)
         | st.floats(-64.0, 64.0)
         | st.text(max_size=8),
         lambda inner: st.lists(inner, max_size=4)

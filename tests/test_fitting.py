@@ -3,9 +3,11 @@ import pytest
 
 from bevlane import datagen, fitting
 from bevlane.assignment import resample_lane
-from bevlane.camera import Lane2D, project_lane
+from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, project_lane
 from bevlane.errors import (
     DegenerateInputError,
+    DimensionMismatchError,
+    GridMismatchError,
     NonFiniteError,
     RankDeficientError,
     ValidationError,
@@ -17,6 +19,7 @@ from bevlane.fitting import (
     fit_heights_direct,
     fit_lane_2d,
     fit_lane_3d,
+    fit_lanes_2d,
     fit_perspective_baseline,
     ipm_init,
     power_to_bernstein,
@@ -175,10 +178,81 @@ def test_fit_lane_2d_bezier_basis_descends(k, image):
     gt_lane = Lane3D(BevCurve(0, 0, 0.01, 1.5), HeightProfile(np.full(72, 1.5), 4.0, 60.0), 1.0)
     gt = resample_lane(project_lane(k, gt_lane, 72), image)
     init = Lane3D(BevCurve(0, 0, 0.01, 1.9), HeightProfile(np.full(72, 1.5), 4.0, 60.0), 1.0)
-    cfg = FitConfig(order="bezier", max_iters=200)
+    cfg = FitConfig(order="bezier", max_iters=200, plateau_patience=30)
     report = fit_lane_2d(gt, k, init, cfg)
     assert report.terms["l_per"] < 0.05
     assert np.isfinite(lane_to_vector(report.lane)).all()
+
+
+def _mixed_block():
+    """Two lanes from each ground preset, each preset with its own camera,
+    with their IPM starts; plus a lane whose start projects above the
+    horizon and so misses its target."""
+    gts, cams, inits = [], [], []
+    for i, make in enumerate(datagen.SCENE_PRESETS.values()):
+        camera = CameraIntrinsics(fx=1000.0 - 40 * i, fy=1000.0 + 30 * i, ox=400.0, oy=160.0 - i)
+        frame = datagen.generate_frame(make(intrinsics=camera), seed=11)
+        for lane2d in frame.lanes2d[1:3]:
+            gts.append(resample_lane(lane2d, frame.image))
+            cams.append(frame.intrinsics)
+            inits.append(ipm_init(lane2d, frame.intrinsics))
+    wavy = -1.5 + 0.1 * np.sin(np.linspace(0.0, 6.0, 72))
+    above = Lane3D(BevCurve(0, 0, 0, 1.0), HeightProfile(wavy, 3.0, 80.0), 1.0)
+    return gts + [gts[0]], cams + [cams[0]], inits + [above]
+
+
+@pytest.mark.parametrize("order", [3, 2, "bezier"])
+def test_fit_lanes_2d_block_equals_each_lane_alone(order):
+    gts, cams, inits = _mixed_block()
+    cfg = FitConfig(order=order)
+    block = fit_lanes_2d(gts, cams, inits, cfg)
+    for gt, cam, init, got in zip(gts, cams, inits, block):
+        alone = fit_lane_2d(gt, cam, init, cfg)
+        assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(alone.lane))
+        assert (got.iterations, got.converged, got.terms) == (
+            alone.iterations, alone.converged, alone.terms
+        )
+    # the missing lane scores +inf, gets no gradient (not even from the
+    # height spread), so never moves, and stops on the plateau
+    assert block[-1].terms == {"total": float("inf")}
+    assert block[-1].iterations == cfg.plateau_patience
+    assert np.array_equal(block[-1].lane.profile.heights, inits[-1].profile.heights)
+    assert all(np.isfinite(r.terms["total"]) for r in block[:-1])
+    assert any(r.iterations > 0 for r in block[:-1])
+
+
+def test_fit_lanes_2d_shuffled_block_gives_the_same_lanes():
+    gts, cams, inits = _mixed_block()
+    order = np.random.default_rng(3).permutation(len(gts))
+    block = fit_lanes_2d(gts, cams, inits)
+    shuffled = fit_lanes_2d(*([items[i] for i in order] for items in (gts, cams, inits)))
+    for j, i in enumerate(order):
+        assert np.array_equal(lane_to_vector(shuffled[j].lane), lane_to_vector(block[i].lane))
+        assert shuffled[j].terms == block[i].terms
+
+
+def test_fit_lanes_2d_checks_its_stack(k, image):
+    gts, cams, inits = _mixed_block()
+    assert fit_lanes_2d([], [], []) == []
+    with pytest.raises(DimensionMismatchError):
+        fit_lanes_2d(gts, cams, inits[:-1])
+    with pytest.raises(DimensionMismatchError):
+        fit_lanes_2d(gts, cams[:-1], inits)
+    short = Lane3D(inits[0].curve, HeightProfile(np.full(10, 1.5), 3.0, 80.0), 1.0)
+    with pytest.raises(DimensionMismatchError):
+        fit_lanes_2d(gts[:2], cams[:2], [inits[0], short])
+    other_grid = resample_lane(project_lane(k, inits[0], 72), ImageSpec(800, 300))
+    with pytest.raises(GridMismatchError):
+        fit_lanes_2d([gts[0], other_grid], [k, k], inits[:2])
+
+
+def test_fit_config_rejects_bad_patience_and_keypoints():
+    for bad in (0, -5):
+        with pytest.raises(ValidationError):
+            FitConfig(plateau_patience=bad)
+    FitConfig(plateau_patience=1, keypoints=fitting.MAX_KEYPOINTS)
+    with pytest.raises(ValidationError):
+        FitConfig(keypoints=fitting.MAX_KEYPOINTS + 1)
 
 
 def test_fit_lane_2d_rejects_degree4(k, image):

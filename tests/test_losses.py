@@ -9,6 +9,7 @@ from bevlane.errors import DimensionMismatchError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector, sample_lane
 from bevlane.losses import (
     IoUConfig,
+    LaneTargets,
     LossWeights,
     bev_iou_loss,
     classification_loss,
@@ -17,6 +18,7 @@ from bevlane.losses import (
     height_variance_reg,
     lane_iou,
     lane_loss,
+    lane_losses_2d,
     perspective_losses,
     total_loss,
 )
@@ -258,6 +260,20 @@ def test_total_loss_no_overlap_pair_demoted(k, image):
     assert out.matched == ()
     assert lane_loss(lane_to_vector(near)[:-1], k, gts[0]) is None
     assert out.total == classification_loss(np.array([0.9]), np.array([0.0]))[0]
+
+
+def test_lane_losses_2d_zero_gradient_without_overlap(k, image):
+    # the near lane misses its target, so neither its image terms nor its
+    # height spread may push it; the far lane is scored as usual
+    wavy = 1.5 + 0.2 * np.sin(np.linspace(0, 7, 72))
+    near = make_lane(d=1.0, heights=wavy, z_min=4.0, z_max=7.0)
+    far = make_lane(d=1.0, heights=wavy, z_min=40.0, z_max=70.0)
+    gt = resample_lane(project_lane(k, far, 72), image)
+    theta = np.stack([lane_to_vector(near)[:-1], lane_to_vector(far)[:-1]])
+    loss, grad, terms, overlap = lane_losses_2d(theta, LaneTargets.stack([gt, gt], [k, k]))
+    assert overlap.tolist() == [False, True]
+    assert loss[0] == np.inf and not grad[0].any()
+    assert terms[1, 2] > 0.0 and grad[1, 4:-2].any()
 
 
 def test_scale_ambiguity_regularizer_pins_scale(k, image):
