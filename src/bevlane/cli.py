@@ -197,7 +197,7 @@ def _cmd_eval(opts) -> int:
 
         height = frame.image.height
         rows = np.arange(height // 2, height, opts.tusimple_row_step, dtype=float)
-        gt_arrays = [metrics.resample_at_rows(g, rows) for g in gts2d]
+        gt_arrays = metrics.resample_lanes_at_rows(gts2d, rows)
         ts = metrics.tusimple_accuracy(pred2d, gt_arrays, rows, cfg)
         ts_correct += ts.correct_points
         ts_points += ts.gt_points

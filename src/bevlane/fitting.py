@@ -96,8 +96,10 @@ class FitConfig:
     def __post_init__(self):
         if self.order not in _ORDERS:
             raise ValidationError(f"order must be one of {_ORDERS}, got {self.order!r}")
-        if self.max_iters < 0 or self.step_size <= 0.0 or self.plateau_patience < 1:
+        if self.max_iters < 0 or self.plateau_patience < 1:
             raise ValidationError("bad fit configuration")
+        if not 0.0 < self.step_size < np.inf:
+            raise ValidationError(f"step_size must be finite and > 0, got {self.step_size}")
         if not 2 <= self.keypoints <= MAX_KEYPOINTS:
             raise ValidationError(
                 f"keypoints must be in [2, {MAX_KEYPOINTS}], got {self.keypoints}"

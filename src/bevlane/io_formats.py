@@ -2,9 +2,11 @@
 
 Every data file starts with a header object declaring schema_version and
 kind. Floats are written with Python's shortest-repr JSON encoding,
-which round-trips exactly. Writes go through a temp file and an atomic
-replace so readers never observe a half-written file. Scene specs and
-CLI config files are read with the same JSON decoder as the data files.
+which round-trips exactly. They are read as plain floats, and each
+reader checks that what it builds is finite. Writes go through a temp
+file and an atomic replace so readers never observe a half-written
+file. Scene specs and CLI config files are read with the same JSON
+decoder as the data files.
 """
 
 from __future__ import annotations
@@ -56,16 +58,42 @@ def _reject_constant(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text} is not a finite number")
+# json.loads would turn NaN and Infinity literals into non-finite floats.
+# Overflowing literals such as 1e400 still decode to inf, which the
+# readers' finiteness checks catch.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _finite(value, where: str, name: str):
+    """The value, unless it is a non-finite float."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaError(f"{where}: invalid JSON: {name} is not a finite number")
     return value
 
 
-# json.loads would turn NaN and Infinity literals, and overflowing ones
-# such as 1e400, into non-finite floats.
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
+def _float(obj: dict, key: str, where: str) -> float:
+    return _finite(float(_field(obj, key, where)), where, key)
+
+
+def _int(obj: dict, key: str, where: str) -> int:
+    return int(_finite(_field(obj, key, where), where, key))
+
+
+def _check_finite_tree(document: dict, where: str) -> None:
+    """Raise on a non-finite float anywhere in a decoded document, naming its path.
+
+    A loop, not recursion: the decoder accepts nesting close to the
+    recursion limit.
+    """
+    stack = [("", document)]
+    while stack:
+        name, value = stack.pop()
+        if isinstance(value, dict):
+            stack.extend((f"{name}.{key}" if name else key, item) for key, item in value.items())
+        elif isinstance(value, list):
+            stack.extend((f"{name}[{index}]", item) for index, item in enumerate(value))
+        else:
+            _finite(value, where, name)
 
 
 def _read_text(path: str) -> str:
@@ -95,6 +123,13 @@ def _parse_object(text: str, where: str, kind: str | None = None) -> dict:
     return obj
 
 
+def _read_document(path: str, kind: str | None = None) -> dict:
+    """A whole-file JSON object (report, anchors, spec or config), every float finite."""
+    obj = _parse_object(_read_text(path), path, kind)
+    _check_finite_tree(obj, path)
+    return obj
+
+
 def _records(path: str, kind: str):
     """Check the header line, then yield (line number, object) per record."""
     lines = [line for line in _read_text(path).splitlines() if line.strip()]
@@ -109,6 +144,13 @@ def _field(obj: dict, key: str, where: str):
     if key not in obj:
         raise SchemaError(f"{where}: missing key {key!r}")
     return obj[key]
+
+
+def _lanes2d(items, where: str, name: str) -> tuple[Lane2D, ...]:
+    try:
+        return tuple(Lane2D(p) for p in items)
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise SchemaError(f"{where}: bad {name}: {exc}") from exc
 
 
 def _intrinsics_to_json(k: CameraIntrinsics) -> dict:
@@ -180,24 +222,21 @@ def read_dataset(path: str) -> list[FrameRecord]:
             intr = _field(obj, "intrinsics", where)
             img = _field(obj, "image", where)
             frame = FrameRecord(
-                frame_id=int(_field(obj, "frame_id", where)),
+                frame_id=_int(obj, "frame_id", where),
                 tag=str(obj.get("tag", "")),
-                seed=int(obj.get("seed", 0)),
-                camera_height=float(_field(obj, "camera_height", where)),
+                seed=int(_finite(obj.get("seed", 0), where, "seed")),
+                camera_height=_float(obj, "camera_height", where),
                 intrinsics=CameraIntrinsics(
-                    fx=float(_field(intr, "fx", where)),
-                    fy=float(_field(intr, "fy", where)),
-                    ox=float(_field(intr, "ox", where)),
-                    oy=float(_field(intr, "oy", where)),
+                    fx=_float(intr, "fx", where),
+                    fy=_float(intr, "fy", where),
+                    ox=_float(intr, "ox", where),
+                    oy=_float(intr, "oy", where),
                 ),
-                image=ImageSpec(
-                    width=int(_field(img, "width", where)),
-                    height=int(_field(img, "height", where)),
-                ),
+                image=ImageSpec(width=_int(img, "width", where), height=_int(img, "height", where)),
                 lanes3d=tuple(
                     np.asarray(p, dtype=float) for p in _field(obj, "lanes3d", where)
                 ),
-                lanes2d=tuple(Lane2D(p) for p in _field(obj, "lanes2d", where)),
+                lanes2d=_lanes2d(_field(obj, "lanes2d", where), where, "lanes2d"),
             )
         except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad frame record: {exc}") from exc
@@ -233,11 +272,11 @@ def read_predictions(path: str) -> list[PredictionFrame]:
         where = f"{path}:{line_no}"
         try:
             frame = PredictionFrame(
-                frame_id=int(_field(obj, "frame_id", where)),
+                frame_id=_int(obj, "frame_id", where),
                 lanes3d=tuple(
                     _lane3d_from_json(l, where) for l in obj.get("lanes3d", [])
                 ),
-                lanes2d=tuple(Lane2D(p) for p in obj.get("lanes2d", [])),
+                lanes2d=_lanes2d(obj.get("lanes2d", []), where, "lanes2d"),
             )
         except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad prediction record: {exc}") from exc
@@ -274,7 +313,7 @@ def write_anchors(anchors: AnchorSet, path: str) -> None:
 
 
 def read_anchors(path: str) -> AnchorSet:
-    obj = _parse_object(_read_text(path), path, "anchors")
+    obj = _read_document(path, "anchors")
     where = path
     img = _field(obj, "image", where)
     try:
@@ -309,12 +348,12 @@ def write_report(report: dict, path: str) -> None:
 
 
 def read_report(path: str) -> dict:
-    return _parse_object(_read_text(path), path, "report")
+    return _read_document(path, "report")
 
 
 def read_json_object(path: str) -> dict:
     """A JSON object file without an envelope: a scene spec or a CLI config."""
-    return _parse_object(_read_text(path), path)
+    return _read_document(path)
 
 
 def read_scene_spec(path: str) -> tuple[list[SceneSpec], JitterSpec | None]:

@@ -62,8 +62,9 @@ class LossWeights:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha >= 0.0 and self.beta >= 0.0):
-            raise ValidationError(f"weights must be >= 0, got alpha={self.alpha}, beta={self.beta}")
+        for name in ("alpha", "beta"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def lane_iou(xs_pred: np.ndarray, xs_gt: np.ndarray, e: float) -> float:

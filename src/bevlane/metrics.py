@@ -1,9 +1,9 @@
 """Benchmark-style metrics: segmentation-IoU F1, row-anchor accuracy,
 and 3D curve distance.
 
-Lanes are widened to a fixed pixel width and rasterized; detection F1
-counts one-to-one matches whose mask IoU clears a threshold, swept over
-thresholds 0.50 to 0.95. Row-anchor accuracy follows the fraction-of-
+Lanes are widened to a fixed pixel width and rasterized into runs of
+pixels per row; detection F1 counts one-to-one matches whose IoU, taken
+from the runs, clears a threshold, swept over thresholds 0.50 to 0.95. Row-anchor accuracy follows the fraction-of-
 correct-points convention with a pixel tolerance. Curve distance is a
 symmetric mean point-to-polyline distance in meters between matched 3D
 lanes.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import first_crossings, hungarian_assign
+from .assignment import first_crossings_batch, hungarian_assign
 from .camera import ImageSpec, Lane2D
 from .errors import DimensionMismatchError, ValidationError
 from .geometry import Lane3D, sample_lane
@@ -48,10 +48,12 @@ class EvalConfig:
             raise ValidationError("tusimple_min_correct must be in [0, 1]")
 
 
-# Width, relative to the coordinate magnitudes involved, of the band around
-# a capsule's edge where rasterize_lane evaluates the per-pixel test instead
-# of trusting the analytic row interval. Rounding moves a computed distance
-# by a few 1e-16 of those magnitudes, so 1e-9 leaves a wide safety factor.
+# Margin against rounding, relative to the coordinate magnitudes involved:
+# the band around a capsule's edge where _lane_runs evaluates the per-pixel
+# test instead of trusting the analytic row interval, and the slack on the
+# bound point_polyline_distances prunes segments with. Rounding moves a
+# computed distance by a few 1e-16 of those magnitudes, so 1e-9 leaves a
+# wide safety factor.
 _EDGE_BAND = 1e-9
 
 
@@ -64,7 +66,28 @@ def rasterize_lane(
     belongs to the lane when that center lies within (width - 1) / 2 of
     the polyline, so a vertical lane through a center covers exactly
     `width` columns. With scale < 1 the rule is applied on a
-    proportionally smaller canvas.
+    proportionally smaller canvas. This is the one-lane mask view of
+    the runs that _lane_runs builds.
+    """
+    h, w = _canvas(image, scale)
+    lo, hi, _ = _lane_runs([lane], image, width, scale)
+    mask = np.zeros((h, w), dtype=bool)
+    lengths = hi - lo + 1
+    mask.reshape(-1)[np.repeat(lo, lengths) + _ranks(lengths)] = True
+    return mask
+
+
+def _canvas(image: ImageSpec, scale: float) -> tuple[int, int]:
+    """Rows and columns of the raster canvas at the given scale."""
+    return int(round(image.height * scale)), int(round(image.width * scale))
+
+
+def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float, scale: float):
+    """The masks of all lanes of a frame as merged runs of flat canvas indices.
+
+    Returns (lo, hi, starts): lane n covers the pixels lo[r] .. hi[r]
+    (row-major indices into the canvas) for r in starts[n]:starts[n + 1];
+    a lane's runs are sorted and no two of them overlap or touch.
 
     The widened segment is a capsule, which is convex, so it meets each
     pixel row in one interval of centers. Per (segment, row) pair the
@@ -72,19 +95,21 @@ def rasterize_lane(
     outright; the centers between it and a slightly wider capsule's
     interval are decided by the per-pixel test (distance squared to the
     clamped projection onto the segment, against the radius squared), so
-    the mask is the one that test gives on every pixel.
+    the runs cover the pixels that test accepts, and only those.
     """
     if not 1.0 <= width < np.inf:
         raise ValidationError("width must be finite and >= 1 pixel")
-    h = int(round(image.height * scale))
-    w = int(round(image.width * scale))
-    mask = np.zeros((h, w), dtype=bool)
-    pts = lane.points * scale
+    h, w = _canvas(image, scale)
     radius = (width * scale - 1.0) / 2.0
-    if radius < 0.0:
-        return mask
+    n_lanes = len(lanes)
+    if radius < 0.0 or n_lanes == 0:
+        nothing = np.zeros(0, dtype=np.int64)
+        return nothing, nothing, np.zeros(n_lanes + 1, dtype=np.int64)
 
-    a, b = pts[:-1], pts[1:]
+    pts = [lane.points * scale for lane in lanes]
+    a = np.concatenate([p[:-1] for p in pts])
+    b = np.concatenate([p[1:] for p in pts])
+    lane_of = np.repeat(np.arange(n_lanes), [len(p) - 1 for p in pts])
     d = b - a
     seg_len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
     band = _EDGE_BAND * (1.0 + radius + h + w + np.abs(np.hstack([a, b])).max(axis=1))
@@ -125,23 +150,41 @@ def rasterize_lane(
         t = np.clip(((uu - ua) * du + (vv - va) * dv) / len2, 0.0, 1.0)
     t = np.where(len2 == 0.0, 0.0, t)
     dist2 = (uu - (ua + t * du)) ** 2 + (vv - (va + t * dv)) ** 2
-    edge = (rows[pair] * w + cols)[dist2 <= radius * radius]
 
-    # Merge the inside intervals and the edge pixels in flat canvas
-    # indices, then fill each merged run.
-    keep = ~empty
-    run_lo = np.concatenate([rows[keep] * w + in_lo[keep], edge])
-    run_hi = np.concatenate([rows[keep] * w + in_hi[keep], edge])
-    if run_lo.size == 0:
-        return mask
-    order = np.argsort(run_lo)
-    run_lo, run_hi = run_lo[order], run_hi[order]
-    reach = np.maximum.accumulate(run_hi)
-    heads = np.flatnonzero(np.concatenate([[True], run_lo[1:] > reach[:-1] + 1]))
-    run_lo, run_hi = run_lo[heads], np.maximum.reduceat(run_hi, heads)
-    lengths = run_hi - run_lo + 1
-    mask.reshape(-1)[np.repeat(run_lo, lengths) + _ranks(lengths)] = True
-    return mask
+    # Merge each lane's inside intervals and edge pixels, in flat canvas
+    # indices.
+    inside = ~empty
+    edge = dist2 <= radius * radius
+    flat = rows * w
+    edge_px = (flat[pair] + cols)[edge]
+    return _merge_runs(
+        np.concatenate([lane_of[seg[inside]], lane_of[k[edge]]]),
+        np.concatenate([flat[inside] + in_lo[inside], edge_px]),
+        np.concatenate([flat[inside] + in_hi[inside], edge_px]),
+        n_lanes,
+        h * w,
+    )
+
+
+def _merge_runs(group, lo, hi, n_groups: int, size: int):
+    """Each group's runs [lo, hi] merged wherever they overlap or touch.
+
+    Indices lie in [0, size). Returns (lo, hi, starts) with group n's
+    merged runs, sorted, at starts[n]:starts[n + 1]. One sort serves all
+    groups: keyed group * (size + 1) + index, runs of different groups
+    are never adjacent, so they never merge.
+    """
+    stride = size + 1
+    lo, hi = group * stride + lo, group * stride + hi
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    if lo.size:
+        reach = np.maximum.accumulate(hi)
+        heads = np.flatnonzero(np.concatenate([[True], lo[1:] > reach[:-1] + 1]))
+        lo, hi = lo[heads], np.maximum.reduceat(hi, heads)
+    group = lo // stride
+    base = group * stride
+    return lo - base, hi - base, np.searchsorted(group, np.arange(n_groups + 1))
 
 
 def _ranks(counts: np.ndarray) -> np.ndarray:
@@ -242,14 +285,39 @@ class F1Result:
 def lane_iou_matrix(
     preds: list[Lane2D], gts: list[Lane2D], image: ImageSpec, cfg: EvalConfig = EvalConfig()
 ) -> np.ndarray:
-    """Pairwise mask IoU between widened prediction and GT lanes."""
-    pred_masks = [rasterize_lane(p, image, cfg.lane_width, cfg.raster_scale) for p in preds]
-    gt_masks = [rasterize_lane(g, image, cfg.lane_width, cfg.raster_scale) for g in gts]
-    iou = np.zeros((len(preds), len(gts)))
-    for i, pm in enumerate(pred_masks):
-        for j, gm in enumerate(gt_masks):
-            iou[i, j] = mask_iou(pm, gm)
-    return iou
+    """Pairwise mask IoU between widened prediction and GT lanes.
+
+    Computed from the lanes' runs without building a mask: a pair's
+    union is the length of their runs merged, and its intersection is
+    |A| + |B| - |A u B|. The integer ratio is mask_iou's on the masks
+    rasterize_lane gives, and two empty lanes score 1.
+    """
+    n_pred, n_gt = len(preds), len(gts)
+    if n_pred == 0 or n_gt == 0:
+        return np.zeros((n_pred, n_gt))
+    lo, hi, starts = _lane_runs([*preds, *gts], image, cfg.lane_width, cfg.raster_scale)
+    area = _run_totals(hi - lo + 1, starts)
+
+    # Both lanes' runs for every (pred, GT) pair, merged per pair.
+    n_pairs = n_pred * n_gt
+    pred_of, gt_of = np.divmod(np.arange(n_pairs), n_gt)
+    lanes = np.column_stack([pred_of, n_pred + gt_of]).ravel()
+    counts = starts[lanes + 1] - starts[lanes]
+    picks = np.repeat(starts[lanes], counts) + _ranks(counts)
+    pair_of = np.repeat(np.arange(lanes.size) // 2, counts)
+    h, w = _canvas(image, cfg.raster_scale)
+    pair_lo, pair_hi, pair_starts = _merge_runs(pair_of, lo[picks], hi[picks], n_pairs, h * w)
+    union = _run_totals(pair_hi - pair_lo + 1, pair_starts)
+
+    inter = area[pred_of] + area[n_pred + gt_of] - union
+    iou = np.where(union == 0, 1.0, inter / np.maximum(union, 1))
+    return iou.reshape(n_pred, n_gt)
+
+
+def _run_totals(lengths: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Sum of lengths[starts[n]:starts[n + 1]] for each n, as integers."""
+    cumulative = np.concatenate([[0], np.cumsum(lengths)])
+    return cumulative[starts[1:]] - cumulative[starts[:-1]]
 
 
 def f1_counts(
@@ -297,10 +365,28 @@ class TuSimpleResult:
 
 def resample_at_rows(lane: Lane2D, rows: np.ndarray) -> np.ndarray:
     """u at the given rows via the first polyline crossing; NaN when absent."""
+    return resample_lanes_at_rows([lane], rows)[0]
+
+
+def resample_lanes_at_rows(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
+    """resample_at_rows for every lane at once, shape (len(lanes), len(rows)).
+
+    Lanes with fewer points are padded with NaN rows, which no row
+    crosses, so one first_crossings_batch call serves them all.
+    """
     rows = np.asarray(rows, dtype=float)
-    found, seg, t = first_crossings(lane.points, rows)
-    u = (1.0 - t) * lane.u[seg] + t * lane.u[seg + 1]
-    return np.where(found, u, np.nan)
+    if not lanes:
+        return np.zeros((0, rows.size))
+    m = max(len(lane) for lane in lanes)
+    v = np.full((len(lanes), m), np.nan)
+    u = np.zeros((len(lanes), m))
+    for n, lane in enumerate(lanes):
+        v[n, : len(lane)] = lane.v
+        u[n, : len(lane)] = lane.u
+    found, seg, t = first_crossings_batch(v, rows)
+    u_a = np.take_along_axis(u, seg, axis=1)
+    u_b = np.take_along_axis(u, seg + 1, axis=1)
+    return np.where(found, (1.0 - t) * u_a + t * u_b, np.nan)
 
 
 def tusimple_accuracy(
@@ -322,22 +408,17 @@ def tusimple_accuracy(
     for g in gt_u:
         if g.shape != row_anchors.shape:
             raise DimensionMismatchError("each GT lane needs one u per row anchor")
-    pred_u = [resample_at_rows(p, row_anchors) for p in preds]
+    gt_u = np.reshape(gt_u, (len(gt_u), row_anchors.size))
+    pred_u = resample_lanes_at_rows(preds, row_anchors)
 
-    n_pred, n_gt = len(preds), len(gt_u)
-    correct = np.zeros((n_pred, n_gt), dtype=int)
-    fraction = np.zeros((n_pred, n_gt))
-    for j, g in enumerate(gt_u):
-        present = ~np.isnan(g)
-        total = int(present.sum())
-        for i, p in enumerate(pred_u):
-            if total == 0:
-                continue
-            ok = present & ~np.isnan(p) & (np.abs(p - g) <= cfg.tusimple_pixel_tol)
-            correct[i, j] = int(ok.sum())
-            fraction[i, j] = correct[i, j] / total
+    n_pred, n_gt = len(preds), len(gts)
+    # NaN on either side compares False, so only rows both lanes reach count.
+    ok = np.abs(pred_u[:, None, :] - gt_u[None, :, :]) <= cfg.tusimple_pixel_tol
+    correct = ok.sum(axis=2)
+    totals = np.count_nonzero(~np.isnan(gt_u), axis=1)
+    fraction = np.where(totals > 0, correct / np.maximum(totals, 1), 0.0)
 
-    gt_points = int(sum(np.count_nonzero(~np.isnan(g)) for g in gt_u))
+    gt_points = int(totals.sum())
     matched = []
     if n_pred and n_gt:
         result = hungarian_assign(1.0 - fraction, match_threshold=float("inf"))
@@ -361,24 +442,49 @@ def tusimple_accuracy(
 
 
 def point_polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest spot on a polyline (3D)."""
+    """Distance from each point to the nearest spot on a polyline (3D).
+
+    A point's gap in z to a segment's z-interval bounds its distance to
+    that segment from below, so the exact test runs only on the segments
+    whose gap is within the distance to the nearest-in-z segment (plus a
+    slack for rounding). Nothing assumes z is monotone; when the bound
+    rules nothing out, every segment is tested.
+    """
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
     if polyline.shape[0] < 2:
         raise ValidationError("polyline needs at least 2 points")
+    if points.shape[0] == 0:
+        return np.zeros(0)
     a = polyline[:-1]
     d = polyline[1:] - a
     seg_len2 = np.einsum("kd,kd->k", d, d)
     seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
-    rel = points[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("pkd,kd->pk", rel, d) / seg_len2, 0.0, 1.0)
-    # Squared distances summed coordinate by coordinate, in order, then
-    # one square root of the minimum: the same numbers as taking the norm
-    # of every point-to-closest-spot vector, since sqrt is monotone.
-    dist2 = sum(
-        (points[:, c, None] - (a[:, c] + t * d[:, c])) ** 2 for c in range(points.shape[1])
-    )
-    return np.sqrt(dist2.min(axis=1))
+
+    z = points[:, -1:]
+    z_lo = np.minimum(polyline[:-1, -1], polyline[1:, -1])
+    z_hi = np.maximum(polyline[:-1, -1], polyline[1:, -1])
+    gap = np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0)
+    each = np.arange(points.shape[0])
+    nearest = gap.argmin(axis=1)
+    bound = np.sqrt(_segment_dist2(points, a[nearest], d[nearest], seg_len2[nearest]))
+    slack = _EDGE_BAND * (bound + np.abs(points).max() + np.abs(polyline).max())
+    tested = gap <= (bound + slack)[:, None]
+    tested[each, nearest] = True  # every point keeps at least one segment
+    p, k = np.nonzero(tested)
+    dist2 = _segment_dist2(points[p], a[k], d[k], seg_len2[k])
+    return np.sqrt(np.minimum.reduceat(dist2, np.searchsorted(p, each)))
+
+
+def _segment_dist2(points, a, d, seg_len2):
+    """Squared distance from each point to the closest spot of its segment a + t d.
+
+    The squares are summed coordinate by coordinate, in order, so a square
+    root of the minimum is the same number as the minimum norm of the
+    point-to-closest-spot vectors, since sqrt is monotone.
+    """
+    t = np.clip(np.einsum("nd,nd->n", points - a, d) / seg_len2, 0.0, 1.0)
+    return sum((points[:, c] - (a[:, c] + t * d[:, c])) ** 2 for c in range(points.shape[1]))
 
 
 def cd_error_per_pair(

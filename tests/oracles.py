@@ -222,3 +222,18 @@ def f1_counts_oracle(pred_points, gt_points, height, width_px, lane_width, thres
         tp = tps.pop()
         out[t] = (tp, n_p - tp, n_g - tp)
     return out
+
+
+def lane_iou_matrix_oracle(
+    pred_points, gt_points, height: int, width_px: int, lane_width: float, scale: float = 1.0
+) -> np.ndarray:
+    """Pairwise IoU of per-pixel masks, counted in Python ints; two empty masks score 1."""
+    masks_p = [raster_oracle(p, height, width_px, lane_width, scale) for p in pred_points]
+    masks_g = [raster_oracle(g, height, width_px, lane_width, scale) for g in gt_points]
+    iou = np.zeros((len(masks_p), len(masks_g)))
+    for i, a in enumerate(masks_p):
+        for j, b in enumerate(masks_g):
+            union = sum(1 for x, y in zip(a.flat, b.flat) if x or y)
+            inter = sum(1 for x, y in zip(a.flat, b.flat) if x and y)
+            iou[i, j] = 1.0 if union == 0 else inter / union
+    return iou

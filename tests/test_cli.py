@@ -546,6 +546,23 @@ def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, f
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--step-size", "nan"], "step_size"),
+        (["--step-size", "inf"], "step_size"),
+        (["--beta", "inf"], "beta"),
+        (["--beta", "nan"], "beta"),
+    ],
+)
+def test_non_finite_fit_setting_exits_2(flat_dataset, tmp_path, flags, field):
+    # fit has no --alpha flag; LossWeights' alpha check is tested in test_losses.
+    argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", str(tmp_path / "p")]
+    code, err = _run(argv + flags)
+    assert code == 2
+    assert field in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("which", ["spec", "config", "dataset"])
 def test_non_utf8_input_exits_2(flat_dataset, tmp_path, which):
     spec = tmp_path / "spec.json"

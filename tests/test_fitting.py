@@ -255,6 +255,12 @@ def test_fit_config_rejects_bad_patience_and_keypoints():
         FitConfig(keypoints=fitting.MAX_KEYPOINTS + 1)
 
 
+@pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1e-2])
+def test_fit_config_rejects_bad_step_size(step):
+    with pytest.raises(ValidationError, match="step_size"):
+        FitConfig(step_size=step)
+
+
 def test_fit_lane_2d_rejects_degree4(k, image):
     gt_lane = Lane3D(BevCurve(0, 0, 0, 2.0), HeightProfile(np.full(72, 1.5), 4.0, 60.0), 1.0)
     gt = resample_lane(project_lane(k, gt_lane, 72), image)

@@ -5,7 +5,7 @@ import pytest
 
 from bevlane.assignment import MatchResult, match_lanes, resample_lane
 from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, project_lane, project_points
-from bevlane.errors import DimensionMismatchError
+from bevlane.errors import DimensionMismatchError, ValidationError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector, sample_lane
 from bevlane.losses import (
     IoUConfig,
@@ -236,6 +236,13 @@ def test_total_loss_alpha_beta_zero_is_classification(k, image):
     out = total_loss([lane], gts, matches, k, gts_3d=[sample_lane(lane, 100)],
                      weights=LossWeights(alpha=0.0, beta=0.0))
     assert out.total == classification_loss(np.array([0.6]), np.array([1.0]))[0]
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_loss_weights_reject_non_finite_or_negative(name, value):
+    with pytest.raises(ValidationError, match=name):
+        LossWeights(**{name: value})
 
 
 def test_total_loss_unmatched_prediction_label_zero(k, image):

@@ -13,13 +13,20 @@ from bevlane.metrics import (
     counts_to_f1,
     f1_counts,
     f1_suite,
+    lane_iou_matrix,
     mask_iou,
     point_polyline_distances,
     rasterize_lane,
     resample_at_rows,
     tusimple_accuracy,
 )
-from oracles import chamfer_oracle, f1_counts_oracle, raster_oracle, resample_rows_oracle
+from oracles import (
+    chamfer_oracle,
+    f1_counts_oracle,
+    lane_iou_matrix_oracle,
+    raster_oracle,
+    resample_rows_oracle,
+)
 
 try:
     from hypothesis import example, given
@@ -127,6 +134,63 @@ if HAVE_HYPOTHESIS:
         mask = rasterize_lane(lane, image, width=width, scale=scale)
         oracle = raster_oracle(lane.points, image.height, image.width, width, scale=scale)
         np.testing.assert_array_equal(mask, oracle)
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def adversarial_frames(draw):
+        """Prediction and GT lanes sharing one small canvas, scale and width.
+
+        Each lane is free (crossing the others at random), a copy of an
+        earlier lane, the mirror image of one (so the two cross), off the
+        canvas (empty), or vertical on the canvas' left or right border, so
+        that one lane's run at a row end and another's at the next row's
+        start are adjacent in flat pixel order. Points sit on a 1/2 or 1/4
+        pixel grid, and a lane may repeat a point (a zero-length segment).
+        """
+        scale = draw(st.sampled_from([1.0, 0.5, 0.25]))
+        image = ImageSpec(width=draw(st.integers(4, 24)), height=draw(st.integers(4, 24)))
+        step = draw(st.sampled_from([0.5, 0.25]))
+
+        def coords(n, limit):
+            return [draw(st.integers(int(-6 / step), int((limit + 6) / step))) * step for _ in range(n)]
+
+        lanes = []
+        for _ in range(draw(st.integers(2, 6))):
+            kind = draw(st.sampled_from(["free", "copy", "mirror", "off", "border"]))
+            if kind in ("copy", "mirror") and lanes:
+                points = draw(st.sampled_from(lanes)).points
+                if kind == "mirror":
+                    points = np.column_stack([image.width - points[:, 0], points[:, 1]])
+                lanes.append(Lane2D(points))
+                continue
+            n = draw(st.integers(2, 5))
+            u, v = coords(n, image.width), coords(n, image.height)
+            if kind == "off":
+                u = [x - 2 * image.width - 40 for x in u]
+            elif kind == "border":
+                u = [draw(st.sampled_from([0.0, float(image.width)]))] * n
+            points = list(zip(u, v))
+            repeat = draw(st.integers(-1, n - 1))
+            if repeat >= 0:
+                points.insert(repeat, points[repeat])
+            lanes.append(Lane2D(points))
+        n_pred = draw(st.integers(1, len(lanes) - 1))
+        width = draw(st.integers(8, 48).map(lambda k: k / 4)) / scale
+        return lanes[:n_pred], lanes[n_pred:], image, width, scale
+
+    @given(case=adversarial_frames())
+    def test_lane_iou_matrix_matches_oracle_on_adversarial_frames(case):
+        preds, gts, image, width, scale = case
+        cfg = EvalConfig(lane_width=width, raster_scale=scale)
+        got = lane_iou_matrix(preds, gts, image, cfg)
+        want = lane_iou_matrix_oracle(
+            [p.points for p in preds], [g.points for g in gts],
+            image.height, image.width, width, scale,
+        )
+        assert got.shape == (len(preds), len(gts))
+        np.testing.assert_array_equal(got, want)
 
 
 class TestMaskIoU:
@@ -353,6 +417,45 @@ class TestCurveDistance:
 
     def test_no_pairs_is_none(self):
         assert cd_error([], [], []) is None
+
+
+def dense_point_polyline_distances(points, poly):
+    """Minimum over every segment of the norm of the point-to-closest-spot vector."""
+    a, d = poly[:-1], np.diff(poly, axis=0)
+    len2 = np.einsum("kd,kd->k", d, d)
+    t = np.einsum("pkd,kd->pk", points[:, None, :] - a, d) / np.where(len2 == 0.0, 1.0, len2)
+    closest = a + np.clip(t, 0.0, 1.0)[:, :, None] * d
+    return np.linalg.norm(points[:, None, :] - closest, axis=2).min(axis=1)
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def pruning_cases(draw):
+        """Points and a 3D polyline built against the z-gap pruning.
+
+        Coordinates sit on an integer grid, so several segments often tie
+        for the nearest spot (a point on a shared vertex ties two); z is
+        not monotone, vertices and points may repeat, and the points may
+        be moved far off sideways, where the z-gap bound rules out nothing.
+        """
+        grid = st.integers(-6, 6).map(float)
+        poly = [[draw(grid) for _ in range(3)] for _ in range(draw(st.integers(2, 12)))]
+        repeat = draw(st.integers(-1, len(poly) - 1))
+        if repeat >= 0:
+            poly.insert(repeat, poly[repeat])
+        points = [[draw(grid) for _ in range(3)] for _ in range(draw(st.integers(1, 12)))]
+        points += draw(st.lists(st.sampled_from(poly), max_size=3))
+        points.append(points[0])
+        points = np.array(points)
+        points[:, 0] += draw(st.sampled_from([0.0, 0.0, 1e3, -1e7]))
+        return points, np.array(poly)
+
+    @given(case=pruning_cases())
+    def test_pruned_distances_equal_dense(case):
+        points, poly = case
+        got = point_polyline_distances(points, poly)
+        np.testing.assert_array_equal(got, dense_point_polyline_distances(points, poly))
 
 
 class TestEvalConfig:
