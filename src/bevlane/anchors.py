@@ -16,11 +16,11 @@ import numpy as np
 from .assignment import (
     DEFAULT_MATCH_THRESHOLD,
     matching_cost,
-    resample_lane,
+    resample_lanes,
+    resample_on_grid,
 )
 from .camera import ImageSpec, Lane2D
 from .errors import DegenerateLaneError, ValidationError
-from .metrics import resample_at_rows
 
 MAX_ANCHORS = 50
 DEFAULT_DESCRIPTOR_ROWS = 36
@@ -63,7 +63,7 @@ def build_descriptor(
     if v_span < 2.0:
         raise DegenerateLaneError(f"lane spans {v_span:.2f} rows; need at least 2")
     rows = descriptor_rows(image, m)
-    u = resample_at_rows(lane, rows)
+    (u,) = resample_lanes([lane], rows)
     missing = np.isnan(u)
     if missing.all():
         raise DegenerateLaneError("lane covers none of the descriptor rows")
@@ -229,15 +229,14 @@ def anchor_recall(
         return 1.0
     if anchors.k == 0:
         return 0.0
-    anchor_rl = [
-        resample_lane(anchor_to_lane(d, anchors.rows), anchors.image, row_step)
-        for d in anchors.descriptors
-    ]
+    anchor_rl = resample_on_grid(
+        [anchor_to_lane(d, anchors.rows) for d in anchors.descriptors], anchors.image, row_step
+    )
+    if any(a is None for a in anchor_rl):
+        raise DegenerateLaneError("an anchor covers no row of the matching grid")
     covered = 0
-    for gt in gts:
-        try:
-            gt_rl = resample_lane(gt, anchors.image, row_step)
-        except DegenerateLaneError:
+    for gt_rl in resample_on_grid(gts, anchors.image, row_step):
+        if gt_rl is None:
             continue
         best = min(matching_cost(a, gt_rl) for a in anchor_rl)
         if best < match_threshold:

@@ -1,10 +1,12 @@
 """Row-grid resampling of 2D lanes and one-to-one lane assignment.
 
-Lanes are compared on a shared grid of image rows. The cost between two
-resampled lanes is the mean horizontal distance over the rows both
-cover, plus the vertical distance between their start rows and between
-their end rows. Assignment minimizes total cost one-to-one and drops
-pairs at or above a cost threshold.
+Reading a 2D polyline at image rows lives here alone: fitting targets,
+matching, row-anchor accuracy and anchor descriptors all sample lanes
+through resample_lanes. Lanes are compared on a shared grid of image
+rows. The cost between two resampled lanes is the mean horizontal
+distance over the rows both cover, plus the vertical distance between
+their start rows and between their end rows. Assignment minimizes total
+cost one-to-one and drops pairs at or above a cost threshold.
 """
 
 from __future__ import annotations
@@ -110,33 +112,65 @@ def row_grid(image: ImageSpec, row_step: float = 1.0) -> np.ndarray:
     return np.arange(count) * row_step
 
 
-def resample_lane(lane: Lane2D, image: ImageSpec, row_step: float = 1.0) -> ResampledLane2D:
-    """Sample a lane's u at each grid row its polyline covers.
+def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
+    """u of every lane at the given rows, shape (len(lanes), len(rows)).
 
     Interpolation is linear along the polyline; where uneven ground folds
     the projection so a row is crossed several times, the crossing
-    nearest the lane's near end is used. Raises DegenerateLaneError when
-    the polyline covers no grid row at all.
+    nearest the lane's near end is used. Rows a lane does not cover read
+    NaN. Lanes with fewer points are padded with NaN rows, which no row
+    crosses, so one first_crossings_batch call serves them all.
     """
+    rows = np.asarray(rows, dtype=float)
+    if not lanes:
+        return np.zeros((0, rows.size))
+    m = max(len(lane) for lane in lanes)
+    v = np.full((len(lanes), m), np.nan)
+    u = np.zeros((len(lanes), m))
+    for n, lane in enumerate(lanes):
+        v[n, : len(lane)] = lane.v
+        u[n, : len(lane)] = lane.u
+    found, seg, t = first_crossings_batch(v, rows)
+    u_a = np.take_along_axis(u, seg, axis=1)
+    u_b = np.take_along_axis(u, seg + 1, axis=1)
+    return np.where(found, (1.0 - t) * u_a + t * u_b, np.nan)
+
+
+def resample_on_grid(
+    lanes: list[Lane2D], image: ImageSpec, row_step: float = 1.0
+) -> list[ResampledLane2D | None]:
+    """Every lane resampled on the image row grid; None for a lane that covers no grid row."""
     rows = row_grid(image, row_step)
-    found, seg, t = first_crossings(lane.points, rows)
-    if not found.any():
+    out = []
+    for lane, u_values in zip(lanes, resample_lanes(lanes, rows)):
+        present = ~np.isnan(u_values)
+        if not present.any():
+            out.append(None)
+            continue
+        present_rows = rows[present]
+        out.append(
+            ResampledLane2D(
+                v_grid=rows,
+                u_values=u_values,
+                present=present,
+                v_start=float(present_rows.max()),
+                v_end=float(present_rows.min()),
+                v_first=float(lane.v[0]),
+                v_last=float(lane.v[-1]),
+            )
+        )
+    return out
+
+
+def resample_lane(lane: Lane2D, image: ImageSpec, row_step: float = 1.0) -> ResampledLane2D:
+    """resample_on_grid for one lane; raises DegenerateLaneError when it covers no grid row."""
+    (resampled,) = resample_on_grid([lane], image, row_step)
+    if resampled is None:
         raise DegenerateLaneError(
             f"lane spanning v in [{lane.v.min():.2f}, {lane.v.max():.2f}] "
             f"covers no row of a {row_step}-step grid"
         )
-    u = lane.u
-    u_values = np.where(found, (1.0 - t) * u[seg] + t * u[seg + 1], np.nan)
-    present_rows = rows[found]
-    return ResampledLane2D(
-        v_grid=rows,
-        u_values=u_values,
-        present=found,
-        v_start=float(present_rows.max()),
-        v_end=float(present_rows.min()),
-        v_first=float(lane.v[0]),
-        v_last=float(lane.v[-1]),
-    )
+    return resampled
 
 
 def matching_cost(p: ResampledLane2D, g: ResampledLane2D) -> float:
@@ -238,13 +272,7 @@ def match_lanes(
     Lanes that cover no grid row cannot be matched; they are kept in the
     index space and reported unmatched.
     """
-    def resample_all(lanes):
-        out = []
-        for lane in lanes:
-            try:
-                out.append(resample_lane(lane, image, row_step))
-            except DegenerateLaneError:
-                out.append(None)
-        return out
-
-    return hungarian_assign(cost_matrix(resample_all(preds), resample_all(gts)), match_threshold)
+    resampled = resample_on_grid([*preds, *gts], image, row_step)
+    return hungarian_assign(
+        cost_matrix(resampled[: len(preds)], resampled[len(preds) :]), match_threshold
+    )

@@ -119,16 +119,18 @@ def project_lane(k: CameraIntrinsics, lane: Lane3D, count: int = DEFAULT_SAMPLE_
     return Lane2D(project_points(k, sample_lane(lane, count)))
 
 
-def invert_to_ground(k: CameraIntrinsics, u: float, v: float, y: float) -> np.ndarray:
-    """Back-project a pixel onto the horizontal plane at height y > 0.
+def invert_to_ground(k: CameraIntrinsics, u, v, y: float) -> np.ndarray:
+    """Back-project pixels onto the horizontal plane at height y > 0.
 
-    Returns the [x, y, z] road-frame point. Only pixels below the horizon
-    row oy can land on a plane below the camera, so v must exceed oy.
+    u and v are scalars or equal-shape arrays. Returns the [x, y, z]
+    road-frame points, shape (..., 3). Only pixels below the horizon row
+    oy can land on a plane below the camera, so every v must exceed oy.
     """
     if y <= 0.0:
         raise DomainError(f"ground plane height must be > 0, got {y}")
-    if v <= k.oy:
-        raise DomainError(f"pixel row {v} is at or above the horizon row {k.oy}")
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    if np.any(v <= k.oy):
+        raise DomainError(f"pixel rows must lie below the horizon row {k.oy}, got min {v.min()}")
     z = k.fy * y / (v - k.oy)
     x = (u - k.ox) * z / k.fx
-    return np.array([x, y, z])
+    return np.stack([x, np.full_like(z, y), z], axis=-1)

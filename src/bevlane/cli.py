@@ -16,7 +16,7 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import datagen, fitting, io_formats, metrics, render
-from .assignment import match_lanes, resample_lane
+from .assignment import match_lanes, resample_lanes, resample_on_grid
 from .camera import Lane2D, project_lane
 from .errors import (
     DegenerateLaneError,
@@ -87,28 +87,26 @@ def _cmd_fit(opts) -> int:
         if opts.mode == "3d" and len(frame.lanes3d) != len(frame.lanes2d):
             raise SchemaError(f"frame {frame.frame_id} has no lanes3d labels; use --mode 2d")
         lanes = []
+        targets = [] if opts.mode == "baseline" else resample_on_grid(frame.lanes2d, frame.image)
         for idx, gt2d in enumerate(frame.lanes2d):
-            try:
-                if opts.mode == "baseline":
-                    if opts.order == "bezier":
-                        raise SchemaError("the baseline fit is polynomial; use order 2, 3 or 4")
-                    fit = fitting.fit_perspective_baseline(gt2d, order=opts.order)
-                    v = np.linspace(gt2d.v.max(), gt2d.v.min(), DEFAULT_SAMPLE_COUNT)
-                    lanes.append((Lane2D(np.column_stack([fit.u_at(v), v])), fit.max_residual))
-                    continue
-                gt_rl = resample_lane(gt2d, frame.image)
-                if opts.mode == "3d":
-                    report = fitting.fit_lane_3d(
-                        frame.lanes3d[idx], gt_rl, frame.intrinsics, cfg,
-                        per_iou=per_iou, weights=weights,
-                    )
-                    lanes.append((report.lane, report.terms["total"]))
-                else:
-                    init = fitting.ipm_init(gt2d, frame.intrinsics, cfg)
-                    lanes.append(len(jobs))
-                    jobs.append((gt_rl, frame.intrinsics, init))
-            except DegenerateLaneError:
+            if opts.mode == "baseline":
+                if opts.order == "bezier":
+                    raise SchemaError("the baseline fit is polynomial; use order 2, 3 or 4")
+                fit = fitting.fit_perspective_baseline(gt2d, order=opts.order)
+                v = np.linspace(gt2d.v.max(), gt2d.v.min(), DEFAULT_SAMPLE_COUNT)
+                lanes.append((Lane2D(np.column_stack([fit.u_at(v), v])), fit.max_residual))
+            elif targets[idx] is None:
                 skipped += 1
+            elif opts.mode == "3d":
+                report = fitting.fit_lane_3d(
+                    frame.lanes3d[idx], targets[idx], frame.intrinsics, cfg,
+                    per_iou=per_iou, weights=weights,
+                )
+                lanes.append((report.lane, report.terms["total"]))
+            else:
+                init = fitting.ipm_init(gt2d, frame.intrinsics, cfg)
+                lanes.append(len(jobs))
+                jobs.append((targets[idx], frame.intrinsics, init))
         fitted_lanes.append(lanes)
 
     reports = _fit_2d_in_blocks(jobs, cfg, per_iou, weights)
@@ -197,7 +195,7 @@ def _cmd_eval(opts) -> int:
 
         height = frame.image.height
         rows = np.arange(height // 2, height, opts.tusimple_row_step, dtype=float)
-        gt_arrays = metrics.resample_lanes_at_rows(gts2d, rows)
+        gt_arrays = resample_lanes(gts2d, rows)
         ts = metrics.tusimple_accuracy(pred2d, gt_arrays, rows, cfg)
         ts_correct += ts.correct_points
         ts_points += ts.gt_points

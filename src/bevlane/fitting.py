@@ -20,11 +20,10 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .assignment import ResampledLane2D
-from .camera import CameraIntrinsics, Lane2D, project_points
+from .camera import CameraIntrinsics, Lane2D, invert_to_ground, project_points
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
-    DomainError,
     NonFiniteError,
     RankDeficientError,
     ValidationError,
@@ -43,8 +42,6 @@ from .losses import (
 )
 
 MOMENTUM = 0.9
-# The descent stops once the scaled gradient norm falls to this.
-CONVERGENCE_TOL = 1e-9
 # Hard floor on z_min and on the span so samples stay in front of the camera.
 Z_FLOOR = 0.1
 MIN_SPAN = 0.5
@@ -269,7 +266,8 @@ class FitReport:
     """Outcome of a fit.
 
     terms holds the loss pieces at the returned lane: for fit_lane_2d
-    the best iterate seen, never worse than the initialization.
+    the best iterate seen, never worse than the initialization. No fitter
+    stops on a convergence test, so converged is always False.
     """
 
     lane: Lane3D
@@ -331,8 +329,8 @@ def fit_lanes_2d(
     Momentum descent on beta * (image IoU loss + endpoint loss) plus the
     height spread regularizer, run on all lanes at once. Each lane keeps
     its own step scales, velocity and best iterate, and leaves the
-    active set when its scaled gradient vanishes or its loss plateaus;
-    a lane whose projection misses its target reads +inf with a zero
+    active set when its loss plateaus or after cfg.max_iters steps; a
+    lane whose projection misses its target reads +inf with a zero
     gradient. The targets must share one row grid; intrinsics holds each
     lane's camera. Every lane's result is the one it gets alone. The 3D
     scale stays whatever the initialization pinned it to; 2D labels
@@ -368,16 +366,10 @@ def fit_lanes_2d(
     best_terms, best_overlap = terms.copy(), overlap.copy()
     best_iter = np.zeros(len(gts), dtype=int)
     iterations = np.zeros(len(gts), dtype=int)
-    converged = np.zeros(len(gts), dtype=bool)
     for it in range(1, cfg.max_iters + 1):
         if active.size == 0:
             break
         _check_finite(loss, grad, it - 1)
-        scaled_norm = np.sqrt(np.sum((grad * mask * scales[active]) ** 2, axis=1))
-        done = np.isfinite(loss) & (scaled_norm <= CONVERGENCE_TOL)
-        converged[active[done]] = True
-        active, grad = active[~done], grad[~done]
-
         velocity[active] = MOMENTUM * velocity[active] - step[active] * (grad * mask)
         moved = theta[active] + velocity[active]
         _clamp_span(moved)
@@ -396,7 +388,7 @@ def fit_lanes_2d(
         FitReport(
             _theta_to_lane(best_theta[i], basis),
             int(iterations[i]),
-            bool(converged[i]),
+            False,
             terms_2d(best_terms[i], best_loss[i]) if best_overlap[i] else {"total": float("inf")},
         )
         for i in range(len(gts))
@@ -454,15 +446,10 @@ def ipm_init(gt: Lane2D, k: CameraIntrinsics, cfg: FitConfig = FitConfig()) -> L
     The assumed height also pins the overall scale, which 2D data leaves
     free. Raises DegenerateInputError when too few points back-project.
     """
-    y = cfg.ipm_camera_height
-    if y <= 0.0:
-        raise DomainError(f"ground plane height must be > 0, got {y}")
     below = gt.points[gt.points[:, 1] > k.oy + 1e-9]
-    if below.shape[0] < 2:
+    pts = invert_to_ground(k, below[:, 0], below[:, 1], cfg.ipm_camera_height)
+    if pts.shape[0] < 2:
         raise DegenerateInputError("too few points below the horizon to back-project")
-    # camera.invert_to_ground on every point at once, with the same operations.
-    z = k.fy * y / (below[:, 1] - k.oy)
-    pts = np.column_stack([(below[:, 0] - k.ox) * z / k.fx, np.full(z.size, y), z])
     fit_order = 3 if cfg.order in (4, "bezier") else cfg.order
     if np.unique(pts[:, 2]).size < fit_order + 1:
         raise DegenerateInputError("back-projected points span too few distinct depths")

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .assignment import MatchResult, ResampledLane2D, first_crossings_batch
 from .camera import CameraIntrinsics
@@ -81,8 +82,9 @@ def lane_iou(xs_pred: np.ndarray, xs_gt: np.ndarray, e: float) -> float:
         )
     if not e > 0.0:
         raise ValidationError(f"IoU half-width e must be > 0, got {e}")
-    s = np.abs(xs_pred - xs_gt)
-    return float(np.mean((2.0 * e - s) / (2.0 * e + s)))
+    one_lane = np.zeros(xs_pred.size, dtype=int)
+    loss, _ = _iou_loss_rows(xs_pred - xs_gt, one_lane, np.array([xs_pred.size]), e)
+    return float(1.0 - loss[0])
 
 
 def bev_iou_loss(pred: Lane3D, gt_xs: np.ndarray, cfg: IoUConfig = DEFAULT_BEV_IOU):
@@ -252,7 +254,8 @@ def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int, basis: st
     z = z_min + s * (z_max - z_min)
     c0, c1, c2, c3 = (theta[:, i : i + 1] for i in range(4))
     if basis == "power":
-        x = ((c0 * z + c1) * z + c2) * z + c3
+        # BevCurve.x_at's evaluator and BevCurve.slope_at's formula, per lane.
+        x = polyval(z, theta[:, 3::-1].T[..., None], tensor=False)
         dx_dcurve = np.stack([z * z * z, z * z, z, np.ones_like(z)], axis=1)
         slope = (3.0 * c0 * z + 2.0 * c1) * z + c2
         # z_j = z_min + s_j * (z_max - z_min), so moving an endpoint slides
@@ -423,8 +426,9 @@ def perspective_losses(
     (v at z_min and z_max) with the target polyline's endpoint rows.
     Gradients run over the lane's geometry parameters.
 
-    geo_params overrides the parameter vector derived from pred; fitting
-    uses it to differentiate in the Bernstein basis.
+    geo_params, in the given basis, stands in for the parameter vector
+    derived from pred; lane_loss, which works on parameter vectors,
+    passes it in the power basis.
     """
     if geo_params is None:
         geo_params = lane_to_vector(pred)[:-1]

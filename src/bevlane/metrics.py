@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import first_crossings_batch, hungarian_assign
+from .assignment import hungarian_assign, resample_lanes
 from .camera import ImageSpec, Lane2D
 from .errors import DimensionMismatchError, ValidationError
 from .geometry import Lane3D, sample_lane
@@ -363,32 +363,6 @@ class TuSimpleResult:
     gt_lanes: int
 
 
-def resample_at_rows(lane: Lane2D, rows: np.ndarray) -> np.ndarray:
-    """u at the given rows via the first polyline crossing; NaN when absent."""
-    return resample_lanes_at_rows([lane], rows)[0]
-
-
-def resample_lanes_at_rows(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
-    """resample_at_rows for every lane at once, shape (len(lanes), len(rows)).
-
-    Lanes with fewer points are padded with NaN rows, which no row
-    crosses, so one first_crossings_batch call serves them all.
-    """
-    rows = np.asarray(rows, dtype=float)
-    if not lanes:
-        return np.zeros((0, rows.size))
-    m = max(len(lane) for lane in lanes)
-    v = np.full((len(lanes), m), np.nan)
-    u = np.zeros((len(lanes), m))
-    for n, lane in enumerate(lanes):
-        v[n, : len(lane)] = lane.v
-        u[n, : len(lane)] = lane.u
-    found, seg, t = first_crossings_batch(v, rows)
-    u_a = np.take_along_axis(u, seg, axis=1)
-    u_b = np.take_along_axis(u, seg + 1, axis=1)
-    return np.where(found, (1.0 - t) * u_a + t * u_b, np.nan)
-
-
 def tusimple_accuracy(
     preds: list[Lane2D],
     gts: list[np.ndarray],
@@ -409,7 +383,7 @@ def tusimple_accuracy(
         if g.shape != row_anchors.shape:
             raise DimensionMismatchError("each GT lane needs one u per row anchor")
     gt_u = np.reshape(gt_u, (len(gt_u), row_anchors.size))
-    pred_u = resample_lanes_at_rows(preds, row_anchors)
+    pred_u = resample_lanes(preds, row_anchors)
 
     n_pred, n_gt = len(preds), len(gts)
     # NaN on either side compares False, so only rows both lanes reach count.

@@ -9,6 +9,7 @@ from bevlane.assignment import (
     match_lanes,
     matching_cost,
     resample_lane,
+    resample_lanes,
     row_grid,
 )
 from bevlane.camera import ImageSpec, Lane2D
@@ -16,7 +17,7 @@ from bevlane.errors import DegenerateLaneError, GridMismatchError, ValidationErr
 from oracles import assign_brute_force, first_crossings_oracle, resample_rows_oracle
 
 try:
-    from hypothesis import given
+    from hypothesis import example, given
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -129,6 +130,60 @@ def test_resample_matches_oracle_on_folded_polylines(rng):
         us, present = resample_rows_oracle(lane.points, np.asarray(r.v_grid))
         assert np.array_equal(r.present, present)
         assert np.allclose(r.u_values[present], us[present])
+
+
+class TestResampleLanes:
+    def test_matches_first_crossing_oracle(self, rng):
+        rows = np.arange(4.0, 60.0, 3.0)
+        for _ in range(10):
+            # Unsorted v makes folded polylines, exercising the
+            # first-crossing rule rather than plain interpolation.
+            pts = np.column_stack(
+                [rng.uniform(0, 64, size=7), rng.uniform(0, 64, size=7)]
+            )
+            lane = Lane2D(pts)
+            (got,) = resample_lanes([lane], rows)
+            want_u, want_present = resample_rows_oracle(pts, rows)
+            np.testing.assert_array_equal(np.isnan(got), ~want_present)
+            np.testing.assert_allclose(got[want_present], want_u[want_present], atol=1e-12)
+
+    def test_nan_outside_span(self):
+        lane = Lane2D([[10.0, 50.0], [20.0, 30.0]])
+        (got,) = resample_lanes([lane], np.array([60.0, 40.0, 10.0]))
+        assert np.isnan(got[0]) and np.isnan(got[2])
+        assert got[1] == pytest.approx(15.0)
+
+
+if HAVE_HYPOTHESIS:
+    _POINTS = st.lists(
+        st.tuples(st.floats(-50.0, 100.0, allow_nan=False), _ROW_VALUES), min_size=2, max_size=8
+    )
+
+    @given(stack=st.lists(_POINTS, min_size=1, max_size=5), step=st.sampled_from([1.0, 0.5, 2.5]))
+    @example(
+        stack=[
+            [(0.0, 200.0), (1.0, 10.0), (2.0, 30.0), (3.0, 15.0)],  # folds back twice
+            [(5.0, 15.0), (6.0, 15.0), (7.0, 12.0), (8.0, 12.0), (9.0, 3.0)],  # flat on rows
+            [(1.0, 13.5), (2.0, 12.5), (3.0, 12.5)],  # vertices on half rows, one flat
+            [(4.0, -40.0), (5.0, -10.0)],  # entirely above the grid
+        ],
+        step=0.5,
+    )
+    def test_resample_lanes_equals_resample_lane_and_oracle(stack, step):
+        image = ImageSpec(64, 40)
+        rows = row_grid(image, step)
+        lanes = [Lane2D(points) for points in stack]
+        for lane, got in zip(lanes, resample_lanes(lanes, rows)):
+            found, seg, t = first_crossings_oracle(lane.v, rows)
+            want = np.full(rows.size, np.nan)
+            a, b = lane.u[seg[found]], lane.u[seg[found] + 1]
+            want[found] = (1.0 - t[found]) * a + t[found] * b
+            assert np.array_equal(got, want, equal_nan=True)
+            try:
+                alone = resample_lane(lane, image, step).u_values
+            except DegenerateLaneError:
+                alone = np.full(rows.size, np.nan)
+            assert np.array_equal(got, alone, equal_nan=True)
 
 
 def test_matching_cost_identical_is_zero(image):

@@ -17,7 +17,6 @@ from bevlane.metrics import (
     mask_iou,
     point_polyline_distances,
     rasterize_lane,
-    resample_at_rows,
     tusimple_accuracy,
 )
 from oracles import (
@@ -25,7 +24,6 @@ from oracles import (
     f1_counts_oracle,
     lane_iou_matrix_oracle,
     raster_oracle,
-    resample_rows_oracle,
 )
 
 try:
@@ -298,28 +296,6 @@ class TestF1Suite:
     def test_no_lanes_at_all(self):
         result = f1_suite([], [], SMALL)
         assert all(c.f1 == 0.0 for c in result.counts.values())
-
-
-class TestResampleAtRows:
-    def test_matches_first_crossing_oracle(self, rng):
-        rows = np.arange(4.0, 60.0, 3.0)
-        for _ in range(10):
-            # Unsorted v makes folded polylines, exercising the
-            # first-crossing rule rather than plain interpolation.
-            pts = np.column_stack(
-                [rng.uniform(0, 64, size=7), rng.uniform(0, 64, size=7)]
-            )
-            lane = Lane2D(pts)
-            got = resample_at_rows(lane, rows)
-            want_u, want_present = resample_rows_oracle(pts, rows)
-            np.testing.assert_array_equal(np.isnan(got), ~want_present)
-            np.testing.assert_allclose(got[want_present], want_u[want_present], atol=1e-12)
-
-    def test_nan_outside_span(self):
-        lane = Lane2D([[10.0, 50.0], [20.0, 30.0]])
-        got = resample_at_rows(lane, np.array([60.0, 40.0, 10.0]))
-        assert np.isnan(got[0]) and np.isnan(got[2])
-        assert got[1] == pytest.approx(15.0)
 
 
 class TestTuSimple:
