@@ -13,14 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import (
-    DEFAULT_MATCH_THRESHOLD,
-    matching_cost,
-    resample_lanes,
-    resample_on_grid,
-)
+from .assignment import DEFAULT_MATCH_THRESHOLD, cost_matrix, resample_lanes, row_grid
 from .camera import ImageSpec, Lane2D
 from .errors import DegenerateLaneError, ValidationError
+from .geometry import MAX_SAMPLE_COUNT
 
 MAX_ANCHORS = 50
 DEFAULT_DESCRIPTOR_ROWS = 36
@@ -28,8 +24,8 @@ DEFAULT_DESCRIPTOR_ROWS = 36
 
 def descriptor_rows(image: ImageSpec, m: int = DEFAULT_DESCRIPTOR_ROWS) -> np.ndarray:
     """m sample rows spanning the lower half of the image, where lanes live."""
-    if m < 2:
-        raise ValidationError("need at least 2 descriptor rows")
+    if not 2 <= m <= MAX_SAMPLE_COUNT:
+        raise ValidationError(f"descriptor rows must be in [2, {MAX_SAMPLE_COUNT}], got {m}")
     return np.linspace((image.height - 1) / 2.0, image.height - 1.0, m)
 
 
@@ -55,24 +51,35 @@ class LaneDescriptor:
         return np.concatenate([self.u, [self.v_start, self.v_end]])
 
 
+def build_descriptors(
+    lanes: list[Lane2D], image: ImageSpec, m: int = DEFAULT_DESCRIPTOR_ROWS
+) -> list[LaneDescriptor | None]:
+    """Descriptors of a stack of lanes at the shared rows for this image size.
+
+    All lanes are sampled in one resample_lanes call. A lane that spans
+    fewer than 2 rows, or covers none of the descriptor rows, gets None.
+    """
+    rows = descriptor_rows(image, m)
+    out = []
+    for lane, u in zip(lanes, resample_lanes(lanes, rows)):
+        missing = np.isnan(u)
+        if lane.v.max() - lane.v.min() < 2.0 or missing.all():
+            out.append(None)
+            continue
+        # A lane covers one run of rows; the rows past either end take its end u.
+        u[missing] = np.interp(rows[missing], rows[~missing], u[~missing])
+        out.append(LaneDescriptor(u=u, v_start=float(lane.v.max()), v_end=float(lane.v.min())))
+    return out
+
+
 def build_descriptor(
     lane: Lane2D, image: ImageSpec, m: int = DEFAULT_DESCRIPTOR_ROWS
 ) -> LaneDescriptor:
-    """Descriptor of one lane at the shared rows for this image size."""
-    v_span = float(lane.v.max() - lane.v.min())
-    if v_span < 2.0:
-        raise DegenerateLaneError(f"lane spans {v_span:.2f} rows; need at least 2")
-    rows = descriptor_rows(image, m)
-    (u,) = resample_lanes([lane], rows)
-    missing = np.isnan(u)
-    if missing.all():
-        raise DegenerateLaneError("lane covers none of the descriptor rows")
-    if missing.any():
-        present = np.flatnonzero(~missing)
-        gaps = np.flatnonzero(missing)
-        nearest = present[np.argmin(np.abs(rows[gaps][:, None] - rows[present][None, :]), axis=1)]
-        u[gaps] = u[nearest]
-    return LaneDescriptor(u=u, v_start=float(lane.v.max()), v_end=float(lane.v.min()))
+    """build_descriptors for one lane; raises DegenerateLaneError where that gives None."""
+    (descriptor,) = build_descriptors([lane], image, m)
+    if descriptor is None:
+        raise DegenerateLaneError("lane spans under 2 rows or covers no descriptor row")
+    return descriptor
 
 
 def descriptor_from_vector(vec: np.ndarray) -> LaneDescriptor:
@@ -218,27 +225,20 @@ def anchor_recall(
     anchors: AnchorSet,
     gts: list[Lane2D],
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,
-    row_step: float = 1.0,
 ) -> float:
-    """Fraction of lanes whose nearest anchor costs under the threshold.
+    """Fraction of lanes whose cheapest anchor costs under the threshold.
 
-    Uses the same lane matching cost as assignment; anchors may cover
-    several lanes each. An empty lane list is vacuously covered.
+    Uses the same cost_matrix as lane matching, on the image row grid;
+    anchors may cover several lanes each. An empty lane list is
+    vacuously covered.
     """
     if len(gts) == 0:
         return 1.0
     if anchors.k == 0:
         return 0.0
-    anchor_rl = resample_on_grid(
-        [anchor_to_lane(d, anchors.rows) for d in anchors.descriptors], anchors.image, row_step
-    )
-    if any(a is None for a in anchor_rl):
+    rows = row_grid(anchors.image)
+    anchor_u = resample_lanes([anchor_to_lane(d, anchors.rows) for d in anchors.descriptors], rows)
+    if np.isnan(anchor_u).all(axis=1).any():
         raise DegenerateLaneError("an anchor covers no row of the matching grid")
-    covered = 0
-    for gt_rl in resample_on_grid(gts, anchors.image, row_step):
-        if gt_rl is None:
-            continue
-        best = min(matching_cost(a, gt_rl) for a in anchor_rl)
-        if best < match_threshold:
-            covered += 1
-    return covered / len(gts)
+    best = cost_matrix(anchor_u, resample_lanes(gts, rows), rows).min(axis=0)
+    return int(np.count_nonzero(best < match_threshold)) / len(gts)

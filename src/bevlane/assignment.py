@@ -2,11 +2,10 @@
 
 Reading a 2D polyline at image rows lives here alone: fitting targets,
 matching, row-anchor accuracy and anchor descriptors all sample lanes
-through resample_lanes. Lanes are compared on a shared grid of image
-rows. The cost between two resampled lanes is the mean horizontal
-distance over the rows both cover, plus the vertical distance between
-their start rows and between their end rows. Assignment minimizes total
-cost one-to-one and drops pairs at or above a cost threshold.
+through resample_lanes, and are compared as its row arrays (u per row,
+NaN where absent) on a shared grid of image rows: cost_matrix scores
+every pair at once. Assignment minimizes total cost one-to-one and drops
+pairs at or above a cost threshold.
 """
 
 from __future__ import annotations
@@ -173,34 +172,41 @@ def resample_lane(lane: Lane2D, image: ImageSpec, row_step: float = 1.0) -> Resa
     return resampled
 
 
-def matching_cost(p: ResampledLane2D, g: ResampledLane2D) -> float:
-    """Mean |u_p - u_g| over shared rows plus start- and end-row distances.
+def cost_matrix(pred_u: np.ndarray, gt_u: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pairwise matching costs of two resample_lanes stacks on rows, shape (P, G).
 
-    Returns +inf when the two lanes share no grid row.
+    A cost is the mean |u_p - u_g| over the rows both lanes cover, plus
+    the distance between their nearest covered rows and between their
+    farthest ones. It is +inf when the pair shares no row, so also when
+    either lane covers none. Each prediction meets all ground truths at
+    once, which keeps memory at one (G, rows) array.
     """
+    rows = np.asarray(rows, dtype=float)
+
+    def ends(u):
+        """Nearest and farthest covered row of each lane."""
+        return (
+            np.where(np.isnan(u), -np.inf, rows).max(axis=1, initial=-np.inf),
+            np.where(np.isnan(u), np.inf, rows).min(axis=1, initial=np.inf),
+        )
+
+    p_near, p_far = ends(pred_u)
+    g_near, g_far = ends(gt_u)
+    costs = np.full((len(pred_u), len(gt_u)), np.inf)
+    for i, u in enumerate(pred_u):
+        gap = np.abs(gt_u - u)
+        shared = np.count_nonzero(~np.isnan(gap), axis=1)
+        hit = shared > 0
+        horizontal = np.nansum(gap[hit], axis=1) / shared[hit]
+        costs[i, hit] = horizontal + np.abs(p_near[i] - g_near[hit]) + np.abs(p_far[i] - g_far[hit])
+    return costs
+
+
+def matching_cost(p: ResampledLane2D, g: ResampledLane2D) -> float:
+    """cost_matrix for one pair of lanes resampled on the same row grid."""
     if p.v_grid.shape != g.v_grid.shape or not np.array_equal(p.v_grid, g.v_grid):
         raise GridMismatchError("lanes were resampled on different row grids")
-    common = p.present & g.present
-    if not common.any():
-        return float("inf")
-    horizontal = float(np.mean(np.abs(p.u_values[common] - g.u_values[common])))
-    return horizontal + abs(p.v_start - g.v_start) + abs(p.v_end - g.v_end)
-
-
-def cost_matrix(
-    preds: list[ResampledLane2D | None], gts: list[ResampledLane2D | None]
-) -> np.ndarray:
-    """Pairwise matching costs, shape (len(preds), len(gts)).
-
-    A None entry stands for a lane that could not be resampled; its row
-    or column is +inf.
-    """
-    costs = np.full((len(preds), len(gts)), np.inf)
-    for i, p in enumerate(preds):
-        for j, g in enumerate(gts):
-            if p is not None and g is not None:
-                costs[i, j] = matching_cost(p, g)
-    return costs
+    return float(cost_matrix(p.u_values[None], g.u_values[None], p.v_grid)[0, 0])
 
 
 @dataclass(frozen=True)
@@ -264,7 +270,6 @@ def match_lanes(
     preds: list[Lane2D],
     gts: list[Lane2D],
     image: ImageSpec,
-    row_step: float = 1.0,
     match_threshold: float = DEFAULT_MATCH_THRESHOLD,
 ) -> MatchResult:
     """Resample both lane sets on the image row grid and assign them.
@@ -272,7 +277,6 @@ def match_lanes(
     Lanes that cover no grid row cannot be matched; they are kept in the
     index space and reported unmatched.
     """
-    resampled = resample_on_grid([*preds, *gts], image, row_step)
-    return hungarian_assign(
-        cost_matrix(resampled[: len(preds)], resampled[len(preds) :]), match_threshold
-    )
+    rows = row_grid(image)
+    costs = cost_matrix(resample_lanes(preds, rows), resample_lanes(gts, rows), rows)
+    return hungarian_assign(costs, match_threshold)

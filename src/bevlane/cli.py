@@ -19,7 +19,6 @@ from . import datagen, fitting, io_formats, metrics, render
 from .assignment import match_lanes, resample_lanes, resample_on_grid
 from .camera import Lane2D, project_lane
 from .errors import (
-    DegenerateLaneError,
     LaneError,
     NonFiniteError,
     SchemaError,
@@ -274,15 +273,10 @@ def _cmd_anchors(opts) -> int:
     if not frames:
         raise SchemaError("dataset has no frames")
     image = frames[0].image
-    descriptors = []
-    lanes = []
-    for frame in frames:
-        for lane in frame.lanes2d:
-            try:
-                descriptors.append(anchors_mod.build_descriptor(lane, image, opts.rows))
-                lanes.append(lane)
-            except DegenerateLaneError:
-                continue
+    all_lanes = [lane for frame in frames for lane in frame.lanes2d]
+    built = anchors_mod.build_descriptors(all_lanes, image, opts.rows)
+    descriptors = [d for d in built if d is not None]
+    lanes = [lane for lane, d in zip(all_lanes, built) if d is not None]
     if not descriptors:
         raise SchemaError("dataset contains no usable lanes")
     anchor_set = anchors_mod.cluster_anchors(
@@ -457,7 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--dataset": dataset,
             "--out": {"required": True, "help": "output anchors JSON"},
             "-k": {"type": int, "default": 24, "help": "number of anchors"},
-            "--rows": {"type": int, "default": 36, "help": "descriptor rows"},
+            "--rows": {
+                "type": _count(MAX_SAMPLE_COUNT),
+                "default": anchors_mod.DEFAULT_DESCRIPTOR_ROWS,
+                "help": f"descriptor rows, 2 to {MAX_SAMPLE_COUNT}",
+            },
             "--restarts": {"type": int, "default": 10, "help": "k-means restarts"},
             "--seed": {"type": int, "default": 0, "help": "k-means seed"},
             "--match-threshold": {

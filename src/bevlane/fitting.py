@@ -107,17 +107,14 @@ class FitConfig:
 class PolyFit:
     """A least-squares BEV curve fit.
 
-    coefficients are ascending powers of z. For the Bernstein basis the
-    four control values and the span they ride on are kept alongside the
-    equivalent power coefficients.
+    coefficients are ascending powers of z; a Bernstein fit is stored as
+    its equivalent power coefficients.
     """
 
     coefficients: np.ndarray
     basis: str
     rms_residual: float
     max_residual: float
-    control_values: np.ndarray | None = None
-    z_span: tuple[float, float] | None = None
 
     def x_at(self, z):
         x = polyval(np.asarray(z, dtype=float), self.coefficients)
@@ -188,8 +185,6 @@ def fit_bev_polynomial(points: np.ndarray, order: int | str = 3) -> PolyFit:
             basis="bernstein",
             rms_residual=float(np.sqrt(np.mean(residual**2))),
             max_residual=float(np.max(np.abs(residual))),
-            control_values=control,
-            z_span=(z0, z1),
         )
 
     design = np.vander(z, order + 1, increasing=True)
@@ -407,6 +402,17 @@ def fit_lane_2d(
     return fit_lanes_2d([gt], [k], [init], cfg, per_iou, weights)[0]
 
 
+def _start_lane(pts: np.ndarray, order: int, keypoints: int) -> Lane3D:
+    """Least-squares curve through [x, y, z] points, then heights over their
+    z span clamped by Z_FLOOR and MIN_SPAN, so short spans are padded
+    rather than stretched."""
+    poly = fit_bev_polynomial(pts, order=order)
+    z_min = max(float(pts[:, 2].min()), Z_FLOOR)
+    z_max = max(float(pts[:, 2].max()), z_min + MIN_SPAN)
+    profile = fit_heights_direct(pts, keypoints, z_min, z_max)
+    return Lane3D(curve=poly.to_curve(), profile=profile, score=1.0)
+
+
 def fit_lane_3d(
     gt3: np.ndarray,
     gt2d: ResampledLane2D,
@@ -418,19 +424,16 @@ def fit_lane_3d(
 ) -> FitReport:
     """Fit a lane to 3D labeled points by least squares.
 
-    Curve and heights are read off the points, the span from their z
-    range; alpha * (BEV + height + span losses) + beta * (projected
-    losses) scores the result once. Descent from here never lowered
-    that loss, so none runs.
+    Curve, span and heights are read off the points by _start_lane;
+    alpha * (BEV + height + span losses) + beta * (projected losses)
+    scores the result once. Descent from here never lowered that loss,
+    so none runs.
     """
     if cfg.order == 4 or cfg.order == "bezier":
         raise ValidationError("3D fitting uses the cubic representation")
     gt3 = np.asarray(gt3, dtype=float)
     gt3 = gt3[np.argsort(gt3[:, 2], kind="stable")]
-    poly = fit_bev_polynomial(gt3, order=cfg.order)
-    profile = fit_heights_direct(gt3, cfg.keypoints, max(gt3[0, 2], Z_FLOOR), gt3[-1, 2])
-    theta = _lane_to_theta(Lane3D(curve=poly.to_curve(), profile=profile), "power")
-    _clamp_span(theta)
+    theta = _lane_to_theta(_start_lane(gt3, cfg.order, cfg.keypoints), "power")
     loss, grad, terms = lane_loss(
         theta, k=k, gt2d=gt2d, gt3=gt3, bev_iou=bev_iou, per_iou=per_iou, weights=weights
     ) or (float("inf"), np.zeros(theta.size), {"total": float("inf")})
@@ -453,11 +456,7 @@ def ipm_init(gt: Lane2D, k: CameraIntrinsics, cfg: FitConfig = FitConfig()) -> L
     fit_order = 3 if cfg.order in (4, "bezier") else cfg.order
     if np.unique(pts[:, 2]).size < fit_order + 1:
         raise DegenerateInputError("back-projected points span too few distinct depths")
-    poly = fit_bev_polynomial(pts, order=fit_order)
-    z_min = max(float(pts[:, 2].min()), Z_FLOOR)
-    z_max = max(float(pts[:, 2].max()), z_min + MIN_SPAN)
-    profile = fit_heights_direct(pts, cfg.keypoints, z_min, z_max)
-    return Lane3D(curve=poly.to_curve(), profile=profile, score=1.0)
+    return _start_lane(pts, fit_order, cfg.keypoints)
 
 
 def reprojection_residuals(lane: Lane3D, k: CameraIntrinsics, gt3: np.ndarray) -> np.ndarray:

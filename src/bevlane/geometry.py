@@ -17,8 +17,6 @@ from numpy.polynomial.polynomial import polyval
 
 from .errors import ValidationError
 
-# Keypoint count used across the package unless a caller overrides it.
-DEFAULT_HEIGHT_KEYPOINTS = 72
 # Sample count for densifying a lane into a polyline.
 DEFAULT_SAMPLE_COUNT = 72
 # Upper limit on samples per lane, for densifying and for synthetic labels:
@@ -85,10 +83,6 @@ class HeightProfile:
             raise ValidationError(
                 f"z_min must be < z_max, got [{self.z_min}, {self.z_max}]"
             )
-
-    @property
-    def keypoint_count(self) -> int:
-        return len(self.heights)
 
     def keypoint_z(self) -> np.ndarray:
         """Forward distances of the keypoints (uniform, inclusive ends)."""

@@ -128,6 +128,27 @@ def first_crossings_oracle(v: np.ndarray, rows: np.ndarray):
     return np.array(found, dtype=bool), np.array(seg), np.array(frac)
 
 
+def matching_cost_oracle(u_p: np.ndarray, u_g: np.ndarray, rows: np.ndarray) -> float:
+    """Row by row: mean |u_p - u_g| over rows both cover (u not NaN), plus
+    the gaps between the two lanes' largest covered rows and between
+    their smallest; +inf when no row is covered by both."""
+    total, shared = 0.0, 0
+    near_p = near_g = -np.inf
+    far_p = far_g = np.inf
+    for r, a, b in zip(rows, u_p, u_g):
+        r = float(r)
+        if not np.isnan(a):
+            near_p, far_p = max(near_p, r), min(far_p, r)
+        if not np.isnan(b):
+            near_g, far_g = max(near_g, r), min(far_g, r)
+        if not np.isnan(a) and not np.isnan(b):
+            total += abs(float(a) - float(b))
+            shared += 1
+    if shared == 0:
+        return np.inf
+    return total / shared + abs(near_p - near_g) + abs(far_p - far_g)
+
+
 def lane_iou_oracle(xa, xb, e: float) -> float:
     vals = []
     for p, g in zip(xa, xb):

@@ -8,13 +8,15 @@ from bevlane.anchors import (
     anchor_recall,
     anchor_to_lane,
     build_descriptor,
+    build_descriptors,
     cluster_anchors,
     descriptor_from_vector,
     descriptor_rows,
 )
 from bevlane.camera import ImageSpec, Lane2D
-from bevlane.datagen import flat_scene, generate_frame
+from bevlane.datagen import bump_scene, flat_scene, generate_frame
 from bevlane.errors import DegenerateLaneError, ValidationError
+from bevlane.geometry import MAX_SAMPLE_COUNT
 from oracles import kmeans_reference_best
 
 IMAGE = ImageSpec(800, 320)
@@ -74,6 +76,32 @@ class TestDescriptor:
     def test_rejects_single_row(self):
         with pytest.raises(ValidationError):
             descriptor_rows(IMAGE, 1)
+
+    def test_rows_bounded_like_sample_counts(self):
+        assert descriptor_rows(IMAGE, MAX_SAMPLE_COUNT).size == MAX_SAMPLE_COUNT
+        for m in (MAX_SAMPLE_COUNT + 1, 10**9):
+            with pytest.raises(ValidationError, match="descriptor rows"):
+                descriptor_rows(IMAGE, m)
+
+    @pytest.mark.parametrize("m", [2, 5, 36])
+    def test_stack_equals_one_lane_at_a_time(self, m):
+        lanes = [
+            *generate_frame(bump_scene(seed=4)).lanes2d,
+            Lane2D([[100.0, 250.0], [140.0, 200.0]]),  # partial cover, gaps filled
+            Lane2D([[10.0, 100.0], [500.0, 100.5]]),  # spans under 2 rows
+            Lane2D([[400.0, 50.0], [400.0, 10.0]]),  # above the descriptor rows
+            Lane2D([[0.0, 300.0], [50.0, 170.0], [90.0, 290.0]]),  # folds back
+        ]
+        stacked = build_descriptors(lanes, IMAGE, m)
+        assert len(stacked) == len(lanes)
+        for lane, got in zip(lanes, stacked):
+            try:
+                want = build_descriptor(lane, IMAGE, m)
+            except DegenerateLaneError:
+                assert got is None
+                continue
+            np.testing.assert_array_equal(got.vector(), want.vector())
+        assert None in stacked
 
 
 class TestClustering:

@@ -14,7 +14,12 @@ from bevlane.assignment import (
 )
 from bevlane.camera import ImageSpec, Lane2D
 from bevlane.errors import DegenerateLaneError, GridMismatchError, ValidationError
-from oracles import assign_brute_force, first_crossings_oracle, resample_rows_oracle
+from oracles import (
+    assign_brute_force,
+    first_crossings_oracle,
+    matching_cost_oracle,
+    resample_rows_oracle,
+)
 
 try:
     from hypothesis import example, given
@@ -184,6 +189,39 @@ if HAVE_HYPOTHESIS:
             except DegenerateLaneError:
                 alone = np.full(rows.size, np.nan)
             assert np.array_equal(got, alone, equal_nan=True)
+
+    _LANE_SETS = st.lists(_POINTS, max_size=4)
+
+    @given(
+        preds=_LANE_SETS,
+        gts=_LANE_SETS,
+        holes=st.lists(st.integers(0, 200), max_size=12),
+        step=st.sampled_from([1.0, 0.5, 2.5]),
+    )
+    @example(
+        preds=[
+            [(0.0, 200.0), (1.0, 10.0), (2.0, 30.0), (3.0, 15.0)],  # folds back twice
+            [(4.0, -40.0), (5.0, -10.0)],  # covers no row
+            [(9.0, 39.0), (9.0, 30.0)],
+        ],
+        gts=[[(9.0, 20.0), (9.0, 2.0)], [(2.0, 35.0), (6.0, 12.5)]],  # disjoint from the third
+        holes=[3, 17, 40, 41, 60],  # NaN rows inside spans
+        step=0.5,
+    )
+    def test_cost_matrix_equals_row_loop_oracle(preds, gts, holes, step):
+        rows = row_grid(ImageSpec(64, 40), step)
+        pred_u = resample_lanes([Lane2D(points) for points in preds], rows)
+        gt_u = resample_lanes([Lane2D(points) for points in gts], rows)
+        for n, row in enumerate(holes):
+            stack = (pred_u, gt_u)[n % 2]
+            if len(stack):
+                stack[n % len(stack), row % rows.size] = np.nan
+        costs = cost_matrix(pred_u, gt_u, rows)
+        assert costs.shape == (len(preds), len(gts))
+        for i, u_p in enumerate(pred_u):
+            for j, u_g in enumerate(gt_u):
+                want = matching_cost_oracle(u_p, u_g, rows)
+                assert costs[i, j] == want or abs(costs[i, j] - want) <= 1e-12 * want
 
 
 def test_matching_cost_identical_is_zero(image):

@@ -472,6 +472,7 @@ COUNT_FLAGS = [
     ("eval", "--sample-count", MAX_SAMPLE_COUNT),
     ("project", "--sample-count", MAX_SAMPLE_COUNT),
     ("render", "--sample-count", MAX_SAMPLE_COUNT),
+    ("anchors", "--rows", MAX_SAMPLE_COUNT),
 ]
 
 
@@ -484,6 +485,7 @@ def test_count_flags_are_bounded(tmp_path, command, flag, limit):
         "eval": ["--dataset", "--pred", "--out"],
         "project": ["--dataset", "--pred", "--out"],
         "render": ["--dataset", "--out"],
+        "anchors": ["--dataset", "--out"],
     }[command]
     argv = [command] + [token for f in required for token in (f, paths[f])]
     parser = build_parser()

@@ -3,7 +3,7 @@ import pytest
 
 from bevlane import datagen, fitting
 from bevlane.assignment import resample_lane
-from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, project_lane
+from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, project_lane, project_points
 from bevlane.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -303,6 +303,19 @@ def test_fit_lane_3d_at_optimum_stays_put(k, monkeypatch):
         assert np.array_equal(lane_to_vector(report.lane), lane_to_vector(least_squares))
         assert (report.iterations, report.converged) == (0, False)
         assert report.terms["total"] < 1e-9
+
+
+def test_fit_lane_3d_short_label_pads_span_without_stretching(k, image):
+    # 0.3 m of label on a 2 m/m grade: the span is padded to MIN_SPAN, and
+    # the heights must stay where the label put them, not be stretched
+    # over the padded span
+    z = np.array([20.0, 20.1, 20.2, 20.3])
+    gt3 = np.column_stack([np.full(4, 1.75), 1.5 - 2.0 * (z - 20.0), z])
+    gt2d = resample_lane(Lane2D(project_points(k, gt3)), image)
+    lane = fit_lane_3d(gt3, gt2d, k).lane
+    assert (lane.z_min, lane.z_max) == (20.0, 20.0 + fitting.MIN_SPAN)
+    assert np.abs(lane.profile.y_at(z) - gt3[:, 1]).max() < 0.01
+    assert reprojection_residuals(lane, k, gt3).max() < 0.5
 
 
 def test_fit_lane_3d_non_finite_loss_raises(monkeypatch):
