@@ -80,16 +80,13 @@ class ResampledLane2D:
 
     v_grid is shared across lanes of a frame; present marks rows the lane
     covers and u_values holds the interpolated column there (NaN
-    elsewhere). v_start / v_end are the nearest / farthest present grid
-    rows, while v_first / v_last keep the polyline's own continuous
+    elsewhere). v_first / v_last keep the polyline's own continuous
     endpoint rows for endpoint comparisons that need sub-row precision.
     """
 
     v_grid: np.ndarray
     u_values: np.ndarray
     present: np.ndarray
-    v_start: float
-    v_end: float
     v_first: float
     v_last: float
 
@@ -146,14 +143,11 @@ def resample_on_grid(
         if not present.any():
             out.append(None)
             continue
-        present_rows = rows[present]
         out.append(
             ResampledLane2D(
                 v_grid=rows,
                 u_values=u_values,
                 present=present,
-                v_start=float(present_rows.max()),
-                v_end=float(present_rows.min()),
                 v_first=float(lane.v[0]),
                 v_last=float(lane.v[-1]),
             )

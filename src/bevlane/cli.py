@@ -77,8 +77,8 @@ def _cmd_fit(opts) -> int:
     weights = LossWeights(beta=opts.beta)
     per_iou = IoUConfig(e=opts.e_per)
 
-    # Per frame, each fitted lane as (lane, its final loss or residual), or
-    # in 2d mode the index of its job; fit_lanes_2d solves the jobs below.
+    # Per frame, in baseline mode each fitted (lane, max residual), and in
+    # 3d and 2d mode the index of each lane's job; fit_lanes solves the jobs.
     fitted_lanes = []
     jobs = []
     skipped = 0
@@ -96,26 +96,23 @@ def _cmd_fit(opts) -> int:
                 lanes.append((Lane2D(np.column_stack([fit.u_at(v), v])), fit.max_residual))
             elif targets[idx] is None:
                 skipped += 1
-            elif opts.mode == "3d":
-                report = fitting.fit_lane_3d(
-                    frame.lanes3d[idx], targets[idx], frame.intrinsics, cfg,
-                    per_iou=per_iou, weights=weights,
-                )
-                lanes.append((report.lane, report.terms["total"]))
             else:
-                init = fitting.ipm_init(gt2d, frame.intrinsics, cfg)
+                if opts.mode == "3d":
+                    labels = frame.lanes3d[idx]
+                    start = fitting.label_init(labels, cfg)
+                else:
+                    labels = None
+                    start = fitting.ipm_init(gt2d, frame.intrinsics, cfg)
                 lanes.append(len(jobs))
-                jobs.append((targets[idx], frame.intrinsics, init))
+                jobs.append((targets[idx], frame.intrinsics, start, labels))
         fitted_lanes.append(lanes)
 
-    reports = _fit_2d_in_blocks(jobs, cfg, per_iou, weights)
+    reports = _fit_in_blocks(jobs, cfg, per_iou, weights)
     preds = []
     residuals = []
     for frame, lanes in zip(frames, fitted_lanes):
-        lanes = [
-            (reports[lane].lane, reports[lane].terms["total"]) if isinstance(lane, int) else lane
-            for lane in lanes
-        ]
+        if opts.mode != "baseline":
+            lanes = [(reports[i].lane, reports[i].terms["total"]) for i in lanes]
         residuals.extend(value for _lane, value in lanes)
         fitted = tuple(lane for lane, _value in lanes)
         preds.append(
@@ -135,24 +132,25 @@ def _cmd_fit(opts) -> int:
     return 0
 
 
-# Lanes per fit_lanes_2d call; results do not depend on it. Every array of
-# the descent grows with the block: on the 400-lane mixed-ground set (2-vCPU
-# x86 host, numpy 2.4) the fit stage peaked at 105 MB RSS with one 400-lane
-# block and at 93 MB with 64-lane blocks, which ran about as fast.
+# Lanes per fit_lanes call; results do not depend on it. Every array of
+# the 2D descent grows with the block: on the 400-lane mixed-ground set
+# (2-vCPU x86 host, numpy 2.4) the 2d fit stage peaked at 105 MB RSS with
+# one 400-lane block and at 93 MB with 64-lane blocks, which ran about as fast.
 FIT_BLOCK_LANES = 64
 
 
-def _fit_2d_in_blocks(jobs, cfg, per_iou, weights) -> list:
-    """fit_lanes_2d over (target, camera, init) jobs: grouped by row grid, in blocks."""
+def _fit_in_blocks(jobs, cfg, per_iou, weights) -> list:
+    """fit_lanes over (target, camera, start, labels or None) jobs: by row grid, in blocks."""
     by_grid = {}
-    for i, (gt, _k, _init) in enumerate(jobs):
+    for i, (gt, *_rest) in enumerate(jobs):
         by_grid.setdefault(gt.v_grid.tobytes(), []).append(i)
     reports = [None] * len(jobs)
     for members in by_grid.values():
         for start in range(0, len(members), FIT_BLOCK_LANES):
             block = members[start : start + FIT_BLOCK_LANES]
-            gts, cameras, inits = zip(*(jobs[i] for i in block))
-            fits = fitting.fit_lanes_2d(gts, cameras, inits, cfg, per_iou, weights)
+            gts, cameras, starts, labels = zip(*(jobs[i] for i in block))
+            labels = None if labels[0] is None else labels
+            fits = fitting.fit_lanes(gts, cameras, starts, cfg, per_iou, weights, labels)
             for i, report in zip(block, fits):
                 reports[i] = report
     return reports

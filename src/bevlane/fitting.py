@@ -2,11 +2,12 @@
 
 Direct fits handle the supervised pieces (polynomial BEV curve, height
 keypoints, a perspective-space polynomial baseline); with 3D labels they
-are the whole fit. With 2D labels only, momentum gradient descent on the
-image-plane losses recovers the lane. fit_lanes_2d runs that descent on
-a stack of lanes at once, each lane with its own step scales, velocity,
-best iterate and stopping test; fit_lane_2d is its stack of one, and a
-lane gets the same result in any stack. The descent runs in a diagonally
+are the whole fit (label_init). With 2D labels only, momentum gradient
+descent on the image-plane losses recovers the lane from a flat-ground
+start (ipm_init). fit_lanes, the one fitter, scores a stack of lanes
+with losses.lane_losses and without 3D labels descends them, each lane
+with its own step scales, velocity, best iterate and stop; fit_lane_3d
+and fit_lane_2d are its stacks of one. The descent runs in a diagonally
 rescaled parameter space: curve coefficients act on different powers of
 z, so their raw gradient magnitudes differ by orders of magnitude and
 unscaled steps either crawl or blow up.
@@ -30,15 +31,12 @@ from .errors import (
 )
 from .geometry import BevCurve, HeightProfile, Lane3D, lane_from_vector, lane_to_vector
 from .losses import (
-    DEFAULT_BEV_IOU,
     DEFAULT_PERSPECTIVE_IOU,
     IoUConfig,
     LaneTargets,
     LossWeights,
     bernstein_basis,
-    lane_loss,
-    lane_losses_2d,
-    terms_2d,
+    lane_losses,
 )
 
 MOMENTUM = 0.9
@@ -77,10 +75,11 @@ class FitConfig:
     for the least-squares comparison only; the lane representation (and
     gradient refinement) is cubic.
 
-    fit_lane_3d reads order and keypoints. fit_lanes_2d reads order and
-    the descent knobs max_iters, step_size and plateau_patience (at least
-    1). ipm_init reads order, keypoints and ipm_camera_height. keypoints
-    runs from 2 to MAX_KEYPOINTS. The CLI takes its defaults from here.
+    label_init reads order and keypoints. fit_lanes reads order, and
+    without 3D labels the descent knobs max_iters, step_size and
+    plateau_patience (at least 1). ipm_init reads order, keypoints and
+    ipm_camera_height (finite and > 0). keypoints runs from 2 to
+    MAX_KEYPOINTS. The CLI takes its defaults from here.
     """
 
     max_iters: int = 60
@@ -97,6 +96,10 @@ class FitConfig:
             raise ValidationError("bad fit configuration")
         if not 0.0 < self.step_size < np.inf:
             raise ValidationError(f"step_size must be finite and > 0, got {self.step_size}")
+        if not 0.0 < self.ipm_camera_height < np.inf:
+            raise ValidationError(
+                f"ipm_camera_height must be finite and > 0, got {self.ipm_camera_height}"
+            )
         if not 2 <= self.keypoints <= MAX_KEYPOINTS:
             raise ValidationError(
                 f"keypoints must be in [2, {MAX_KEYPOINTS}], got {self.keypoints}"
@@ -176,23 +179,14 @@ def fit_bev_polynomial(points: np.ndarray, order: int | str = 3) -> PolyFit:
 
     if order == "bezier":
         z0, z1 = float(z.min()), float(z.max())
-        s = (z - z0) / (z1 - z0)
-        design = bernstein_basis(s)
-        control, *_ = np.linalg.lstsq(design, x, rcond=None)
-        residual = design @ control - x
-        return PolyFit(
-            coefficients=bernstein_to_power(control, z0, z1),
-            basis="bernstein",
-            rms_residual=float(np.sqrt(np.mean(residual**2))),
-            max_residual=float(np.max(np.abs(residual))),
-        )
-
-    design = np.vander(z, order + 1, increasing=True)
+        design = bernstein_basis((z - z0) / (z1 - z0))
+    else:
+        design = np.vander(z, order + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(design, x, rcond=None)
     residual = design @ coeffs - x
     return PolyFit(
-        coefficients=coeffs,
-        basis="power",
+        coefficients=bernstein_to_power(coeffs, z0, z1) if order == "bezier" else coeffs,
+        basis="bernstein" if order == "bezier" else "power",
         rms_residual=float(np.sqrt(np.mean(residual**2))),
         max_residual=float(np.max(np.abs(residual))),
     )
@@ -260,7 +254,7 @@ def fit_perspective_baseline(lane: Lane2D, order: int = 3) -> PerspectiveFit:
 class FitReport:
     """Outcome of a fit.
 
-    terms holds the loss pieces at the returned lane: for fit_lane_2d
+    terms holds the loss pieces at the returned lane: without 3D labels
     the best iterate seen, never worse than the initialization. No fitter
     stops on a convergence test, so converged is always False.
     """
@@ -290,8 +284,7 @@ def _clamp_span(theta: np.ndarray) -> None:
     theta[..., -1] = np.maximum(theta[..., -1], theta[..., -2] + MIN_SPAN)
 
 
-def _check_finite(loss, grad: np.ndarray, iteration: int) -> None:
-    loss = np.asarray(loss)
+def _check_finite(loss: np.ndarray, grad: np.ndarray, iteration: int) -> None:
     grad_ok = np.isfinite(grad).all(axis=-1)
     if np.any(np.isnan(loss) | (np.isfinite(loss) & ~grad_ok)):
         raise NonFiniteError(f"objective became non-finite at iteration {iteration}")
@@ -311,25 +304,26 @@ def _lane_to_theta(lane: Lane3D, basis: str) -> np.ndarray:
     return geo
 
 
-def fit_lanes_2d(
+def fit_lanes(
     gts: list[ResampledLane2D],
     intrinsics: list[CameraIntrinsics],
     inits: list[Lane3D],
     cfg: FitConfig = FitConfig(),
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
+    labels3d: list[np.ndarray] | None = None,
 ) -> list[FitReport]:
-    """Refine a stack of lanes against 2D labels only, one report per lane.
+    """Fit a stack of lanes from their starts, one report per lane.
 
-    Momentum descent on beta * (image IoU loss + endpoint loss) plus the
-    height spread regularizer, run on all lanes at once. Each lane keeps
-    its own step scales, velocity and best iterate, and leaves the
-    active set when its loss plateaus or after cfg.max_iters steps; a
-    lane whose projection misses its target reads +inf with a zero
-    gradient. The targets must share one row grid; intrinsics holds each
-    lane's camera. Every lane's result is the one it gets alone. The 3D
-    scale stays whatever the initialization pinned it to; 2D labels
-    cannot determine it.
+    The targets share one row grid; intrinsics holds each lane's camera.
+    With 3D labels (one (m, 3) array per lane) the starts are scored
+    once and returned: descent from label_init never lowered that loss.
+    Without them, momentum descent runs on all lanes at once; each lane
+    keeps its own step scales, velocity and best iterate, and stops when
+    its loss plateaus or after cfg.max_iters steps, at the 3D scale its
+    start pinned (2D labels cannot determine it). A lane whose projection
+    misses its target reads +inf with a zero gradient. Every lane's
+    result is the one it gets alone.
     """
     if cfg.order == 4:
         raise ValidationError("gradient refinement is cubic; degree 4 is least-squares only")
@@ -349,28 +343,30 @@ def fit_lanes_2d(
     _clamp_span(theta)
     scales = np.stack([_scales(row, basis) for row in theta])
     step = cfg.step_size * scales**2
-    targets = LaneTargets.stack(gts, intrinsics)
+    targets = LaneTargets.stack(gts, intrinsics, labels3d)
+    max_iters = 0 if labels3d is not None else cfg.max_iters
 
-    def objective(lanes):
-        return lane_losses_2d(theta[lanes], targets.take(lanes), per_iou, weights, basis)
+    def objective(lanes, iteration):
+        out = lane_losses(theta[lanes], targets.take(lanes), per_iou, weights, basis)
+        _check_finite(out[0], out[1], iteration)
+        return out
 
     active = np.arange(len(gts))
     velocity = np.zeros_like(theta)
-    loss, grad, terms, overlap = objective(active)
+    loss, grad, terms, overlap = objective(active, 0)
     best_loss, best_theta = loss.copy(), theta.copy()
     best_terms, best_overlap = terms.copy(), overlap.copy()
     best_iter = np.zeros(len(gts), dtype=int)
     iterations = np.zeros(len(gts), dtype=int)
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, max_iters + 1):
         if active.size == 0:
             break
-        _check_finite(loss, grad, it - 1)
         velocity[active] = MOMENTUM * velocity[active] - step[active] * (grad * mask)
         moved = theta[active] + velocity[active]
         _clamp_span(moved)
         theta[active] = moved
         iterations[active] = it
-        loss, grad, terms, overlap = objective(active)
+        loss, grad, terms, overlap = objective(active, it)
         better = loss < best_loss[active]
         lanes = active[better]
         best_loss[lanes], best_theta[lanes] = loss[better], theta[lanes]
@@ -384,7 +380,7 @@ def fit_lanes_2d(
             _theta_to_lane(best_theta[i], basis),
             int(iterations[i]),
             False,
-            terms_2d(best_terms[i], best_loss[i]) if best_overlap[i] else {"total": float("inf")},
+            targets.named(best_terms[i], best_loss[i]) if best_overlap[i] else {"total": np.inf},
         )
         for i in range(len(gts))
     ]
@@ -398,8 +394,8 @@ def fit_lane_2d(
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
 ) -> FitReport:
-    """Refine one lane against 2D labels only: fit_lanes_2d on a stack of one."""
-    return fit_lanes_2d([gt], [k], [init], cfg, per_iou, weights)[0]
+    """Refine one lane against 2D labels only: fit_lanes on a stack of one."""
+    return fit_lanes([gt], [k], [init], cfg, per_iou, weights)[0]
 
 
 def _start_lane(pts: np.ndarray, order: int, keypoints: int) -> Lane3D:
@@ -413,32 +409,25 @@ def _start_lane(pts: np.ndarray, order: int, keypoints: int) -> Lane3D:
     return Lane3D(curve=poly.to_curve(), profile=profile, score=1.0)
 
 
+def label_init(gt3: np.ndarray, cfg: FitConfig = FitConfig()) -> Lane3D:
+    """The 3D twin of ipm_init: a cubic lane whose curve, span and heights
+    are read off its 3D labeled points, in order of z, by least squares."""
+    if cfg.order == 4 or cfg.order == "bezier":
+        raise ValidationError("3D fitting uses the cubic representation")
+    gt3 = np.asarray(gt3, dtype=float)
+    return _start_lane(gt3[np.argsort(gt3[:, 2], kind="stable")], cfg.order, cfg.keypoints)
+
+
 def fit_lane_3d(
     gt3: np.ndarray,
     gt2d: ResampledLane2D,
     k: CameraIntrinsics,
     cfg: FitConfig = FitConfig(),
-    bev_iou: IoUConfig = DEFAULT_BEV_IOU,
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
 ) -> FitReport:
-    """Fit a lane to 3D labeled points by least squares.
-
-    Curve, span and heights are read off the points by _start_lane;
-    alpha * (BEV + height + span losses) + beta * (projected losses)
-    scores the result once. Descent from here never lowered that loss,
-    so none runs.
-    """
-    if cfg.order == 4 or cfg.order == "bezier":
-        raise ValidationError("3D fitting uses the cubic representation")
-    gt3 = np.asarray(gt3, dtype=float)
-    gt3 = gt3[np.argsort(gt3[:, 2], kind="stable")]
-    theta = _lane_to_theta(_start_lane(gt3, cfg.order, cfg.keypoints), "power")
-    loss, grad, terms = lane_loss(
-        theta, k=k, gt2d=gt2d, gt3=gt3, bev_iou=bev_iou, per_iou=per_iou, weights=weights
-    ) or (float("inf"), np.zeros(theta.size), {"total": float("inf")})
-    _check_finite(loss, grad, 0)
-    return FitReport(_theta_to_lane(theta, "power"), 0, False, terms)
+    """Fit one lane to 3D labeled points: fit_lanes with labels on a stack of one."""
+    return fit_lanes([gt2d], [k], [label_init(gt3, cfg)], cfg, per_iou, weights, [gt3])[0]
 
 
 def ipm_init(gt: Lane2D, k: CameraIntrinsics, cfg: FitConfig = FitConfig()) -> Lane3D:

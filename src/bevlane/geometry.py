@@ -49,12 +49,6 @@ class BevCurve:
         x = polyval(np.asarray(z, dtype=float), self.coefficients())
         return float(x) if np.ndim(x) == 0 else x
 
-    def slope_at(self, z):
-        """dx/dz at forward distance z (scalar or array)."""
-        z = np.asarray(z, dtype=float)
-        s = (3.0 * self.a * z + 2.0 * self.b) * z + self.c
-        return float(s) if s.ndim == 0 else s
-
     def coefficients(self) -> np.ndarray:
         """Ascending-power coefficient vector [d, c, b, a]."""
         return np.array([self.d, self.c, self.b, self.a])

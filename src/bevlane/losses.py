@@ -15,13 +15,16 @@ the term actually touches. Sampling is uniform in fractions of the
 lane's span, so interpolation weights are constants of the parameters
 and the terms stay piecewise smooth.
 
-The image-plane terms run on an (L, P) stack of lanes at once
-(lane_losses_2d); perspective_losses, project_with_jacobian and the 2D
-branch of lane_loss are its stack of one.
+Every term runs on an (L, P) stack of lanes at once, and lane_losses
+combines them into the one objective of both branches; whether the
+targets carry 3D labels picks the branch. perspective_losses,
+project_with_jacobian, bev_iou_loss, height_loss, endpoint_z_loss and
+lane_loss are their stacks of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,7 @@ from numpy.polynomial.polynomial import polyval
 from .assignment import MatchResult, ResampledLane2D, first_crossings_batch
 from .camera import CameraIntrinsics
 from .errors import DimensionMismatchError, GridMismatchError, ValidationError
-from .geometry import Lane3D, lane_from_vector, lane_to_vector
+from .geometry import Lane3D, lane_to_vector
 
 BCE_EPS = 1e-7
 
@@ -43,8 +46,8 @@ class IoUConfig:
     sample_count: int = 72
 
     def __post_init__(self):
-        if not self.e > 0.0:
-            raise ValidationError(f"IoU half-width e must be > 0, got {self.e}")
+        if not (self.e > 0.0 and math.isfinite(4.0 * self.e)):
+            raise ValidationError(f"IoU half-width e must be > 0 with 4e finite, got {self.e}")
         if self.sample_count < 2:
             raise ValidationError("sample_count must be >= 2")
 
@@ -80,8 +83,7 @@ def lane_iou(xs_pred: np.ndarray, xs_gt: np.ndarray, e: float) -> float:
         raise DimensionMismatchError(
             f"sample vectors must be equal-length 1-d, got {xs_pred.shape} vs {xs_gt.shape}"
         )
-    if not e > 0.0:
-        raise ValidationError(f"IoU half-width e must be > 0, got {e}")
+    IoUConfig(e)  # checks e
     one_lane = np.zeros(xs_pred.size, dtype=int)
     loss, _ = _iou_loss_rows(xs_pred - xs_gt, one_lane, np.array([xs_pred.size]), e)
     return float(1.0 - loss[0])
@@ -100,11 +102,9 @@ def bev_iou_loss(pred: Lane3D, gt_xs: np.ndarray, cfg: IoUConfig = DEFAULT_BEV_I
         raise DimensionMismatchError(
             f"expected {z.shape[0]} target offsets, got {gt_xs.shape}"
         )
-    xs = pred.curve.x_at(z)
-    one_lane = np.zeros(z.size, dtype=int)
-    loss, dloss_dx = _iou_loss_rows(xs - gt_xs, one_lane, np.array([z.size]), cfg.e)
-    powers = np.stack([z**3, z**2, z, np.ones_like(z)], axis=1)
-    return float(loss[0]), dloss_dx @ powers
+    c = pred.curve
+    loss, grad = _bev_term(np.array([[c.a, c.b, c.c, c.d]]), z[None], gt_xs[None], cfg.e)
+    return float(loss[0]), grad[0]
 
 
 def height_loss(pred: Lane3D, gt_heights: np.ndarray):
@@ -115,9 +115,8 @@ def height_loss(pred: Lane3D, gt_heights: np.ndarray):
         raise DimensionMismatchError(
             f"expected {h.shape[0]} target heights, got {gt_heights.shape}"
         )
-    diff = h - gt_heights
-    loss = float(np.mean(np.abs(diff)))
-    return loss, np.sign(diff) / h.size
+    loss, grad = _height_term(h[None], gt_heights[None])
+    return float(loss[0]), grad[0]
 
 
 def endpoint_z_loss(pred: Lane3D, gt_z_min: float, gt_z_max: float):
@@ -125,10 +124,37 @@ def endpoint_z_loss(pred: Lane3D, gt_z_min: float, gt_z_max: float):
 
     Returns (loss, (d/dz_min, d/dz_max)).
     """
-    d_min = pred.z_min - gt_z_min
-    d_max = pred.z_max - gt_z_max
-    loss = abs(d_min) + abs(d_max)
-    return loss, (float(np.sign(d_min)), float(np.sign(d_max)))
+    span = np.array([[pred.z_min, pred.z_max]])
+    loss, grad = _span_term(span, np.array([[gt_z_min, gt_z_max]], dtype=float))
+    return float(loss[0]), (float(grad[0, 0]), float(grad[0, 1]))
+
+
+def _bev_term(curve: np.ndarray, z: np.ndarray, gt_x: np.ndarray, e: float):
+    """1 - mean BEV IoU of (L, 4) power curves at samples z (L, m) against
+    offsets gt_x there, and its gradient over the curve, (L, 4)."""
+    z = np.ascontiguousarray(z)  # each lane's sum then runs in one order at any L
+    x = polyval(z, curve[:, ::-1].T[..., None], tensor=False)
+    n_lanes, m = z.shape
+    lane = np.repeat(np.arange(n_lanes), m)
+    loss, g = _iou_loss_rows((x - gt_x).ravel(), lane, np.full(n_lanes, m), e)
+    return loss, (g.reshape(n_lanes, 1, m) * _powers(z)).sum(axis=2)
+
+
+def _height_term(h: np.ndarray, gt_h: np.ndarray):
+    """Mean absolute error of (L, n) keypoint heights and its gradient."""
+    diff = h - gt_h
+    return np.mean(np.abs(diff), axis=-1), np.sign(diff) / h.shape[-1]
+
+
+def _span_term(span: np.ndarray, gt_span: np.ndarray):
+    """|dz_min| + |dz_max| of (L, 2) spans and its gradient."""
+    diff = span - gt_span
+    return np.abs(diff[:, 0]) + np.abs(diff[:, 1]), np.sign(diff)
+
+
+def _powers(z: np.ndarray) -> np.ndarray:
+    """d x / d [a, b, c, d] of a power cubic at samples z (L, m): (L, 4, m)."""
+    return np.stack([z * z * z, z * z, z, np.ones_like(z)], axis=-2)
 
 
 def height_variance_reg(pred: Lane3D):
@@ -181,11 +207,13 @@ def bernstein_basis(s: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LaneTargets:
-    """The 2D targets of a stack of lanes, each with its camera.
+    """The targets of a stack of lanes, each with its camera.
 
     All lanes share one row grid. u_values and present are (L, rows),
     v_ends holds each target's [v_first, v_last] and camera its [fx, fy,
     ox, oy], so each lane projects through its own frame's intrinsics.
+    labels is None for 2D-only targets, or else holds each lane's 3D
+    label points, an (m, 3) array of [x, y, z] sorted by z.
     """
 
     rows: np.ndarray
@@ -193,27 +221,46 @@ class LaneTargets:
     present: np.ndarray
     v_ends: np.ndarray
     camera: np.ndarray
+    labels: tuple[np.ndarray, ...] | None = None
 
     @classmethod
-    def stack(cls, gts: list[ResampledLane2D], intrinsics: list[CameraIntrinsics]) -> "LaneTargets":
-        """Targets from resampled lanes on one grid, with one camera per lane."""
+    def stack(
+        cls,
+        gts: list[ResampledLane2D],
+        intrinsics: list[CameraIntrinsics],
+        labels3d: list[np.ndarray] | None = None,
+    ) -> "LaneTargets":
+        """Targets from resampled lanes on one grid, with one camera and
+        optionally one (m, 3) label array per lane."""
         if len(intrinsics) != len(gts):
             raise DimensionMismatchError("need one camera per target lane")
         if any(not np.array_equal(g.v_grid, gts[0].v_grid) for g in gts):
             raise GridMismatchError("a stack of targets must share one row grid")
+        labels = None if labels3d is None else [np.asarray(g, dtype=float) for g in labels3d]
+        if labels is not None:
+            if len(labels) != len(gts) or any(g.ndim != 2 or g.shape[1] != 3 for g in labels):
+                raise DimensionMismatchError("need one (m, 3) label array per target lane")
+            labels = tuple(g[np.argsort(g[:, 2], kind="stable")] for g in labels)
         return cls(
             rows=gts[0].v_grid,
             u_values=np.stack([g.u_values for g in gts]),
             present=np.stack([g.present for g in gts]),
             v_ends=np.array([[g.v_first, g.v_last] for g in gts]),
             camera=np.array([[k.fx, k.fy, k.ox, k.oy] for k in intrinsics]),
+            labels=labels,
         )
 
     def take(self, idx: np.ndarray) -> "LaneTargets":
         """The targets of the lanes at idx."""
-        return LaneTargets(
-            self.rows, self.u_values[idx], self.present[idx], self.v_ends[idx], self.camera[idx]
-        )
+        labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
+        arrays = (self.u_values, self.present, self.v_ends, self.camera)
+        return LaneTargets(self.rows, *(a[idx] for a in arrays), labels)
+
+    def named(self, terms: np.ndarray, loss: float) -> dict[str, float]:
+        """One lane's row of lane_losses terms by name, plus "total"."""
+        names = ("l_reg",) if self.labels is None else ("l_bev", "l_h", "l_z")
+        named = zip(("l_per", "l_v", *names), terms)
+        return {**{name: float(t) for name, t in named}, "total": float(loss)}
 
 
 @dataclass(frozen=True)
@@ -254,9 +301,9 @@ def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int, basis: st
     z = z_min + s * (z_max - z_min)
     c0, c1, c2, c3 = (theta[:, i : i + 1] for i in range(4))
     if basis == "power":
-        # BevCurve.x_at's evaluator and BevCurve.slope_at's formula, per lane.
+        # BevCurve.x_at's evaluator and its slope dx/dz, per lane.
         x = polyval(z, theta[:, 3::-1].T[..., None], tensor=False)
-        dx_dcurve = np.stack([z * z * z, z * z, z, np.ones_like(z)], axis=1)
+        dx_dcurve = _powers(z)
         slope = (3.0 * c0 * z + 2.0 * c1) * z + c2
         # z_j = z_min + s_j * (z_max - z_min), so moving an endpoint slides
         # the sample along the curve.
@@ -427,8 +474,7 @@ def perspective_losses(
     Gradients run over the lane's geometry parameters.
 
     geo_params, in the given basis, stands in for the parameter vector
-    derived from pred; lane_loss, which works on parameter vectors,
-    passes it in the power basis.
+    derived from pred, so a lane can be scored straight from its vector.
     """
     if geo_params is None:
         geo_params = lane_to_vector(pred)[:-1]
@@ -441,28 +487,52 @@ def perspective_losses(
     )
 
 
-def lane_losses_2d(
+def lane_losses(
     theta: np.ndarray,
     targets: LaneTargets,
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
     basis: str = "power",
 ):
-    """The 2D-only objective of an (L, P) stack of lanes against their targets.
+    """The objective of an (L, P) stack of lanes against their targets.
 
-    Each lane's loss is beta * (l_per + l_v) + l_reg, the height spread.
-    Returns (loss (L,), gradient (L, P), terms (L, 3) of [l_per, l_v,
-    l_reg], overlap (L,)). A lane whose projection shares no row with
-    its target has loss +inf and a zero gradient.
+    Rows of theta are [4 curve params, n heights, z_min, z_max] in the
+    given curve basis. With 3D labels in targets (power basis only) a
+    lane's loss is alpha * (l_bev + l_h + l_z) + beta * (l_per + l_v),
+    with terms [l_per, l_v, l_bev, l_h, l_z]; without them it is beta *
+    (l_per + l_v) + l_reg, the height spread, with terms [l_per, l_v,
+    l_reg]. Returns (loss (L,), gradient (L, P), terms (L, k), overlap
+    (L,)). A lane whose projection shares no row with its target has
+    loss +inf and a zero gradient.
     """
+    if targets.labels is not None and basis != "power":
+        raise ValidationError("3D supervision uses the power curve basis")
     l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(theta, targets, per_iou, basis)
-    l_reg, g_reg = _height_spread(theta[:, 4:-2])
     grad = weights.beta * (grad_per + grad_v)
-    grad[:, 4:-2] += g_reg
-    loss = weights.beta * (l_per + l_v) + l_reg
+    if targets.labels is None:
+        l_reg, g_reg = _height_spread(theta[:, 4:-2])
+        grad[:, 4:-2] += g_reg
+        loss = weights.beta * (l_per + l_v) + l_reg
+        terms = [l_per, l_v, l_reg]
+    else:
+        # the labels are read at the BEV samples and at the keypoints
+        z_min, z_max, labels = theta[:, -2], theta[:, -1], targets.labels
+        z = np.linspace(z_min, z_max, DEFAULT_BEV_IOU.sample_count, axis=-1)
+        key_z = np.linspace(z_min, z_max, theta.shape[1] - 6, axis=-1)
+        gt_x = np.stack([np.interp(row, g[:, 2], g[:, 0]) for row, g in zip(z, labels)])
+        gt_h = np.stack([np.interp(row, g[:, 2], g[:, 1]) for row, g in zip(key_z, labels)])
+        gt_span = np.array([[g[0, 2], g[-1, 2]] for g in labels])
+        l_bev, g_bev = _bev_term(theta[:, :4], z, gt_x, DEFAULT_BEV_IOU.e)
+        l_h, g_h = _height_term(theta[:, 4:-2], gt_h)
+        l_z, g_z = _span_term(theta[:, -2:], gt_span)
+        grad[:, :4] += weights.alpha * g_bev
+        grad[:, 4:-2] += weights.alpha * g_h
+        grad[:, -2:] += weights.alpha * g_z
+        loss = weights.alpha * (l_bev + l_h + l_z) + weights.beta * (l_per + l_v)
+        terms = [l_per, l_v, l_bev, l_h, l_z]
     loss[~overlap] = np.inf
     grad[~overlap] = 0.0
-    return loss, grad, np.column_stack([l_per, l_v, l_reg]), overlap
+    return loss, grad, np.column_stack(terms), overlap
 
 
 def lane_loss(
@@ -470,58 +540,24 @@ def lane_loss(
     k: CameraIntrinsics,
     gt2d: ResampledLane2D,
     gt3: np.ndarray | None = None,
-    bev_iou: IoUConfig = DEFAULT_BEV_IOU,
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
     basis: str = "power",
 ):
-    """The objective of one predicted lane against its target.
+    """The objective of one predicted lane against its target: lane_losses
+    on a stack of one.
 
     geo_params is [4 curve params, n heights, z_min, z_max] in the given
-    curve basis. With 3D labels (gt3, (m, 3) points ordered by z; power
-    basis only) the loss is alpha * (l_bev + l_h + l_z) + beta * (l_per +
-    l_v); without them it is beta * (l_per + l_v) + l_reg, the height
-    spread (one lane of lane_losses_2d). Returns (loss, gradient over
-    geo_params, terms), where terms holds the pieces present in the
-    branch plus "total", or None when the projection shares no row with
-    the target.
+    curve basis, and gt3 the lane's optional (m, 3) 3D label points.
+    Returns (loss, gradient over geo_params, terms by name plus "total"),
+    or None when the projection shares no row with the target.
     """
-    geo_params = np.asarray(geo_params, dtype=float)
-    if gt3 is None:
-        loss, grad, terms, overlap = lane_losses_2d(
-            geo_params[None, :], LaneTargets.stack([gt2d], [k]), per_iou, weights, basis
-        )
-        if not overlap[0]:
-            return None
-        return float(loss[0]), grad[0], terms_2d(terms[0], loss[0])
-
-    if basis != "power":
-        raise ValidationError("3D supervision uses the power curve basis")
-    per = perspective_losses(None, k, gt2d, per_iou, geo_params=geo_params)
-    if not per.overlap:
+    targets = LaneTargets.stack([gt2d], [k], None if gt3 is None else [gt3])
+    theta = np.asarray(geo_params, dtype=float)[None, :]
+    loss, grad, terms, overlap = lane_losses(theta, targets, per_iou, weights, basis)
+    if not overlap[0]:
         return None
-    grad = weights.beta * (per.grad_per + per.grad_v)
-    lane = lane_from_vector(np.append(geo_params, 1.0))
-    gt3 = np.asarray(gt3, dtype=float)
-    z = np.linspace(lane.z_min, lane.z_max, bev_iou.sample_count)
-    l_bev, g_bev = bev_iou_loss(lane, np.interp(z, gt3[:, 2], gt3[:, 0]), bev_iou)
-    gt_h = np.interp(lane.profile.keypoint_z(), gt3[:, 2], gt3[:, 1])
-    l_h, g_h = height_loss(lane, gt_h)
-    l_z, (g_zmin, g_zmax) = endpoint_z_loss(lane, float(gt3[:, 2].min()), float(gt3[:, 2].max()))
-    grad[0:4] += weights.alpha * g_bev
-    grad[4:-2] += weights.alpha * g_h
-    grad[-2] += weights.alpha * g_zmin
-    grad[-1] += weights.alpha * g_zmax
-    loss = weights.alpha * (l_bev + l_h + l_z) + weights.beta * (per.l_per + per.l_v)
-    terms = {"l_per": per.l_per, "l_v": per.l_v, "l_bev": l_bev, "l_h": l_h, "l_z": l_z}
-    terms["total"] = loss
-    return loss, grad, terms
-
-
-def terms_2d(terms: np.ndarray, loss: float) -> dict[str, float]:
-    """One lane's row of lane_losses_2d terms as the named-terms dict."""
-    l_per, l_v, l_reg = (float(x) for x in terms)
-    return {"l_per": l_per, "l_v": l_v, "l_reg": l_reg, "total": float(loss)}
+    return float(loss[0]), grad[0], targets.named(terms[0], loss[0])
 
 
 @dataclass(frozen=True)
@@ -552,7 +588,6 @@ def total_loss(
     matches: MatchResult,
     k: CameraIntrinsics,
     gts_3d: list[np.ndarray] | None = None,
-    bev_iou: IoUConfig = DEFAULT_BEV_IOU,
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
 ) -> LossBreakdown:
@@ -561,10 +596,9 @@ def total_loss(
     Predictions must already be assigned to ground truth (matches).
     Geometry terms are averaged over the matched pairs; matched
     predictions take classification label 1 and the rest 0. With 3D
-    labels (gts_3d as (m, 3) point arrays ordered by z, aligned with
-    gts_2d) the total is l_cls + alpha * (l_bev + l_h + l_z) +
-    beta * (l_per + l_v); without them it is l_cls + beta * (l_per +
-    l_v) + l_reg.
+    labels (gts_3d as (m, 3) point arrays, aligned with gts_2d) the
+    total is l_cls + alpha * (l_bev + l_h + l_z) + beta * (l_per + l_v);
+    without them it is l_cls + beta * (l_per + l_v) + l_reg.
     """
     n_pred = len(preds)
     if n_pred == 0:
@@ -577,30 +611,19 @@ def total_loss(
     if any(vec.size != dim for vec in vectors):
         raise DimensionMismatchError("all predictions must share one keypoint count")
 
-    sums = {"l_bev": 0.0, "l_h": 0.0, "l_z": 0.0, "l_per": 0.0, "l_v": 0.0, "l_reg": 0.0}
-    kept: list[tuple[int, int]] = []
-    pair_grads: list[np.ndarray] = []
+    scored = []
     for i, j, _cost in matches.pairs:
         gt3 = None if gts_3d is None else gts_3d[j]
-        out = lane_loss(vectors[i][:-1], k, gts_2d[j], gt3, bev_iou, per_iou, weights)
-        if out is None:
-            continue
-        _loss, geo_grad, terms = out
-        for key in sums:
-            sums[key] += terms.get(key, 0.0)
-        kept.append((i, j))
-        pair_grads.append(geo_grad)
-
+        out = lane_loss(vectors[i][:-1], k, gts_2d[j], gt3, per_iou, weights)
+        if out is not None:
+            scored.append((i, j, out))
+    m = max(len(scored), 1)
+    names = ("l_bev", "l_h", "l_z", "l_per", "l_v", "l_reg")
+    sums = {key: sum(out[2].get(key, 0.0) for _i, _j, out in scored) / m for key in names}
     grad = np.zeros((n_pred, dim))
-    m = len(kept)
-    if m > 0:
-        for (i, _j), geo_grad in zip(kept, pair_grads):
-            grad[i, :-1] += geo_grad / m
-        for key in sums:
-            sums[key] /= m
-
     labels = np.zeros(n_pred)
-    for i, _j in kept:
+    for i, _j, (_loss, geo_grad, _terms) in scored:
+        grad[i, :-1] += geo_grad / m
         labels[i] = 1.0
     scores = np.array([p.score for p in preds])
     l_cls, g_cls = classification_loss(scores, labels)
@@ -614,4 +637,5 @@ def total_loss(
         + weights.beta * (sums["l_per"] + sums["l_v"])
         + sums["l_reg"]
     )
-    return LossBreakdown(l_cls=l_cls, **sums, total=total, gradient=grad, matched=tuple(kept))
+    kept = tuple((i, j) for i, j, _out in scored)
+    return LossBreakdown(l_cls=l_cls, **sums, total=total, gradient=grad, matched=kept)

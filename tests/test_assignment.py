@@ -43,7 +43,6 @@ def test_resample_vertical_segment():
     assert np.array_equal(r.v_grid, [0, 100, 200, 300])
     assert np.array_equal(r.present, [False, True, True, True])
     assert np.allclose(r.u_values[r.present], 100.0)
-    assert r.v_start == 300.0 and r.v_end == 100.0
 
 
 def test_resample_diagonal():
@@ -64,7 +63,6 @@ def test_resample_keeps_continuous_endpoints():
     lane = Lane2D(np.array([[10.0, 250.7], [40.0, 120.2]]))
     r = resample_lane(lane, ImageSpec(640, 320))
     assert r.v_first == 250.7 and r.v_last == 120.2
-    assert r.v_start == 250.0 and r.v_end == 121.0
 
 
 def test_first_crossings_picks_first_branch():

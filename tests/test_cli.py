@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from bevlane.assignment import resample_lane
 from bevlane.camera import project_lane
 from bevlane.cli import build_parser, main
 from bevlane.datagen import MAX_FRAMES_PER_SPEC, bump_scene, generate_frame
-from bevlane.fitting import MAX_KEYPOINTS, fit_lane_2d, ipm_init
+from bevlane.fitting import MAX_KEYPOINTS, fit_lane_2d, fit_lane_3d, ipm_init
 from bevlane.geometry import MAX_SAMPLE_COUNT, lane_to_vector
 from bevlane.io_formats import (
     read_anchors,
@@ -173,8 +174,31 @@ class TestFit:
                 want = fit_lane_2d(gt, frame.intrinsics, init).lane
                 assert np.array_equal(lane_to_vector(got), lane_to_vector(want))
 
+    def test_3d_fit_is_the_same_in_any_block(self, tmp_path, monkeypatch):
+        # two row grids in one dataset: the 300-row frames fit in their own blocks
+        spec = write_json(tmp_path / "spec.json", {"scenes": [
+            {"preset": "bump"}, {"preset": "slope", "image": {"width": 800, "height": 300}},
+        ]})
+        dataset = str(tmp_path / "d.jsonl")
+        assert main(["generate", "--spec", spec, "--frames", "2", "--out", dataset]) == 0
+        outputs = []
+        for size in (1, 3, cli.FIT_BLOCK_LANES):
+            monkeypatch.setattr(cli, "FIT_BLOCK_LANES", size)
+            out = tmp_path / f"preds-{size}.jsonl"
+            assert main(["fit", "--dataset", dataset, "--mode", "3d", "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+        frames = read_dataset(dataset)
+        assert {f.image.height for f in frames} == {300, 320}
+        for frame, pred in zip(frames, read_predictions(str(out)), strict=True):
+            lanes = zip(frame.lanes2d, frame.lanes3d, pred.lanes3d, strict=True)
+            for lane2d, gt3, got in lanes:
+                gt = resample_lane(lane2d, frame.image)
+                want = fit_lane_3d(gt3, gt, frame.intrinsics).lane
+                assert np.array_equal(lane_to_vector(got), lane_to_vector(want))
+
     def test_nan_objective_in_a_block_exits_3(self, flat_dataset, tmp_path, monkeypatch):
-        real = fitting.lane_losses_2d
+        real = fitting.lane_losses
 
         def nan_in_second_lane(theta, *args):
             loss, grad, terms, overlap = real(theta, *args)
@@ -182,7 +206,7 @@ class TestFit:
                 loss[1] = np.nan
             return loss, grad, terms, overlap
 
-        monkeypatch.setattr(fitting, "lane_losses_2d", nan_in_second_lane)
+        monkeypatch.setattr(fitting, "lane_losses", nan_in_second_lane)
         out = str(tmp_path / "preds.jsonl")
         code, err = _run(["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", out])
         assert code == 3
@@ -563,6 +587,26 @@ def test_non_finite_fit_setting_exits_2(flat_dataset, tmp_path, flags, field):
     code, err = _run(argv + flags)
     assert code == 2
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--e-per", "inf"], "half-width e"),
+        (["--e-per", "1e308"], "half-width e"),
+        (["--ipm-height", "nan"], "ipm_camera_height"),
+        (["--ipm-height", "inf"], "ipm_camera_height"),
+    ],
+)
+def test_unusable_loss_or_ipm_setting_exits_2(flat_dataset, tmp_path, flags, field):
+    # refused where the config is built, before any array arithmetic warns
+    argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", str(tmp_path / "p")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(argv + flags)
+    assert code == 2
+    assert field in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("which", ["spec", "config", "dataset"])

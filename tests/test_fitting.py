@@ -19,14 +19,15 @@ from bevlane.fitting import (
     fit_heights_direct,
     fit_lane_2d,
     fit_lane_3d,
-    fit_lanes_2d,
+    fit_lanes,
     fit_perspective_baseline,
     ipm_init,
+    label_init,
     power_to_bernstein,
     reprojection_residuals,
 )
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector
-from bevlane.losses import lane_loss
+from bevlane.losses import lane_losses
 from oracles import normal_equations_fit
 
 
@@ -205,7 +206,7 @@ def _mixed_block():
 def test_fit_lanes_2d_block_equals_each_lane_alone(order):
     gts, cams, inits = _mixed_block()
     cfg = FitConfig(order=order)
-    block = fit_lanes_2d(gts, cams, inits, cfg)
+    block = fit_lanes(gts, cams, inits, cfg)
     for gt, cam, init, got in zip(gts, cams, inits, block):
         alone = fit_lane_2d(gt, cam, init, cfg)
         assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(alone.lane))
@@ -224,8 +225,50 @@ def test_fit_lanes_2d_block_equals_each_lane_alone(order):
 def test_fit_lanes_2d_shuffled_block_gives_the_same_lanes():
     gts, cams, inits = _mixed_block()
     order = np.random.default_rng(3).permutation(len(gts))
-    block = fit_lanes_2d(gts, cams, inits)
-    shuffled = fit_lanes_2d(*([items[i] for i in order] for items in (gts, cams, inits)))
+    block = fit_lanes(gts, cams, inits)
+    shuffled = fit_lanes(*([items[i] for i in order] for items in (gts, cams, inits)))
+    for j, i in enumerate(order):
+        assert np.array_equal(lane_to_vector(shuffled[j].lane), lane_to_vector(block[i].lane))
+        assert shuffled[j].terms == block[i].terms
+
+
+def _labelled_block():
+    """Two lanes from each ground preset, each preset with its own camera,
+    with their 3D labels in decreasing z and their least-squares starts;
+    plus a lane whose start projects above the horizon."""
+    gts, cams, inits = _mixed_block()
+    labels = []
+    for i, make in enumerate(datagen.SCENE_PRESETS.values()):
+        camera = CameraIntrinsics(fx=1000.0 - 40 * i, fy=1000.0 + 30 * i, ox=400.0, oy=160.0 - i)
+        frame = datagen.generate_frame(make(intrinsics=camera), seed=11)
+        labels.extend(np.asarray(gt3)[::-1] for gt3 in frame.lanes3d[1:3])
+    starts = [label_init(gt3) for gt3 in labels]
+    return gts, cams, starts + inits[-1:], labels + labels[:1]
+
+
+def test_fit_lanes_with_labels_block_equals_each_lane_alone():
+    gts, cams, starts, labels = _labelled_block()
+    cfg = FitConfig(max_iters=80, plateau_patience=20)
+    block = fit_lanes(gts, cams, starts, cfg, labels3d=labels)
+    for gt, cam, gt3, got in zip(gts, cams, labels, block[:-1]):
+        alone = fit_lane_3d(gt3, gt, cam, cfg)
+        assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(alone.lane))
+        assert (got.iterations, got.converged, got.terms) == (
+            alone.iterations, alone.converged, alone.terms
+        )
+        assert set(got.terms) == {"l_per", "l_v", "l_bev", "l_h", "l_z", "total"}
+        assert np.isfinite(got.terms["total"])
+    # labelled starts are scored, never moved, whatever the descent knobs
+    for start, got in zip(starts, block):
+        assert got.iterations == 0
+        assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(start))
+    assert block[-1].terms == {"total": float("inf")}
+
+    order = np.random.default_rng(3).permutation(len(gts))
+    shuffled = fit_lanes(
+        *([items[i] for i in order] for items in (gts, cams, starts)),
+        labels3d=[labels[i] for i in order],
+    )
     for j, i in enumerate(order):
         assert np.array_equal(lane_to_vector(shuffled[j].lane), lane_to_vector(block[i].lane))
         assert shuffled[j].terms == block[i].terms
@@ -233,17 +276,24 @@ def test_fit_lanes_2d_shuffled_block_gives_the_same_lanes():
 
 def test_fit_lanes_2d_checks_its_stack(k, image):
     gts, cams, inits = _mixed_block()
-    assert fit_lanes_2d([], [], []) == []
+    assert fit_lanes([], [], []) == []
     with pytest.raises(DimensionMismatchError):
-        fit_lanes_2d(gts, cams, inits[:-1])
+        fit_lanes(gts, cams, inits[:-1])
     with pytest.raises(DimensionMismatchError):
-        fit_lanes_2d(gts, cams[:-1], inits)
+        fit_lanes(gts, cams[:-1], inits)
     short = Lane3D(inits[0].curve, HeightProfile(np.full(10, 1.5), 3.0, 80.0), 1.0)
     with pytest.raises(DimensionMismatchError):
-        fit_lanes_2d(gts[:2], cams[:2], [inits[0], short])
+        fit_lanes(gts[:2], cams[:2], [inits[0], short])
     other_grid = resample_lane(project_lane(k, inits[0], 72), ImageSpec(800, 300))
     with pytest.raises(GridMismatchError):
-        fit_lanes_2d([gts[0], other_grid], [k, k], inits[:2])
+        fit_lanes([gts[0], other_grid], [k, k], inits[:2])
+    labels = _labelled_block()[3]
+    with pytest.raises(DimensionMismatchError):
+        fit_lanes(gts, cams, inits, labels3d=labels[:-1])
+    with pytest.raises(DimensionMismatchError):
+        fit_lanes(gts[:1], cams[:1], inits[:1], labels3d=[labels[0][:, :2]])
+    with pytest.raises(ValidationError, match="power"):
+        fit_lanes(gts, cams, inits, FitConfig(order="bezier"), labels3d=labels)
 
 
 def test_fit_config_rejects_bad_patience_and_keypoints():
@@ -292,9 +342,9 @@ def test_fit_lane_3d_at_optimum_stays_put(k, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return lane_loss(*args, **kwargs)
+        return lane_losses(*args, **kwargs)
 
-    monkeypatch.setattr(fitting, "lane_loss", counted)
+    monkeypatch.setattr(fitting, "lane_losses", counted)
     # descent knobs do not reach the 3D fit
     for cfg in (FitConfig(), FitConfig(max_iters=0), FitConfig(step_size=1.0, plateau_patience=1)):
         calls.clear()
@@ -322,10 +372,11 @@ def test_fit_lane_3d_non_finite_loss_raises(monkeypatch):
     frame = datagen.generate_frame(datagen.flat_scene())
     gt2d = resample_lane(frame.lanes2d[0], frame.image)
 
-    def nan_loss(theta, **kwargs):
-        return float("nan"), np.zeros(theta.size), {"total": float("nan")}
+    def nan_loss(theta, *args):
+        n = theta.shape[0]
+        return np.full(n, np.nan), np.zeros(theta.shape), np.zeros((n, 5)), np.ones(n, dtype=bool)
 
-    monkeypatch.setattr(fitting, "lane_loss", nan_loss)
+    monkeypatch.setattr(fitting, "lane_losses", nan_loss)
     with pytest.raises(NonFiniteError, match="iteration 0"):
         fit_lane_3d(frame.lanes3d[0], gt2d, frame.intrinsics)
 

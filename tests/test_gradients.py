@@ -24,7 +24,7 @@ from bevlane.losses import (
     height_loss,
     height_variance_reg,
     lane_loss,
-    lane_losses_2d,
+    lane_losses,
     perspective_losses,
     total_loss,
 )
@@ -175,21 +175,75 @@ def test_lane_losses_2d_gradient_over_a_stack(rng, k, image, basis):
         for row in theta:
             row[:4] = power_to_bernstein(row[3::-1], row[-2], row[-1])
     targets = LaneTargets.stack([gt for _geo, gt in pairs], cams)
-    loss, grad, terms, overlap = lane_losses_2d(theta, targets, basis=basis)
+    loss, grad, terms, overlap = lane_losses(theta, targets, basis=basis)
     assert overlap.all() and (terms[:, 2] > 1e-3).all()
     for lane in range(theta.shape[0]):
 
         def f(row, lane=lane):
             stack = theta.copy()
             stack[lane] = row
-            return lane_losses_2d(stack, targets, basis=basis)[0][lane]
+            return lane_losses(stack, targets, basis=basis)[0][lane]
 
         scales = geo_scales(72, theta[lane, -1]) if basis == "power" else np.ones(theta.shape[1])
         fd = fd_gradient(f, theta[lane], scales)
-        assert_grad_close(grad[lane], fd, label=f"lane_losses_2d[{lane}] {basis}")
+        assert_grad_close(grad[lane], fd, label=f"lane_losses[{lane}] {basis}")
         # the stack is a batch of independent lanes: each row is its lane alone
         alone = lane_loss(theta[lane], cams[lane], pairs[lane][1], basis=basis)
         assert alone[0] == loss[lane] and np.array_equal(alone[1], grad[lane])
+
+
+def test_lane_losses_gradient_with_labels_over_a_stack(rng, k, image):
+    """The labelled objective on a stack with two cameras, lane by lane.
+
+    The label targets are read at the lane's own samples, so they slide
+    with its span and are held fixed by contract: the curve and heights
+    are differenced, and every column, the span's included, must equal
+    the weighted sum of the one-lane term gradients exactly.
+    """
+    cams = [k, CameraIntrinsics(fx=900.0, fy=950.0, ox=380.0, oy=150.0)] * 2
+    pairs = [draw_perspective_pair(rng, cam, image) for cam in cams]
+    theta = np.stack([geo for geo, _gt in pairs])
+    gts = [gt for _geo, gt in pairs]
+    labels = []
+    for geo in theta:
+        other = geo.copy()
+        other[3] += 0.3
+        other[4:-2] += signed_margin(rng, 72, 0.02, 0.1)
+        other[-2:] += [0.4, -1.5]
+        labels.append(sample_lane(geo_to_lane(other), 300)[::-1])  # decreasing z
+    weights = LossWeights(alpha=0.7, beta=1.3)
+    targets = LaneTargets.stack(gts, cams, labels)
+    loss, grad, terms, overlap = lane_losses(theta, targets, weights=weights)
+    assert overlap.all() and terms.shape == (4, 5) and (terms > 1e-3).all()
+    for lane in range(theta.shape[0]):
+
+        def f(row, lane=lane):
+            stack = theta.copy()
+            stack[lane, :-2] = row
+            return lane_losses(stack, targets, weights=weights)[0][lane]
+
+        fd = fd_gradient(f, theta[lane, :-2], geo_scales(72, theta[lane, -1])[:-2])
+        assert_grad_close(grad[lane, :-2], fd, label=f"lane_losses[{lane}] labelled")
+
+        alone = lane_loss(theta[lane], cams[lane], gts[lane], labels[lane], weights=weights)
+        assert alone[0] == loss[lane] and np.array_equal(alone[1], grad[lane])
+
+        pred = geo_to_lane(theta[lane])
+        g3 = labels[lane][::-1]
+        per = perspective_losses(pred, cams[lane], gts[lane])
+        z = np.linspace(pred.z_min, pred.z_max, 72)
+        l_bev, g_bev = bev_iou_loss(pred, np.interp(z, g3[:, 2], g3[:, 0]))
+        l_h, g_h = height_loss(pred, np.interp(pred.profile.keypoint_z(), g3[:, 2], g3[:, 1]))
+        l_z, g_z = endpoint_z_loss(pred, g3[0, 2], g3[-1, 2])
+        assert np.array_equal(terms[lane], [per.l_per, per.l_v, l_bev, l_h, l_z])
+        assert loss[lane] == weights.alpha * (l_bev + l_h + l_z) + weights.beta * (
+            per.l_per + per.l_v
+        )
+        want = weights.beta * (per.grad_per + per.grad_v)
+        want[:4] += weights.alpha * g_bev
+        want[4:-2] += weights.alpha * g_h
+        want[-2:] += weights.alpha * np.array(g_z)
+        assert np.array_equal(grad[lane], want)
 
 
 def test_total_loss_gradient_recombines_terms(rng, k, image):

@@ -18,7 +18,7 @@ from bevlane.losses import (
     height_variance_reg,
     lane_iou,
     lane_loss,
-    lane_losses_2d,
+    lane_losses,
     perspective_losses,
     total_loss,
 )
@@ -277,10 +277,25 @@ def test_lane_losses_2d_zero_gradient_without_overlap(k, image):
     far = make_lane(d=1.0, heights=wavy, z_min=40.0, z_max=70.0)
     gt = resample_lane(project_lane(k, far, 72), image)
     theta = np.stack([lane_to_vector(near)[:-1], lane_to_vector(far)[:-1]])
-    loss, grad, terms, overlap = lane_losses_2d(theta, LaneTargets.stack([gt, gt], [k, k]))
+    loss, grad, terms, overlap = lane_losses(theta, LaneTargets.stack([gt, gt], [k, k]))
     assert overlap.tolist() == [False, True]
     assert loss[0] == np.inf and not grad[0].any()
     assert terms[1, 2] > 0.0 and grad[1, 4:-2].any()
+
+
+def test_lane_loss_reads_labels_in_any_order(k, image, rng):
+    # np.interp needs increasing z, so the labels are sorted once, whatever
+    # order they come in
+    gt_lane = make_lane(c=0.01, d=1.0, heights=1.5 + 0.2 * np.sin(np.linspace(0, 5, 72)))
+    pred = make_lane(c=0.012, d=1.2, heights=np.full(72, 1.45), z_min=5.0, z_max=55.0)
+    gt = resample_lane(project_lane(k, gt_lane, 72), image)
+    labels = sample_lane(gt_lane, 200)
+    theta = lane_to_vector(pred)[:-1]
+    want = lane_loss(theta, k, gt, labels)
+    assert want[2]["l_bev"] > 0.0 and want[2]["l_h"] > 0.0 and want[2]["l_z"] > 0.0
+    for shuffled in (labels[::-1], labels[rng.permutation(200)]):
+        got = lane_loss(theta, k, gt, shuffled)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
 
 
 def test_scale_ambiguity_regularizer_pins_scale(k, image):
