@@ -10,13 +10,13 @@ pairs at or above a cost threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .camera import ImageSpec, Lane2D
-from .errors import DegenerateLaneError, GridMismatchError, ValidationError
+from .errors import DegenerateLaneError, DomainError, GridMismatchError, ValidationError
 
 DEFAULT_MATCH_THRESHOLD = 30.0
 
@@ -246,11 +246,10 @@ def hungarian_assign(costs: np.ndarray, match_threshold: float = DEFAULT_MATCH_T
     work = np.full((side, side), pad_value)
     work[:n_pred, :n_gt] = np.where(np.isfinite(costs), costs, big)
 
-    row_idx, col_idx = linear_sum_assignment(work)
     pairs = []
-    for i, j in zip(row_idx, col_idx):
+    for i, j in enumerate(_lsap(work.tolist())):
         if i < n_pred and j < n_gt and costs[i, j] < match_threshold:
-            pairs.append((int(i), int(j), float(costs[i, j])))
+            pairs.append((i, j, float(costs[i, j])))
     matched_p = {i for i, _, _ in pairs}
     matched_g = {j for _, j, _ in pairs}
     return MatchResult(
@@ -258,6 +257,81 @@ def hungarian_assign(costs: np.ndarray, match_threshold: float = DEFAULT_MATCH_T
         unmatched_predictions=tuple(i for i in range(n_pred) if i not in matched_p),
         unmatched_ground_truths=tuple(j for j in range(n_gt) if j not in matched_g),
     )
+
+
+def _lsap(cost: list[list[float]]) -> list[int]:
+    """Column of each row in a minimum-cost assignment of a square cost matrix.
+
+    A port, for the square case, of the shortest-augmenting-path solver
+    that linear_sum_assignment runs (Crouse 2016, "On implementing 2D
+    rectangular assignment algorithms", IEEE TAES 52(4)). It keeps that
+    solver's order of operations and tie rule, so it picks the same
+    assignment on every input, ties included. Each row in turn grows a
+    shortest-path tree over reduced costs until it reaches an unassigned
+    column, then the duals are updated and the path is flipped. Plain
+    lists: at a few rows per frame, numpy's per-call overhead would cost
+    more than the loop.
+    """
+    n = len(cost)
+    u = [0.0] * n
+    v = [0.0] * n
+    path = [-1] * n
+    col4row = [-1] * n
+    row4col = [-1] * n
+    for cur_row in range(n):
+        shortest = [math.inf] * n
+        seen_rows = [False] * n
+        seen_cols = [False] * n
+        # Reverse order, so that a constant matrix yields the identity.
+        remaining = list(range(n - 1, -1, -1))
+        num_remaining = n
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            seen_rows[i] = True
+            row, u_i = cost[i], u[i]
+            index = -1
+            lowest = math.inf
+            for it in range(num_remaining):
+                j = remaining[it]
+                r = min_val + row[j] - u_i - v[j]
+                if r < shortest[j]:
+                    path[j] = i
+                    shortest[j] = r
+                # On a tie, prefer a column that ends the path.
+                if shortest[j] < lowest or (shortest[j] == lowest and row4col[j] == -1):
+                    lowest = shortest[j]
+                    index = it
+            if lowest == math.inf:
+                # Only reached when the costs overflow double precision.
+                raise DomainError("assignment costs overflow double precision")
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            seen_cols[j] = True
+            num_remaining -= 1
+            remaining[index] = remaining[num_remaining]
+
+        u[cur_row] += min_val
+        for i in range(n):
+            if seen_rows[i] and i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in range(n):
+            if seen_cols[j]:
+                v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+    return col4row
 
 
 def match_lanes(

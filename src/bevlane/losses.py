@@ -46,8 +46,13 @@ class IoUConfig:
     sample_count: int = 72
 
     def __post_init__(self):
-        if not (self.e > 0.0 and math.isfinite(4.0 * self.e)):
-            raise ValidationError(f"IoU half-width e must be > 0 with 4e finite, got {self.e}")
+        # The IoU gradient divides by (2e + |dx|)^2, which must neither
+        # underflow to 0 (0 / 0 at dx = 0) nor overflow at dx = 0.
+        two_e = 2.0 * self.e
+        if not (self.e > 0.0 and 0.0 < two_e * two_e < math.inf):
+            raise ValidationError(
+                f"IoU half-width e must be > 0 with (2e)^2 finite and > 0, got {self.e}"
+            )
         if self.sample_count < 2:
             raise ValidationError("sample_count must be >= 2")
 

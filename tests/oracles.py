@@ -12,20 +12,29 @@ import itertools
 import numpy as np
 
 
-def assign_brute_force(costs: np.ndarray) -> float:
-    """Minimum total cost over all injections of the smaller side."""
+def assign_brute_force(costs: np.ndarray, match_threshold: float = np.inf) -> float:
+    """Total cost of the kept pairs of a minimum-cost injection of the smaller side.
+
+    Injections are ranked by how many +inf (impossible) pairs they use,
+    then by the total of their finite costs; the kept pairs of the best
+    are those below match_threshold. Without +inf entries or a threshold
+    this is the minimum total cost.
+    """
     costs = np.asarray(costs, dtype=float)
     p, g = costs.shape
-    best = np.inf
     if p <= g:
-        for cols in itertools.permutations(range(g), p):
-            total = sum(costs[i, c] for i, c in enumerate(cols))
-            best = min(best, total)
+        injections = (list(enumerate(cols)) for cols in itertools.permutations(range(g), p))
     else:
-        for rows in itertools.permutations(range(p), g):
-            total = sum(costs[r, j] for j, r in enumerate(rows))
-            best = min(best, total)
-    return best
+        injections = (
+            [(r, j) for j, r in enumerate(rows)] for rows in itertools.permutations(range(p), g)
+        )
+    best_key, best = (np.inf, np.inf), []
+    for pairs in injections:
+        finite = [costs[i, j] for i, j in pairs if np.isfinite(costs[i, j])]
+        key = (len(pairs) - len(finite), sum(finite))
+        if key < best_key:
+            best_key, best = key, pairs
+    return sum(costs[i, j] for i, j in best if costs[i, j] < match_threshold)
 
 
 def normal_equations_fit(z: np.ndarray, x: np.ndarray, order: int) -> np.ndarray:

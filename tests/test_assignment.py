@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bevlane.assignment import (
+    _lsap,
     cost_matrix,
     first_crossings,
     first_crossings_batch,
@@ -13,7 +14,7 @@ from bevlane.assignment import (
     row_grid,
 )
 from bevlane.camera import ImageSpec, Lane2D
-from bevlane.errors import DegenerateLaneError, GridMismatchError, ValidationError
+from bevlane.errors import DegenerateLaneError, DomainError, GridMismatchError, ValidationError
 from oracles import (
     assign_brute_force,
     first_crossings_oracle,
@@ -330,6 +331,43 @@ def test_hungarian_rejects_bad_input():
         hungarian_assign(np.array([[1.0, np.nan]]), 30.0)
     with pytest.raises(ValidationError):
         hungarian_assign(np.array([[-1.0]]), 30.0)
+
+
+def test_hungarian_vs_brute_force_with_inf_and_thresholds(rng):
+    # +inf pairs are avoided whenever an injection can, then dropped;
+    # pairs at or over the threshold are dropped after the assignment
+    for k in range(300):
+        p, g = (int(n) for n in rng.integers(1, 7, size=2))
+        costs = rng.uniform(0.0, 60.0, size=(p, g))
+        if k % 2:
+            costs[rng.random((p, g)) < 0.3] = np.inf
+        thr = (np.inf, 30.0, float(rng.uniform(5.0, 60.0)))[k % 3]
+        res = hungarian_assign(costs, match_threshold=thr)
+        total = sum(c for _, _, c in res.pairs)
+        assert total == pytest.approx(assign_brute_force(costs, thr), abs=1e-9)
+
+
+def test_lsap_equals_linear_sum_assignment():
+    # the port picks the reference solver's assignment, ties included
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(1602)
+    for k in range(6000):
+        n = int(rng.integers(1, 9))
+        costs = [
+            rng.uniform(0.0, 40.0, size=(n, n)),
+            rng.integers(0, 3, size=(n, n)).astype(float),
+            np.full((n, n), float(rng.integers(0, 5))),
+            rng.integers(0, 10, size=(n, n)) / 8.0,
+        ][k % 4]
+        _, cols = optimize.linear_sum_assignment(costs)
+        assert _lsap(costs.tolist()) == cols.tolist(), costs
+
+
+def test_hungarian_overflowing_costs_raise():
+    # 1e308 leaves no finite stand-in for +inf, so the second row has no
+    # finite path; the solver stops instead of walking a stale path
+    with pytest.raises(DomainError):
+        hungarian_assign(np.array([[1e308, 1e308], [np.inf, np.inf]]), 30.0)
 
 
 def test_constant_shift_keeps_argmin(rng):

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -596,6 +599,10 @@ def test_non_finite_fit_setting_exits_2(flat_dataset, tmp_path, flags, field):
         (["--e-per", "1e308"], "half-width e"),
         (["--ipm-height", "nan"], "ipm_camera_height"),
         (["--ipm-height", "inf"], "ipm_camera_height"),
+        # (2e + |dx|)^2 underflows to 0 (0 / 0 at dx = 0) or overflows
+        (["--e-per", "1e-300"], "half-width e"),
+        (["--mode", "3d", "--e-per", "1e-300"], "half-width e"),
+        (["--e-per", "1e200"], "half-width e"),
     ],
 )
 def test_unusable_loss_or_ipm_setting_exits_2(flat_dataset, tmp_path, flags, field):
@@ -607,6 +614,29 @@ def test_unusable_loss_or_ipm_setting_exits_2(flat_dataset, tmp_path, flags, fie
     assert code == 2
     assert field in err and "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("mode", ["2d", "3d"])
+def test_tiny_iou_half_width_still_fits(flat_dataset, tmp_path, mode):
+    # (2e)^2 is still a positive double at e = 1e-150 and 1e-162
+    for e in ["1e-150", "1e-162"]:
+        argv = ["fit", "--dataset", flat_dataset, "--mode", mode, "--e-per", e]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run(argv + ["--out", str(tmp_path / f"p{e}")])
+        assert code == 0, err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_import_loads_no_scipy():
+    # the package's runtime is numpy only: no stage pays for importing scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import bevlane.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("which", ["spec", "config", "dataset"])
