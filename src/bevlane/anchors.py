@@ -181,6 +181,8 @@ def cluster_anchors(
         raise ValidationError(f"k={k} exceeds the {len(descriptors)} descriptors")
     if restarts < 1:
         raise ValidationError("restarts must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     if rows is None:
         m = descriptors[0].u.size
         rows = descriptor_rows(image, m)

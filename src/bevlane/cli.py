@@ -28,12 +28,6 @@ from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT
 from .losses import IoUConfig, LossWeights
 
 
-def _parse_order(text: str):
-    if text not in ("2", "3", "4", "bezier"):
-        raise argparse.ArgumentTypeError(f"order must be 2, 3, 4 or bezier, got {text!r}")
-    return text if text == "bezier" else int(text)
-
-
 def _count(limit: int | None = None):
     """An argparse type for an int of at least 1 and at most limit."""
 
@@ -89,8 +83,6 @@ def _cmd_fit(opts) -> int:
         targets = [] if opts.mode == "baseline" else resample_on_grid(frame.lanes2d, frame.image)
         for idx, gt2d in enumerate(frame.lanes2d):
             if opts.mode == "baseline":
-                if opts.order == "bezier":
-                    raise SchemaError("the baseline fit is polynomial; use order 2, 3 or 4")
                 fit = fitting.fit_perspective_baseline(gt2d, order=opts.order)
                 v = np.linspace(gt2d.v.max(), gt2d.v.min(), DEFAULT_SAMPLE_COUNT)
                 lanes.append((Lane2D(np.column_stack([fit.u_at(v), v])), fit.max_residual))
@@ -388,9 +380,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "help": "supervision mode",
             },
             "--order": {
-                "type": _parse_order,
+                "type": int,
+                "choices": fitting.ORDERS,
                 "default": fit_defaults.order,
-                "help": "2, 3, 4 or bezier",
+                "help": "least-squares degree; 4 in baseline mode only",
             },
             "--beta": {"type": float, "default": 1.0, "help": "2D loss weight"},
             "--e-per": {"type": float, "default": 15.0, "help": "image IoU half-width [px]"},

@@ -133,6 +133,13 @@ class JitterSpec:
     grade_delta: float = 0.0
     wavelength_delta: float = 0.0
 
+    def __post_init__(self):
+        # the draw's range, 2 * delta wide, must be a finite double
+        for delta in (*self.curve_delta, self.amplitude_delta, self.grade_delta,
+                      self.wavelength_delta):
+            if not abs(2.0 * delta) < math.inf:
+                raise ValidationError(f"jitter delta {delta} is too large to draw from")
+
 
 @dataclass(frozen=True)
 class FrameRecord:
@@ -155,16 +162,19 @@ def generate_frame(spec: SceneSpec, frame_id: int = 0, seed: int | None = None) 
     model; its 2D label is the exact pinhole projection of its 3D points.
     """
     z0, z1 = spec.z_range
-    z = np.linspace(z0, z1, spec.samples_per_lane)
-    y = ground_height(spec.ground, z, spec.camera_height)
-    center_x = spec.centerline.x_at(z)
     lanes3d = []
     lanes2d = []
-    for offset in spec.lateral_offsets:
-        pts = np.column_stack([center_x + offset, y, z])
-        pts.setflags(write=False)
-        lanes3d.append(pts)
-        lanes2d.append(Lane2D(project_points(spec.intrinsics, pts)))
+    # A recipe of huge finite values overflows to inf or NaN here, and
+    # Lane2D then refuses the lane as non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.linspace(z0, z1, spec.samples_per_lane)
+        y = ground_height(spec.ground, z, spec.camera_height)
+        center_x = spec.centerline.x_at(z)
+        for offset in spec.lateral_offsets:
+            pts = np.column_stack([center_x + offset, y, z])
+            pts.setflags(write=False)
+            lanes3d.append(pts)
+            lanes2d.append(Lane2D(project_points(spec.intrinsics, pts)))
     return FrameRecord(
         frame_id=frame_id,
         tag=spec.tag,

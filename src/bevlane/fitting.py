@@ -1,16 +1,18 @@
 """Fitting lanes to labeled points: least squares plus gradient refinement.
 
-Direct fits handle the supervised pieces (polynomial BEV curve, height
-keypoints, a perspective-space polynomial baseline); with 3D labels they
-are the whole fit (label_init). With 2D labels only, momentum gradient
-descent on the image-plane losses recovers the lane from a flat-ground
-start (ipm_init). fit_lanes, the one fitter, scores a stack of lanes
-with losses.lane_losses and without 3D labels descends them, each lane
-with its own step scales, velocity, best iterate and stop; fit_lane_3d
-and fit_lane_2d are its stacks of one. The descent runs in a diagonally
-rescaled parameter space: curve coefficients act on different powers of
-z, so their raw gradient magnitudes differ by orders of magnitude and
-unscaled steps either crawl or blow up.
+Every lane curve is the power cubic [a, b, c, d] of
+geometry.lane_to_vector. Direct fits handle the supervised pieces
+(polynomial BEV curve, height keypoints, a perspective-space polynomial
+baseline); with 3D labels they are the whole fit (label_init). With 2D
+labels only, momentum gradient descent on the image-plane losses
+recovers the lane from a flat-ground start (ipm_init). fit_lanes, the
+one fitter, scores a stack of lanes with losses.lane_losses and without
+3D labels descends them, each lane with its own step scales, velocity,
+best iterate and stop; fit_lane_3d and fit_lane_2d are its stacks of
+one. The descent runs in a diagonally rescaled parameter space: curve
+coefficients act on different powers of z, so their raw gradient
+magnitudes differ by orders of magnitude and unscaled steps either crawl
+or blow up.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .losses import (
     IoUConfig,
     LaneTargets,
     LossWeights,
-    bernstein_basis,
     lane_losses,
 )
 
@@ -53,27 +54,18 @@ ROW_TERM_DAMP = 1e-2
 # keypoints) arrays, and every predicted lane stores its keypoints.
 MAX_KEYPOINTS = 1000
 
-_ORDERS = (2, 3, 4, "bezier")
-
-# Row j holds the s^j coefficients of the four cubic Bernstein polynomials.
-_BERNSTEIN_TO_S = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [-3.0, 3.0, 0.0, 0.0],
-        [3.0, -6.0, 3.0, 0.0],
-        [-1.0, 3.0, -3.0, 1.0],
-    ]
-)
+# Polynomial degrees of the least-squares fits; a lane curve takes 2 or 3.
+ORDERS = (2, 3, 4)
 
 
 @dataclass(frozen=True)
 class FitConfig:
     """Knobs for the fitters and model selection.
 
-    order picks the BEV curve model: polynomial degree 2, 3 or 4, or
-    "bezier" for a cubic on the Bernstein basis. Degree 4 is available
-    for the least-squares comparison only; the lane representation (and
-    gradient refinement) is cubic.
+    order is the polynomial degree of the least-squares fits: 2, 3 or 4.
+    Degree 4 is available for those fits only; a lane's curve is the
+    power cubic of geometry.lane_to_vector, and order 2 pins its cubic
+    coefficient at 0.
 
     label_init reads order and keypoints. fit_lanes reads order, and
     without 3D labels the descent knobs max_iters, step_size and
@@ -85,13 +77,13 @@ class FitConfig:
     max_iters: int = 60
     step_size: float = 1e-2
     plateau_patience: int = 15
-    order: int | str = 3
+    order: int = 3
     keypoints: int = 72
     ipm_camera_height: float = 1.5
 
     def __post_init__(self):
-        if self.order not in _ORDERS:
-            raise ValidationError(f"order must be one of {_ORDERS}, got {self.order!r}")
+        if self.order not in ORDERS:
+            raise ValidationError(f"order must be one of {ORDERS}, got {self.order!r}")
         if self.max_iters < 0 or self.plateau_patience < 1:
             raise ValidationError("bad fit configuration")
         if not 0.0 < self.step_size < np.inf:
@@ -108,14 +100,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class PolyFit:
-    """A least-squares BEV curve fit.
-
-    coefficients are ascending powers of z; a Bernstein fit is stored as
-    its equivalent power coefficients.
-    """
+    """A least-squares BEV curve fit; coefficients are ascending powers of z."""
 
     coefficients: np.ndarray
-    basis: str
     rms_residual: float
     max_residual: float
 
@@ -132,64 +119,37 @@ class PolyFit:
         return BevCurve(a=c[3], b=c[2], c=c[1], d=c[0])
 
 
-def bernstein_to_power(control: np.ndarray, z_min: float, z_max: float) -> np.ndarray:
-    """Ascending-z cubic coefficients of a Bernstein curve over [z_min, z_max]."""
-    span = z_max - z_min
-    if span <= 0.0:
-        raise ValidationError("z span must be positive")
-    coeffs_s = _BERNSTEIN_TO_S @ np.asarray(control, dtype=float)
-    poly_s = np.polynomial.Polynomial(coeffs_s)
-    poly_z = poly_s(np.polynomial.Polynomial([-z_min / span, 1.0 / span]))
-    out = np.zeros(4)
-    out[: poly_z.coef.size] = poly_z.coef
-    return out
+def _least_squares(t: np.ndarray, y: np.ndarray, order: int, abscissae: str):
+    """Ascending coefficients of the degree-order polynomial y(t) by least
+    squares, with the rms and max residual.
 
-
-def power_to_bernstein(coefficients: np.ndarray, z_min: float, z_max: float) -> np.ndarray:
-    """Control values of the cubic over [z_min, z_max], inverse of the above."""
-    span = z_max - z_min
-    if span <= 0.0:
-        raise ValidationError("z span must be positive")
-    poly_z = np.polynomial.Polynomial(np.asarray(coefficients, dtype=float))
-    poly_s = poly_z(np.polynomial.Polynomial([z_min, span]))
-    coeffs_s = np.zeros(4)
-    coeffs_s[: poly_s.coef.size] = poly_s.coef
-    return np.linalg.solve(_BERNSTEIN_TO_S, coeffs_s)
-
-
-def fit_bev_polynomial(points: np.ndarray, order: int | str = 3) -> PolyFit:
-    """Least-squares x(z) over 3D lane points, shape (m, 3) of [x, y, z].
-
-    order 2, 3 or 4 fits that polynomial degree; "bezier" fits a cubic on
-    the Bernstein basis over the points' z span. Raises
-    RankDeficientError when there are fewer distinct z values than
-    unknowns.
+    Raises RankDeficientError when fewer distinct t than unknowns are
+    given (abscissae names them), and DegenerateInputError when the
+    powers of t overflow.
     """
+    n_distinct = np.unique(t).size
+    if n_distinct < order + 1:
+        raise RankDeficientError(
+            f"{n_distinct} distinct {abscissae} cannot determine {order + 1} coefficients"
+        )
+    with np.errstate(over="ignore"):
+        design = np.vander(t, order + 1, increasing=True)
+    if not np.isfinite(design).all():
+        raise DegenerateInputError(f"{abscissae} too large for a degree-{order} fit")
+    coeffs, *_ = np.linalg.lstsq(design, y, rcond=None)
+    residual = design @ coeffs - y
+    return coeffs, float(np.sqrt(np.mean(residual**2))), float(np.max(np.abs(residual)))
+
+
+def fit_bev_polynomial(points: np.ndarray, order: int = 3) -> PolyFit:
+    """Least-squares x(z) of polynomial degree order (2, 3 or 4) over 3D
+    lane points, shape (m, 3) of [x, y, z]."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValidationError(f"expected (m, 3) points, got {points.shape}")
-    if order not in _ORDERS:
-        raise ValidationError(f"order must be one of {_ORDERS}, got {order!r}")
-    z, x = points[:, 2], points[:, 0]
-    n_unknowns = 4 if order == "bezier" else order + 1
-    if np.unique(z).size < n_unknowns:
-        raise RankDeficientError(
-            f"{np.unique(z).size} distinct z values cannot determine {n_unknowns} coefficients"
-        )
-
-    if order == "bezier":
-        z0, z1 = float(z.min()), float(z.max())
-        design = bernstein_basis((z - z0) / (z1 - z0))
-    else:
-        design = np.vander(z, order + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(design, x, rcond=None)
-    residual = design @ coeffs - x
-    return PolyFit(
-        coefficients=bernstein_to_power(coeffs, z0, z1) if order == "bezier" else coeffs,
-        basis="bernstein" if order == "bezier" else "power",
-        rms_residual=float(np.sqrt(np.mean(residual**2))),
-        max_residual=float(np.max(np.abs(residual))),
-    )
+    if order not in ORDERS:
+        raise ValidationError(f"order must be one of {ORDERS}, got {order!r}")
+    return PolyFit(*_least_squares(points[:, 2], points[:, 0], order, "z values"))
 
 
 def fit_heights_direct(
@@ -235,19 +195,7 @@ def fit_perspective_baseline(lane: Lane2D, order: int = 3) -> PerspectiveFit:
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    u, v = lane.u, lane.v
-    if np.unique(v).size < order + 1:
-        raise RankDeficientError(
-            f"{np.unique(v).size} distinct rows cannot determine {order + 1} coefficients"
-        )
-    design = np.vander(v, order + 1, increasing=True)
-    coeffs, *_ = np.linalg.lstsq(design, u, rcond=None)
-    residual = design @ coeffs - u
-    return PerspectiveFit(
-        coefficients=coeffs,
-        rms_residual=float(np.sqrt(np.mean(residual**2))),
-        max_residual=float(np.max(np.abs(residual))),
-    )
+    return PerspectiveFit(*_least_squares(lane.v, lane.u, order, "rows"))
 
 
 @dataclass(frozen=True)
@@ -265,15 +213,14 @@ class FitReport:
     terms: dict[str, float]
 
 
-def _scales(theta: np.ndarray, basis: str) -> np.ndarray:
+def _scales(theta: np.ndarray) -> np.ndarray:
     """Per-parameter step scales; curve coefficients scale by z powers,
     heights and span endpoints are damped against the endpoint-row creases."""
     scales = np.ones(theta.size)
-    if basis == "power":
-        zc = max(abs(float(theta[-1])), 1.0)
-        scales[0] = zc**-3
-        scales[1] = zc**-2
-        scales[2] = zc**-1
+    zc = max(abs(float(theta[-1])), 1.0)
+    scales[0] = zc**-3
+    scales[1] = zc**-2
+    scales[2] = zc**-1
     scales[4:] = ROW_TERM_DAMP
     return scales
 
@@ -288,20 +235,6 @@ def _check_finite(loss: np.ndarray, grad: np.ndarray, iteration: int) -> None:
     grad_ok = np.isfinite(grad).all(axis=-1)
     if np.any(np.isnan(loss) | (np.isfinite(loss) & ~grad_ok)):
         raise NonFiniteError(f"objective became non-finite at iteration {iteration}")
-
-
-def _theta_to_lane(theta: np.ndarray, basis: str) -> Lane3D:
-    vec = np.append(theta, 1.0)  # score
-    if basis == "bernstein":
-        vec[:4] = bernstein_to_power(theta[:4], float(theta[-2]), float(theta[-1]))[::-1]
-    return lane_from_vector(vec)
-
-
-def _lane_to_theta(lane: Lane3D, basis: str) -> np.ndarray:
-    geo = lane_to_vector(lane)[:-1]
-    if basis == "bernstein":
-        geo[:4] = power_to_bernstein(geo[3::-1], lane.z_min, lane.z_max)
-    return geo
 
 
 def fit_lanes(
@@ -331,8 +264,7 @@ def fit_lanes(
         raise DimensionMismatchError("need one initial lane per target")
     if not gts:
         return []
-    basis = "bernstein" if cfg.order == "bezier" else "power"
-    thetas = [_lane_to_theta(init, basis) for init in inits]
+    thetas = [lane_to_vector(init)[:-1] for init in inits]
     if any(t.size != thetas[0].size for t in thetas):
         raise DimensionMismatchError("all initial lanes must share one keypoint count")
     theta = np.stack(thetas)
@@ -341,13 +273,13 @@ def fit_lanes(
         theta[:, 0] = 0.0
         mask[0] = 0.0
     _clamp_span(theta)
-    scales = np.stack([_scales(row, basis) for row in theta])
+    scales = np.stack([_scales(row) for row in theta])
     step = cfg.step_size * scales**2
     targets = LaneTargets.stack(gts, intrinsics, labels3d)
     max_iters = 0 if labels3d is not None else cfg.max_iters
 
     def objective(lanes, iteration):
-        out = lane_losses(theta[lanes], targets.take(lanes), per_iou, weights, basis)
+        out = lane_losses(theta[lanes], targets.take(lanes), per_iou, weights)
         _check_finite(out[0], out[1], iteration)
         return out
 
@@ -377,7 +309,7 @@ def fit_lanes(
 
     return [
         FitReport(
-            _theta_to_lane(best_theta[i], basis),
+            lane_from_vector(np.append(best_theta[i], 1.0)),  # score 1
             int(iterations[i]),
             False,
             targets.named(best_terms[i], best_loss[i]) if best_overlap[i] else {"total": np.inf},
@@ -402,6 +334,8 @@ def _start_lane(pts: np.ndarray, order: int, keypoints: int) -> Lane3D:
     """Least-squares curve through [x, y, z] points, then heights over their
     z span clamped by Z_FLOOR and MIN_SPAN, so short spans are padded
     rather than stretched."""
+    if order == 4:
+        raise ValidationError("lane curves are cubic; degree 4 is least-squares only")
     poly = fit_bev_polynomial(pts, order=order)
     z_min = max(float(pts[:, 2].min()), Z_FLOOR)
     z_max = max(float(pts[:, 2].max()), z_min + MIN_SPAN)
@@ -412,8 +346,6 @@ def _start_lane(pts: np.ndarray, order: int, keypoints: int) -> Lane3D:
 def label_init(gt3: np.ndarray, cfg: FitConfig = FitConfig()) -> Lane3D:
     """The 3D twin of ipm_init: a cubic lane whose curve, span and heights
     are read off its 3D labeled points, in order of z, by least squares."""
-    if cfg.order == 4 or cfg.order == "bezier":
-        raise ValidationError("3D fitting uses the cubic representation")
     gt3 = np.asarray(gt3, dtype=float)
     return _start_lane(gt3[np.argsort(gt3[:, 2], kind="stable")], cfg.order, cfg.keypoints)
 
@@ -442,10 +374,9 @@ def ipm_init(gt: Lane2D, k: CameraIntrinsics, cfg: FitConfig = FitConfig()) -> L
     pts = invert_to_ground(k, below[:, 0], below[:, 1], cfg.ipm_camera_height)
     if pts.shape[0] < 2:
         raise DegenerateInputError("too few points below the horizon to back-project")
-    fit_order = 3 if cfg.order in (4, "bezier") else cfg.order
-    if np.unique(pts[:, 2]).size < fit_order + 1:
+    if np.unique(pts[:, 2]).size < cfg.order + 1:
         raise DegenerateInputError("back-projected points span too few distinct depths")
-    return _start_lane(pts, fit_order, cfg.keypoints)
+    return _start_lane(pts, cfg.order, cfg.keypoints)
 
 
 def reprojection_residuals(lane: Lane3D, k: CameraIntrinsics, gt3: np.ndarray) -> np.ndarray:

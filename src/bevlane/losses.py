@@ -10,10 +10,11 @@ geometry and a height standard-deviation regularizer removes the
 otherwise unconstrained vertical wobble.
 
 Every term returns its gradient with respect to the lane parameter
-vector convention of geometry.lane_to_vector, restricted to the slice
-the term actually touches. Sampling is uniform in fractions of the
-lane's span, so interpolation weights are constants of the parameters
-and the terms stay piecewise smooth.
+vector convention of geometry.lane_to_vector, whose curve is the power
+cubic [a, b, c, d], restricted to the slice the term actually touches.
+Sampling is uniform in fractions of the lane's span, so interpolation
+weights are constants of the parameters and the terms stay piecewise
+smooth.
 
 Every term runs on an (L, P) stack of lanes at once, and lane_losses
 combines them into the one objective of both branches; whether the
@@ -203,13 +204,6 @@ def classification_loss(scores: np.ndarray, labels: np.ndarray):
     return loss, grad
 
 
-def bernstein_basis(s: np.ndarray) -> np.ndarray:
-    """Cubic Bernstein polynomials evaluated at fractions s, shape (m, 4)."""
-    s = np.asarray(s, dtype=float)
-    r = 1.0 - s
-    return np.stack([r**3, 3.0 * r**2 * s, 3.0 * r * s**2, s**3], axis=1)
-
-
 @dataclass(frozen=True)
 class LaneTargets:
     """The targets of a stack of lanes, each with its camera.
@@ -289,7 +283,7 @@ class _Projection:
     w: np.ndarray
 
 
-def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int, basis: str) -> _Projection:
+def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int) -> _Projection:
     """Project the uniform samples of an (L, P) stack of lanes through (L, 4) cameras.
 
     Only elementwise arithmetic and reductions along a lane's own row are
@@ -304,22 +298,13 @@ def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int, basis: st
     m = sample_count
     s = np.linspace(0.0, 1.0, m)
     z = z_min + s * (z_max - z_min)
-    c0, c1, c2, c3 = (theta[:, i : i + 1] for i in range(4))
-    if basis == "power":
-        # BevCurve.x_at's evaluator and its slope dx/dz, per lane.
-        x = polyval(z, theta[:, 3::-1].T[..., None], tensor=False)
-        dx_dcurve = _powers(z)
-        slope = (3.0 * c0 * z + 2.0 * c1) * z + c2
-        # z_j = z_min + s_j * (z_max - z_min), so moving an endpoint slides
-        # the sample along the curve.
-        dx_dspan = np.stack([slope * (1.0 - s), slope * s], axis=1)
-    else:
-        # Control points ride the span fractions, so x at a fixed fraction
-        # does not depend on the z endpoints at all.
-        basis_s = bernstein_basis(s).T
-        x = c0 * basis_s[0] + c1 * basis_s[1] + c2 * basis_s[2] + c3 * basis_s[3]
-        dx_dcurve = np.broadcast_to(basis_s, (theta.shape[0], 4, m))
-        dx_dspan = np.zeros((theta.shape[0], 2, m))
+    # BevCurve.x_at's evaluator and its slope dx/dz, per lane.
+    c0, c1, c2 = (theta[:, i : i + 1] for i in range(3))
+    x = polyval(z, theta[:, 3::-1].T[..., None], tensor=False)
+    slope = (3.0 * c0 * z + 2.0 * c1) * z + c2
+    # z_j = z_min + s_j * (z_max - z_min), so moving an endpoint slides
+    # the sample along the curve.
+    dx_dspan = np.stack([slope * (1.0 - s), slope * s], axis=1)
 
     # Height keypoints sit at uniform fractions too, so the interpolation
     # weights of each sample are constants of the parameters.
@@ -334,7 +319,7 @@ def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int, basis: st
     return _Projection(
         u=fx * x / z + ox,
         v=fy * y / z + oy,
-        du_dcurve=fx[:, :, None] * dx_dcurve * inv_z[:, None, :],
+        du_dcurve=fx[:, :, None] * _powers(z) * inv_z[:, None, :],
         du_dspan=fx[:, :, None] * (dx_dspan * z[:, None, :] - x[:, None, :] * dz_dspan) * inv_z2,
         dv_dy=fy * inv_z,
         dv_dspan=-fy[:, :, None] * y[:, None, :] * dz_dspan * inv_z2,
@@ -367,7 +352,6 @@ def project_with_jacobian(
     geo_params: np.ndarray,
     k: CameraIntrinsics,
     sample_count: int,
-    basis: str = "power",
 ):
     """Project a lane's uniform samples and differentiate through it.
 
@@ -376,7 +360,7 @@ def project_with_jacobian(
     where the Jacobians have one row per sample over those parameters.
     """
     theta = np.asarray(geo_params, dtype=float)[None, :]
-    proj = _project(theta, np.array([[k.fx, k.fy, k.ox, k.oy]]), sample_count, basis)
+    proj = _project(theta, np.array([[k.fx, k.fy, k.ox, k.oy]]), sample_count)
     dg = theta.shape[1]
     rows = np.arange(sample_count)
     Ju = np.zeros((sample_count, dg))
@@ -405,14 +389,14 @@ class PerspectiveLosses:
     overlap: bool
 
 
-def _perspective_batch(theta: np.ndarray, targets: LaneTargets, cfg: IoUConfig, basis: str):
+def _perspective_batch(theta: np.ndarray, targets: LaneTargets, cfg: IoUConfig):
     """perspective_losses over an (L, P) stack: (l_per, l_v, grad_per, grad_v, overlap).
 
     Lanes without overlap read +inf with zero gradients.
     """
     n_lanes, dg = theta.shape
     m = cfg.sample_count
-    proj = _project(theta, targets.camera, m, basis)
+    proj = _project(theta, targets.camera, m)
     u, v = proj.u, proj.v
 
     found, seg, t = first_crossings_batch(v, targets.rows)
@@ -430,7 +414,11 @@ def _perspective_batch(theta: np.ndarray, targets: LaneTargets, cfg: IoUConfig, 
 
     # Through the crossing fraction t = (r - va) / (vb - va) the row
     # placement feeds back into u: dt/dva = (t - 1) / dv, dt/dvb = -t / dv.
-    g_t = g_rows * (ub - ua) / (vb - va)
+    # A segment lying on its row has t = 0 (as in first_crossings_batch)
+    # whatever its ends do, so there dt/dv = 0.
+    dv = vb - va
+    flat = dv == 0.0
+    g_t = np.where(flat, 0.0, g_rows * (ub - ua) / np.where(flat, 1.0, dv))
     size = n_lanes * m
     w_u = np.bincount(a, g_rows * (1.0 - t), size) + np.bincount(a + 1, g_rows * t, size)
     w_v = np.bincount(a, g_t * (t - 1.0), size) + np.bincount(a + 1, -g_t * t, size)
@@ -468,7 +456,6 @@ def perspective_losses(
     k: CameraIntrinsics,
     gt: ResampledLane2D,
     cfg: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
-    basis: str = "power",
     geo_params: np.ndarray | None = None,
 ) -> PerspectiveLosses:
     """Image-plane losses of a projected 3D lane against a resampled target.
@@ -478,14 +465,14 @@ def perspective_losses(
     (v at z_min and z_max) with the target polyline's endpoint rows.
     Gradients run over the lane's geometry parameters.
 
-    geo_params, in the given basis, stands in for the parameter vector
-    derived from pred, so a lane can be scored straight from its vector.
+    geo_params stands in for the parameter vector derived from pred, so
+    a lane can be scored straight from its vector.
     """
     if geo_params is None:
         geo_params = lane_to_vector(pred)[:-1]
     theta = np.asarray(geo_params, dtype=float)[None, :]
     l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(
-        theta, LaneTargets.stack([gt], [k]), cfg, basis
+        theta, LaneTargets.stack([gt], [k]), cfg
     )
     return PerspectiveLosses(
         float(l_per[0]), float(l_v[0]), grad_per[0], grad_v[0], overlap=bool(overlap[0])
@@ -497,22 +484,18 @@ def lane_losses(
     targets: LaneTargets,
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
-    basis: str = "power",
 ):
     """The objective of an (L, P) stack of lanes against their targets.
 
-    Rows of theta are [4 curve params, n heights, z_min, z_max] in the
-    given curve basis. With 3D labels in targets (power basis only) a
-    lane's loss is alpha * (l_bev + l_h + l_z) + beta * (l_per + l_v),
-    with terms [l_per, l_v, l_bev, l_h, l_z]; without them it is beta *
-    (l_per + l_v) + l_reg, the height spread, with terms [l_per, l_v,
-    l_reg]. Returns (loss (L,), gradient (L, P), terms (L, k), overlap
+    Rows of theta are [4 curve params, n heights, z_min, z_max]. With 3D
+    labels in targets a lane's loss is alpha * (l_bev + l_h + l_z) +
+    beta * (l_per + l_v), with terms [l_per, l_v, l_bev, l_h, l_z];
+    without them it is beta * (l_per + l_v) + l_reg, the height spread,
+    with terms [l_per, l_v, l_reg]. Returns (loss (L,), gradient (L, P), terms (L, k), overlap
     (L,)). A lane whose projection shares no row with its target has
     loss +inf and a zero gradient.
     """
-    if targets.labels is not None and basis != "power":
-        raise ValidationError("3D supervision uses the power curve basis")
-    l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(theta, targets, per_iou, basis)
+    l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(theta, targets, per_iou)
     grad = weights.beta * (grad_per + grad_v)
     if targets.labels is None:
         l_reg, g_reg = _height_spread(theta[:, 4:-2])
@@ -547,19 +530,18 @@ def lane_loss(
     gt3: np.ndarray | None = None,
     per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     weights: LossWeights = LossWeights(),
-    basis: str = "power",
 ):
     """The objective of one predicted lane against its target: lane_losses
     on a stack of one.
 
-    geo_params is [4 curve params, n heights, z_min, z_max] in the given
-    curve basis, and gt3 the lane's optional (m, 3) 3D label points.
-    Returns (loss, gradient over geo_params, terms by name plus "total"),
-    or None when the projection shares no row with the target.
+    geo_params is [4 curve params, n heights, z_min, z_max], and gt3 the
+    lane's optional (m, 3) 3D label points. Returns (loss, gradient over
+    geo_params, terms by name plus "total"), or None when the projection
+    shares no row with the target.
     """
     targets = LaneTargets.stack([gt2d], [k], None if gt3 is None else [gt3])
     theta = np.asarray(geo_params, dtype=float)[None, :]
-    loss, grad, terms, overlap = lane_losses(theta, targets, per_iou, weights, basis)
+    loss, grad, terms, overlap = lane_losses(theta, targets, per_iou, weights)
     if not overlap[0]:
         return None
     return float(loss[0]), grad[0], targets.named(terms[0], loss[0])

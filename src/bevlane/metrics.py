@@ -230,8 +230,11 @@ def _capsule_columns(a, b, seg_len2, y, radii, w):
 
 
 def _linear_range(slope, low, high):
-    """The x-interval where low <= slope * x <= high (whole or empty at slope 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """The x-interval where low <= slope * x <= high (whole or empty at slope 0).
+
+    A bound that overflows to inf is still the right one.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x1, x2 = low / slope, high / slope
     rising, falling = slope > 0, slope < 0
     flat = np.where((low <= 0.0) & (0.0 <= high), np.inf, -np.inf)

@@ -147,12 +147,13 @@ class TestFit:
         assert code == 2
 
     def test_bezier_baseline_rejected(self, flat_dataset, tmp_path):
+        # --order takes a polynomial degree only, in every mode
         out = str(tmp_path / "preds.jsonl")
-        code = main([
-            "fit", "--dataset", flat_dataset, "--mode", "baseline",
-            "--order", "bezier", "--out", out,
-        ])
-        assert code == 2
+        for mode in ("3d", "2d", "baseline"):
+            argv = ["fit", "--dataset", flat_dataset, "--mode", mode, "--out", out]
+            code, err = _run(argv + ["--order", "bezier"])
+            assert code == 2, mode
+            assert "--order: invalid int value: 'bezier'" in err and "Traceback" not in err
 
     def test_2d_fit_is_the_same_in_any_block(self, tmp_path, monkeypatch):
         # two row grids in one dataset: the 300-row frames fit in their own blocks
@@ -298,6 +299,21 @@ class TestInputContract:
         corrupt = self._corrupt(flat_dataset, tmp_path, edit)
         assert "NaN" in open(corrupt).read()
         self._assert_rejected(flat_dataset, corrupt, tmp_path, capsys)
+
+    def test_huge_z_in_lanes3d_exits_2(self, flat_dataset, tmp_path, capsys):
+        # finite, so the dataset reads; the least-squares start of the 3d
+        # fit cannot take the cubes of these depths
+        def edit(lanes3d):
+            for point in lanes3d[0]:
+                point[2] *= 1e110
+
+        corrupt = self._corrupt(flat_dataset, tmp_path, edit)
+        capsys.readouterr()
+        argv = ["fit", "--dataset", corrupt, "--mode", "3d", "--out", str(tmp_path / "p")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too large" in err
+        assert "Traceback" not in err
 
     def test_nonpositive_z_in_lanes3d_exits_2(self, flat_dataset, tmp_path, capsys):
         def edit(lanes3d):
@@ -490,6 +506,9 @@ BAD_INPUTS = {
     "samples-over-limit": ({**SCENE, "samples_per_lane": MAX_SAMPLE_COUNT + 1}, {}),
     "config-frames-over-limit": (SCENE, {"generate": {"frames": MAX_FRAMES_PER_SPEC + 1}}),
     "config-frames-huge": (SCENE, {"generate": {"frames": 10**30}}),
+    # finite, but the lane points overflow, or the jitter draw's range does
+    "centerline-huge": ({**SCENE, "centerline": {"a": 1e300}}, {}),
+    "grade-delta-huge": ({"scenes": [SCENE], "jitter": {"grade_delta": 1.7e308}}, {}),
 }
 
 
@@ -543,6 +562,7 @@ def test_bad_spec_or_config_exits_2(tmp_path, spec, config):
         ("eval", {"sample_count": None}),
         ("fit", {"mode": "psychic"}),
         ("fit", {"config": "other.json"}),
+        ("anchors", {"k": 2, "seed": -1}),
     ],
 )
 def test_bad_config_section_exits_2(flat_dataset, tmp_path, command, section):
@@ -564,6 +584,7 @@ def test_bad_config_section_exits_2(flat_dataset, tmp_path, command, section):
         ("anchors", ["-k", "2", "--match-threshold", "-1"]),
         ("eval", ["--lane-width", "nan"]),
         ("eval", ["--lane-width", "inf"]),
+        ("anchors", ["-k", "2", "--seed", "-1"]),
     ],
 )
 def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, flags):
@@ -603,10 +624,12 @@ def test_non_finite_fit_setting_exits_2(flat_dataset, tmp_path, flags, field):
         (["--e-per", "1e-300"], "half-width e"),
         (["--mode", "3d", "--e-per", "1e-300"], "half-width e"),
         (["--e-per", "1e200"], "half-width e"),
+        # the back-projected depths are finite, but their cubes are not
+        (["--ipm-height", "1e300"], "too large"),
     ],
 )
 def test_unusable_loss_or_ipm_setting_exits_2(flat_dataset, tmp_path, flags, field):
-    # refused where the config is built, before any array arithmetic warns
+    # refused before any array arithmetic warns
     argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", str(tmp_path / "p")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -673,7 +696,14 @@ if HAVE_HYPOTHESIS:
         | st.dictionaries(st.text(max_size=8), inner, max_size=4),
         max_leaves=12,
     )
-    _FRAGMENTS = _JSON.map(json.dumps) | st.sampled_from(["NaN", "-Infinity", "1e400", "-1e400"])
+    # Huge but finite magnitudes too: they pass every finiteness check
+    # and overflow later, in powers and squares.
+    _HUGE = st.floats(1e100, 1e308) | st.floats(-1e308, -1e100)
+    _FRAGMENTS = (
+        _JSON.map(json.dumps)
+        | _HUGE.map(json.dumps)
+        | st.sampled_from(["NaN", "-Infinity", "1e400", "-1e400"])
+    )
     FUZZ_SPEC = {
         "scenes": [
             {
@@ -694,9 +724,13 @@ if HAVE_HYPOTHESIS:
         "jitter": {"curve_delta": [0.0, 1e-4, 0.01, 0.2], "amplitude_delta": 0.05,
                    "grade_delta": 0.01, "wavelength_delta": 2.0},
     }
+    # max_iters, plateau and restarts are left out: they have no upper
+    # bound, and a drawn 10**6 would run for minutes.
     FUZZ_CONFIG = {
         "generate": {"frames": 1, "seed": 3},
         "eval": {"lane_width": 30.0, "match_threshold": 30.0, "tusimple_row_step": 10},
+        "fit": {"mode": "2d", "ipm_height": 1.5, "e_per": 15.0},
+        "anchors": {"k": 2, "seed": 0},
     }
 
     def _leaf_paths(obj, prefix=()):
@@ -738,12 +772,13 @@ if HAVE_HYPOTHESIS:
             text = _substitute(document, path, fragment) if name == which else json.dumps(document)
             (fuzz_dir / f"{name}.json").write_text(text)
         config = str(fuzz_dir / "config.json")
-        if path[0] == "eval":
-            argv = ["eval", "--config", config, "--dataset", str(fuzz_dir / "d.jsonl"),
-                    "--pred", str(fuzz_dir / "p.jsonl"), "--out", str(fuzz_dir / "r.json")]
-        else:
-            argv = ["generate", "--config", config, "--spec", str(fuzz_dir / "spec.json"),
-                    "--out", str(fuzz_dir / "out.jsonl")]
+        dataset = str(fuzz_dir / "d.jsonl")
+        argv = {
+            "eval": ["eval", "--dataset", dataset, "--pred", str(fuzz_dir / "p.jsonl")],
+            "fit": ["fit", "--dataset", dataset],
+            "anchors": ["anchors", "--dataset", dataset],
+        }.get(path[0], ["generate", "--spec", str(fuzz_dir / "spec.json")])
+        argv += ["--config", config, "--out", str(fuzz_dir / "out")]
         code, err = _run(argv)
         assert code in (0, 2, 3)
         assert "Traceback" not in err

@@ -9,11 +9,9 @@ resample-then-compare targets are constants by definition.
 """
 
 import numpy as np
-import pytest
 
 from bevlane.assignment import MatchResult, match_lanes, resample_lane
 from bevlane.camera import CameraIntrinsics, project_lane
-from bevlane.fitting import power_to_bernstein
 from bevlane.geometry import lane_from_vector, lane_to_vector, sample_lane
 from bevlane.losses import (
     LaneTargets,
@@ -149,46 +147,25 @@ def test_total_loss_gradient_2d_branch(rng, k, image):
         assert_grad_close(out.gradient[0], fd, label="total_2d")
 
 
-def test_lane_loss_gradient_2d_bernstein(rng, k, image):
-    """The 2D-only objective in the Bernstein basis, as fit_lane_2d(order="bezier") descends it."""
-    for _ in range(8):
-        geo, gt = draw_perspective_pair(rng, k, image)
-        theta = geo.copy()
-        theta[:4] = power_to_bernstein(geo[3::-1], geo[-2], geo[-1])
-
-        def f(t):
-            return lane_loss(t, k, gt, basis="bernstein")[0]
-
-        _, grad, terms = lane_loss(theta, k, gt, basis="bernstein")
-        assert terms["l_reg"] > 1e-3
-        fd = fd_gradient(f, theta, np.ones(theta.size))
-        assert_grad_close(grad, fd, label="lane_loss_2d_bernstein")
-
-
-@pytest.mark.parametrize("basis", ["power", "bernstein"])
-def test_lane_losses_2d_gradient_over_a_stack(rng, k, image, basis):
+def test_lane_losses_2d_gradient_over_a_stack(rng, k, image):
     """Each lane's row of the batched gradient against differences of its own loss."""
     cams = [k, CameraIntrinsics(fx=900.0, fy=950.0, ox=380.0, oy=150.0)] * 2
     pairs = [draw_perspective_pair(rng, cam, image) for cam in cams]
     theta = np.stack([geo for geo, _gt in pairs])
-    if basis == "bernstein":
-        for row in theta:
-            row[:4] = power_to_bernstein(row[3::-1], row[-2], row[-1])
     targets = LaneTargets.stack([gt for _geo, gt in pairs], cams)
-    loss, grad, terms, overlap = lane_losses(theta, targets, basis=basis)
+    loss, grad, terms, overlap = lane_losses(theta, targets)
     assert overlap.all() and (terms[:, 2] > 1e-3).all()
     for lane in range(theta.shape[0]):
 
         def f(row, lane=lane):
             stack = theta.copy()
             stack[lane] = row
-            return lane_losses(stack, targets, basis=basis)[0][lane]
+            return lane_losses(stack, targets)[0][lane]
 
-        scales = geo_scales(72, theta[lane, -1]) if basis == "power" else np.ones(theta.shape[1])
-        fd = fd_gradient(f, theta[lane], scales)
-        assert_grad_close(grad[lane], fd, label=f"lane_losses[{lane}] {basis}")
+        fd = fd_gradient(f, theta[lane], geo_scales(72, theta[lane, -1]))
+        assert_grad_close(grad[lane], fd, label=f"lane_losses[{lane}]")
         # the stack is a batch of independent lanes: each row is its lane alone
-        alone = lane_loss(theta[lane], cams[lane], pairs[lane][1], basis=basis)
+        alone = lane_loss(theta[lane], cams[lane], pairs[lane][1])
         assert alone[0] == loss[lane] and np.array_equal(alone[1], grad[lane])
 
 

@@ -122,6 +122,18 @@ def test_perspective_losses_zero_on_exact_backprojection(k, image):
     assert out.l_v == 0.0
 
 
+def test_perspective_losses_segment_on_a_grid_row_has_finite_gradient(image):
+    # heights 0 put every projected sample on row oy = 180, a grid row, so
+    # each segment lies on it: its crossing has t = 0 and dt/dv is taken as 0
+    cam = CameraIntrinsics(fx=1000.0, fy=1000.0, ox=400.0, oy=180.0)
+    gt = resample_lane(Lane2D(np.array([[600.0, 100.0], [600.0, 300.0]])), image)
+    out = perspective_losses(make_lane(d=1.0, heights=(0.0, 0.0, 0.0)), cam, gt)
+    assert out.overlap and 0.0 < out.l_per < math.inf
+    assert np.isfinite(out.grad_per).all() and np.isfinite(out.grad_v).all()
+    assert np.all(out.grad_per[4:7] == 0.0)  # the row placement moves no u
+    assert np.any(out.grad_per[:4] != 0.0)
+
+
 def test_perspective_losses_shift_closed_form(k, image):
     """A BEV translation moves each row's u by fx*delta/z; the loss must
     equal the interval IoU of that shift profile, interpolated exactly the
