@@ -7,7 +7,6 @@ from .assignment import (
     ResampledLane2D,
     hungarian_assign,
     match_lanes,
-    matching_cost,
     resample_lane,
 )
 from .camera import (
@@ -29,17 +28,13 @@ from .geometry import (
 )
 from .losses import (
     IoUConfig,
-    LossBreakdown,
     LossWeights,
     bev_iou_loss,
     classification_loss,
     endpoint_z_loss,
     height_loss,
     height_variance_reg,
-    lane_iou,
-    lane_loss,
     perspective_losses,
-    total_loss,
 )
 
 __version__ = "0.1.0"
@@ -52,7 +47,6 @@ __all__ = [
     "IoUConfig",
     "Lane2D",
     "Lane3D",
-    "LossBreakdown",
     "LossWeights",
     "MatchResult",
     "ResampledLane2D",
@@ -64,16 +58,12 @@ __all__ = [
     "hungarian_assign",
     "invert_to_ground",
     "lane_from_vector",
-    "lane_iou",
-    "lane_loss",
     "lane_to_vector",
     "match_lanes",
-    "matching_cost",
     "perspective_losses",
     "project_lane",
     "project_point",
     "project_points",
     "resample_lane",
     "sample_lane",
-    "total_loss",
 ]

@@ -20,6 +20,8 @@ from .geometry import MAX_SAMPLE_COUNT
 
 MAX_ANCHORS = 50
 DEFAULT_DESCRIPTOR_ROWS = 36
+# Assignment-update rounds per k-means restart, unless the assignment settles first.
+KMEANS_MAX_ITERS = 100
 
 
 def descriptor_rows(image: ImageSpec, m: int = DEFAULT_DESCRIPTOR_ROWS) -> np.ndarray:
@@ -113,7 +115,7 @@ class AnchorSet:
         return len(self.descriptors)
 
 
-def _kmeans_once(data: np.ndarray, k: int, rng: np.random.Generator, max_iters: int):
+def _kmeans_once(data: np.ndarray, k: int, rng: np.random.Generator):
     """One seeded k-means run with greedy distance-weighted init.
 
     Returns (centers, inertia, history); history is the inertia after
@@ -139,7 +141,7 @@ def _kmeans_once(data: np.ndarray, k: int, rng: np.random.Generator, max_iters: 
 
     history = []
     assign = None
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         new_assign, inertia, dist2 = assignment(centers)
         history.append(inertia)
         if assign is not None and np.array_equal(new_assign, assign):
@@ -167,7 +169,6 @@ def cluster_anchors(
     rows: np.ndarray | None = None,
     seed: int = 0,
     restarts: int = 10,
-    max_iters: int = 100,
 ) -> AnchorSet:
     """Cluster lane descriptors into k anchors.
 
@@ -192,7 +193,7 @@ def cluster_anchors(
     histories = []
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
-        centers, inertia, history = _kmeans_once(data, k, rng, max_iters)
+        centers, inertia, history = _kmeans_once(data, k, rng)
         histories.append(tuple(history))
         if best is None or inertia < best[0]:
             best = (inertia, r, centers)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .camera import ImageSpec, Lane2D
-from .errors import DegenerateLaneError, DomainError, GridMismatchError, ValidationError
+from .errors import DegenerateLaneError, DomainError, ValidationError
 
 DEFAULT_MATCH_THRESHOLD = 30.0
 
@@ -196,13 +196,6 @@ def cost_matrix(pred_u: np.ndarray, gt_u: np.ndarray, rows: np.ndarray) -> np.nd
     return costs
 
 
-def matching_cost(p: ResampledLane2D, g: ResampledLane2D) -> float:
-    """cost_matrix for one pair of lanes resampled on the same row grid."""
-    if p.v_grid.shape != g.v_grid.shape or not np.array_equal(p.v_grid, g.v_grid):
-        raise GridMismatchError("lanes were resampled on different row grids")
-    return float(cost_matrix(p.u_values[None], g.u_values[None], p.v_grid)[0, 0])
-
-
 @dataclass(frozen=True)
 class MatchResult:
     """One-to-one assignment: matched (pred, gt, cost) triples and leftovers."""
@@ -210,9 +203,6 @@ class MatchResult:
     pairs: tuple[tuple[int, int, float], ...]
     unmatched_predictions: tuple[int, ...]
     unmatched_ground_truths: tuple[int, ...]
-
-    def pair_map(self) -> dict[int, int]:
-        return {i: j for i, j, _ in self.pairs}
 
 
 def hungarian_assign(costs: np.ndarray, match_threshold: float = DEFAULT_MATCH_THRESHOLD) -> MatchResult:

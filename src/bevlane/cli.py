@@ -61,12 +61,7 @@ def _cmd_generate(opts) -> int:
 def _cmd_fit(opts) -> int:
     frames = io_formats.read_dataset(opts.dataset)
     cfg = fitting.FitConfig(
-        max_iters=opts.max_iters,
-        step_size=opts.step_size,
-        plateau_patience=opts.plateau,
-        order=opts.order,
-        keypoints=opts.keypoints,
-        ipm_camera_height=opts.ipm_height,
+        order=opts.order, keypoints=opts.keypoints, ipm_camera_height=opts.ipm_height
     )
     weights = LossWeights(beta=opts.beta)
     per_iou = IoUConfig(e=opts.e_per)
@@ -269,13 +264,7 @@ def _cmd_anchors(opts) -> int:
     lanes = [lane for lane, d in zip(all_lanes, built) if d is not None]
     if not descriptors:
         raise SchemaError("dataset contains no usable lanes")
-    anchor_set = anchors_mod.cluster_anchors(
-        descriptors,
-        k=opts.k,
-        image=image,
-        seed=opts.seed,
-        restarts=opts.restarts,
-    )
+    anchor_set = anchors_mod.cluster_anchors(descriptors, k=opts.k, image=image, seed=opts.seed)
     io_formats.write_anchors(anchor_set, opts.out)
     recall = anchors_mod.anchor_recall(anchor_set, lanes, opts.match_threshold)
     print(
@@ -387,21 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
             },
             "--beta": {"type": float, "default": 1.0, "help": "2D loss weight"},
             "--e-per": {"type": float, "default": 15.0, "help": "image IoU half-width [px]"},
-            "--max-iters": {
-                "type": int,
-                "default": fit_defaults.max_iters,
-                "help": "descent iterations (2d mode)",
-            },
-            "--step-size": {
-                "type": float,
-                "default": fit_defaults.step_size,
-                "help": "descent step (2d mode)",
-            },
-            "--plateau": {
-                "type": int,
-                "default": fit_defaults.plateau_patience,
-                "help": "stop after this many non-improving iters, at least 1 (2d mode)",
-            },
             "--keypoints": {
                 "type": _count(fitting.MAX_KEYPOINTS),
                 "default": fit_defaults.keypoints,
@@ -447,7 +421,6 @@ def build_parser() -> argparse.ArgumentParser:
                 "default": anchors_mod.DEFAULT_DESCRIPTOR_ROWS,
                 "help": f"descriptor rows, 2 to {MAX_SAMPLE_COUNT}",
             },
-            "--restarts": {"type": int, "default": 10, "help": "k-means restarts"},
             "--seed": {"type": int, "default": 0, "help": "k-means seed"},
             "--match-threshold": {
                 "type": _non_negative_float,

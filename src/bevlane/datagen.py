@@ -114,10 +114,6 @@ class SceneSpec:
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
 
-    @property
-    def lane_count(self) -> int:
-        return len(self.lateral_offsets)
-
 
 @dataclass(frozen=True)
 class JitterSpec:

@@ -5,7 +5,8 @@ geometry.lane_to_vector. Direct fits handle the supervised pieces
 (polynomial BEV curve, height keypoints, a perspective-space polynomial
 baseline); with 3D labels they are the whole fit (label_init). With 2D
 labels only, momentum gradient descent on the image-plane losses
-recovers the lane from a flat-ground start (ipm_init). fit_lanes, the
+recovers the lane from a flat-ground start (ipm_init), on the fixed
+schedule MAX_ITERS, STEP_SIZE and PLATEAU_PATIENCE. fit_lanes, the
 one fitter, scores a stack of lanes with losses.lane_losses and without
 3D labels descends them, each lane with its own step scales, velocity,
 best iterate and stop; fit_lane_3d and fit_lane_2d are its stacks of
@@ -40,6 +41,12 @@ from .losses import (
     lane_losses,
 )
 
+# The 2D descent's schedule: at most MAX_ITERS momentum steps of base size
+# STEP_SIZE, and a lane stops once PLATEAU_PATIENCE steps in a row have not
+# lowered its best loss.
+MAX_ITERS = 60
+STEP_SIZE = 1e-2
+PLATEAU_PATIENCE = 15
 MOMENTUM = 0.9
 # Hard floor on z_min and on the span so samples stay in front of the camera.
 Z_FLOOR = 0.1
@@ -60,23 +67,19 @@ ORDERS = (2, 3, 4)
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the fitters and model selection.
+    """The lane model of the fitters.
 
     order is the polynomial degree of the least-squares fits: 2, 3 or 4.
     Degree 4 is available for those fits only; a lane's curve is the
     power cubic of geometry.lane_to_vector, and order 2 pins its cubic
     coefficient at 0.
 
-    label_init reads order and keypoints. fit_lanes reads order, and
-    without 3D labels the descent knobs max_iters, step_size and
-    plateau_patience (at least 1). ipm_init reads order, keypoints and
-    ipm_camera_height (finite and > 0). keypoints runs from 2 to
-    MAX_KEYPOINTS. The CLI takes its defaults from here.
+    label_init reads order and keypoints, fit_lanes reads order, and
+    ipm_init reads order, keypoints and ipm_camera_height (finite and
+    > 0). keypoints runs from 2 to MAX_KEYPOINTS. The CLI takes its
+    defaults from here.
     """
 
-    max_iters: int = 60
-    step_size: float = 1e-2
-    plateau_patience: int = 15
     order: int = 3
     keypoints: int = 72
     ipm_camera_height: float = 1.5
@@ -84,10 +87,6 @@ class FitConfig:
     def __post_init__(self):
         if self.order not in ORDERS:
             raise ValidationError(f"order must be one of {ORDERS}, got {self.order!r}")
-        if self.max_iters < 0 or self.plateau_patience < 1:
-            raise ValidationError("bad fit configuration")
-        if not 0.0 < self.step_size < np.inf:
-            raise ValidationError(f"step_size must be finite and > 0, got {self.step_size}")
         if not 0.0 < self.ipm_camera_height < np.inf:
             raise ValidationError(
                 f"ipm_camera_height must be finite and > 0, got {self.ipm_camera_height}"
@@ -253,7 +252,7 @@ def fit_lanes(
     once and returned: descent from label_init never lowered that loss.
     Without them, momentum descent runs on all lanes at once; each lane
     keeps its own step scales, velocity and best iterate, and stops when
-    its loss plateaus or after cfg.max_iters steps, at the 3D scale its
+    its loss plateaus or after MAX_ITERS steps, at the 3D scale its
     start pinned (2D labels cannot determine it). A lane whose projection
     misses its target reads +inf with a zero gradient. Every lane's
     result is the one it gets alone.
@@ -274,9 +273,9 @@ def fit_lanes(
         mask[0] = 0.0
     _clamp_span(theta)
     scales = np.stack([_scales(row) for row in theta])
-    step = cfg.step_size * scales**2
+    step = STEP_SIZE * scales**2
     targets = LaneTargets.stack(gts, intrinsics, labels3d)
-    max_iters = 0 if labels3d is not None else cfg.max_iters
+    max_iters = 0 if labels3d is not None else MAX_ITERS
 
     def objective(lanes, iteration):
         out = lane_losses(theta[lanes], targets.take(lanes), per_iou, weights)
@@ -304,7 +303,7 @@ def fit_lanes(
         best_loss[lanes], best_theta[lanes] = loss[better], theta[lanes]
         best_terms[lanes], best_overlap[lanes] = terms[better], overlap[better]
         best_iter[lanes] = it
-        going = it - best_iter[active] < cfg.plateau_patience
+        going = it - best_iter[active] < PLATEAU_PATIENCE
         active, loss, grad = active[going], loss[going], grad[going]
 
     return [

@@ -19,8 +19,8 @@ smooth.
 Every term runs on an (L, P) stack of lanes at once, and lane_losses
 combines them into the one objective of both branches; whether the
 targets carry 3D labels picks the branch. perspective_losses,
-project_with_jacobian, bev_iou_loss, height_loss, endpoint_z_loss and
-lane_loss are their stacks of one.
+project_with_jacobian, bev_iou_loss, height_loss and endpoint_z_loss
+are their stacks of one.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .assignment import MatchResult, ResampledLane2D, first_crossings_batch
+from .assignment import ResampledLane2D, first_crossings_batch
 from .camera import CameraIntrinsics
 from .errors import DimensionMismatchError, GridMismatchError, ValidationError
 from .geometry import Lane3D, lane_to_vector
@@ -75,24 +75,6 @@ class LossWeights:
         for name in ("alpha", "beta"):
             if not 0.0 <= getattr(self, name) < np.inf:
                 raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-
-
-def lane_iou(xs_pred: np.ndarray, xs_gt: np.ndarray, e: float) -> float:
-    """Mean widened-lane IoU between two lanes sampled at shared positions.
-
-    Each sample contributes (2e - |dx|) / (2e + |dx|), which is 1 at
-    coincidence, 0 at |dx| = 2e, and tends to -1 as the lanes separate.
-    """
-    xs_pred = np.asarray(xs_pred, dtype=float)
-    xs_gt = np.asarray(xs_gt, dtype=float)
-    if xs_pred.shape != xs_gt.shape or xs_pred.ndim != 1 or xs_pred.size == 0:
-        raise DimensionMismatchError(
-            f"sample vectors must be equal-length 1-d, got {xs_pred.shape} vs {xs_gt.shape}"
-        )
-    IoUConfig(e)  # checks e
-    one_lane = np.zeros(xs_pred.size, dtype=int)
-    loss, _ = _iou_loss_rows(xs_pred - xs_gt, one_lane, np.array([xs_pred.size]), e)
-    return float(1.0 - loss[0])
 
 
 def bev_iou_loss(pred: Lane3D, gt_xs: np.ndarray, cfg: IoUConfig = DEFAULT_BEV_IOU):
@@ -521,108 +503,3 @@ def lane_losses(
     loss[~overlap] = np.inf
     grad[~overlap] = 0.0
     return loss, grad, np.column_stack(terms), overlap
-
-
-def lane_loss(
-    geo_params: np.ndarray,
-    k: CameraIntrinsics,
-    gt2d: ResampledLane2D,
-    gt3: np.ndarray | None = None,
-    per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
-    weights: LossWeights = LossWeights(),
-):
-    """The objective of one predicted lane against its target: lane_losses
-    on a stack of one.
-
-    geo_params is [4 curve params, n heights, z_min, z_max], and gt3 the
-    lane's optional (m, 3) 3D label points. Returns (loss, gradient over
-    geo_params, terms by name plus "total"), or None when the projection
-    shares no row with the target.
-    """
-    targets = LaneTargets.stack([gt2d], [k], None if gt3 is None else [gt3])
-    theta = np.asarray(geo_params, dtype=float)[None, :]
-    loss, grad, terms, overlap = lane_losses(theta, targets, per_iou, weights)
-    if not overlap[0]:
-        return None
-    return float(loss[0]), grad[0], targets.named(terms[0], loss[0])
-
-
-@dataclass(frozen=True)
-class LossBreakdown:
-    """All loss terms of one frame plus the total and its gradient.
-
-    gradient has one row per prediction over the full parameter vector
-    (curve, heights, z-span, score). Terms outside the active supervision
-    branch are zero. matched holds the pairs that actually contributed,
-    after dropping any whose projection lost overlap.
-    """
-
-    l_cls: float
-    l_bev: float
-    l_h: float
-    l_z: float
-    l_per: float
-    l_v: float
-    l_reg: float
-    total: float
-    gradient: np.ndarray
-    matched: tuple[tuple[int, int], ...] = ()
-
-
-def total_loss(
-    preds: list[Lane3D],
-    gts_2d: list[ResampledLane2D],
-    matches: MatchResult,
-    k: CameraIntrinsics,
-    gts_3d: list[np.ndarray] | None = None,
-    per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
-    weights: LossWeights = LossWeights(),
-) -> LossBreakdown:
-    """Combine classification and geometry losses for one frame.
-
-    Predictions must already be assigned to ground truth (matches).
-    Geometry terms are averaged over the matched pairs; matched
-    predictions take classification label 1 and the rest 0. With 3D
-    labels (gts_3d as (m, 3) point arrays, aligned with gts_2d) the
-    total is l_cls + alpha * (l_bev + l_h + l_z) + beta * (l_per + l_v);
-    without them it is l_cls + beta * (l_per + l_v) + l_reg.
-    """
-    n_pred = len(preds)
-    if n_pred == 0:
-        return LossBreakdown(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.zeros((0, 0)))
-    if gts_3d is not None and len(gts_3d) != len(gts_2d):
-        raise DimensionMismatchError("gts_3d must align with gts_2d")
-
-    vectors = [lane_to_vector(p) for p in preds]
-    dim = vectors[0].size
-    if any(vec.size != dim for vec in vectors):
-        raise DimensionMismatchError("all predictions must share one keypoint count")
-
-    scored = []
-    for i, j, _cost in matches.pairs:
-        gt3 = None if gts_3d is None else gts_3d[j]
-        out = lane_loss(vectors[i][:-1], k, gts_2d[j], gt3, per_iou, weights)
-        if out is not None:
-            scored.append((i, j, out))
-    m = max(len(scored), 1)
-    names = ("l_bev", "l_h", "l_z", "l_per", "l_v", "l_reg")
-    sums = {key: sum(out[2].get(key, 0.0) for _i, _j, out in scored) / m for key in names}
-    grad = np.zeros((n_pred, dim))
-    labels = np.zeros(n_pred)
-    for i, _j, (_loss, geo_grad, _terms) in scored:
-        grad[i, :-1] += geo_grad / m
-        labels[i] = 1.0
-    scores = np.array([p.score for p in preds])
-    l_cls, g_cls = classification_loss(scores, labels)
-    grad[:, -1] += g_cls
-
-    # Terms outside the active branch are exactly zero, so one formula
-    # serves both branches.
-    total = (
-        l_cls
-        + weights.alpha * (sums["l_bev"] + sums["l_h"] + sums["l_z"])
-        + weights.beta * (sums["l_per"] + sums["l_v"])
-        + sums["l_reg"]
-    )
-    kept = tuple((i, j) for i, j, _out in scored)
-    return LossBreakdown(l_cls=l_cls, **sums, total=total, gradient=grad, matched=kept)

@@ -479,16 +479,3 @@ def cd_error_per_pair(
         d_gp = point_polyline_distances(gt_pts, pred_pts).mean()
         values.append(0.5 * (d_pg + d_gp))
     return np.array(values)
-
-
-def cd_error(
-    preds: list[Lane3D],
-    gts: list[np.ndarray],
-    pairs: list[tuple[int, int]],
-    sample_count: int = 72,
-) -> float | None:
-    """Mean curve distance over matched pairs; None when nothing matched."""
-    values = cd_error_per_pair(preds, gts, pairs, sample_count)
-    if values.size == 0:
-        return None
-    return float(values.mean())

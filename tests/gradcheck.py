@@ -47,10 +47,6 @@ def geo_scales(n: int, z_max: float) -> np.ndarray:
     return np.concatenate([curve_scales(z_max), np.ones(n + 2)])
 
 
-def full_scales(n: int, z_max: float) -> np.ndarray:
-    return np.concatenate([geo_scales(n, z_max), [1.0]])
-
-
 def sample_geo(rng, n=72):
     """Random plausible lane geometry vector [curve(4), heights(n), span(2)]."""
     z_min = rng.uniform(3.0, 8.0)

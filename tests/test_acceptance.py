@@ -30,7 +30,6 @@ from bevlane.fitting import (
 from bevlane.geometry import BevCurve, sample_lane
 from bevlane.io_formats import read_dataset, read_predictions, read_report
 from bevlane.losses import (
-    MatchResult,
     bev_iou_loss,
     classification_loss,
     endpoint_z_loss,

@@ -8,13 +8,12 @@ from bevlane.assignment import (
     first_crossings_batch,
     hungarian_assign,
     match_lanes,
-    matching_cost,
     resample_lane,
     resample_lanes,
     row_grid,
 )
 from bevlane.camera import ImageSpec, Lane2D
-from bevlane.errors import DegenerateLaneError, DomainError, GridMismatchError, ValidationError
+from bevlane.errors import DegenerateLaneError, DomainError, ValidationError
 from oracles import (
     assign_brute_force,
     first_crossings_oracle,
@@ -223,39 +222,35 @@ if HAVE_HYPOTHESIS:
                 assert costs[i, j] == want or abs(costs[i, j] - want) <= 1e-12 * want
 
 
+def pair_cost(a: Lane2D, b: Lane2D, image: ImageSpec) -> float:
+    """cost_matrix of one-row stacks: the matching cost of lane a against lane b."""
+    rows = row_grid(image)
+    return float(cost_matrix(resample_lanes([a], rows), resample_lanes([b], rows), rows)[0, 0])
+
+
 def test_matching_cost_identical_is_zero(image):
     lane = Lane2D(np.array([[300.0, 310.0], [350.0, 50.0]]))
-    r = resample_lane(lane, image)
-    assert matching_cost(r, r) == 0.0
+    assert pair_cost(lane, lane, image) == 0.0
 
 
 def test_matching_cost_pure_shift(image):
     a = Lane2D(np.array([[300.0, 310.0], [300.0, 50.0]]))
     b = Lane2D(np.array([[305.0, 310.0], [305.0, 50.0]]))
-    ra, rb = resample_lane(a, image), resample_lane(b, image)
-    assert matching_cost(ra, rb) == pytest.approx(5.0)
-    assert matching_cost(rb, ra) == pytest.approx(5.0)
+    assert pair_cost(a, b, image) == pytest.approx(5.0)
+    assert pair_cost(b, a, image) == pytest.approx(5.0)
 
 
 def test_matching_cost_disjoint_spans_is_inf(image):
     a = Lane2D(np.array([[300.0, 310.0], [300.0, 200.0]]))
     b = Lane2D(np.array([[300.0, 150.0], [300.0, 50.0]]))
-    assert matching_cost(resample_lane(a, image), resample_lane(b, image)) == np.inf
+    assert pair_cost(a, b, image) == np.inf
 
 
 def test_matching_cost_endpoint_terms(image):
     a = Lane2D(np.array([[300.0, 300.0], [300.0, 100.0]]))
     b = Lane2D(np.array([[300.0, 290.0], [300.0, 110.0]]))
     # same u on common rows; endpoint gaps 10 + 10
-    assert matching_cost(resample_lane(a, image), resample_lane(b, image)) == pytest.approx(20.0)
-
-
-def test_matching_cost_grid_mismatch(image):
-    a = Lane2D(np.array([[300.0, 310.0], [300.0, 50.0]]))
-    ra = resample_lane(a, image)
-    rb = resample_lane(a, image, row_step=2.0)
-    with pytest.raises(GridMismatchError):
-        matching_cost(ra, rb)
+    assert pair_cost(a, b, image) == pytest.approx(20.0)
 
 
 def test_hungarian_diagonal():
@@ -388,7 +383,7 @@ def test_match_lanes_end_to_end(image):
         Lane2D(np.array([[700.0, 310.0], [700.0, 200.0]])),
     ]
     res = match_lanes(preds, gts, image)
-    assert res.pair_map() == {0: 1, 1: 0}
+    assert [(i, j) for i, j, _cost in res.pairs] == [(0, 1), (1, 0)]
     assert res.unmatched_predictions == (2,)
 
 

@@ -216,14 +216,6 @@ class TestFit:
         assert code == 3
         assert "non-finite at iteration 0" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("plateau", ["0", "-5"])
-    def test_plateau_below_one_exits_2(self, flat_dataset, tmp_path, plateau):
-        out = str(tmp_path / "preds.jsonl")
-        argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", out]
-        code, err = _run(argv + ["--plateau", plateau])
-        assert code == 2
-        assert "bad fit configuration" in err and "Traceback" not in err
-
     def test_deterministic_predictions(self, flat_dataset, tmp_path):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         for out in (a, b):
@@ -443,8 +435,7 @@ class TestConfigFile:
             "generate": {"spec": spec, "frames": 2, "seed": 5},
             "fit": {
                 "dataset": flat_dataset, "mode": "2d", "order": 2, "beta": 0.5, "e_per": 10.0,
-                "max_iters": 5, "step_size": 0.02, "plateau": 3, "keypoints": 40,
-                "ipm_height": 1.4,
+                "keypoints": 40, "ipm_height": 1.4,
             },
             "eval": {
                 "dataset": flat_dataset, "pred": preds, "lane_width": 25.0, "raster_scale": 0.5,
@@ -452,8 +443,7 @@ class TestConfigFile:
                 "tusimple_row_step": 8,
             },
             "anchors": {
-                "dataset": flat_dataset, "k": 3, "rows": 20, "restarts": 2, "seed": 4,
-                "match_threshold": 25.0,
+                "dataset": flat_dataset, "k": 3, "rows": 20, "seed": 4, "match_threshold": 25.0,
             },
             "project": {"dataset": flat_dataset, "pred": preds, "sample_count": 48},
             "render": {
@@ -596,11 +586,38 @@ def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, f
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        ("fit", "max_iters", 5),
+        ("fit", "step_size", 1e300),
+        ("fit", "plateau", 3),
+        ("anchors", "restarts", 2),
+    ],
+)
+def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, command, key, value, via):
+    # the 2D descent's schedule and the k-means restart count are constants,
+    # so these are refused like any unknown option, before anything runs
+    argv = [command, "--dataset", flat_dataset, "--out", str(tmp_path / "o")]
+    argv += ["--mode", "2d"] if command == "fit" else ["-k", "2"]
+    if via == "flag":
+        argv += ["--" + key.replace("_", "-"), str(value)]
+        message = "unrecognized arguments"
+    else:
+        argv += ["--config", write_json(tmp_path / "config.json", {command: {key: value}})]
+        message = "unknown config keys"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(argv)
+    assert code == 2
+    assert message in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize(
     "flags, field",
     [
-        (["--step-size", "nan"], "step_size"),
-        (["--step-size", "inf"], "step_size"),
         (["--beta", "inf"], "beta"),
         (["--beta", "nan"], "beta"),
     ],
@@ -724,13 +741,14 @@ if HAVE_HYPOTHESIS:
         "jitter": {"curve_delta": [0.0, 1e-4, 0.01, 0.2], "amplitude_delta": 0.05,
                    "grade_delta": 0.01, "wavelength_delta": 2.0},
     }
-    # max_iters, plateau and restarts are left out: they have no upper
-    # bound, and a drawn 10**6 would run for minutes.
+    # Every count field of fit and anchors is bounded (the 2D descent's
+    # schedule and the k-means restarts are constants), so none is left out
+    # for fear of a drawn 10**6 running for minutes.
     FUZZ_CONFIG = {
         "generate": {"frames": 1, "seed": 3},
         "eval": {"lane_width": 30.0, "match_threshold": 30.0, "tusimple_row_step": 10},
-        "fit": {"mode": "2d", "ipm_height": 1.5, "e_per": 15.0},
-        "anchors": {"k": 2, "seed": 0},
+        "fit": {"mode": "2d", "ipm_height": 1.5, "e_per": 15.0, "keypoints": 72},
+        "anchors": {"k": 2, "seed": 0, "rows": 36},
     }
 
     def _leaf_paths(obj, prefix=()):

@@ -89,7 +89,7 @@ class TestSceneValidation:
             SceneSpec(camera_height=0.0)
 
     def test_lane_count(self):
-        assert flat_scene().lane_count == 4
+        assert len(flat_scene().lateral_offsets) == 4
 
 
 class TestGenerateFrame:

@@ -2,17 +2,16 @@
 
 Each term is differenced per its own contract: the sampled targets are
 held fixed and only the parameters the returned gradient covers are
-stepped. The frame total is differenced end to end in the 2D-only
-branch (where every target is a genuine constant input) and checked as
-an exact recombination of the term gradients in the 3D branch, whose
-resample-then-compare targets are constants by definition.
+stepped. The objective lane_losses is differenced lane by lane over a
+stack in both branches; in the labelled branch, whose label targets
+slide with the span and are constants by contract, it is also checked
+as an exact recombination of the one-lane term gradients.
 """
 
 import numpy as np
 
-from bevlane.assignment import MatchResult, match_lanes, resample_lane
-from bevlane.camera import CameraIntrinsics, project_lane
-from bevlane.geometry import lane_from_vector, lane_to_vector, sample_lane
+from bevlane.camera import CameraIntrinsics
+from bevlane.geometry import sample_lane
 from bevlane.losses import (
     LaneTargets,
     LossWeights,
@@ -21,16 +20,13 @@ from bevlane.losses import (
     endpoint_z_loss,
     height_loss,
     height_variance_reg,
-    lane_loss,
     lane_losses,
     perspective_losses,
-    total_loss,
 )
 from gradcheck import (
     assert_grad_close,
     curve_scales,
     draw_perspective_pair,
-    full_scales,
     geo_scales,
     geo_to_lane,
     sample_geo,
@@ -128,25 +124,6 @@ def test_perspective_gradients(rng, k, image):
         assert_grad_close(out.grad_v, fd_v, label="l_v")
 
 
-def test_total_loss_gradient_2d_branch(rng, k, image):
-    """End-to-end difference of the 2D-only total over the full vector."""
-    for _ in range(8):
-        geo, gt = draw_perspective_pair(rng, k, image)
-        score = rng.uniform(0.05, 0.95)
-        theta = np.concatenate([geo, [score]])
-        matches = MatchResult(pairs=((0, 0, 1.0),), unmatched_predictions=(),
-                              unmatched_ground_truths=())
-
-        def f(vec):
-            out = total_loss([lane_from_vector(vec)], [gt], matches, k, gts_3d=None)
-            assert out.matched == ((0, 0),)
-            return out.total
-
-        out = total_loss([lane_from_vector(theta)], [gt], matches, k, gts_3d=None)
-        fd = fd_gradient(f, theta, full_scales(72, geo[-1]))
-        assert_grad_close(out.gradient[0], fd, label="total_2d")
-
-
 def test_lane_losses_2d_gradient_over_a_stack(rng, k, image):
     """Each lane's row of the batched gradient against differences of its own loss."""
     cams = [k, CameraIntrinsics(fx=900.0, fy=950.0, ox=380.0, oy=150.0)] * 2
@@ -165,8 +142,8 @@ def test_lane_losses_2d_gradient_over_a_stack(rng, k, image):
         fd = fd_gradient(f, theta[lane], geo_scales(72, theta[lane, -1]))
         assert_grad_close(grad[lane], fd, label=f"lane_losses[{lane}]")
         # the stack is a batch of independent lanes: each row is its lane alone
-        alone = lane_loss(theta[lane], cams[lane], pairs[lane][1])
-        assert alone[0] == loss[lane] and np.array_equal(alone[1], grad[lane])
+        alone = lane_losses(theta[lane][None], LaneTargets.stack([pairs[lane][1]], [cams[lane]]))
+        assert alone[0][0] == loss[lane] and np.array_equal(alone[1][0], grad[lane])
 
 
 def test_lane_losses_gradient_with_labels_over_a_stack(rng, k, image):
@@ -202,8 +179,9 @@ def test_lane_losses_gradient_with_labels_over_a_stack(rng, k, image):
         fd = fd_gradient(f, theta[lane, :-2], geo_scales(72, theta[lane, -1])[:-2])
         assert_grad_close(grad[lane, :-2], fd, label=f"lane_losses[{lane}] labelled")
 
-        alone = lane_loss(theta[lane], cams[lane], gts[lane], labels[lane], weights=weights)
-        assert alone[0] == loss[lane] and np.array_equal(alone[1], grad[lane])
+        one = LaneTargets.stack([gts[lane]], [cams[lane]], [labels[lane]])
+        alone = lane_losses(theta[lane][None], one, weights=weights)
+        assert alone[0][0] == loss[lane] and np.array_equal(alone[1][0], grad[lane])
 
         pred = geo_to_lane(theta[lane])
         g3 = labels[lane][::-1]
@@ -221,49 +199,6 @@ def test_lane_losses_gradient_with_labels_over_a_stack(rng, k, image):
         want[4:-2] += weights.alpha * g_h
         want[-2:] += weights.alpha * np.array(g_z)
         assert np.array_equal(grad[lane], want)
-
-
-def test_total_loss_gradient_recombines_terms(rng, k, image):
-    """3D-branch gradient rows equal the assembled term gradients exactly."""
-    gt_geos = [sample_geo(rng) for _ in range(2)]
-    gt_lanes = [geo_to_lane(g) for g in gt_geos]
-    preds = []
-    for g in gt_geos:
-        p = g.copy()
-        p[3] += 0.2
-        p[4:-2] += 0.03
-        preds.append(lane_from_vector(np.concatenate([p, [0.8]])))
-    gt2d = [project_lane(k, l, 72) for l in gt_lanes]
-    pred2d = [project_lane(k, l, 72) for l in preds]
-    gts = [resample_lane(l, image) for l in gt2d]
-    matches = match_lanes(pred2d, gt2d, image)
-    assert len(matches.pairs) == 2
-    gts3 = [sample_lane(l, 300) for l in gt_lanes]
-    weights = LossWeights(alpha=1.0, beta=1.0)
-
-    out = total_loss(preds, gts, matches, k, gts_3d=gts3, weights=weights)
-    dim = lane_to_vector(preds[0]).size
-    expected = np.zeros((len(preds), dim))
-    for i, j, _cost in matches.pairs:
-        pred = preds[i]
-        per = perspective_losses(pred, k, gts[j])
-        geo = np.zeros(dim)
-        geo[:-1] += weights.beta * (per.grad_per + per.grad_v)
-        g3 = np.asarray(gts3[j], dtype=float)
-        z = np.linspace(pred.z_min, pred.z_max, 72)
-        _, g_bev = bev_iou_loss(pred, np.interp(z, g3[:, 2], g3[:, 0]))
-        gt_h = np.interp(pred.profile.keypoint_z(), g3[:, 2], g3[:, 1])
-        _, g_h = height_loss(pred, gt_h)
-        _, (g_zmin, g_zmax) = endpoint_z_loss(pred, float(g3[:, 2].min()), float(g3[:, 2].max()))
-        geo[0:4] += weights.alpha * g_bev
-        geo[4:-3] += weights.alpha * g_h
-        geo[-3] += weights.alpha * g_zmin
-        geo[-2] += weights.alpha * g_zmax
-        expected[i] += geo / len(matches.pairs)
-    labels = np.array([1.0, 1.0])
-    _, g_cls = classification_loss(np.array([p.score for p in preds]), labels)
-    expected[:, -1] += g_cls
-    assert np.array_equal(out.gradient, expected)
 
 
 def test_fd_rejects_nothing_systematically(rng, k, image):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bevlane.assignment import MatchResult, match_lanes, resample_lane
+from bevlane.assignment import resample_lane
 from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, project_lane, project_points
 from bevlane.errors import DimensionMismatchError, ValidationError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector, sample_lane
@@ -16,18 +16,23 @@ from bevlane.losses import (
     endpoint_z_loss,
     height_loss,
     height_variance_reg,
-    lane_iou,
-    lane_loss,
     lane_losses,
     perspective_losses,
-    total_loss,
 )
+from bevlane.losses import _iou_loss_rows
 from oracles import bce_oracle, lane_iou_oracle
 
 
 def make_lane(a=0.0, b=0.0, c=0.0, d=0.0, heights=None, z_min=4.0, z_max=60.0, score=1.0, n=72):
     h = np.full(n, 1.5) if heights is None else np.asarray(heights, dtype=float)
     return Lane3D(BevCurve(a, b, c, d), HeightProfile(h, z_min, z_max), score)
+
+
+def lane_iou(xs_pred, xs_gt, e):
+    """Mean widened-lane IoU of one lane's samples, through the row kernel of every IoU term."""
+    diff = np.asarray(xs_pred, dtype=float) - np.asarray(xs_gt, dtype=float)
+    loss, _ = _iou_loss_rows(diff, np.zeros(diff.size, dtype=int), np.array([diff.size]), e)
+    return float(1.0 - loss[0])
 
 
 def test_lane_iou_identical():
@@ -54,8 +59,9 @@ def test_lane_iou_matches_oracle(rng):
 
 
 def test_lane_iou_length_mismatch():
+    # the IoU term compares the lane's own samples with as many targets
     with pytest.raises(DimensionMismatchError):
-        lane_iou(np.zeros(3), np.zeros(4), 0.5)
+        bev_iou_loss(make_lane(), np.zeros(71))
 
 
 def test_bev_iou_loss_zero_at_identical():
@@ -162,123 +168,11 @@ def test_perspective_losses_shift_closed_form(k, image):
     assert out.l_v == pytest.approx(0.0, abs=1e-12)
 
 
-def test_total_loss_identical_sets_both_modes(k, image):
-    lanes = [make_lane(d=-1.75, score=1.0), make_lane(d=1.75, score=1.0)]
-    lanes2d = [project_lane(k, l, 72) for l in lanes]
-    gts = [resample_lane(l, image) for l in lanes2d]
-    matches = match_lanes(lanes2d, lanes2d, image)
-    gts3 = [sample_lane(l, 200) for l in lanes]
-
-    for g3 in (None, gts3):
-        out = total_loss(lanes, gts, matches, k, gts_3d=g3)
-        floor, _ = classification_loss(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        assert out.total == pytest.approx(floor, abs=1e-9)
-        assert out.l_bev == pytest.approx(0.0, abs=1e-12)
-        assert out.l_per == pytest.approx(0.0, abs=1e-12)
-        assert out.l_v == 0.0
-
-
-def test_total_loss_2d_decomposition(k, image):
-    # bumpy heights, pred projects exactly onto its own projection: the
-    # only residuals are the score term and the height-spread regularizer
-    heights = 1.5 + 0.25 * np.sin(np.linspace(0, 9, 72))
-    lane = make_lane(d=1.0, heights=heights, score=0.8)
-    lane2d = project_lane(k, lane, 72)
-    gts = [resample_lane(lane2d, image)]
-    matches = match_lanes([lane2d], [lane2d], image)
-    out = total_loss([lane], gts, matches, k, gts_3d=None)
-    l_cls, _ = classification_loss(np.array([0.8]), np.array([1.0]))
-    sigma, _ = height_variance_reg(lane)
-    assert out.total == pytest.approx(l_cls + sigma, abs=1e-10)
-    assert out.l_reg == pytest.approx(sigma, rel=1e-12)
-
-
-def test_total_loss_recombination_oracle(k, image, rng):
-    """Mode totals must recombine the standalone terms bit-exactly."""
-    gt_lanes = [make_lane(d=-2.0, heights=1.5 + 0.1 * np.sin(np.linspace(0, 5, 72))), make_lane(d=2.0)]
-    preds = [
-        make_lane(c=0.004, d=-1.9, heights=1.45 + 0.1 * np.sin(np.linspace(0.2, 5, 72)), score=0.9),
-        make_lane(d=2.15, heights=np.full(72, 1.55), score=0.7),
-        make_lane(d=6.5, score=0.2),
-    ]
-    gt2d = [project_lane(k, l, 72) for l in gt_lanes]
-    pred2d = [project_lane(k, l, 72) for l in preds]
-    gts = [resample_lane(l, image) for l in gt2d]
-    matches = match_lanes(pred2d, gt2d, image)
-    assert len(matches.pairs) == 2
-    gts3 = [sample_lane(l, 200) for l in gt_lanes]
-
-    alpha, beta = 1.0, 1.0
-    labels = np.zeros(len(preds))
-    for i, _, _ in matches.pairs:
-        labels[i] = 1.0
-    scores = np.array([p.score for p in preds])
-    l_cls = classification_loss(scores, labels)[0]
-
-    per_pair = {"bev": [], "h": [], "z": [], "per": [], "v": []}
-    for i, j, _ in matches.pairs:
-        g3 = gts3[j]
-        zs = sample_lane(preds[i], 72)[:, 2]
-        gt_xs = np.interp(zs, g3[:, 2], g3[:, 0])
-        per_pair["bev"].append(bev_iou_loss(preds[i], gt_xs)[0])
-        gt_h = np.interp(preds[i].profile.keypoint_z(), g3[:, 2], g3[:, 1])
-        per_pair["h"].append(height_loss(preds[i], gt_h)[0])
-        per_pair["z"].append(endpoint_z_loss(preds[i], g3[0, 2], g3[-1, 2])[0])
-        out = perspective_losses(preds[i], k, gts[j])
-        per_pair["per"].append(out.l_per)
-        per_pair["v"].append(out.l_v)
-
-    got3 = total_loss(preds, gts, matches, k, gts_3d=gts3)
-    manual3 = l_cls + alpha * (
-        np.mean(per_pair["bev"]) + np.mean(per_pair["h"]) + np.mean(per_pair["z"])
-    ) + beta * (np.mean(per_pair["per"]) + np.mean(per_pair["v"]))
-    assert got3.total == manual3
-
-    got2 = total_loss(preds, gts, matches, k, gts_3d=None)
-    sigmas = [height_variance_reg(preds[i])[0] for i, _, _ in matches.pairs]
-    manual2 = l_cls + beta * (np.mean(per_pair["per"]) + np.mean(per_pair["v"])) + np.mean(sigmas)
-    assert got2.total == manual2
-
-
-def test_total_loss_alpha_beta_zero_is_classification(k, image):
-    lane = make_lane(d=1.0, score=0.6)
-    lane2d = project_lane(k, lane, 72)
-    gts = [resample_lane(lane2d, image)]
-    matches = match_lanes([lane2d], [lane2d], image)
-    out = total_loss([lane], gts, matches, k, gts_3d=[sample_lane(lane, 100)],
-                     weights=LossWeights(alpha=0.0, beta=0.0))
-    assert out.total == classification_loss(np.array([0.6]), np.array([1.0]))[0]
-
-
 @pytest.mark.parametrize("name", ["alpha", "beta"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_loss_weights_reject_non_finite_or_negative(name, value):
     with pytest.raises(ValidationError, match=name):
         LossWeights(**{name: value})
-
-
-def test_total_loss_unmatched_prediction_label_zero(k, image):
-    lane = make_lane(d=1.0, score=0.3)
-    lane2d = project_lane(k, lane, 72)
-    gts: list = []
-    matches = MatchResult(pairs=(), unmatched_predictions=(0,), unmatched_ground_truths=())
-    out = total_loss([lane], gts, matches, k)
-    assert out.total == classification_loss(np.array([0.3]), np.array([0.0]))[0]
-    assert out.matched == ()
-
-
-def test_total_loss_no_overlap_pair_demoted(k, image):
-    # a fabricated pair whose spans never share a row falls back to an
-    # unmatched classification target
-    near = make_lane(d=1.0, z_min=4.0, z_max=7.0, score=0.9)
-    far = make_lane(d=1.0, z_min=40.0, z_max=70.0)
-    far2d = project_lane(k, far, 72)
-    gts = [resample_lane(far2d, image)]
-    matches = MatchResult(pairs=((0, 0, 1.0),), unmatched_predictions=(), unmatched_ground_truths=())
-    out = total_loss([near], gts, matches, k)
-    assert out.matched == ()
-    assert lane_loss(lane_to_vector(near)[:-1], k, gts[0]) is None
-    assert out.total == classification_loss(np.array([0.9]), np.array([0.0]))[0]
 
 
 def test_lane_losses_2d_zero_gradient_without_overlap(k, image):
@@ -295,6 +189,18 @@ def test_lane_losses_2d_zero_gradient_without_overlap(k, image):
     assert terms[1, 2] > 0.0 and grad[1, 4:-2].any()
 
 
+def test_lane_losses_stack_of_one_without_overlap(k, image):
+    # a lane whose span never shares a row with its target reads +inf with
+    # a zero gradient, with or without 3D labels
+    near = make_lane(d=1.0, z_min=4.0, z_max=7.0)
+    far = make_lane(d=1.0, z_min=40.0, z_max=70.0)
+    gt = resample_lane(project_lane(k, far, 72), image)
+    theta = lane_to_vector(near)[None, :-1]
+    for labels in (None, [sample_lane(far, 200)]):
+        loss, grad, _terms, overlap = lane_losses(theta, LaneTargets.stack([gt], [k], labels))
+        assert not overlap[0] and loss[0] == np.inf and not grad.any()
+
+
 def test_lane_loss_reads_labels_in_any_order(k, image, rng):
     # np.interp needs increasing z, so the labels are sorted once, whatever
     # order they come in
@@ -302,12 +208,12 @@ def test_lane_loss_reads_labels_in_any_order(k, image, rng):
     pred = make_lane(c=0.012, d=1.2, heights=np.full(72, 1.45), z_min=5.0, z_max=55.0)
     gt = resample_lane(project_lane(k, gt_lane, 72), image)
     labels = sample_lane(gt_lane, 200)
-    theta = lane_to_vector(pred)[:-1]
-    want = lane_loss(theta, k, gt, labels)
-    assert want[2]["l_bev"] > 0.0 and want[2]["l_h"] > 0.0 and want[2]["l_z"] > 0.0
+    theta = lane_to_vector(pred)[None, :-1]
+    want = lane_losses(theta, LaneTargets.stack([gt], [k], [labels]))
+    assert (want[2][0, 2:] > 0.0).all()  # l_bev, l_h and l_z
     for shuffled in (labels[::-1], labels[rng.permutation(200)]):
-        got = lane_loss(theta, k, gt, shuffled)
-        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
+        got = lane_losses(theta, LaneTargets.stack([gt], [k], [shuffled]))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_scale_ambiguity_regularizer_pins_scale(k, image):

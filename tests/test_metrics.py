@@ -8,7 +8,6 @@ from bevlane.errors import DimensionMismatchError, ValidationError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, sample_lane
 from bevlane.metrics import (
     EvalConfig,
-    cd_error,
     cd_error_per_pair,
     counts_to_f1,
     f1_counts,
@@ -352,12 +351,12 @@ class TestCurveDistance:
     def test_parallel_offset_is_exact(self):
         pred = straight_lane3d(x_offset=0.1)
         gt = sample_lane(straight_lane3d(0.0), 100)
-        assert cd_error([pred], [gt], [(0, 0)]) == pytest.approx(0.1, abs=1e-12)
+        assert cd_error_per_pair([pred], [gt], [(0, 0)]).mean() == pytest.approx(0.1, abs=1e-12)
 
     def test_zero_for_identical(self):
         pred = straight_lane3d(0.5)
         gt = sample_lane(pred, 72)
-        assert cd_error([pred], [gt], [(0, 0)]) == pytest.approx(0.0, abs=1e-12)
+        assert cd_error_per_pair([pred], [gt], [(0, 0)]).mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_chamfer_oracle(self, rng):
         for _ in range(5):
@@ -365,7 +364,7 @@ class TestCurveDistance:
             heights = HeightProfile(1.5 + rng.normal(scale=0.1, size=72), 4.0, 70.0)
             pred = Lane3D(curve, heights, 1.0)
             gt = sample_lane(straight_lane3d(rng.normal()), 37)
-            got = cd_error([pred], [gt], [(0, 0)], sample_count=72)
+            got = cd_error_per_pair([pred], [gt], [(0, 0)], sample_count=72).mean()
             want = chamfer_oracle(sample_lane(pred, 72), gt)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -389,10 +388,7 @@ class TestCurveDistance:
         gts = [sample_lane(straight_lane3d(0.0), 72), sample_lane(straight_lane3d(5.0), 72)]
         per = cd_error_per_pair(preds, gts, [(0, 0), (1, 1)])
         np.testing.assert_allclose(per, [0.1, 0.3], atol=1e-12)
-        assert cd_error(preds, gts, [(0, 0), (1, 1)]) == pytest.approx(0.2, abs=1e-12)
-
-    def test_no_pairs_is_none(self):
-        assert cd_error([], [], []) is None
+        assert per.mean() == pytest.approx(0.2, abs=1e-12)
 
 
 def dense_point_polyline_distances(points, poly):
