@@ -25,7 +25,6 @@ from .errors import (
     VersionError,
 )
 from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT
-from .losses import IoUConfig, LossWeights
 
 
 def _count(limit: int | None = None):
@@ -59,12 +58,12 @@ def _cmd_generate(opts) -> int:
 
 
 def _cmd_fit(opts) -> int:
+    # baseline mode fits u(v) in the image, which has no height keypoints
+    keypoints = {} if opts.keypoints is None else {"keypoints": opts.keypoints}
+    if opts.mode == "baseline" and keypoints:
+        raise SchemaError("--keypoints does not apply to --mode baseline")
+    cfg = fitting.FitConfig(order=opts.order, **keypoints)
     frames = io_formats.read_dataset(opts.dataset)
-    cfg = fitting.FitConfig(
-        order=opts.order, keypoints=opts.keypoints, ipm_camera_height=opts.ipm_height
-    )
-    weights = LossWeights(beta=opts.beta)
-    per_iou = IoUConfig(e=opts.e_per)
 
     # Per frame, in baseline mode each fitted (lane, max residual), and in
     # 3d and 2d mode the index of each lane's job; fit_lanes solves the jobs.
@@ -89,12 +88,12 @@ def _cmd_fit(opts) -> int:
                     start = fitting.label_init(labels, cfg)
                 else:
                     labels = None
-                    start = fitting.ipm_init(gt2d, frame.intrinsics, cfg)
+                    start = fitting.ipm_init(gt2d, frame.intrinsics, frame.camera_height, cfg)
                 lanes.append(len(jobs))
                 jobs.append((targets[idx], frame.intrinsics, start, labels))
         fitted_lanes.append(lanes)
 
-    reports = _fit_in_blocks(jobs, cfg, per_iou, weights)
+    reports = _fit_in_blocks(jobs, cfg)
     preds = []
     residuals = []
     for frame, lanes in zip(frames, fitted_lanes):
@@ -126,7 +125,7 @@ def _cmd_fit(opts) -> int:
 FIT_BLOCK_LANES = 64
 
 
-def _fit_in_blocks(jobs, cfg, per_iou, weights) -> list:
+def _fit_in_blocks(jobs, cfg) -> list:
     """fit_lanes over (target, camera, start, labels or None) jobs: by row grid, in blocks."""
     by_grid = {}
     for i, (gt, *_rest) in enumerate(jobs):
@@ -137,7 +136,7 @@ def _fit_in_blocks(jobs, cfg, per_iou, weights) -> list:
             block = members[start : start + FIT_BLOCK_LANES]
             gts, cameras, starts, labels = zip(*(jobs[i] for i in block))
             labels = None if labels[0] is None else labels
-            fits = fitting.fit_lanes(gts, cameras, starts, cfg, per_iou, weights, labels)
+            fits = fitting.fit_lanes(gts, cameras, starts, cfg, labels)
             for i, report in zip(block, fits):
                 reports[i] = report
     return reports
@@ -149,11 +148,7 @@ def _cmd_eval(opts) -> int:
     io_formats.validate_predictions(preds, frames)
     by_id = {p.frame_id: p for p in preds}
 
-    cfg = metrics.EvalConfig(
-        lane_width=opts.lane_width,
-        raster_scale=opts.raster_scale,
-        tusimple_pixel_tol=opts.tusimple_tol,
-    )
+    cfg = metrics.EvalConfig(lane_width=opts.lane_width, tusimple_pixel_tol=opts.tusimple_tol)
     totals = {t: [0, 0, 0] for t in cfg.iou_thresholds}
     ts_correct = ts_points = ts_matched = ts_pred = ts_gt = 0
     cd_values = []
@@ -374,17 +369,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "default": fit_defaults.order,
                 "help": "least-squares degree; 4 in baseline mode only",
             },
-            "--beta": {"type": float, "default": 1.0, "help": "2D loss weight"},
-            "--e-per": {"type": float, "default": 15.0, "help": "image IoU half-width [px]"},
             "--keypoints": {
                 "type": _count(fitting.MAX_KEYPOINTS),
-                "default": fit_defaults.keypoints,
-                "help": f"height keypoints per lane, 2 to {fitting.MAX_KEYPOINTS}",
-            },
-            "--ipm-height": {
-                "type": float,
-                "default": fit_defaults.ipm_camera_height,
-                "help": "camera height for 2d init",
+                "help": f"height keypoints per lane, 2 to {fitting.MAX_KEYPOINTS} "
+                f"(default {fit_defaults.keypoints}); 3d and 2d modes only",
             },
         },
     )
@@ -397,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--pred": {"required": True, "help": "predictions file"},
             "--out": {"required": True, "help": "output report JSON"},
             "--lane-width": {"type": float, "default": 30.0, "help": "raster lane width [px]"},
-            "--raster-scale": {"type": float, "default": 1.0, "help": "raster scale, in (0, 1]"},
             "--match-threshold": {
                 "type": _non_negative_float,
                 "default": 30.0,

@@ -5,15 +5,16 @@ geometry.lane_to_vector. Direct fits handle the supervised pieces
 (polynomial BEV curve, height keypoints, a perspective-space polynomial
 baseline); with 3D labels they are the whole fit (label_init). With 2D
 labels only, momentum gradient descent on the image-plane losses
-recovers the lane from a flat-ground start (ipm_init), on the fixed
-schedule MAX_ITERS, STEP_SIZE and PLATEAU_PATIENCE. fit_lanes, the
-one fitter, scores a stack of lanes with losses.lane_losses and without
-3D labels descends them, each lane with its own step scales, velocity,
-best iterate and stop; fit_lane_3d and fit_lane_2d are its stacks of
-one. The descent runs in a diagonally rescaled parameter space: curve
-coefficients act on different powers of z, so their raw gradient
-magnitudes differ by orders of magnitude and unscaled steps either crawl
-or blow up.
+recovers the lane from a flat-ground start (ipm_init, on the ground
+plane at the frame's recorded camera height), on the fixed schedule
+MAX_ITERS, STEP_SIZE and PLATEAU_PATIENCE. fit_lanes, the one fitter,
+scores a stack of lanes with losses.lane_losses at its default loss
+settings and without 3D labels descends them, each lane with its own
+step scales, velocity, best iterate and stop; fit_lane_3d and
+fit_lane_2d are its stacks of one. The descent runs in a diagonally
+rescaled parameter space: curve coefficients act on different powers of
+z, so their raw gradient magnitudes differ by orders of magnitude and
+unscaled steps either crawl or blow up.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import BevCurve, HeightProfile, Lane3D, lane_from_vector, lane_to_vector
-from .losses import (
-    DEFAULT_PERSPECTIVE_IOU,
-    IoUConfig,
-    LaneTargets,
-    LossWeights,
-    lane_losses,
-)
+from .losses import LaneTargets, lane_losses
 
 # The 2D descent's schedule: at most MAX_ITERS momentum steps of base size
 # STEP_SIZE, and a lane stops once PLATEAU_PATIENCE steps in a row have not
@@ -74,23 +69,17 @@ class FitConfig:
     power cubic of geometry.lane_to_vector, and order 2 pins its cubic
     coefficient at 0.
 
-    label_init reads order and keypoints, fit_lanes reads order, and
-    ipm_init reads order, keypoints and ipm_camera_height (finite and
-    > 0). keypoints runs from 2 to MAX_KEYPOINTS. The CLI takes its
-    defaults from here.
+    keypoints is the number of height keypoints per lane, 2 to
+    MAX_KEYPOINTS. label_init and ipm_init read both, and fit_lanes
+    reads order. The CLI takes its defaults from here.
     """
 
     order: int = 3
     keypoints: int = 72
-    ipm_camera_height: float = 1.5
 
     def __post_init__(self):
         if self.order not in ORDERS:
             raise ValidationError(f"order must be one of {ORDERS}, got {self.order!r}")
-        if not 0.0 < self.ipm_camera_height < np.inf:
-            raise ValidationError(
-                f"ipm_camera_height must be finite and > 0, got {self.ipm_camera_height}"
-            )
         if not 2 <= self.keypoints <= MAX_KEYPOINTS:
             raise ValidationError(
                 f"keypoints must be in [2, {MAX_KEYPOINTS}], got {self.keypoints}"
@@ -241,19 +230,18 @@ def fit_lanes(
     intrinsics: list[CameraIntrinsics],
     inits: list[Lane3D],
     cfg: FitConfig = FitConfig(),
-    per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
-    weights: LossWeights = LossWeights(),
     labels3d: list[np.ndarray] | None = None,
 ) -> list[FitReport]:
     """Fit a stack of lanes from their starts, one report per lane.
 
     The targets share one row grid; intrinsics holds each lane's camera.
-    With 3D labels (one (m, 3) array per lane) the starts are scored
-    once and returned: descent from label_init never lowered that loss.
-    Without them, momentum descent runs on all lanes at once; each lane
-    keeps its own step scales, velocity and best iterate, and stops when
-    its loss plateaus or after MAX_ITERS steps, at the 3D scale its
-    start pinned (2D labels cannot determine it). A lane whose projection
+    The objective is lane_losses at its default loss settings. With 3D
+    labels (one (m, 3) array per lane) the starts are scored once and
+    returned: descent from label_init never lowered that loss. Without
+    them, momentum descent runs on all lanes at once; each lane keeps
+    its own step scales, velocity and best iterate, and stops when its
+    loss plateaus or after MAX_ITERS steps, at the 3D scale its start
+    pinned (2D labels cannot determine it). A lane whose projection
     misses its target reads +inf with a zero gradient. Every lane's
     result is the one it gets alone.
     """
@@ -278,7 +266,7 @@ def fit_lanes(
     max_iters = 0 if labels3d is not None else MAX_ITERS
 
     def objective(lanes, iteration):
-        out = lane_losses(theta[lanes], targets.take(lanes), per_iou, weights)
+        out = lane_losses(theta[lanes], targets.take(lanes))
         _check_finite(out[0], out[1], iteration)
         return out
 
@@ -322,11 +310,9 @@ def fit_lane_2d(
     k: CameraIntrinsics,
     init: Lane3D,
     cfg: FitConfig = FitConfig(),
-    per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
-    weights: LossWeights = LossWeights(),
 ) -> FitReport:
     """Refine one lane against 2D labels only: fit_lanes on a stack of one."""
-    return fit_lanes([gt], [k], [init], cfg, per_iou, weights)[0]
+    return fit_lanes([gt], [k], [init], cfg)[0]
 
 
 def _start_lane(pts: np.ndarray, order: int, keypoints: int) -> Lane3D:
@@ -354,23 +340,24 @@ def fit_lane_3d(
     gt2d: ResampledLane2D,
     k: CameraIntrinsics,
     cfg: FitConfig = FitConfig(),
-    per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
-    weights: LossWeights = LossWeights(),
 ) -> FitReport:
     """Fit one lane to 3D labeled points: fit_lanes with labels on a stack of one."""
-    return fit_lanes([gt2d], [k], [label_init(gt3, cfg)], cfg, per_iou, weights, [gt3])[0]
+    return fit_lanes([gt2d], [k], [label_init(gt3, cfg)], cfg, [gt3])[0]
 
 
-def ipm_init(gt: Lane2D, k: CameraIntrinsics, cfg: FitConfig = FitConfig()) -> Lane3D:
+def ipm_init(
+    gt: Lane2D, k: CameraIntrinsics, camera_height: float, cfg: FitConfig = FitConfig()
+) -> Lane3D:
     """Initialize a 3D lane from 2D points via a flat-ground assumption.
 
     Back-projects every point below the horizon onto the plane
-    y = cfg.ipm_camera_height and fits curve and heights to the result.
-    The assumed height also pins the overall scale, which 2D data leaves
-    free. Raises DegenerateInputError when too few points back-project.
+    y = camera_height (> 0), the height the frame records for its
+    camera, and fits curve and heights to the result. That height also
+    pins the overall scale, which 2D data leaves free. Raises
+    DegenerateInputError when too few points back-project.
     """
     below = gt.points[gt.points[:, 1] > k.oy + 1e-9]
-    pts = invert_to_ground(k, below[:, 0], below[:, 1], cfg.ipm_camera_height)
+    pts = invert_to_ground(k, below[:, 0], below[:, 1], camera_height)
     if pts.shape[0] < 2:
         raise DegenerateInputError("too few points below the horizon to back-project")
     if np.unique(pts[:, 2]).size < cfg.order + 1:

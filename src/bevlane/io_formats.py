@@ -240,6 +240,8 @@ def read_dataset(path: str) -> list[FrameRecord]:
             )
         except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad frame record: {exc}") from exc
+        if not frame.camera_height > 0.0:
+            raise SchemaError(f"{where}: camera_height must be > 0, got {frame.camera_height}")
         if frame.lanes3d and len(frame.lanes3d) != len(frame.lanes2d):
             raise SchemaError(f"{where}: {len(frame.lanes3d)} lanes3d for {len(frame.lanes2d)} lanes2d")
         for pts in frame.lanes3d:

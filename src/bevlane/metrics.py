@@ -31,7 +31,6 @@ class EvalConfig:
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     tusimple_pixel_tol: float = 20.0
     tusimple_min_correct: float = 0.85
-    raster_scale: float = 1.0
 
     def __post_init__(self):
         if not 1.0 <= self.lane_width < np.inf:
@@ -40,8 +39,6 @@ class EvalConfig:
             t2 <= t1 for t1, t2 in zip(self.iou_thresholds, self.iou_thresholds[1:])
         ):
             raise ValidationError("iou_thresholds must be strictly increasing")
-        if not 0.0 < self.raster_scale <= 1.0:
-            raise ValidationError("raster_scale must be in (0, 1]")
         if not self.tusimple_pixel_tol >= 0.0:
             raise ValidationError("tusimple_pixel_tol must be >= 0")
         if not 0.0 <= self.tusimple_min_correct <= 1.0:
@@ -57,32 +54,23 @@ class EvalConfig:
 _EDGE_BAND = 1e-9
 
 
-def rasterize_lane(
-    lane: Lane2D, image: ImageSpec, width: float = 30.0, scale: float = 1.0
-) -> np.ndarray:
+def rasterize_lane(lane: Lane2D, image: ImageSpec, width: float = 30.0) -> np.ndarray:
     """Boolean mask of the lane widened to the given pixel width.
 
     Pixel (row j, column i) has its center at (i + 0.5, j + 0.5) and
     belongs to the lane when that center lies within (width - 1) / 2 of
     the polyline, so a vertical lane through a center covers exactly
-    `width` columns. With scale < 1 the rule is applied on a
-    proportionally smaller canvas. This is the one-lane mask view of
-    the runs that _lane_runs builds.
+    `width` columns. This is the one-lane mask view of the runs that
+    _lane_runs builds.
     """
-    h, w = _canvas(image, scale)
-    lo, hi, _ = _lane_runs([lane], image, width, scale)
-    mask = np.zeros((h, w), dtype=bool)
+    lo, hi, _ = _lane_runs([lane], image, width)
+    mask = np.zeros((image.height, image.width), dtype=bool)
     lengths = hi - lo + 1
     mask.reshape(-1)[np.repeat(lo, lengths) + _ranks(lengths)] = True
     return mask
 
 
-def _canvas(image: ImageSpec, scale: float) -> tuple[int, int]:
-    """Rows and columns of the raster canvas at the given scale."""
-    return int(round(image.height * scale)), int(round(image.width * scale))
-
-
-def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float, scale: float):
+def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float):
     """The masks of all lanes of a frame as merged runs of flat canvas indices.
 
     Returns (lo, hi, starts): lane n covers the pixels lo[r] .. hi[r]
@@ -99,14 +87,14 @@ def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float, scale: float
     """
     if not 1.0 <= width < np.inf:
         raise ValidationError("width must be finite and >= 1 pixel")
-    h, w = _canvas(image, scale)
-    radius = (width * scale - 1.0) / 2.0
+    h, w = image.height, image.width
+    radius = (width - 1.0) / 2.0
     n_lanes = len(lanes)
     if radius < 0.0 or n_lanes == 0:
         nothing = np.zeros(0, dtype=np.int64)
         return nothing, nothing, np.zeros(n_lanes + 1, dtype=np.int64)
 
-    pts = [lane.points * scale for lane in lanes]
+    pts = [lane.points for lane in lanes]
     a = np.concatenate([p[:-1] for p in pts])
     b = np.concatenate([p[1:] for p in pts])
     lane_of = np.repeat(np.arange(n_lanes), [len(p) - 1 for p in pts])
@@ -298,7 +286,7 @@ def lane_iou_matrix(
     n_pred, n_gt = len(preds), len(gts)
     if n_pred == 0 or n_gt == 0:
         return np.zeros((n_pred, n_gt))
-    lo, hi, starts = _lane_runs([*preds, *gts], image, cfg.lane_width, cfg.raster_scale)
+    lo, hi, starts = _lane_runs([*preds, *gts], image, cfg.lane_width)
     area = _run_totals(hi - lo + 1, starts)
 
     # Both lanes' runs for every (pred, GT) pair, merged per pair.
@@ -308,8 +296,8 @@ def lane_iou_matrix(
     counts = starts[lanes + 1] - starts[lanes]
     picks = np.repeat(starts[lanes], counts) + _ranks(counts)
     pair_of = np.repeat(np.arange(lanes.size) // 2, counts)
-    h, w = _canvas(image, cfg.raster_scale)
-    pair_lo, pair_hi, pair_starts = _merge_runs(pair_of, lo[picks], hi[picks], n_pairs, h * w)
+    n_pixels = image.height * image.width
+    pair_lo, pair_hi, pair_starts = _merge_runs(pair_of, lo[picks], hi[picks], n_pairs, n_pixels)
     union = _run_totals(pair_hi - pair_lo + 1, pair_starts)
 
     inter = area[pred_of] + area[n_pred + gt_of] - union

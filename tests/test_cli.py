@@ -174,7 +174,7 @@ class TestFit:
         for frame, pred in zip(frames, read_predictions(str(out)), strict=True):
             for lane2d, got in zip(frame.lanes2d, pred.lanes3d, strict=True):
                 gt = resample_lane(lane2d, frame.image)
-                init = ipm_init(lane2d, frame.intrinsics)
+                init = ipm_init(lane2d, frame.intrinsics, frame.camera_height)
                 want = fit_lane_2d(gt, frame.intrinsics, init).lane
                 assert np.array_equal(lane_to_vector(got), lane_to_vector(want))
 
@@ -434,11 +434,10 @@ class TestConfigFile:
         sections = {
             "generate": {"spec": spec, "frames": 2, "seed": 5},
             "fit": {
-                "dataset": flat_dataset, "mode": "2d", "order": 2, "beta": 0.5, "e_per": 10.0,
-                "keypoints": 40, "ipm_height": 1.4,
+                "dataset": flat_dataset, "mode": "2d", "order": 2, "keypoints": 40,
             },
             "eval": {
-                "dataset": flat_dataset, "pred": preds, "lane_width": 25.0, "raster_scale": 0.5,
+                "dataset": flat_dataset, "pred": preds, "lane_width": 25.0,
                 "match_threshold": 20.0, "sample_count": 50, "tusimple_tol": 15.0,
                 "tusimple_row_step": 8,
             },
@@ -568,7 +567,7 @@ def test_bad_config_section_exits_2(flat_dataset, tmp_path, command, section):
 @pytest.mark.parametrize(
     "command, flags",
     [
-        ("fit", ["--mode", "2d", "--beta", "-1"]),
+        ("fit", ["--mode", "2d", "--keypoints", "1"]),
         ("eval", ["--tusimple-tol", "-1"]),
         ("eval", ["--match-threshold", "-1"]),
         ("anchors", ["-k", "2", "--match-threshold", "-1"]),
@@ -593,14 +592,22 @@ def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, f
         ("fit", "max_iters", 5),
         ("fit", "step_size", 1e300),
         ("fit", "plateau", 3),
+        ("fit", "beta", 0.5),
+        ("fit", "e_per", 5.0),
+        ("fit", "ipm_height", 3.0),
+        ("eval", "raster_scale", 0.5),
         ("anchors", "restarts", 2),
     ],
 )
 def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, command, key, value, via):
-    # the 2D descent's schedule and the k-means restart count are constants,
-    # so these are refused like any unknown option, before anything runs
+    # the 2D descent's schedule, its loss settings, the raster resolution and
+    # the k-means restart count are constants, and the IPM start reads the
+    # frame's camera height, so these are refused like any unknown option,
+    # before anything runs
     argv = [command, "--dataset", flat_dataset, "--out", str(tmp_path / "o")]
-    argv += ["--mode", "2d"] if command == "fit" else ["-k", "2"]
+    argv += {"fit": ["--mode", "2d"], "eval": ["--pred", str(tmp_path / "p")]}.get(
+        command, ["-k", "2"]
+    )
     if via == "flag":
         argv += ["--" + key.replace("_", "-"), str(value)]
         message = "unrecognized arguments"
@@ -616,56 +623,65 @@ def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, comm
 
 
 @pytest.mark.parametrize(
-    "flags, field",
+    "value, message",
     [
-        (["--beta", "inf"], "beta"),
-        (["--beta", "nan"], "beta"),
-    ],
-)
-def test_non_finite_fit_setting_exits_2(flat_dataset, tmp_path, flags, field):
-    # fit has no --alpha flag; LossWeights' alpha check is tested in test_losses.
-    argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", str(tmp_path / "p")]
-    code, err = _run(argv + flags)
-    assert code == 2
-    assert field in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "flags, field",
-    [
-        (["--e-per", "inf"], "half-width e"),
-        (["--e-per", "1e308"], "half-width e"),
-        (["--ipm-height", "nan"], "ipm_camera_height"),
-        (["--ipm-height", "inf"], "ipm_camera_height"),
-        # (2e + |dx|)^2 underflows to 0 (0 / 0 at dx = 0) or overflows
-        (["--e-per", "1e-300"], "half-width e"),
-        (["--mode", "3d", "--e-per", "1e-300"], "half-width e"),
-        (["--e-per", "1e200"], "half-width e"),
+        (0.0, "camera_height must be > 0"),
         # the back-projected depths are finite, but their cubes are not
-        (["--ipm-height", "1e300"], "too large"),
+        (1e300, "too large"),
     ],
 )
-def test_unusable_loss_or_ipm_setting_exits_2(flat_dataset, tmp_path, flags, field):
-    # refused before any array arithmetic warns
-    argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", str(tmp_path / "p")]
+def test_unusable_camera_height_exits_2(flat_dataset, tmp_path, value, message):
+    # the 2d fit's IPM start reads each frame's camera height
+    lines = open(flat_dataset).read().splitlines()
+    record = json.loads(lines[1])
+    record["camera_height"] = value
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    argv = ["fit", "--dataset", str(dataset), "--mode", "2d", "--out", str(tmp_path / "p")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, err = _run(argv + flags)
+        code, err = _run(argv)
     assert code == 2
-    assert field in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert message in err and "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("mode", ["2d", "3d"])
-def test_tiny_iou_half_width_still_fits(flat_dataset, tmp_path, mode):
-    # (2e)^2 is still a positive double at e = 1e-150 and 1e-162
-    for e in ["1e-150", "1e-162"]:
-        argv = ["fit", "--dataset", flat_dataset, "--mode", mode, "--e-per", e]
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, err = _run(argv + ["--out", str(tmp_path / f"p{e}")])
+@pytest.fixture(scope="module")
+def jittered_dataset(tmp_path_factory):
+    """MIXED_SPEC at 2 frames per scene, with each mode's default fit."""
+    root = tmp_path_factory.mktemp("jittered")
+    dataset = str(root / "d.jsonl")
+    spec = write_json(root / "spec.json", MIXED_SPEC)
+    assert main(["generate", "--spec", spec, "--frames", "2", "--out", dataset]) == 0
+    defaults = {}
+    for mode in ("3d", "2d", "baseline"):
+        out = root / f"{mode}.jsonl"
+        assert main(["fit", "--dataset", dataset, "--mode", mode, "--out", str(out)]) == 0
+        defaults[mode] = out.read_bytes()
+    return dataset, defaults
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [("order", 2), ("keypoints", 40)])
+@pytest.mark.parametrize("mode", ["3d", "2d", "baseline"])
+def test_fit_setting_changes_predictions_or_exits_2(
+    jittered_dataset, tmp_path, mode, key, value, via
+):
+    # a setting that a mode does not read is refused rather than ignored
+    dataset, defaults = jittered_dataset
+    out = tmp_path / "p.jsonl"
+    argv = ["fit", "--dataset", dataset, "--mode", mode, "--out", str(out)]
+    if via == "flag":
+        argv += [f"--{key}", str(value)]
+    else:
+        argv += ["--config", write_json(tmp_path / "config.json", {"fit": {key: value}})]
+    code, err = _run(argv)
+    if (mode, key) == ("baseline", "keypoints"):
+        assert code == 2
+        assert "--keypoints" in err and "Traceback" not in err
+    else:
         assert code == 0, err
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert out.read_bytes() != defaults[mode]
 
 
 def test_cli_import_loads_no_scipy():
@@ -747,7 +763,7 @@ if HAVE_HYPOTHESIS:
     FUZZ_CONFIG = {
         "generate": {"frames": 1, "seed": 3},
         "eval": {"lane_width": 30.0, "match_threshold": 30.0, "tusimple_row_step": 10},
-        "fit": {"mode": "2d", "ipm_height": 1.5, "e_per": 15.0, "keypoints": 72},
+        "fit": {"mode": "2d", "keypoints": 72},
         "anchors": {"k": 2, "seed": 0, "rows": 36},
     }
 

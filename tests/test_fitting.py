@@ -173,7 +173,7 @@ def _mixed_block():
         for lane2d in frame.lanes2d[1:3]:
             gts.append(resample_lane(lane2d, frame.image))
             cams.append(frame.intrinsics)
-            inits.append(ipm_init(lane2d, frame.intrinsics))
+            inits.append(ipm_init(lane2d, frame.intrinsics, frame.camera_height))
     wavy = -1.5 + 0.1 * np.sin(np.linspace(0.0, 6.0, 72))
     above = Lane3D(BevCurve(0, 0, 0, 1.0), HeightProfile(wavy, 3.0, 80.0), 1.0)
     return gts + [gts[0]], cams + [cams[0]], inits + [above]
@@ -288,7 +288,7 @@ def test_fit_lane_2d_rejects_degree4(k, image):
     with pytest.raises(ValidationError, match="degree 4"):
         label_init(frame.lanes3d[1], FitConfig(order=4))
     with pytest.raises(ValidationError, match="degree 4"):
-        ipm_init(frame.lanes2d[1], frame.intrinsics, FitConfig(order=4))
+        ipm_init(frame.lanes2d[1], frame.intrinsics, 1.5, FitConfig(order=4))
 
 
 def test_fit_lane_3d_bump_scene(k, image):
@@ -415,7 +415,7 @@ def test_fit_determinism(k):
 def test_ipm_init_exact_on_flat_ground(k):
     frame = datagen.generate_frame(datagen.flat_scene())
     gt3 = frame.lanes3d[1]
-    init = ipm_init(frame.lanes2d[1], frame.intrinsics)
+    init = ipm_init(frame.lanes2d[1], frame.intrinsics, frame.camera_height)
     z = np.linspace(init.z_min, init.z_max, 50)
     assert np.abs(init.curve.x_at(z) - gt3[0, 0]).max() < 1e-6
     assert np.abs(np.asarray(init.profile.heights) - 1.5).max() < 1e-9
@@ -426,7 +426,7 @@ def test_ipm_init_exact_on_flat_ground(k):
 def test_ipm_init_needs_points_below_horizon(k):
     above = Lane2D(np.array([[400.0, 100.0], [410.0, 120.0], [420.0, 140.0]]))
     with pytest.raises(DegenerateInputError):
-        ipm_init(above, k)
+        ipm_init(above, k, 1.5)
 
 
 def test_reprojection_residuals_zero_for_exact_lane(k):

@@ -320,6 +320,15 @@ def test_non_finite_literal_rejected(tmp_path, kind, field, fragment, message):
         reader(str(path))
 
 
+@pytest.mark.parametrize("fragment", ["0", "-0.0", "-1.5"])
+def test_non_positive_camera_height_rejected(tmp_path, fragment):
+    reader, header, document, _ = valid_documents()["dataset"]
+    path = tmp_path / "doc"
+    path.write_text(header + _substitute(document, ("camera_height",), fragment))
+    with pytest.raises(SchemaError, match=":2: camera_height must be > 0"):
+        reader(str(path))
+
+
 @pytest.mark.parametrize(
     "reader, write",
     [

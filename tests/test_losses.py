@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,33 @@ def test_perspective_losses_shift_closed_form(k, image):
 def test_loss_weights_reject_non_finite_or_negative(name, value):
     with pytest.raises(ValidationError, match=name):
         LossWeights(**{name: value})
+
+
+@pytest.mark.parametrize("e", [float("inf"), 1e308, 1e-300, 1e200])
+def test_iou_config_rejects_unusable_half_width(e):
+    # the IoU gradient divides by (2e + |dx|)^2, which underflows to 0
+    # (0 / 0 at dx = 0) or overflows at these e
+    with pytest.raises(ValidationError, match="half-width e"):
+        IoUConfig(e=e)
+
+
+@pytest.mark.parametrize("branch", ["2d", "3d"])
+def test_tiny_iou_half_width_keeps_lane_losses_finite(k, image, branch):
+    # (2e)^2 is still a positive double at e = 1e-150 and 1e-162; one lane
+    # lies on its target, the other is shifted off it
+    heights = 1.5 + 0.2 * np.sin(np.linspace(0, 5, 72))
+    on = make_lane(c=0.01, d=1.0, heights=heights)
+    off = make_lane(c=0.01, d=1.3, heights=heights - 0.05, z_min=5.0, z_max=55.0)
+    gt = resample_lane(project_lane(k, on, 72), image)
+    labels = None if branch == "2d" else [sample_lane(on, 200)] * 2
+    targets = LaneTargets.stack([gt, gt], [k, k], labels)
+    theta = np.stack([lane_to_vector(on)[:-1], lane_to_vector(off)[:-1]])
+    for e in (1e-150, 1e-162):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            loss, grad, terms, overlap = lane_losses(theta, targets, per_iou=IoUConfig(e))
+        assert overlap.all()
+        assert np.isfinite(loss).all() and np.isfinite(grad).all() and np.isfinite(terms).all()
 
 
 def test_lane_losses_2d_zero_gradient_without_overlap(k, image):

@@ -67,14 +67,6 @@ class TestRasterize:
             oracle = raster_oracle(lane.points, SMALL.height, SMALL.width, width)
             np.testing.assert_array_equal(mask, oracle)
 
-    def test_matches_oracle_at_half_scale(self, rng):
-        for _ in range(4):
-            lane = random_lane2d(rng, SMALL)
-            mask = rasterize_lane(lane, SMALL, width=16.0, scale=0.5)
-            oracle = raster_oracle(lane.points, SMALL.height, SMALL.width, 16.0, scale=0.5)
-            assert mask.shape == (32, 32)
-            np.testing.assert_array_equal(mask, oracle)
-
     def test_off_image_lane_is_empty(self):
         lane = Lane2D([[-200.0, 50.0], [-200.0, 10.0]])
         assert not rasterize_lane(lane, SMALL, width=9.0).any()
@@ -89,14 +81,13 @@ if HAVE_HYPOTHESIS:
 
     @st.composite
     def adversarial_lanes(draw):
-        """A small canvas, a scale, a width and a polyline built to hit edge cases.
+        """A small canvas, a width and a polyline built to hit edge cases.
 
         Coordinates sit on a 1/2, 1/4 or 1/8 pixel grid, so pixel centers
         land exactly on capsule edges; polylines may be all horizontal,
         all vertical, a single repeated point, folded (v not monotone),
         repeat a point (a zero-length segment) or leave the canvas.
         """
-        scale = draw(st.sampled_from([1.0, 0.5, 0.25]))
         image = ImageSpec(
             width=draw(st.integers(4, 40)), height=draw(st.integers(4, 40))
         )
@@ -117,19 +108,19 @@ if HAVE_HYPOTHESIS:
         repeat = draw(st.integers(-1, n - 1))
         if repeat >= 0:
             points.insert(repeat, points[repeat])
-        scaled_width = draw(st.integers(8, 48).map(lambda k: k / 4) | st.floats(2.0, 12.0))
-        return Lane2D(points), image, scaled_width / scale, scale
+        width = draw(st.integers(8, 48).map(lambda k: k / 4) | st.floats(2.0, 12.0))
+        return Lane2D(points), image, width
 
     @given(case=adversarial_lanes())
     # Centers exactly on the capsule's edge: a 3-4-5 direction puts
     # centers at distance exactly 7 from the segment, and a single point
     # on a center has centers exactly 3 away.
-    @example(case=(Lane2D([[-5.5, 34.5], [38.5, 1.5]]), ImageSpec(21, 16), 15.0, 1.0))
-    @example(case=(Lane2D([[10.5, 10.5], [10.5, 10.5]]), ImageSpec(21, 16), 7.0, 1.0))
+    @example(case=(Lane2D([[-5.5, 34.5], [38.5, 1.5]]), ImageSpec(21, 16), 15.0))
+    @example(case=(Lane2D([[10.5, 10.5], [10.5, 10.5]]), ImageSpec(21, 16), 7.0))
     def test_rasterize_matches_oracle_on_adversarial_lanes(case):
-        lane, image, width, scale = case
-        mask = rasterize_lane(lane, image, width=width, scale=scale)
-        oracle = raster_oracle(lane.points, image.height, image.width, width, scale=scale)
+        lane, image, width = case
+        mask = rasterize_lane(lane, image, width=width)
+        oracle = raster_oracle(lane.points, image.height, image.width, width)
         np.testing.assert_array_equal(mask, oracle)
 
 
@@ -137,7 +128,7 @@ if HAVE_HYPOTHESIS:
 
     @st.composite
     def adversarial_frames(draw):
-        """Prediction and GT lanes sharing one small canvas, scale and width.
+        """Prediction and GT lanes sharing one small canvas and width.
 
         Each lane is free (crossing the others at random), a copy of an
         earlier lane, the mirror image of one (so the two cross), off the
@@ -146,7 +137,6 @@ if HAVE_HYPOTHESIS:
         start are adjacent in flat pixel order. Points sit on a 1/2 or 1/4
         pixel grid, and a lane may repeat a point (a zero-length segment).
         """
-        scale = draw(st.sampled_from([1.0, 0.5, 0.25]))
         image = ImageSpec(width=draw(st.integers(4, 24)), height=draw(st.integers(4, 24)))
         step = draw(st.sampled_from([0.5, 0.25]))
 
@@ -174,17 +164,17 @@ if HAVE_HYPOTHESIS:
                 points.insert(repeat, points[repeat])
             lanes.append(Lane2D(points))
         n_pred = draw(st.integers(1, len(lanes) - 1))
-        width = draw(st.integers(8, 48).map(lambda k: k / 4)) / scale
-        return lanes[:n_pred], lanes[n_pred:], image, width, scale
+        width = draw(st.integers(8, 48).map(lambda k: k / 4))
+        return lanes[:n_pred], lanes[n_pred:], image, width
 
     @given(case=adversarial_frames())
     def test_lane_iou_matrix_matches_oracle_on_adversarial_frames(case):
-        preds, gts, image, width, scale = case
-        cfg = EvalConfig(lane_width=width, raster_scale=scale)
+        preds, gts, image, width = case
+        cfg = EvalConfig(lane_width=width)
         got = lane_iou_matrix(preds, gts, image, cfg)
         want = lane_iou_matrix_oracle(
             [p.points for p in preds], [g.points for g in gts],
-            image.height, image.width, width, scale,
+            image.height, image.width, width,
         )
         assert got.shape == (len(preds), len(gts))
         np.testing.assert_array_equal(got, want)
@@ -438,7 +428,3 @@ class TestEvalConfig:
     def test_rejects_unsorted_thresholds(self):
         with pytest.raises(ValidationError):
             EvalConfig(iou_thresholds=(0.5, 0.5))
-
-    def test_rejects_zero_scale(self):
-        with pytest.raises(ValidationError):
-            EvalConfig(raster_scale=0.0)
