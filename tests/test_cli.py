@@ -623,6 +623,27 @@ def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, comm
 
 
 @pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--beta", "inf"], "beta"),
+        (["--beta", "nan"], "beta"),
+    ],
+)
+def test_non_finite_fit_setting_exits_2(flat_dataset, tmp_path, flags, field):
+    # fit takes no loss weights: a non-finite --beta is refused as an unknown
+    # option, naming it, before any value is parsed; LossWeights' own checks
+    # are tested in test_losses
+    argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", str(tmp_path / "p")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(argv + flags)
+    assert code == 2
+    assert "unrecognized arguments" in err and field in err and "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize(
     "value, message",
     [
         (0.0, "camera_height must be > 0"),
