@@ -16,24 +16,24 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import datagen, fitting, io_formats, metrics, render
-from .assignment import match_lanes, resample_lanes, resample_on_grid
-from .camera import Lane2D, project_lane
+from .assignment import cost_matrix, hungarian_assign, resample_lanes, resample_on_grid, row_grid
+from .camera import Lane2D, project_lane, project_points
 from .errors import (
     LaneError,
     NonFiniteError,
     SchemaError,
     VersionError,
 )
-from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT
+from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT, sample_lane
 
 
-def _count(limit: int | None = None):
-    """An argparse type for an int of at least 1 and at most limit."""
+def _count(limit: int | None = None, low: int = 1):
+    """An argparse type for an int of at least low and at most limit."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < 1 or (limit is not None and value > limit):
-            bound = ">= 1" if limit is None else f"in [1, {limit}]"
+        if value < low or (limit is not None and value > limit):
+            bound = f">= {low}" if limit is None else f"in [{low}, {limit}]"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
@@ -157,12 +157,13 @@ def _cmd_eval(opts) -> int:
 
     for frame in frames:
         pred = by_id.get(frame.frame_id, io_formats.PredictionFrame(frame_id=frame.frame_id))
+        # Each predicted 3D lane is sampled once: its projection and its
+        # curve distance read the same points.
+        samples = [sample_lane(lane, opts.sample_count) for lane in pred.lanes3d]
         if pred.lanes2d:
             pred2d = list(pred.lanes2d)
         else:
-            pred2d = [
-                project_lane(frame.intrinsics, lane, opts.sample_count) for lane in pred.lanes3d
-            ]
+            pred2d = [Lane2D(project_points(frame.intrinsics, points)) for points in samples]
         gts2d = list(frame.lanes2d)
         n_pred_lanes += len(pred2d)
         n_gt_lanes += len(gts2d)
@@ -172,10 +173,14 @@ def _cmd_eval(opts) -> int:
             totals[t][1] += fp
             totals[t][2] += fn
 
-        height = frame.image.height
-        rows = np.arange(height // 2, height, opts.tusimple_row_step, dtype=float)
-        gt_arrays = resample_lanes(gts2d, rows)
-        ts = metrics.tusimple_accuracy(pred2d, gt_arrays, rows, cfg)
+        # Both stacks are read at every image row once; matching uses all
+        # rows and row-anchor accuracy every tusimple_row_step-th row from
+        # mid-image down. Each row is resampled on its own, so a subset of
+        # the grid reads the same as resampling at that subset.
+        grid = row_grid(frame.image)
+        pred_u, gt_u = resample_lanes(pred2d, grid), resample_lanes(gts2d, grid)
+        anchors = slice(frame.image.height // 2, None, opts.tusimple_row_step)
+        ts = metrics.tusimple_accuracy(pred_u[:, anchors], gt_u[:, anchors], grid[anchors], cfg)
         ts_correct += ts.correct_points
         ts_points += ts.gt_points
         ts_matched += ts.matched_pairs
@@ -183,14 +188,11 @@ def _cmd_eval(opts) -> int:
         ts_gt += ts.gt_lanes
 
         if pred.lanes3d and frame.lanes3d:
-            match = match_lanes(pred2d, gts2d, frame.image, match_threshold=opts.match_threshold)
+            costs = cost_matrix(pred_u, gt_u, grid)
+            match = hungarian_assign(costs, match_threshold=opts.match_threshold)
             pairs = [(i, j) for i, j, _ in match.pairs]
             if pairs:
-                cd_values.extend(
-                    metrics.cd_error_per_pair(
-                        list(pred.lanes3d), list(frame.lanes3d), pairs, opts.sample_count
-                    )
-                )
+                cd_values.extend(metrics.cd_error_per_pair(samples, frame.lanes3d, pairs))
 
     f1_section = {}
     f1_values = []
@@ -331,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     dataset = {"required": True, "help": "input dataset"}
     sample_count = {
-        "type": _count(MAX_SAMPLE_COUNT),
+        "type": _count(MAX_SAMPLE_COUNT, low=2),
         "default": DEFAULT_SAMPLE_COUNT,
-        "help": f"samples per 3D lane, at most {MAX_SAMPLE_COUNT}",
+        "help": f"samples per 3D lane, 2 to {MAX_SAMPLE_COUNT}",
     }
     fit_defaults = fitting.FitConfig()
     add(
@@ -370,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "help": "least-squares degree; 4 in baseline mode only",
             },
             "--keypoints": {
-                "type": _count(fitting.MAX_KEYPOINTS),
+                "type": _count(fitting.MAX_KEYPOINTS, low=2),
                 "help": f"height keypoints per lane, 2 to {fitting.MAX_KEYPOINTS} "
                 f"(default {fit_defaults.keypoints}); 3d and 2d modes only",
             },
@@ -404,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--out": {"required": True, "help": "output anchors JSON"},
             "-k": {"type": int, "default": 24, "help": "number of anchors"},
             "--rows": {
-                "type": _count(MAX_SAMPLE_COUNT),
+                "type": _count(MAX_SAMPLE_COUNT, low=2),
                 "default": anchors_mod.DEFAULT_DESCRIPTOR_ROWS,
                 "help": f"descriptor rows, 2 to {MAX_SAMPLE_COUNT}",
             },

@@ -47,7 +47,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
+    # The writers build fresh trees, which hold no cycles to look for.
+    return json.dumps(
+        obj, sort_keys=True, allow_nan=False, check_circular=False, separators=(",", ":")
+    )
 
 
 def _header(kind: str) -> str:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import hungarian_assign, resample_lanes
+from .assignment import hungarian_assign
 from .camera import ImageSpec, Lane2D
 from .errors import DimensionMismatchError, ValidationError
-from .geometry import Lane3D, sample_lane
 
 DEFAULT_IOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 
@@ -97,56 +96,73 @@ def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float):
     pts = [lane.points for lane in lanes]
     a = np.concatenate([p[:-1] for p in pts])
     b = np.concatenate([p[1:] for p in pts])
-    lane_of = np.repeat(np.arange(n_lanes), [len(p) - 1 for p in pts])
-    d = b - a
-    seg_len2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
+    au, av, bu, bv = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    du, dv = bu - au, bv - av
+    seg_len2 = du * du + dv * dv
     band = _EDGE_BAND * (1.0 + radius + h + w + np.abs(np.hstack([a, b])).max(axis=1))
     outer, inner = radius + band, radius - band
 
-    # Every (segment, row) pair whose row the wider capsule can reach.
-    v_lo = np.minimum(a[:, 1], b[:, 1]) - outer - 0.5
-    v_hi = np.maximum(a[:, 1], b[:, 1]) + outer - 0.5
+    # Every (segment, row) pair whose row the wider capsule can reach; a
+    # segment's values reach its pairs by np.repeat, since pairs are
+    # grouped by segment.
+    v_lo = np.minimum(av, bv) - outer - 0.5
+    v_hi = np.maximum(av, bv) + outer - 0.5
     first = np.ceil(np.clip(v_lo, 0, h)).astype(np.int64)
     last = np.floor(np.clip(v_hi, -1, h - 1)).astype(np.int64)
     counts = np.maximum(last - first + 1, 0)
-    seg = np.repeat(np.arange(len(d)), counts)
-    rows = first[seg] + _ranks(counts)
+    rows = np.repeat(first, counts) + _ranks(counts)
     y = rows + 0.5
+
+    def per_pair(*values):
+        return [np.repeat(value, counts) for value in values]
+
+    # A radius past 1e154 px overflows to inf here, which still gives the
+    # right (whole-row) intervals.
+    length = np.sqrt(seg_len2)
+    with np.errstate(over="ignore"):
+        radii = [(r * length, r * r) for r in (outer, inner)]
+    ua, va, ub, vb, du, dv, seg_len2 = per_pair(au, av, bu, bv, du, dv, seg_len2)
 
     # Pixel columns inside the wider capsule (candidates) and inside the
     # narrower one (certainly in the mask; none when the radius is within
     # the band of 0).
     (cand_lo, cand_hi), (in_lo, in_hi) = _capsule_columns(
-        a[seg], b[seg], seg_len2[seg], y, (outer[seg], inner[seg]), w
+        ua, ub, y - va, y - vb, du, dv, seg_len2,
+        [per_pair(reach, radius2) for reach, radius2 in radii], w,
     )
-    empty = (in_lo > in_hi) | (inner[seg] <= 0.0)
-    in_lo = np.where(empty, cand_hi + 1, in_lo)
-    in_hi = np.where(empty, cand_hi, in_hi)
+    inside = (in_lo <= in_hi) & np.repeat(inner > 0.0, counts)
 
     # The per-pixel test, operation for operation, on the edge bands
-    # [cand_lo, in_lo) and (in_hi, cand_hi]: the center's projection onto
-    # the segment clamped to it (the start point for a zero-length
-    # segment), then squared distance against squared radius.
-    starts = np.concatenate([cand_lo, in_hi + 1])
-    lengths = np.maximum(np.concatenate([in_lo - cand_lo, cand_hi - in_hi]), 0)
-    pair = np.repeat(np.tile(np.arange(len(seg)), 2), lengths)
-    cols = np.repeat(starts, lengths) + _ranks(lengths)
-    k = seg[pair]
-    ua, va, du, dv, len2 = a[k, 0], a[k, 1], d[k, 0], d[k, 1], seg_len2[k]
+    # [cand_lo, in_lo) and (in_hi, cand_hi] (all of [cand_lo, cand_hi]
+    # when nothing is inside): the center's projection onto the segment
+    # clamped to it (the start point for a zero-length segment), then
+    # squared distance against squared radius. Only the pairs whose band
+    # holds a pixel center are gathered.
+    n_pairs = rows.size
+    lengths = np.concatenate([
+        np.where(inside, in_lo, cand_hi + 1) - cand_lo,
+        np.where(inside, cand_hi - in_hi, 0),
+    ])
+    banded = np.flatnonzero(lengths > 0)
+    lengths = lengths[banded]
+    side, at = np.divmod(banded, n_pairs)
+    pair = np.repeat(at, lengths)
+    cols = np.repeat(np.where(side == 0, cand_lo[at], in_hi[at] + 1), lengths) + _ranks(lengths)
+    pa, pv, pdu, pdv, len2 = ua[pair], va[pair], du[pair], dv[pair], seg_len2[pair]
     uu, vv = cols + 0.5, y[pair]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.clip(((uu - ua) * du + (vv - va) * dv) / len2, 0.0, 1.0)
+        t = np.clip(((uu - pa) * pdu + (vv - pv) * pdv) / len2, 0.0, 1.0)
     t = np.where(len2 == 0.0, 0.0, t)
-    dist2 = (uu - (ua + t * du)) ** 2 + (vv - (va + t * dv)) ** 2
+    dist2 = (uu - (pa + t * pdu)) ** 2 + (vv - (pv + t * pdv)) ** 2
 
     # Merge each lane's inside intervals and edge pixels, in flat canvas
     # indices.
-    inside = ~empty
+    lane_of = np.repeat(np.repeat(np.arange(n_lanes), [len(p) - 1 for p in pts]), counts)
     edge = dist2 <= radius * radius
     flat = rows * w
     edge_px = (flat[pair] + cols)[edge]
     return _merge_runs(
-        np.concatenate([lane_of[seg[inside]], lane_of[k[edge]]]),
+        np.concatenate([lane_of[inside], lane_of[pair[edge]]]),
         np.concatenate([flat[inside] + in_lo[inside], edge_px]),
         np.concatenate([flat[inside] + in_hi[inside], edge_px]),
         n_lanes,
@@ -180,36 +196,35 @@ def _ranks(counts: np.ndarray) -> np.ndarray:
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _capsule_columns(a, b, seg_len2, y, radii, w):
+def _capsule_columns(ua, ub, rel_a, rel_b, du, dv, seg_len2, radii, w):
     """Per pair and radius, the columns [lo, hi] whose centers on row y lie in the capsule.
 
-    The capsule is every point within the radius of segment a-b: the
-    disks at both ends and the slab between them, so its interval on a
-    row is the hull of theirs. Columns are clipped to [0, w - 1];
-    lo > hi marks an empty range.
+    Pair arrays: segment a-b's end columns ua and ub, the row's offsets
+    rel_a = y - v_a and rel_b = y - v_b, the segment's direction (du,
+    dv) and squared length; radii holds a (radius * length, radius^2)
+    pair of arrays per radius. The capsule is every point within the
+    radius of the segment: the disks at both ends and the slab between
+    them, so its interval on a row is the hull of theirs. Columns are
+    clipped to [0, w - 1]; lo > hi marks an empty range.
     """
-    du, dv = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
-    rel_a, rel_b = y - a[:, 1], y - b[:, 1]
-    length = np.sqrt(seg_len2)
     # The slab, relative to a: 0 <= X du + Y dv <= L^2 and |X dv - Y du| <= r L.
-    along_lo, along_hi = _linear_range(du, -rel_a * dv, seg_len2 - rel_a * dv)
+    along_dv, across_du = rel_a * dv, rel_a * du
+    along_lo, along_hi = _linear_range(du, -along_dv, seg_len2 - along_dv)
+    rel_a2, rel_b2 = rel_a * rel_a, rel_b * rel_b
+    has_slab = seg_len2 > 0.0
     columns = []
-    for radius in radii:
-        # A radius past 1e154 px overflows to inf here, which still
-        # gives the right (whole-row) intervals.
-        with np.errstate(over="ignore"):
-            reach, radius2 = radius * length, radius * radius
-        across_lo, across_hi = _linear_range(dv, rel_a * du - reach, rel_a * du + reach)
-        lo = a[:, 0] + np.maximum(along_lo, across_lo)
-        hi = a[:, 0] + np.minimum(along_hi, across_hi)
-        slab = (lo <= hi) & (seg_len2 > 0.0)
+    for reach, radius2 in radii:
+        across_lo, across_hi = _linear_range(dv, across_du - reach, across_du + reach)
+        lo = ua + np.maximum(along_lo, across_lo)
+        hi = ua + np.minimum(along_hi, across_hi)
+        slab = (lo <= hi) & has_slab
         lo, hi = np.where(slab, lo, np.inf), np.where(slab, hi, -np.inf)
         # Disk chords; the square root of a negative (a missed disk) is NaN,
         # which fmin and fmax skip.
         with np.errstate(invalid="ignore"):
-            for end, rel in ((a, rel_a), (b, rel_b)):
-                half = np.sqrt(radius2 - rel * rel)
-                lo, hi = np.fmin(lo, end[:, 0] - half), np.fmax(hi, end[:, 0] + half)
+            for end, rel2 in ((ua, rel_a2), (ub, rel_b2)):
+                half = np.sqrt(radius2 - rel2)
+                lo, hi = np.fmin(lo, end - half), np.fmax(hi, end + half)
         columns.append((
             np.ceil(np.clip(lo - 0.5, 0, w)).astype(np.int64),
             np.floor(np.clip(hi - 0.5, -1, w - 1)).astype(np.int64),
@@ -224,10 +239,12 @@ def _linear_range(slope, low, high):
     """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x1, x2 = low / slope, high / slope
-    rising, falling = slope > 0, slope < 0
-    flat = np.where((low <= 0.0) & (0.0 <= high), np.inf, -np.inf)
-    lo = np.where(rising, x1, np.where(falling, x2, -flat))
-    hi = np.where(rising, x2, np.where(falling, x1, flat))
+    rising = slope > 0
+    lo, hi = np.where(rising, x1, x2), np.where(rising, x2, x1)
+    flat = np.flatnonzero(slope == 0.0)
+    whole = (low[flat] <= 0.0) & (0.0 <= high[flat])
+    lo[flat] = np.where(whole, -np.inf, np.inf)
+    hi[flat] = np.where(whole, np.inf, -np.inf)
     return lo, hi
 
 
@@ -355,28 +372,23 @@ class TuSimpleResult:
 
 
 def tusimple_accuracy(
-    preds: list[Lane2D],
+    preds: list[np.ndarray],
     gts: list[np.ndarray],
     row_anchors: np.ndarray,
     cfg: EvalConfig = EvalConfig(),
 ) -> TuSimpleResult:
     """Accuracy = correct points / GT points over matched lane pairs.
 
-    GT lanes arrive as u per row anchor with NaN at rows the lane does
-    not reach. A predicted point is correct within
-    cfg.tusimple_pixel_tol; lanes pair up one-to-one maximizing the
-    correct fraction and a pair only counts once its fraction reaches
-    cfg.tusimple_min_correct.
+    Predicted and GT lanes arrive as u per row anchor with NaN at rows
+    the lane does not reach, as resample_lanes gives them. A predicted
+    point is correct within cfg.tusimple_pixel_tol; lanes pair up
+    one-to-one maximizing the correct fraction and a pair only counts
+    once its fraction reaches cfg.tusimple_min_correct.
     """
     row_anchors = np.asarray(row_anchors, dtype=float)
-    gt_u = [np.asarray(g, dtype=float) for g in gts]
-    for g in gt_u:
-        if g.shape != row_anchors.shape:
-            raise DimensionMismatchError("each GT lane needs one u per row anchor")
-    gt_u = np.reshape(gt_u, (len(gt_u), row_anchors.size))
-    pred_u = resample_lanes(preds, row_anchors)
+    pred_u, gt_u = (_row_stack(lanes, row_anchors) for lanes in (preds, gts))
 
-    n_pred, n_gt = len(preds), len(gts)
+    n_pred, n_gt = len(pred_u), len(gt_u)
     # NaN on either side compares False, so only rows both lanes reach count.
     ok = np.abs(pred_u[:, None, :] - gt_u[None, :, :]) <= cfg.tusimple_pixel_tol
     correct = ok.sum(axis=2)
@@ -404,6 +416,15 @@ def tusimple_accuracy(
         pred_lanes=n_pred,
         gt_lanes=n_gt,
     )
+
+
+def _row_stack(lanes: list[np.ndarray], row_anchors: np.ndarray) -> np.ndarray:
+    """The lanes' u arrays as one (lanes, rows) stack, each checked against the row anchors."""
+    lanes = [np.asarray(u, dtype=float) for u in lanes]
+    for u in lanes:
+        if u.shape != row_anchors.shape:
+            raise DimensionMismatchError("each lane needs one u per row anchor")
+    return np.reshape(lanes, (len(lanes), row_anchors.size))
 
 
 def point_polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
@@ -453,15 +474,18 @@ def _segment_dist2(points, a, d, seg_len2):
 
 
 def cd_error_per_pair(
-    preds: list[Lane3D],
+    preds: list[np.ndarray],
     gts: list[np.ndarray],
     pairs: list[tuple[int, int]],
-    sample_count: int = 72,
 ) -> np.ndarray:
-    """Symmetric mean point-to-polyline distance per matched pair, meters."""
+    """Symmetric mean point-to-polyline distance per matched pair, meters.
+
+    Both sides are (m, 3) point arrays: predicted lanes as sample_lane
+    gives them, GT lanes as their labels.
+    """
     values = []
     for i, j in pairs:
-        pred_pts = sample_lane(preds[i], sample_count)
+        pred_pts = np.asarray(preds[i], dtype=float)
         gt_pts = np.asarray(gts[j], dtype=float)
         d_pg = point_polyline_distances(pred_pts, gt_pts).mean()
         d_gp = point_polyline_distances(gt_pts, pred_pts).mean()

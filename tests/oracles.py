@@ -78,6 +78,43 @@ def raster_oracle(points: np.ndarray, height: int, width_px: int, lane_width: fl
     return mask
 
 
+def dense_raster_oracle(
+    points: np.ndarray, height: int, width_px: int, lane_width: float
+) -> np.ndarray:
+    """raster_oracle in numpy, for frame-sized canvases and long polylines.
+
+    Every pixel center of the lane's bounding box (grown by the radius,
+    cut to the canvas) is tested against every segment: projection
+    clamped to the segment (its start for a zero-length one), then the
+    distance against the radius, operation for operation as in
+    point_segment_distance.
+    """
+    pts = np.asarray(points, dtype=float)
+    radius = (lane_width - 1.0) / 2.0
+    mask = np.zeros((height, width_px), dtype=bool)
+    if radius < 0.0:
+        return mask
+    i0, j0 = (max(int(np.floor(pts[:, c].min() - radius)) - 1, 0) for c in (0, 1))
+    i1 = min(int(np.ceil(pts[:, 0].max() + radius)) + 1, width_px)
+    j1 = min(int(np.ceil(pts[:, 1].max() + radius)) + 1, height)
+    if i0 >= i1 or j0 >= j1:
+        return mask
+    px = (np.arange(i0, i1) + 0.5)[None, :]
+    py = (np.arange(j0, j1) + 0.5)[:, None]
+    hit = np.zeros((j1 - j0, i1 - i0), dtype=bool)
+    for (ax, ay), (bx, by) in zip(pts[:-1], pts[1:]):
+        dx, dy = bx - ax, by - ay
+        den = dx * dx + dy * dy
+        if den == 0.0:
+            cx, cy = ax, ay
+        else:
+            t = np.clip(((px - ax) * dx + (py - ay) * dy) / den, 0.0, 1.0)
+            cx, cy = ax + t * dx, ay + t * dy
+        hit |= np.sqrt((px - cx) ** 2 + (py - cy) ** 2) <= radius
+    mask[j0:j1, i0:i1] = hit
+    return mask
+
+
 def point_polyline_distance_3d(p: np.ndarray, poly: np.ndarray) -> float:
     best = np.inf
     for s in range(len(poly) - 1):

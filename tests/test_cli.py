@@ -509,10 +509,13 @@ COUNT_FLAGS = [
     ("render", "--sample-count", MAX_SAMPLE_COUNT),
     ("anchors", "--rows", MAX_SAMPLE_COUNT),
 ]
+# The least value each count flag takes: a lane needs two samples, two
+# height keypoints and two descriptor rows.
+COUNT_FLOORS = {"--frames": 1, "--keypoints": 2, "--sample-count": 2, "--rows": 2}
 
 
-@pytest.mark.parametrize("command, flag, limit", COUNT_FLAGS)
-def test_count_flags_are_bounded(tmp_path, command, flag, limit):
+def _count_flag_argv(tmp_path, command):
+    """command with its required path flags, none of which name an existing file."""
     paths = {f: str(tmp_path / f) for f in ("--spec", "--dataset", "--pred", "--out")}
     required = {
         "generate": ["--spec", "--out"],
@@ -522,7 +525,12 @@ def test_count_flags_are_bounded(tmp_path, command, flag, limit):
         "render": ["--dataset", "--out"],
         "anchors": ["--dataset", "--out"],
     }[command]
-    argv = [command] + [token for f in required for token in (f, paths[f])]
+    return [command] + [token for f in required for token in (f, paths[f])]
+
+
+@pytest.mark.parametrize("command, flag, limit", COUNT_FLAGS)
+def test_count_flags_are_bounded(tmp_path, command, flag, limit):
+    argv = _count_flag_argv(tmp_path, command)
     parser = build_parser()
     opts = parser.parse_args(argv + [flag, str(limit)])
     assert getattr(opts, flag[2:].replace("-", "_")) == limit
@@ -530,7 +538,22 @@ def test_count_flags_are_bounded(tmp_path, command, flag, limit):
     for value in (limit + 1, 10**30):
         code, err = _run(argv + [flag, str(value)])
         assert code == 2
-        assert f"in [1, {limit}]" in err and "Traceback" not in err
+        assert f"in [{COUNT_FLOORS[flag]}, {limit}]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, limit", COUNT_FLAGS)
+def test_count_flags_refuse_values_below_their_floor(tmp_path, command, flag, limit):
+    # one range per flag: the parser refuses what the library would, with
+    # the same "[floor, limit]" message, before any file is read (none
+    # exists, so a later refusal would name a missing file instead)
+    floor = COUNT_FLOORS[flag]
+    argv = _count_flag_argv(tmp_path, command)
+    opts = build_parser().parse_args(argv + [flag, str(floor)])
+    assert getattr(opts, flag[2:].replace("-", "_")) == floor
+    for value in {floor - 1, 0, -1}:
+        code, err = _run(argv + [flag, str(value)])
+        assert code == 2
+        assert f"must be in [{floor}, {limit}], got {value}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("spec, config", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
@@ -574,6 +597,10 @@ def test_bad_config_section_exits_2(flat_dataset, tmp_path, command, section):
         ("eval", ["--lane-width", "nan"]),
         ("eval", ["--lane-width", "inf"]),
         ("anchors", ["-k", "2", "--seed", "-1"]),
+        ("fit", ["--mode", "3d", "--keypoints", "1"]),
+        ("eval", ["--sample-count", "1"]),
+        ("render", ["--sample-count", "1"]),
+        ("anchors", ["-k", "2", "--rows", "1"]),
     ],
 )
 def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, flags):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bevlane.assignment import resample_lanes
 from bevlane.camera import ImageSpec, Lane2D
 from bevlane.errors import DimensionMismatchError, ValidationError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, sample_lane
@@ -291,7 +292,8 @@ class TestTuSimple:
     ROWS = np.arange(160.0, 320.0, 10.0)
 
     def vertical(self, u):
-        return Lane2D([[u, 319.0], [u, 150.0]])
+        """A vertical predicted lane, read at the row anchors."""
+        return resample_lanes([Lane2D([[u, 319.0], [u, 150.0]])], self.ROWS)[0]
 
     def gt_at(self, u):
         return np.full(self.ROWS.shape, u)
@@ -339,23 +341,23 @@ class TestTuSimple:
 
 class TestCurveDistance:
     def test_parallel_offset_is_exact(self):
-        pred = straight_lane3d(x_offset=0.1)
+        pred = sample_lane(straight_lane3d(x_offset=0.1), 72)
         gt = sample_lane(straight_lane3d(0.0), 100)
         assert cd_error_per_pair([pred], [gt], [(0, 0)]).mean() == pytest.approx(0.1, abs=1e-12)
 
     def test_zero_for_identical(self):
-        pred = straight_lane3d(0.5)
-        gt = sample_lane(pred, 72)
+        pred = sample_lane(straight_lane3d(0.5), 72)
+        gt = sample_lane(straight_lane3d(0.5), 72)
         assert cd_error_per_pair([pred], [gt], [(0, 0)]).mean() == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_chamfer_oracle(self, rng):
         for _ in range(5):
             curve = BevCurve(*rng.normal(scale=[1e-5, 1e-4, 0.02, 1.0]))
             heights = HeightProfile(1.5 + rng.normal(scale=0.1, size=72), 4.0, 70.0)
-            pred = Lane3D(curve, heights, 1.0)
+            pred = sample_lane(Lane3D(curve, heights, 1.0), 72)
             gt = sample_lane(straight_lane3d(rng.normal()), 37)
-            got = cd_error_per_pair([pred], [gt], [(0, 0)], sample_count=72).mean()
-            want = chamfer_oracle(sample_lane(pred, 72), gt)
+            got = cd_error_per_pair([pred], [gt], [(0, 0)]).mean()
+            want = chamfer_oracle(pred, gt)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_distances_equal_norm_of_offset_to_closest_point(self, rng):
@@ -374,7 +376,7 @@ class TestCurveDistance:
             np.testing.assert_array_equal(point_polyline_distances(points, poly), want)
 
     def test_per_pair_and_mean(self):
-        preds = [straight_lane3d(0.1), straight_lane3d(5.3)]
+        preds = [sample_lane(straight_lane3d(0.1), 72), sample_lane(straight_lane3d(5.3), 72)]
         gts = [sample_lane(straight_lane3d(0.0), 72), sample_lane(straight_lane3d(5.0), 72)]
         per = cd_error_per_pair(preds, gts, [(0, 0), (1, 1)])
         np.testing.assert_allclose(per, [0.1, 0.3], atol=1e-12)
