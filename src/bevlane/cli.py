@@ -173,13 +173,17 @@ def _cmd_eval(opts) -> int:
             totals[t][1] += fp
             totals[t][2] += fn
 
-        # Both stacks are read at every image row once; matching uses all
-        # rows and row-anchor accuracy every tusimple_row_step-th row from
-        # mid-image down. Each row is resampled on its own, so a subset of
-        # the grid reads the same as resampling at that subset.
-        grid = row_grid(frame.image)
-        pred_u, gt_u = resample_lanes(pred2d, grid), resample_lanes(gts2d, grid)
+        # Both stacks are read once per frame: matching uses every image
+        # row and row-anchor accuracy every tusimple_row_step-th row from
+        # mid-image down, so without matching only those rows are read.
+        # Each row is resampled on its own, so a subset of the grid reads
+        # the same as resampling at that subset.
+        matched = bool(pred.lanes3d and frame.lanes3d)
         anchors = slice(frame.image.height // 2, None, opts.tusimple_row_step)
+        grid = row_grid(frame.image)
+        if not matched:
+            grid, anchors = grid[anchors], slice(None)
+        pred_u, gt_u = resample_lanes(pred2d, grid), resample_lanes(gts2d, grid)
         ts = metrics.tusimple_accuracy(pred_u[:, anchors], gt_u[:, anchors], grid[anchors], cfg)
         ts_correct += ts.correct_points
         ts_points += ts.gt_points
@@ -187,7 +191,7 @@ def _cmd_eval(opts) -> int:
         ts_pred += ts.pred_lanes
         ts_gt += ts.gt_lanes
 
-        if pred.lanes3d and frame.lanes3d:
+        if matched:
             costs = cost_matrix(pred_u, gt_u, grid)
             match = hungarian_assign(costs, match_threshold=opts.match_threshold)
             pairs = [(i, j) for i, j, _ in match.pairs]

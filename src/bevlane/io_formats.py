@@ -6,11 +6,27 @@ which round-trips exactly. They are read as plain floats, and each
 reader checks that what it builds is finite. Writes go through a temp
 file and an atomic replace so readers never observe a half-written
 file. Scene specs and CLI config files are read with the same JSON
-decoder as the data files.
+decoder as the data files. JSON Lines records end at a newline only: a raw
+U+2028 or other Unicode line break inside a string is part of the line.
+
+write_dataset also writes a point cache beside the dataset,
+``<dataset>.pts``, so that later stages skip decoding the dataset's
+floats. Its first line is a JSON header holding the sha256 of the
+dataset file's bytes and of the cache's body. The body is one JSON
+array of the frame records with each point list replaced by its array
+shape, a newline, then every lanes3d and lanes2d point as raw
+little-endian float64, in record order. Like a .pyc keyed by its
+source's hash, the cache is trusted only for the exact bytes it was
+written beside: read_dataset uses it when both digests match and
+otherwise decodes the JSON, which stays the reference and the only
+path for datasets bevlane did not write or that were edited since. A
+missing, stale, truncated or garbled cache is never read, and both
+paths build each frame through the same checks.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -27,6 +43,9 @@ from .errors import SchemaError, ValidationError, VersionError
 from .geometry import BevCurve, HeightProfile, Lane3D
 
 SCHEMA_VERSION = "1"
+# The point cache's name suffix and layout version.
+_CACHE_SUFFIX = ".pts"
+_CACHE_VERSION = "1"
 
 
 @dataclass(frozen=True)
@@ -40,10 +59,26 @@ class PredictionFrame:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write text through a temp file and an atomic replace."""
+    _atomic_write(path, [text.encode("utf-8")])
+
+
+def _sha256(chunks) -> str:
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _atomic_write(path: str, chunks) -> str:
+    """Write byte chunks through a temp file and an atomic replace; their sha256."""
+    digest = hashlib.sha256()
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        f.write(text)
+    with open(tmp, "wb") as f:
+        for chunk in chunks:
+            digest.update(chunk)
+            f.write(chunk)
     os.replace(tmp, path)
+    return digest.hexdigest()
 
 
 def _dump(obj) -> str:
@@ -99,12 +134,22 @@ def _check_finite_tree(document: dict, where: str) -> None:
             _finite(value, where, name)
 
 
-def _read_text(path: str) -> str:
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _text(data: bytes, path: str) -> str:
+    """The file's UTF-8 text, with CRLF and CR line ends read as newlines."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            return f.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_text(path: str) -> str:
+    return _text(_read_bytes(path), path)
 
 
 def _parse_object(text: str, where: str, kind: str | None = None) -> dict:
@@ -133,14 +178,17 @@ def _read_document(path: str, kind: str | None = None) -> dict:
     return obj
 
 
-def _records(path: str, kind: str):
-    """Check the header line, then yield (line number, object) per record."""
-    lines = [line for line in _read_text(path).splitlines() if line.strip()]
+def _records(text: str, path: str, kind: str):
+    """Check the header line, then yield (line number, object) per record.
+
+    Lines end at a newline only, and blank lines are skipped.
+    """
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), 1) if line.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty file, expected a {kind} header")
-    _parse_object(lines[0], f"{path}:1", kind)
-    for index in range(1, len(lines)):
-        yield index + 1, _parse_object(lines[index], f"{path}:{index + 1}")
+    _parse_object(lines[0][1], f"{path}:{lines[0][0]}", kind)
+    for line_no, line in lines[1:]:
+        yield line_no, _parse_object(line, f"{path}:{line_no}")
 
 
 def _field(obj: dict, key: str, where: str):
@@ -197,63 +245,131 @@ def _lane3d_from_json(obj: dict, where: str) -> Lane3D:
         raise SchemaError(f"{where}: bad 3D lane: {exc}") from exc
 
 
+def _cache_head(dataset_sha256: str, body_sha256: str) -> bytes:
+    """The point cache's header line: what it holds and the digests that key it."""
+    return _dump(
+        {
+            "body_sha256": body_sha256,
+            "dataset_sha256": dataset_sha256,
+            "kind": "dataset-points",
+            "version": _CACHE_VERSION,
+        }
+    ).encode("ascii") + b"\n"
+
+
 def write_dataset(frames: list[FrameRecord], path: str) -> None:
+    """Write the dataset and its point cache; nothing is written if any record is refused."""
     lines = [_header("dataset")]
+    shapes = []
+    points = []
     for frame in frames:
-        lines.append(
-            _dump(
-                {
-                    "frame_id": frame.frame_id,
-                    "tag": frame.tag,
-                    "seed": frame.seed,
-                    "camera_height": frame.camera_height,
-                    "intrinsics": _intrinsics_to_json(frame.intrinsics),
-                    "image": _image_to_json(frame.image),
-                    "lanes3d": [_points_to_json(p) for p in frame.lanes3d],
-                    "lanes2d": [_points_to_json(l.points) for l in frame.lanes2d],
-                }
-            )
+        lanes3d = [np.asarray(p, dtype=float) for p in frame.lanes3d]
+        lanes2d = [np.asarray(lane.points, dtype=float) for lane in frame.lanes2d]
+        record = {
+            "frame_id": frame.frame_id,
+            "tag": frame.tag,
+            "seed": frame.seed,
+            "camera_height": frame.camera_height,
+            "intrinsics": _intrinsics_to_json(frame.intrinsics),
+            "image": _image_to_json(frame.image),
+            "lanes3d": [p.tolist() for p in lanes3d],
+            "lanes2d": [p.tolist() for p in lanes2d],
+        }
+        lines.append(_dump(record))
+        record["lanes3d"] = [list(p.shape) for p in lanes3d]
+        record["lanes2d"] = [list(p.shape) for p in lanes2d]
+        shapes.append(record)
+        points += lanes3d + lanes2d
+    dataset_sha256 = _atomic_write(path, (line.encode("utf-8") + b"\n" for line in lines))
+    body = [_dump(shapes).encode("ascii") + b"\n"]
+    body += [np.ascontiguousarray(p, dtype="<f8") for p in points]
+    _atomic_write(path + _CACHE_SUFFIX, [_cache_head(dataset_sha256, _sha256(body)), *body])
+
+
+def _cached_records(path: str, data: bytes) -> list | None:
+    """(line number, object) per record from the point cache, or None if it does not vouch for data.
+
+    Each object is the record as the JSON decoder gives it, with every
+    point list as a read-only float64 array view of the cache.
+    """
+    try:
+        cache = _read_bytes(path + _CACHE_SUFFIX)
+    except OSError:
+        return None
+    body = cache.find(b"\n") + 1
+    if not body:
+        return None
+    digests = hashlib.sha256(data).hexdigest(), _sha256([memoryview(cache)[body:]])
+    if cache[:body] != _cache_head(*digests):
+        return None
+    # Matching digests vouch for the bytes, not for the writer: a body of
+    # another layout is a miss too.
+    try:
+        points = cache.index(b"\n", body) + 1
+        records = json.loads(cache[body:points])
+        values = np.frombuffer(cache, dtype="<f8", offset=points)
+        start = 0
+        for record in records:
+            for key in ("lanes3d", "lanes2d"):
+                lanes = []
+                for shape in record[key]:
+                    stop = start + math.prod(shape)
+                    lanes.append(values[start:stop].reshape(shape))
+                    start = stop
+                record[key] = lanes
+    except (ValueError, TypeError, KeyError):
+        return None
+    if start != values.size:
+        return None
+    # write_dataset writes no blank lines: record n is line n + 2.
+    return list(enumerate(records, 2))
+
+
+def _frame(obj: dict, where: str) -> FrameRecord:
+    """One dataset record, checked; obj is a decoded JSON line or a cached record."""
+    try:
+        intr = _field(obj, "intrinsics", where)
+        img = _field(obj, "image", where)
+        frame = FrameRecord(
+            frame_id=_int(obj, "frame_id", where),
+            tag=str(obj.get("tag", "")),
+            seed=int(_finite(obj.get("seed", 0), where, "seed")),
+            camera_height=_float(obj, "camera_height", where),
+            intrinsics=CameraIntrinsics(
+                fx=_float(intr, "fx", where),
+                fy=_float(intr, "fy", where),
+                ox=_float(intr, "ox", where),
+                oy=_float(intr, "oy", where),
+            ),
+            image=ImageSpec(width=_int(img, "width", where), height=_int(img, "height", where)),
+            lanes3d=tuple(np.array(p, dtype=float) for p in _field(obj, "lanes3d", where)),
+            lanes2d=_lanes2d(_field(obj, "lanes2d", where), where, "lanes2d"),
         )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise SchemaError(f"{where}: bad frame record: {exc}") from exc
+    if not frame.camera_height > 0.0:
+        raise SchemaError(f"{where}: camera_height must be > 0, got {frame.camera_height}")
+    if frame.lanes3d and len(frame.lanes3d) != len(frame.lanes2d):
+        raise SchemaError(f"{where}: {len(frame.lanes3d)} lanes3d for {len(frame.lanes2d)} lanes2d")
+    for pts in frame.lanes3d:
+        if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
+            raise SchemaError(f"{where}: lanes3d entries must be (m >= 2, 3) point lists")
+        if not np.isfinite(pts).all() or (pts[:, 2] <= 0.0).any():
+            raise SchemaError(f"{where}: lanes3d points must be finite with z > 0")
+    return frame
 
 
 def read_dataset(path: str) -> list[FrameRecord]:
-    frames = []
-    for line_no, obj in _records(path, "dataset"):
-        where = f"{path}:{line_no}"
-        try:
-            intr = _field(obj, "intrinsics", where)
-            img = _field(obj, "image", where)
-            frame = FrameRecord(
-                frame_id=_int(obj, "frame_id", where),
-                tag=str(obj.get("tag", "")),
-                seed=int(_finite(obj.get("seed", 0), where, "seed")),
-                camera_height=_float(obj, "camera_height", where),
-                intrinsics=CameraIntrinsics(
-                    fx=_float(intr, "fx", where),
-                    fy=_float(intr, "fy", where),
-                    ox=_float(intr, "ox", where),
-                    oy=_float(intr, "oy", where),
-                ),
-                image=ImageSpec(width=_int(img, "width", where), height=_int(img, "height", where)),
-                lanes3d=tuple(
-                    np.asarray(p, dtype=float) for p in _field(obj, "lanes3d", where)
-                ),
-                lanes2d=_lanes2d(_field(obj, "lanes2d", where), where, "lanes2d"),
-            )
-        except (TypeError, ValueError, OverflowError, ValidationError) as exc:
-            raise SchemaError(f"{where}: bad frame record: {exc}") from exc
-        if not frame.camera_height > 0.0:
-            raise SchemaError(f"{where}: camera_height must be > 0, got {frame.camera_height}")
-        if frame.lanes3d and len(frame.lanes3d) != len(frame.lanes2d):
-            raise SchemaError(f"{where}: {len(frame.lanes3d)} lanes3d for {len(frame.lanes2d)} lanes2d")
-        for pts in frame.lanes3d:
-            if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
-                raise SchemaError(f"{where}: lanes3d entries must be (m >= 2, 3) point lists")
-            if not np.isfinite(pts).all() or (pts[:, 2] <= 0.0).any():
-                raise SchemaError(f"{where}: lanes3d points must be finite with z > 0")
-        frames.append(frame)
-    return frames
+    """The dataset's frames, from its point cache when that matches the file's bytes."""
+    data = _read_bytes(path)
+    records = _cached_records(path, data)
+    if records is None:
+        records = _records(_text(data, path), path, "dataset")
+    else:
+        # The cache vouches for bytes write_dataset wrote, whose first line is the header.
+        _parse_object(data[: data.index(b"\n")].decode("ascii"), f"{path}:1", "dataset")
+    del data  # what the frames need is in records; the file's bytes can go
+    return [_frame(obj, f"{path}:{line_no}") for line_no, obj in records]
 
 
 def write_predictions(frames: list[PredictionFrame], path: str) -> None:
@@ -273,7 +389,7 @@ def write_predictions(frames: list[PredictionFrame], path: str) -> None:
 
 def read_predictions(path: str) -> list[PredictionFrame]:
     frames = []
-    for line_no, obj in _records(path, "predictions"):
+    for line_no, obj in _records(_read_text(path), path, "predictions"):
         where = f"{path}:{line_no}"
         try:
             frame = PredictionFrame(

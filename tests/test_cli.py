@@ -732,6 +732,33 @@ def test_fit_setting_changes_predictions_or_exits_2(
         assert out.read_bytes() != defaults[mode]
 
 
+def test_point_cache_changes_no_output(tmp_path):
+    # fit and eval write the same files and stdout with the dataset's
+    # point cache present and deleted
+    spec = write_json(tmp_path / "spec.json", MIXED_SPEC)
+    dataset = str(tmp_path / "d.jsonl")
+    assert main(["generate", "--spec", spec, "--frames", "2", "--out", dataset]) == 0
+
+    def outputs():
+        got = {}
+        for mode in ("3d", "2d", "baseline"):
+            pred, report = tmp_path / f"{mode}.jsonl", tmp_path / f"{mode}.json"
+            for argv in (
+                ["fit", "--dataset", dataset, "--mode", mode, "--out", str(pred)],
+                ["eval", "--dataset", dataset, "--pred", str(pred), "--out", str(report)],
+            ):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(argv) == 0
+                got[argv[0], mode] = out.getvalue()
+            got[mode] = pred.read_bytes(), report.read_bytes()
+        return got
+
+    cached = outputs()
+    os.remove(dataset + ".pts")
+    assert outputs() == cached
+
+
 def test_cli_import_loads_no_scipy():
     # the package's runtime is numpy only: no stage pays for importing scipy
     src = str(Path(__file__).resolve().parents[1] / "src")

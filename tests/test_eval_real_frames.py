@@ -44,7 +44,7 @@ MIXED_SPEC = {
 
 @pytest.fixture(scope="module")
 def mixed_set(tmp_path_factory):
-    """MIXED_SPEC at 2 frames per scene, its default 3d and 2d fits and the files.
+    """MIXED_SPEC at 2 frames per scene, its default 3d, 2d and baseline fits and the files.
 
     Returns (paths, frames, {mode: predictions in frame order}).
     """
@@ -55,7 +55,7 @@ def mixed_set(tmp_path_factory):
     assert main(["generate", "--spec", str(spec), "--frames", "2", "--out", paths["dataset"]]) == 0
     frames = read_dataset(paths["dataset"])
     preds = {}
-    for mode in ("3d", "2d"):
+    for mode in ("3d", "2d", "baseline"):
         paths[mode] = str(root / f"{mode}.jsonl")
         argv = ["fit", "--dataset", paths["dataset"], "--mode", mode, "--out", paths[mode]]
         assert main(argv) == 0
@@ -99,21 +99,24 @@ def test_rasterize_and_iou_match_dense_oracle_on_real_frames(mixed_set, tag):
 
 
 @pytest.mark.parametrize("step", [1, 7, 10, 400])
-@pytest.mark.parametrize("mode", ["3d", "2d"])
+@pytest.mark.parametrize("mode", ["3d", "2d", "baseline"])
 def test_shared_row_resample_equals_per_call_resampling(mixed_set, tmp_path, mode, step):
-    # eval reads each frame's lane stacks once on the image row grid;
-    # matching, row-anchor accuracy and so the report must equal what
-    # resampling per call, at each call's own rows, gives
+    # eval reads each frame's lane stacks once, on the image row grid or,
+    # with no matching to follow (baseline predictions hold no lanes3d),
+    # on the row anchors alone; matching, row-anchor accuracy and so the
+    # report must equal what resampling per call, at each call's own rows,
+    # gives
     paths, frames, preds = mixed_set
     preds = preds[mode]
     assert any(folded(g) for f in frames for g in f.lanes2d)
+    assert all(bool(p.lanes3d) == (mode != "baseline") for p in preds)
     cfg = EvalConfig()
     ts_totals = np.zeros(5, dtype=np.int64)
     cd_values = []
     for frame, pred in zip(frames, preds):
         image = frame.image
         gts = list(frame.lanes2d)
-        pred2d = [project_lane(frame.intrinsics, lane, 72) for lane in pred.lanes3d]
+        pred2d = list(pred.lanes2d) or [project_lane(frame.intrinsics, l, 72) for l in pred.lanes3d]
 
         grid = row_grid(image)
         pred_u, gt_u = resample_lanes(pred2d, grid), resample_lanes(gts, grid)
@@ -126,15 +129,16 @@ def test_shared_row_resample_equals_per_call_resampling(mixed_set, tmp_path, mod
 
         match = match_lanes(pred2d, gts, image)
         assert hungarian_assign(cost_matrix(pred_u, gt_u, grid)).pairs == match.pairs
-        pairs = [(i, j) for i, j, _ in match.pairs]
-        samples = [sample_lane(lane, 72) for lane in pred.lanes3d]
-        cd_values.extend(cd_error_per_pair(samples, frame.lanes3d, pairs))
+        if pred.lanes3d:
+            pairs = [(i, j) for i, j, _ in match.pairs]
+            samples = [sample_lane(lane, 72) for lane in pred.lanes3d]
+            cd_values.extend(cd_error_per_pair(samples, frame.lanes3d, pairs))
 
     out = str(tmp_path / "report.json")
     argv = ["eval", "--dataset", paths["dataset"], "--pred", paths[mode], "--out", out]
     assert main(argv + ["--tusimple-row-step", str(step)]) == 0
     report = read_report(out)
-    assert cd_values
+    assert bool(cd_values) == (mode != "baseline")
     correct, points, matched, n_pred, n_gt = (int(x) for x in ts_totals)
     assert report["tusimple"] == {
         "accuracy": correct / points,
@@ -143,4 +147,4 @@ def test_shared_row_resample_equals_per_call_resampling(mixed_set, tmp_path, mod
         "correct_points": correct,
         "gt_points": points,
     }
-    assert report["cd_error"] == float(np.mean(cd_values))
+    assert report["cd_error"] == (float(np.mean(cd_values)) if cd_values else None)

@@ -1,5 +1,6 @@
 """Round-trip and schema-validation tests for the JSON file formats."""
 
+import hashlib
 import json
 import os
 import tempfile
@@ -8,6 +9,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from bevlane import io_formats
 from bevlane.anchors import build_descriptor, cluster_anchors
 from bevlane.camera import ImageSpec, Lane2D
 from bevlane.datagen import JitterSpec, bump_scene, flat_scene, generate_dataset
@@ -20,12 +22,14 @@ from bevlane.io_formats import (
     read_dataset,
     read_predictions,
     read_report,
+    read_scene_spec,
     validate_predictions,
     write_anchors,
     write_dataset,
     write_predictions,
     write_report,
 )
+from test_eval_real_frames import MIXED_SPEC
 
 try:
     from hypothesis import given
@@ -140,6 +144,7 @@ class TestDatasetRoundTrip:
         )
         with pytest.raises(ValueError):
             write_dataset(frames, str(tmp_path / "bad.jsonl"))
+        assert os.listdir(tmp_path) == []  # no dataset, cache or temp file
 
     def test_empty_file(self, tmp_path):
         path = str(tmp_path / "empty.jsonl")
@@ -157,6 +162,219 @@ class TestDatasetRoundTrip:
         frames[1] = type(frames[1])(**{**vars(frames[1]), "lanes3d": ()})
         write_dataset(frames, path)
         assert read_dataset(path)[1].lanes3d == ()  # 2D-only frames stay valid
+
+    def test_line_ends_only_at_newline(self, tmp_path):
+        # JSON strings may hold U+2028, U+2029 and U+0085 raw; they are no
+        # line ends, and line numbers count every physical line
+        path = str(tmp_path / "dataset.jsonl")
+        tag = "bump\u2028\u2029\x85end"
+        lines = _written(lambda p: write_dataset(sample_dataset(), p)).splitlines()
+        record = json.loads(lines[1])
+        record["tag"] = tag
+        lines[1] = json.dumps(record, ensure_ascii=False)
+        text = "\n".join(lines[:2] + [""] + lines[2:]) + "\n"
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        assert [f.tag for f in read_dataset(path)][:2] == [tag, "flat"]
+        lines = text.split("\n")
+        lines[3] = "{not json"
+        with open(path, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines))
+        with pytest.raises(SchemaError, match=r"dataset\.jsonl:4: invalid JSON"):
+            read_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def mixed_frames(tmp_path_factory):
+    """Acceptance criterion 2's mixed-ground recipe at 2 frames per scene."""
+    spec = tmp_path_factory.mktemp("spec") / "spec.json"
+    spec.write_text(json.dumps(MIXED_SPEC))
+    scenes, jitter = read_scene_spec(str(spec))
+    return generate_dataset(scenes, 2, jitter=jitter, seed=1)
+
+
+def assert_same_frames(got, want):
+    """Every field equal in type and value; every array equal in dtype, shape, flags and bits."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for name in ("frame_id", "tag", "seed", "camera_height", "intrinsics", "image"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert (type(x), x) == (type(y), y)
+        assert (len(a.lanes3d), len(a.lanes2d)) == (len(b.lanes3d), len(b.lanes2d))
+        arrays = list(zip(a.lanes3d, b.lanes3d))
+        arrays += [(p.points, q.points) for p, q in zip(a.lanes2d, b.lanes2d)]
+        for x, y in arrays:
+            assert (x.dtype, x.shape, x.flags.writeable, x.flags.owndata) == (
+                y.dtype, y.shape, y.flags.writeable, y.flags.owndata,
+            )
+            assert x.tobytes() == y.tobytes()
+
+
+def read_without_cache(path: str):
+    """read_dataset's result, or its error's type and text, with the point cache moved away."""
+    cache = path + ".pts"
+    os.rename(cache, cache + ".away")
+    try:
+        return outcome(path)
+    finally:
+        os.rename(cache + ".away", cache)
+
+
+def _with_line(text: str, index: int, line: str) -> str:
+    lines = text.split("\n")
+    lines[index] = line
+    return "\n".join(lines)
+
+
+def outcome(path: str):
+    try:
+        return read_dataset(path)
+    except (SchemaError, VersionError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The texts io_formats' JSON decoder is given."""
+    seen = []
+    decode = io_formats._DECODER.decode
+
+    def counting(text):
+        seen.append(text)
+        return decode(text)
+
+    monkeypatch.setattr(io_formats._DECODER, "decode", counting)
+    return seen
+
+
+class TestPointCache:
+    def test_cache_reads_like_json(self, mixed_frames, tmp_path):
+        assert {"slope", "bump"} <= {f.tag for f in mixed_frames}
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(mixed_frames, path)
+        assert os.path.getsize(path + ".pts") > 0
+        cached = read_dataset(path)
+        assert_same_frames(cached, read_without_cache(path))
+        for frame, back in zip(mixed_frames, cached):
+            for a, b in zip(frame.lanes3d, back.lanes3d):
+                np.testing.assert_array_equal(a, b)
+            for a, b in zip(frame.lanes2d, back.lanes2d):
+                np.testing.assert_array_equal(a.points, b.points)
+
+    def test_valid_cache_decodes_only_the_header(self, mixed_frames, tmp_path, decodes):
+        # a silent cache miss would pass every equivalence test
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(mixed_frames, path)
+        read_dataset(path)
+        assert decodes == [open(path).readline().rstrip("\n")]
+        decodes.clear()
+        read_without_cache(path)
+        assert len(decodes) == len(mixed_frames) + 1
+
+    def test_two_writes_give_identical_bytes(self, mixed_frames, tmp_path):
+        paths = [str(tmp_path / f"{name}.jsonl") for name in ("a", "b")]
+        for path in paths:
+            write_dataset(mixed_frames, path)
+        for suffix in ("", ".pts"):
+            a, b = (open(path + suffix, "rb").read() for path in paths)
+            assert a == b
+
+    @pytest.mark.parametrize(
+        "edit, error, message",
+        [
+            (
+                lambda t: t.replace('"lanes2d":[[[', '"lanes2d":[[[NaN,', 1),
+                SchemaError,
+                ":2: invalid JSON",
+            ),
+            (
+                lambda t: t.replace('"schema_version":"1"', '"schema_version":"2"'),
+                VersionError,
+                ":1: ",
+            ),
+            (lambda t: _with_line(t, 2, "{not json"), SchemaError, ":3: invalid JSON"),
+        ],
+        ids=["nan", "version", "corrupt-line"],
+    )
+    def test_edited_dataset_raises_the_json_error(self, tmp_path, edit, error, message):
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(sample_dataset(), path)
+        text = open(path).read()
+        open(path, "w").write(edit(text))
+        got = outcome(path)
+        assert got == read_without_cache(path)
+        assert got[0] is error and message in got[1]
+
+    @pytest.mark.parametrize(
+        "index, change, message",
+        [
+            (1, lambda f: {"camera_height": 0.0}, ":3: camera_height must be > 0"),
+            (2, lambda f: {"lanes3d": f.lanes3d[:-1]}, ":4: 3 lanes3d for 4 lanes2d"),
+            (3, lambda f: {"lanes3d": (f.lanes3d[0][:1],) + f.lanes3d[1:]}, ":5: lanes3d entries"),
+            (3, lambda f: {"lanes3d": (f.lanes3d[0][:0],) + f.lanes3d[1:]}, ":5: lanes3d entries"),
+        ],
+        ids=["camera-height", "lane-count", "one-point", "no-point"],
+    )
+    def test_record_checks_hold_on_the_cache_path(self, tmp_path, decodes, index, change, message):
+        frames = sample_dataset()
+        frames[index] = type(frames[index])(**{**vars(frames[index]), **change(frames[index])})
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(frames, path)
+        got = outcome(path)
+        assert len(decodes) == 1
+        assert got == read_without_cache(path)
+        assert got[0] is SchemaError and message in got[1]
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda c, other: None,
+            lambda c, other: b"",
+            lambda c, other: c[: c.index(b"\n")],
+            lambda c, other: c[: c.index(b"\n") + 40],
+            lambda c, other: c[:-8],
+            lambda c, other: c[:-1],
+            lambda c, other: c + b"\0" * 8,
+            lambda c, other: c.replace(b"dataset-points", b"dataset-pointz"),
+            lambda c, other: c.replace(b"[", b"{", 1),
+            lambda c, other: c[:-5] + bytes([c[-5] ^ 1]) + c[-4:],
+            lambda c, other: other,
+        ],
+        ids=[
+            "missing", "empty", "header-only", "cut-shapes", "cut-point", "cut-byte",
+            "extra-point", "kind", "garbled-shapes", "flipped-bit", "other-dataset",
+        ],
+    )
+    def test_bad_cache_falls_back_to_json(self, mixed_frames, tmp_path, decodes, damage):
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(mixed_frames[:3], path)
+        other = str(tmp_path / "other.jsonl")
+        write_dataset(mixed_frames[3:], other)
+        cache = open(path + ".pts", "rb").read()
+        self._check_falls_back(path, damage(cache, open(other + ".pts", "rb").read()), decodes)
+
+    @pytest.mark.parametrize(
+        "body",
+        [lambda b: b'{"lanes3d": 1}\n', lambda b: b[:-8], lambda b: b + b"\0" * 8],
+        ids=["not-records", "short-points", "extra-points"],
+    )
+    def test_rekeyed_foreign_body_falls_back_to_json(self, mixed_frames, tmp_path, decodes, body):
+        # digests that match vouch for the bytes, not for the layout
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(mixed_frames[:3], path)
+        new = body(open(path + ".pts", "rb").read().partition(b"\n")[2])
+        digests = [hashlib.sha256(b).hexdigest() for b in (open(path, "rb").read(), new)]
+        self._check_falls_back(path, io_formats._cache_head(*digests) + new, decodes)
+
+    @staticmethod
+    def _check_falls_back(path, cache, decodes):
+        want = read_without_cache(path)
+        os.remove(path + ".pts")
+        if cache is not None:
+            open(path + ".pts", "wb").write(cache)
+        decodes.clear()
+        assert_same_frames(read_dataset(path), want)
+        assert len(decodes) == 4
 
 
 class TestPredictionsRoundTrip:
