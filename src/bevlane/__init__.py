@@ -15,7 +15,6 @@ from .camera import (
     Lane2D,
     invert_to_ground,
     project_lane,
-    project_point,
     project_points,
 )
 from .geometry import (
@@ -27,8 +26,6 @@ from .geometry import (
     sample_lane,
 )
 from .losses import (
-    IoUConfig,
-    LossWeights,
     bev_iou_loss,
     classification_loss,
     endpoint_z_loss,
@@ -44,10 +41,8 @@ __all__ = [
     "CameraIntrinsics",
     "HeightProfile",
     "ImageSpec",
-    "IoUConfig",
     "Lane2D",
     "Lane3D",
-    "LossWeights",
     "MatchResult",
     "ResampledLane2D",
     "bev_iou_loss",
@@ -62,7 +57,6 @@ __all__ = [
     "match_lanes",
     "perspective_losses",
     "project_lane",
-    "project_point",
     "project_points",
     "resample_lane",
     "sample_lane",

@@ -166,7 +166,6 @@ def cluster_anchors(
     descriptors: list[LaneDescriptor],
     k: int,
     image: ImageSpec,
-    rows: np.ndarray | None = None,
     seed: int = 0,
     restarts: int = 10,
 ) -> AnchorSet:
@@ -174,7 +173,8 @@ def cluster_anchors(
 
     Runs k-means from several seeded restarts and keeps the lowest final
     inertia. k is capped at 50: past that the dictionary stops being a
-    compact prior.
+    compact prior. The anchors' rows are the descriptor_rows of image
+    that the descriptors were built at.
     """
     if not 1 <= k <= MAX_ANCHORS:
         raise ValidationError(f"k must be in [1, {MAX_ANCHORS}], got {k}")
@@ -184,9 +184,6 @@ def cluster_anchors(
         raise ValidationError("restarts must be >= 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
-    if rows is None:
-        m = descriptors[0].u.size
-        rows = descriptor_rows(image, m)
     data = np.stack([d.vector() for d in descriptors])
 
     best = None
@@ -201,7 +198,7 @@ def cluster_anchors(
     anchors = tuple(descriptor_from_vector(c) for c in centers)
     return AnchorSet(
         descriptors=anchors,
-        rows=np.asarray(rows, dtype=float),
+        rows=descriptor_rows(image, descriptors[0].u.size),
         image=image,
         inertia=inertia,
         chosen_restart=chosen,

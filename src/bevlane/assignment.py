@@ -100,12 +100,9 @@ class ResampledLane2D:
             raise ValidationError("a resampled lane must cover at least one row")
 
 
-def row_grid(image: ImageSpec, row_step: float = 1.0) -> np.ndarray:
-    """Rows 0, row_step, 2*row_step, ... up to the last image row."""
-    if row_step <= 0.0:
-        raise ValidationError(f"row_step must be > 0, got {row_step}")
-    count = int(np.floor((image.height - 1) / row_step + 1e-9)) + 1
-    return np.arange(count) * row_step
+def row_grid(image: ImageSpec) -> np.ndarray:
+    """Every image row, 0 to height - 1, as floats."""
+    return np.arange(image.height, dtype=float)
 
 
 def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
@@ -132,11 +129,9 @@ def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
     return np.where(found, (1.0 - t) * u_a + t * u_b, np.nan)
 
 
-def resample_on_grid(
-    lanes: list[Lane2D], image: ImageSpec, row_step: float = 1.0
-) -> list[ResampledLane2D | None]:
+def resample_on_grid(lanes: list[Lane2D], image: ImageSpec) -> list[ResampledLane2D | None]:
     """Every lane resampled on the image row grid; None for a lane that covers no grid row."""
-    rows = row_grid(image, row_step)
+    rows = row_grid(image)
     out = []
     for lane, u_values in zip(lanes, resample_lanes(lanes, rows)):
         present = ~np.isnan(u_values)
@@ -155,13 +150,12 @@ def resample_on_grid(
     return out
 
 
-def resample_lane(lane: Lane2D, image: ImageSpec, row_step: float = 1.0) -> ResampledLane2D:
+def resample_lane(lane: Lane2D, image: ImageSpec) -> ResampledLane2D:
     """resample_on_grid for one lane; raises DegenerateLaneError when it covers no grid row."""
-    (resampled,) = resample_on_grid([lane], image, row_step)
+    (resampled,) = resample_on_grid([lane], image)
     if resampled is None:
         raise DegenerateLaneError(
-            f"lane spanning v in [{lane.v.min():.2f}, {lane.v.max():.2f}] "
-            f"covers no row of a {row_step}-step grid"
+            f"lane spanning v in [{lane.v.min():.2f}, {lane.v.max():.2f}] covers no image row"
         )
     return resampled
 

@@ -94,13 +94,6 @@ class Lane2D:
         return f"Lane2D({self.points.shape[0]} points)"
 
 
-def project_point(k: CameraIntrinsics, x: float, y: float, z: float) -> tuple[float, float]:
-    """Project one road-frame point to pixel coordinates."""
-    if z <= 0.0:
-        raise DomainError(f"cannot project point with z <= 0 (z = {z})")
-    return k.fx * x / z + k.ox, k.fy * y / z + k.oy
-
-
 def project_points(k: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     """Project an (m, 3) array of [x, y, z] points to an (m, 2) array of [u, v]."""
     points = np.asarray(points, dtype=float)

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import anchors as anchors_mod
 from . import datagen, fitting, io_formats, metrics, render
-from .assignment import cost_matrix, hungarian_assign, resample_lanes, resample_on_grid, row_grid
+from .assignment import (
+    DEFAULT_MATCH_THRESHOLD,
+    cost_matrix,
+    hungarian_assign,
+    resample_lanes,
+    resample_on_grid,
+    row_grid,
+)
 from .camera import Lane2D, project_lane, project_points
 from .errors import (
     LaneError,
@@ -342,6 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
         "help": f"samples per 3D lane, 2 to {MAX_SAMPLE_COUNT}",
     }
     fit_defaults = fitting.FitConfig()
+    eval_defaults = metrics.EvalConfig()
+    match_threshold = {"type": _non_negative_float, "default": DEFAULT_MATCH_THRESHOLD}
     add(
         "generate",
         _cmd_generate,
@@ -390,14 +399,18 @@ def build_parser() -> argparse.ArgumentParser:
             "--dataset": dataset,
             "--pred": {"required": True, "help": "predictions file"},
             "--out": {"required": True, "help": "output report JSON"},
-            "--lane-width": {"type": float, "default": 30.0, "help": "raster lane width [px]"},
-            "--match-threshold": {
-                "type": _non_negative_float,
-                "default": 30.0,
-                "help": "match distance [px]",
+            "--lane-width": {
+                "type": float,
+                "default": eval_defaults.lane_width,
+                "help": "raster lane width [px]",
             },
+            "--match-threshold": {**match_threshold, "help": "match distance [px]"},
             "--sample-count": sample_count,
-            "--tusimple-tol": {"type": float, "default": 20.0, "help": "row-anchor tolerance [px]"},
+            "--tusimple-tol": {
+                "type": float,
+                "default": eval_defaults.tusimple_pixel_tol,
+                "help": "row-anchor tolerance [px]",
+            },
             "--tusimple-row-step": {"type": _count(), "default": 10, "help": "row step [px]"},
         },
     )
@@ -408,18 +421,18 @@ def build_parser() -> argparse.ArgumentParser:
         {
             "--dataset": dataset,
             "--out": {"required": True, "help": "output anchors JSON"},
-            "-k": {"type": int, "default": 24, "help": "number of anchors"},
+            "-k": {
+                "type": _count(anchors_mod.MAX_ANCHORS),
+                "default": 24,
+                "help": f"number of anchors, 1 to {anchors_mod.MAX_ANCHORS}",
+            },
             "--rows": {
                 "type": _count(MAX_SAMPLE_COUNT, low=2),
                 "default": anchors_mod.DEFAULT_DESCRIPTOR_ROWS,
                 "help": f"descriptor rows, 2 to {MAX_SAMPLE_COUNT}",
             },
             "--seed": {"type": int, "default": 0, "help": "k-means seed"},
-            "--match-threshold": {
-                "type": _non_negative_float,
-                "default": 30.0,
-                "help": "recall distance [px]",
-            },
+            "--match-threshold": {**match_threshold, "help": "recall distance [px]"},
         },
     )
     add(

@@ -8,13 +8,13 @@ labels only, momentum gradient descent on the image-plane losses
 recovers the lane from a flat-ground start (ipm_init, on the ground
 plane at the frame's recorded camera height), on the fixed schedule
 MAX_ITERS, STEP_SIZE and PLATEAU_PATIENCE. fit_lanes, the one fitter,
-scores a stack of lanes with losses.lane_losses at its default loss
-settings and without 3D labels descends them, each lane with its own
-step scales, velocity, best iterate and stop; fit_lane_3d and
-fit_lane_2d are its stacks of one. The descent runs in a diagonally
-rescaled parameter space: curve coefficients act on different powers of
-z, so their raw gradient magnitudes differ by orders of magnitude and
-unscaled steps either crawl or blow up.
+scores a stack of lanes with losses.lane_losses and without 3D labels
+descends them, each lane with its own step scales, velocity, best
+iterate and stop; fit_lane_3d and fit_lane_2d are its stacks of one.
+The descent runs in a diagonally rescaled parameter space: curve
+coefficients act on different powers of z, so their raw gradient
+magnitudes differ by orders of magnitude and unscaled steps either
+crawl or blow up.
 """
 
 from __future__ import annotations
@@ -93,10 +93,6 @@ class PolyFit:
     coefficients: np.ndarray
     rms_residual: float
     max_residual: float
-
-    def x_at(self, z):
-        x = polyval(np.asarray(z, dtype=float), self.coefficients)
-        return float(x) if np.ndim(x) == 0 else x
 
     def to_curve(self) -> BevCurve:
         """Collapse to the cubic lane curve; degree-4 fits do not fit."""
@@ -235,7 +231,7 @@ def fit_lanes(
     """Fit a stack of lanes from their starts, one report per lane.
 
     The targets share one row grid; intrinsics holds each lane's camera.
-    The objective is lane_losses at its default loss settings. With 3D
+    The objective is lane_losses. With 3D
     labels (one (m, 3) array per lane) the starts are scored once and
     returned: descent from label_init never lowered that loss. Without
     them, momentum descent runs on all lanes at once; each lane keeps

@@ -109,12 +109,28 @@ def _finite(value, where: str, name: str):
     return value
 
 
+def _typed(value, kinds: tuple, where: str, name: str):
+    """The value, if it is finite and its type is one of kinds; a bool is not an int."""
+    if type(_finite(value, where, name)) not in kinds:
+        expected = " or ".join(kind.__name__ for kind in kinds)
+        raise SchemaError(f"{where}: {name} must be {expected}, got {type(value).__name__}")
+    return value
+
+
 def _float(obj: dict, key: str, where: str) -> float:
-    return _finite(float(_field(obj, key, where)), where, key)
+    return float(_typed(_field(obj, key, where), (int, float), where, key))
 
 
 def _int(obj: dict, key: str, where: str) -> int:
-    return int(_finite(_field(obj, key, where), where, key))
+    return _typed(_field(obj, key, where), (int,), where, key)
+
+
+def _numeric(points, where: str, name: str) -> np.ndarray:
+    """The list (or cached array) as an array, if numpy reads its entries as numbers."""
+    points = np.asarray(points)
+    if points.dtype.kind not in "iuf":
+        raise SchemaError(f"{where}: {name} entries must be numbers")
+    return points
 
 
 def _check_finite_tree(document: dict, where: str) -> None:
@@ -156,7 +172,7 @@ def _parse_object(text: str, where: str, kind: str | None = None) -> dict:
     """Decode one JSON object; with kind, also check its envelope."""
     try:
         obj = _DECODER.decode(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: expected an object")
@@ -199,7 +215,7 @@ def _field(obj: dict, key: str, where: str):
 
 def _lanes2d(items, where: str, name: str) -> tuple[Lane2D, ...]:
     try:
-        return tuple(Lane2D(p) for p in items)
+        return tuple(Lane2D(_numeric(p, where, name)) for p in items)
     except (TypeError, ValueError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad {name}: {exc}") from exc
 
@@ -229,18 +245,13 @@ def _lane3d_to_json(lane: Lane3D) -> dict:
 def _lane3d_from_json(obj: dict, where: str) -> Lane3D:
     try:
         curve_obj = _field(obj, "curve", where)
-        curve = BevCurve(
-            a=float(_field(curve_obj, "a", where)),
-            b=float(_field(curve_obj, "b", where)),
-            c=float(_field(curve_obj, "c", where)),
-            d=float(_field(curve_obj, "d", where)),
-        )
+        curve = BevCurve(*(_float(curve_obj, key, where) for key in "abcd"))
         profile = HeightProfile(
-            heights=tuple(float(h) for h in _field(obj, "heights", where)),
-            z_min=float(_field(obj, "z_min", where)),
-            z_max=float(_field(obj, "z_max", where)),
+            heights=tuple(_numeric(_field(obj, "heights", where), where, "heights").tolist()),
+            z_min=_float(obj, "z_min", where),
+            z_max=_float(obj, "z_max", where),
         )
-        return Lane3D(curve=curve, profile=profile, score=float(_field(obj, "score", where)))
+        return Lane3D(curve=curve, profile=profile, score=_float(obj, "score", where))
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad 3D lane: {exc}") from exc
 
@@ -332,8 +343,8 @@ def _frame(obj: dict, where: str) -> FrameRecord:
         img = _field(obj, "image", where)
         frame = FrameRecord(
             frame_id=_int(obj, "frame_id", where),
-            tag=str(obj.get("tag", "")),
-            seed=int(_finite(obj.get("seed", 0), where, "seed")),
+            tag=_typed(obj.get("tag", ""), (str,), where, "tag"),
+            seed=_typed(obj.get("seed", 0), (int,), where, "seed"),
             camera_height=_float(obj, "camera_height", where),
             intrinsics=CameraIntrinsics(
                 fx=_float(intr, "fx", where),
@@ -342,7 +353,10 @@ def _frame(obj: dict, where: str) -> FrameRecord:
                 oy=_float(intr, "oy", where),
             ),
             image=ImageSpec(width=_int(img, "width", where), height=_int(img, "height", where)),
-            lanes3d=tuple(np.array(p, dtype=float) for p in _field(obj, "lanes3d", where)),
+            lanes3d=tuple(
+                np.array(_numeric(p, where, "lanes3d"), dtype=float)
+                for p in _field(obj, "lanes3d", where)
+            ),
             lanes2d=_lanes2d(_field(obj, "lanes2d", where), where, "lanes2d"),
         )
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
@@ -438,28 +452,25 @@ def read_anchors(path: str) -> AnchorSet:
     where = path
     img = _field(obj, "image", where)
     try:
+        items = _field(obj, "descriptors", where)
+        rows = np.asarray(_field(obj, "rows", where))
+        us = [np.asarray(_field(d, "u", where)) for d in items]
+        if rows.ndim != 1 or any(u.shape != rows.shape for u in us):
+            raise SchemaError(f"{where}: rows and every descriptor u must be 1-d of one length")
         descriptors = tuple(
             LaneDescriptor(
-                u=np.asarray(_field(d, "u", where), dtype=float),
-                v_start=float(_field(d, "v_start", where)),
-                v_end=float(_field(d, "v_end", where)),
+                _numeric(u, where, "u"), _float(d, "v_start", where), _float(d, "v_end", where)
             )
-            for d in _field(obj, "descriptors", where)
+            for u, d in zip(us, items)
         )
-        anchors = AnchorSet(
+        return AnchorSet(
             descriptors=descriptors,
-            rows=np.asarray(_field(obj, "rows", where), dtype=float),
-            image=ImageSpec(
-                width=int(_field(img, "width", where)),
-                height=int(_field(img, "height", where)),
-            ),
-            inertia=float(_field(obj, "inertia", where)),
+            rows=_numeric(rows, where, "rows"),
+            image=ImageSpec(width=_int(img, "width", where), height=_int(img, "height", where)),
+            inertia=_float(obj, "inertia", where),
         )
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad anchor file: {exc}") from exc
-    if anchors.rows.ndim != 1 or any(d.u.shape != anchors.rows.shape for d in descriptors):
-        raise SchemaError(f"{where}: rows and every descriptor u must be 1-d of one length")
-    return anchors
 
 
 def write_report(report: dict, path: str) -> None:

@@ -2,9 +2,10 @@
 
 Geometry terms are IoU-style: two lanes widened to 2e compare as
 iou = (2e - |dx|) / (2e + |dx|) per sample, averaged, and the loss is
-1 - iou. The same form serves the bird's-eye view (e in meters) and the
-image plane (e in pixels). Supervision has two branches: with 3D labels
-the BEV curve, heights and z-span are penalized directly alongside the
+1 - iou. The same form serves the bird's-eye view (e = BEV_E meters)
+and the image plane (e = PERSPECTIVE_E pixels), each at SAMPLE_COUNT
+samples per lane. Supervision has two branches: with 3D labels the BEV
+curve, heights and z-span are penalized directly alongside the
 projected losses; with 2D-only labels the projected losses carry the
 geometry and a height standard-deviation regularizer removes the
 otherwise unconstrained vertical wobble.
@@ -17,15 +18,14 @@ weights are constants of the parameters and the terms stay piecewise
 smooth.
 
 Every term runs on an (L, P) stack of lanes at once, and lane_losses
-combines them into the one objective of both branches; whether the
-targets carry 3D labels picks the branch. perspective_losses,
+sums them, unweighted, into the one objective of both branches; whether
+the targets carry 3D labels picks the branch. perspective_losses,
 project_with_jacobian, bev_iou_loss, height_loss and endpoint_z_loss
 are their stacks of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,61 +37,28 @@ from .errors import DimensionMismatchError, GridMismatchError, ValidationError
 from .geometry import Lane3D, lane_to_vector
 
 BCE_EPS = 1e-7
+# Half-width e of the widened-lane IoU: meters in the bird's-eye view,
+# pixels in the image plane.
+BEV_E = 0.5
+PERSPECTIVE_E = 15.0
+# Uniform samples per lane at which the BEV and projected terms compare.
+SAMPLE_COUNT = 72
 
 
-@dataclass(frozen=True)
-class IoUConfig:
-    """Half-width e of the widened-lane IoU and the sample count."""
-
-    e: float
-    sample_count: int = 72
-
-    def __post_init__(self):
-        # The IoU gradient divides by (2e + |dx|)^2, which must neither
-        # underflow to 0 (0 / 0 at dx = 0) nor overflow at dx = 0.
-        two_e = 2.0 * self.e
-        if not (self.e > 0.0 and 0.0 < two_e * two_e < math.inf):
-            raise ValidationError(
-                f"IoU half-width e must be > 0 with (2e)^2 finite and > 0, got {self.e}"
-            )
-        if self.sample_count < 2:
-            raise ValidationError("sample_count must be >= 2")
-
-
-# e in meters for bird's-eye-view comparisons.
-DEFAULT_BEV_IOU = IoUConfig(e=0.5)
-# e in pixels for image-plane comparisons.
-DEFAULT_PERSPECTIVE_IOU = IoUConfig(e=15.0)
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Balance between the 3D branch (alpha) and the 2D branch (beta)."""
-
-    alpha: float = 1.0
-    beta: float = 1.0
-
-    def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ValidationError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
-
-
-def bev_iou_loss(pred: Lane3D, gt_xs: np.ndarray, cfg: IoUConfig = DEFAULT_BEV_IOU):
+def bev_iou_loss(pred: Lane3D, gt_xs: np.ndarray):
     """BEV curve loss against target lateral offsets at the lane's samples.
 
-    gt_xs must hold the target x at the lane's own uniform z samples
-    (cfg.sample_count of them). Returns (loss, gradient over the four
-    curve coefficients).
+    gt_xs must hold the target x at the lane's own SAMPLE_COUNT uniform z
+    samples. Returns (loss, gradient over the four curve coefficients).
     """
-    z = np.linspace(pred.z_min, pred.z_max, cfg.sample_count)
+    z = np.linspace(pred.z_min, pred.z_max, SAMPLE_COUNT)
     gt_xs = np.asarray(gt_xs, dtype=float)
     if gt_xs.shape != z.shape:
         raise DimensionMismatchError(
             f"expected {z.shape[0]} target offsets, got {gt_xs.shape}"
         )
     c = pred.curve
-    loss, grad = _bev_term(np.array([[c.a, c.b, c.c, c.d]]), z[None], gt_xs[None], cfg.e)
+    loss, grad = _bev_term(np.array([[c.a, c.b, c.c, c.d]]), z[None], gt_xs[None], BEV_E)
     return float(loss[0]), grad[0]
 
 
@@ -371,13 +338,13 @@ class PerspectiveLosses:
     overlap: bool
 
 
-def _perspective_batch(theta: np.ndarray, targets: LaneTargets, cfg: IoUConfig):
+def _perspective_batch(theta: np.ndarray, targets: LaneTargets):
     """perspective_losses over an (L, P) stack: (l_per, l_v, grad_per, grad_v, overlap).
 
     Lanes without overlap read +inf with zero gradients.
     """
     n_lanes, dg = theta.shape
-    m = cfg.sample_count
+    m = SAMPLE_COUNT
     proj = _project(theta, targets.camera, m)
     u, v = proj.u, proj.v
 
@@ -392,7 +359,7 @@ def _perspective_batch(theta: np.ndarray, targets: LaneTargets, cfg: IoUConfig):
     ua, ub = u.ravel()[a], u.ravel()[a + 1]
     va, vb = v.ravel()[a], v.ravel()[a + 1]
     diff = (1.0 - t) * ua + t * ub - targets.u_values[lane, row]
-    l_per, g_rows = _iou_loss_rows(diff, lane, count, cfg.e)
+    l_per, g_rows = _iou_loss_rows(diff, lane, count, PERSPECTIVE_E)
 
     # Through the crossing fraction t = (r - va) / (vb - va) the row
     # placement feeds back into u: dt/dva = (t - 1) / dv, dt/dvb = -t / dv.
@@ -437,7 +404,6 @@ def perspective_losses(
     pred: Lane3D,
     k: CameraIntrinsics,
     gt: ResampledLane2D,
-    cfg: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
     geo_params: np.ndarray | None = None,
 ) -> PerspectiveLosses:
     """Image-plane losses of a projected 3D lane against a resampled target.
@@ -453,52 +419,45 @@ def perspective_losses(
     if geo_params is None:
         geo_params = lane_to_vector(pred)[:-1]
     theta = np.asarray(geo_params, dtype=float)[None, :]
-    l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(
-        theta, LaneTargets.stack([gt], [k]), cfg
-    )
+    l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(theta, LaneTargets.stack([gt], [k]))
     return PerspectiveLosses(
         float(l_per[0]), float(l_v[0]), grad_per[0], grad_v[0], overlap=bool(overlap[0])
     )
 
 
-def lane_losses(
-    theta: np.ndarray,
-    targets: LaneTargets,
-    per_iou: IoUConfig = DEFAULT_PERSPECTIVE_IOU,
-    weights: LossWeights = LossWeights(),
-):
+def lane_losses(theta: np.ndarray, targets: LaneTargets):
     """The objective of an (L, P) stack of lanes against their targets.
 
     Rows of theta are [4 curve params, n heights, z_min, z_max]. With 3D
-    labels in targets a lane's loss is alpha * (l_bev + l_h + l_z) +
-    beta * (l_per + l_v), with terms [l_per, l_v, l_bev, l_h, l_z];
-    without them it is beta * (l_per + l_v) + l_reg, the height spread,
-    with terms [l_per, l_v, l_reg]. Returns (loss (L,), gradient (L, P), terms (L, k), overlap
+    labels in targets a lane's loss is (l_bev + l_h + l_z) + (l_per +
+    l_v), with terms [l_per, l_v, l_bev, l_h, l_z]; without them it is
+    (l_per + l_v) + l_reg, the height spread, with terms [l_per, l_v,
+    l_reg]. Returns (loss (L,), gradient (L, P), terms (L, k), overlap
     (L,)). A lane whose projection shares no row with its target has
     loss +inf and a zero gradient.
     """
-    l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(theta, targets, per_iou)
-    grad = weights.beta * (grad_per + grad_v)
+    l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(theta, targets)
+    grad = grad_per + grad_v
     if targets.labels is None:
         l_reg, g_reg = _height_spread(theta[:, 4:-2])
         grad[:, 4:-2] += g_reg
-        loss = weights.beta * (l_per + l_v) + l_reg
+        loss = (l_per + l_v) + l_reg
         terms = [l_per, l_v, l_reg]
     else:
         # the labels are read at the BEV samples and at the keypoints
         z_min, z_max, labels = theta[:, -2], theta[:, -1], targets.labels
-        z = np.linspace(z_min, z_max, DEFAULT_BEV_IOU.sample_count, axis=-1)
+        z = np.linspace(z_min, z_max, SAMPLE_COUNT, axis=-1)
         key_z = np.linspace(z_min, z_max, theta.shape[1] - 6, axis=-1)
         gt_x = np.stack([np.interp(row, g[:, 2], g[:, 0]) for row, g in zip(z, labels)])
         gt_h = np.stack([np.interp(row, g[:, 2], g[:, 1]) for row, g in zip(key_z, labels)])
         gt_span = np.array([[g[0, 2], g[-1, 2]] for g in labels])
-        l_bev, g_bev = _bev_term(theta[:, :4], z, gt_x, DEFAULT_BEV_IOU.e)
+        l_bev, g_bev = _bev_term(theta[:, :4], z, gt_x, BEV_E)
         l_h, g_h = _height_term(theta[:, 4:-2], gt_h)
         l_z, g_z = _span_term(theta[:, -2:], gt_span)
-        grad[:, :4] += weights.alpha * g_bev
-        grad[:, 4:-2] += weights.alpha * g_h
-        grad[:, -2:] += weights.alpha * g_z
-        loss = weights.alpha * (l_bev + l_h + l_z) + weights.beta * (l_per + l_v)
+        grad[:, :4] += g_bev
+        grad[:, 4:-2] += g_h
+        grad[:, -2:] += g_z
+        loss = (l_bev + l_h + l_z) + (l_per + l_v)
         terms = [l_per, l_v, l_bev, l_h, l_z]
     loss[~overlap] = np.inf
     grad[~overlap] = 0.0

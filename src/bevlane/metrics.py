@@ -3,10 +3,10 @@ and 3D curve distance.
 
 Lanes are widened to a fixed pixel width and rasterized into runs of
 pixels per row; detection F1 counts one-to-one matches whose IoU, taken
-from the runs, clears a threshold, swept over thresholds 0.50 to 0.95. Row-anchor accuracy follows the fraction-of-
-correct-points convention with a pixel tolerance. Curve distance is a
-symmetric mean point-to-polyline distance in meters between matched 3D
-lanes.
+from the runs, clears a threshold, swept over thresholds 0.50 to 0.95.
+Row-anchor accuracy follows the fraction-of-correct-points convention
+with a pixel tolerance. Curve distance is a symmetric mean
+point-to-polyline distance in meters between matched 3D lanes.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from .camera import ImageSpec, Lane2D
 from .errors import DimensionMismatchError, ValidationError
 
 DEFAULT_IOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
+# Row-anchor accuracy counts a lane pair once this fraction of its points is correct.
+TUSIMPLE_MIN_CORRECT = 0.85
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,6 @@ class EvalConfig:
     lane_width: float = 30.0
     iou_thresholds: tuple[float, ...] = DEFAULT_IOU_THRESHOLDS
     tusimple_pixel_tol: float = 20.0
-    tusimple_min_correct: float = 0.85
 
     def __post_init__(self):
         if not 1.0 <= self.lane_width < np.inf:
@@ -40,8 +41,6 @@ class EvalConfig:
             raise ValidationError("iou_thresholds must be strictly increasing")
         if not self.tusimple_pixel_tol >= 0.0:
             raise ValidationError("tusimple_pixel_tol must be >= 0")
-        if not 0.0 <= self.tusimple_min_correct <= 1.0:
-            raise ValidationError("tusimple_min_correct must be in [0, 1]")
 
 
 # Margin against rounding, relative to the coordinate magnitudes involved:
@@ -383,7 +382,7 @@ def tusimple_accuracy(
     the lane does not reach, as resample_lanes gives them. A predicted
     point is correct within cfg.tusimple_pixel_tol; lanes pair up
     one-to-one maximizing the correct fraction and a pair only counts
-    once its fraction reaches cfg.tusimple_min_correct.
+    once its fraction reaches TUSIMPLE_MIN_CORRECT.
     """
     row_anchors = np.asarray(row_anchors, dtype=float)
     pred_u, gt_u = (_row_stack(lanes, row_anchors) for lanes in (preds, gts))
@@ -399,9 +398,7 @@ def tusimple_accuracy(
     matched = []
     if n_pred and n_gt:
         result = hungarian_assign(1.0 - fraction, match_threshold=float("inf"))
-        matched = [
-            (i, j) for i, j, _ in result.pairs if fraction[i, j] >= cfg.tusimple_min_correct
-        ]
+        matched = [(i, j) for i, j, _ in result.pairs if fraction[i, j] >= TUSIMPLE_MIN_CORRECT]
     correct_points = int(sum(correct[i, j] for i, j in matched))
     accuracy = correct_points / gt_points if gt_points > 0 else 0.0
     fp_rate = (n_pred - len(matched)) / n_pred if n_pred > 0 else 0.0

@@ -31,32 +31,35 @@ except ImportError:
 
 
 def test_row_grid_counts():
-    assert np.array_equal(row_grid(ImageSpec(10, 320), 100.0), [0, 100, 200, 300])
-    assert np.array_equal(row_grid(ImageSpec(10, 320), 1.0), np.arange(320.0))
-    # fractional steps must not drop the last covered row
-    assert row_grid(ImageSpec(10, 100), 9.9)[-1] == pytest.approx(99.0)
+    rows = row_grid(ImageSpec(10, 320))
+    assert rows.dtype == float and np.array_equal(rows, np.arange(320.0))
 
 
 def test_resample_vertical_segment():
     lane = Lane2D(np.array([[100.0, 300.0], [100.0, 100.0]]))
-    r = resample_lane(lane, ImageSpec(640, 320), row_step=100.0)
-    assert np.array_equal(r.v_grid, [0, 100, 200, 300])
-    assert np.array_equal(r.present, [False, True, True, True])
+    r = resample_lane(lane, ImageSpec(640, 320))
+    assert np.array_equal(r.v_grid, np.arange(320.0))
+    assert np.array_equal(np.flatnonzero(r.present), np.arange(100, 301))
     assert np.allclose(r.u_values[r.present], 100.0)
+    u = resample_lanes([lane], np.array([0.0, 100.0, 200.0, 300.0]))[0]
+    assert np.array_equal(~np.isnan(u), [False, True, True, True])
+    assert np.allclose(u[1:], 100.0)
 
 
 def test_resample_diagonal():
     lane = Lane2D(np.array([[0.0, 0.0], [100.0, 100.0]]))
-    r = resample_lane(lane, ImageSpec(640, 320), row_step=50.0)
+    r = resample_lane(lane, ImageSpec(640, 320))
     rows_present = np.asarray(r.v_grid)[r.present]
-    assert np.array_equal(rows_present, [0, 50, 100])
-    assert np.allclose(r.u_values[r.present], [0.0, 50.0, 100.0])
+    assert np.array_equal(rows_present, np.arange(101.0))
+    assert np.allclose(r.u_values[r.present], rows_present)
+    u = resample_lanes([lane], np.array([0.0, 50.0, 100.0, 150.0]))[0]
+    assert np.allclose(u[:3], [0.0, 50.0, 100.0]) and np.isnan(u[3])
 
 
 def test_resample_narrow_span_degenerate():
-    lane = Lane2D(np.array([[5.0, 14.0], [9.0, 10.0]]))
+    lane = Lane2D(np.array([[5.0, 10.8], [9.0, 10.2]]))  # between two image rows
     with pytest.raises(DegenerateLaneError):
-        resample_lane(lane, ImageSpec(640, 320), row_step=50.0)
+        resample_lane(lane, ImageSpec(640, 320))
 
 
 def test_resample_keeps_continuous_endpoints():
@@ -174,19 +177,20 @@ if HAVE_HYPOTHESIS:
     )
     def test_resample_lanes_equals_resample_lane_and_oracle(stack, step):
         image = ImageSpec(64, 40)
-        rows = row_grid(image, step)
+        rows = np.arange(0.0, 40.0, step)
         lanes = [Lane2D(points) for points in stack]
-        for lane, got in zip(lanes, resample_lanes(lanes, rows)):
+        on_grid = resample_lanes(lanes, row_grid(image))
+        for lane, got, full in zip(lanes, resample_lanes(lanes, rows), on_grid):
             found, seg, t = first_crossings_oracle(lane.v, rows)
             want = np.full(rows.size, np.nan)
             a, b = lane.u[seg[found]], lane.u[seg[found] + 1]
             want[found] = (1.0 - t[found]) * a + t[found] * b
             assert np.array_equal(got, want, equal_nan=True)
             try:
-                alone = resample_lane(lane, image, step).u_values
+                alone = resample_lane(lane, image).u_values
             except DegenerateLaneError:
-                alone = np.full(rows.size, np.nan)
-            assert np.array_equal(got, alone, equal_nan=True)
+                alone = np.full(image.height, np.nan)
+            assert np.array_equal(full, alone, equal_nan=True)
 
     _LANE_SETS = st.lists(_POINTS, max_size=4)
 
@@ -207,7 +211,7 @@ if HAVE_HYPOTHESIS:
         step=0.5,
     )
     def test_cost_matrix_equals_row_loop_oracle(preds, gts, holes, step):
-        rows = row_grid(ImageSpec(64, 40), step)
+        rows = np.arange(0.0, 40.0, step)
         pred_u = resample_lanes([Lane2D(points) for points in preds], rows)
         gt_u = resample_lanes([Lane2D(points) for points in gts], rows)
         for n, row in enumerate(holes):

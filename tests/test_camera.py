@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, invert_to_ground, project_lane, project_point, project_points
+from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, invert_to_ground, project_lane, project_points
 from bevlane.errors import DomainError, ValidationError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D
 
@@ -15,16 +15,16 @@ except ImportError:
 
 
 def test_principal_ray(k):
-    assert project_point(k, 0.0, 0.0, 10.0) == (400.0, 160.0)
+    assert project_points(k, np.array([[0.0, 0.0, 10.0]])).tolist() == [[400.0, 160.0]]
 
 
 def test_unit_offset(k):
-    assert project_point(k, 1.0, 0.0, 10.0) == (500.0, 160.0)
+    assert project_points(k, np.array([[1.0, 0.0, 10.0]])).tolist() == [[500.0, 160.0]]
 
 
 def test_zero_depth_rejected(k):
     with pytest.raises(DomainError):
-        project_point(k, 0.0, 1.0, 0.0)
+        project_points(k, np.array([[0.0, 1.0, 0.0]]))
     with pytest.raises(DomainError):
         project_points(k, np.array([[0.0, 1.0, 5.0], [0.0, 1.0, -2.0]]))
 
@@ -105,11 +105,11 @@ if HAVE_HYPOTHESIS:
     )
     def test_round_trip_and_homogeneity(x, y, z):
         k = CameraIntrinsics(fx=1000.0, fy=1000.0, ox=400.0, oy=160.0)
-        u, v = project_point(k, x, y, z)
+        ((u, v),) = project_points(k, np.array([[x, y, z]]))
         rx, ry, rz = invert_to_ground(k, u, v, y)
         assert rx == pytest.approx(x, rel=1e-9, abs=1e-9)
         assert rz == pytest.approx(z, rel=1e-9, abs=1e-9)
         # scale ambiguity: scaling the point leaves the pixel unchanged
-        u2, v2 = project_point(k, 2.5 * x, 2.5 * y, 2.5 * z)
+        ((u2, v2),) = project_points(k, np.array([[2.5 * x, 2.5 * y, 2.5 * z]]))
         assert u2 == pytest.approx(u, rel=1e-12, abs=1e-9)
         assert v2 == pytest.approx(v, rel=1e-12, abs=1e-9)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from bevlane import cli, fitting
+from bevlane.anchors import MAX_ANCHORS
 from bevlane.assignment import resample_lane
 from bevlane.camera import project_lane
 from bevlane.cli import build_parser, main
@@ -508,10 +509,11 @@ COUNT_FLAGS = [
     ("project", "--sample-count", MAX_SAMPLE_COUNT),
     ("render", "--sample-count", MAX_SAMPLE_COUNT),
     ("anchors", "--rows", MAX_SAMPLE_COUNT),
+    ("anchors", "-k", MAX_ANCHORS),
 ]
 # The least value each count flag takes: a lane needs two samples, two
 # height keypoints and two descriptor rows.
-COUNT_FLOORS = {"--frames": 1, "--keypoints": 2, "--sample-count": 2, "--rows": 2}
+COUNT_FLOORS = {"--frames": 1, "--keypoints": 2, "--sample-count": 2, "--rows": 2, "-k": 1}
 
 
 def _count_flag_argv(tmp_path, command):
@@ -533,7 +535,7 @@ def test_count_flags_are_bounded(tmp_path, command, flag, limit):
     argv = _count_flag_argv(tmp_path, command)
     parser = build_parser()
     opts = parser.parse_args(argv + [flag, str(limit)])
-    assert getattr(opts, flag[2:].replace("-", "_")) == limit
+    assert getattr(opts, flag.lstrip("-").replace("-", "_")) == limit
     # past the limit the parser refuses, before any file is read
     for value in (limit + 1, 10**30):
         code, err = _run(argv + [flag, str(value)])
@@ -549,7 +551,7 @@ def test_count_flags_refuse_values_below_their_floor(tmp_path, command, flag, li
     floor = COUNT_FLOORS[flag]
     argv = _count_flag_argv(tmp_path, command)
     opts = build_parser().parse_args(argv + [flag, str(floor)])
-    assert getattr(opts, flag[2:].replace("-", "_")) == floor
+    assert getattr(opts, flag.lstrip("-").replace("-", "_")) == floor
     for value in {floor - 1, 0, -1}:
         code, err = _run(argv + [flag, str(value)])
         assert code == 2
@@ -658,8 +660,7 @@ def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, comm
 )
 def test_non_finite_fit_setting_exits_2(flat_dataset, tmp_path, flags, field):
     # fit takes no loss weights: a non-finite --beta is refused as an unknown
-    # option, naming it, before any value is parsed; LossWeights' own checks
-    # are tested in test_losses
+    # option, naming it, before any value is parsed
     argv = ["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", str(tmp_path / "p")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -787,6 +788,41 @@ def test_non_utf8_input_exits_2(flat_dataset, tmp_path, which):
     code, err = _run(argvs[which == "dataset"])
     assert code == 2
     assert "not UTF-8" in err and "Traceback" not in err
+
+
+def _edited_inputs(flat_dataset, tmp_path, which, edit):
+    """The eval argv, after edit(line) replaced the last line of the dataset or its predictions."""
+    preds = str(tmp_path / "p.jsonl")
+    assert _run(["fit", "--dataset", flat_dataset, "--out", preds])[0] == 0
+    target = Path({"dataset": flat_dataset, "predictions": preds}[which])
+    *lines, last = target.read_text().splitlines()
+    target.write_text("\n".join([*lines, edit(last)]) + "\n")
+    return ["eval", "--dataset", flat_dataset, "--pred", preds, "--out", str(tmp_path / "r")]
+
+
+@pytest.mark.parametrize("which", ["dataset", "predictions"])
+def test_line_nested_past_the_recursion_limit_exits_2(flat_dataset, tmp_path, which):
+    argv = _edited_inputs(flat_dataset, tmp_path, which, lambda line: "[" * 200_000)
+    code, err = _run(argv)
+    assert code == 2
+    path = argv[2] if which == "dataset" else argv[4]
+    assert f"{path}:3: invalid JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "which, old, new, message",
+    [
+        ("dataset", '"frame_id":1', '"frame_id":"1"', "frame_id must be int, got str"),
+        ("dataset", '"width":800', '"width":800.5', "width must be int, got float"),
+        ("predictions", '"score":1.0', '"score":true', "score must be int or float, got bool"),
+    ],
+    ids=["dataset-id-str", "dataset-width-float", "pred-score-bool"],
+)
+def test_value_of_another_json_type_exits_2(flat_dataset, tmp_path, which, old, new, message):
+    argv = _edited_inputs(flat_dataset, tmp_path, which, lambda line: line.replace(old, new, 1))
+    code, err = _run(argv)
+    assert code == 2
+    assert message in err and "Traceback" not in err
 
 
 if HAVE_HYPOTHESIS:

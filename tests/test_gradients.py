@@ -14,7 +14,6 @@ from bevlane.camera import CameraIntrinsics
 from bevlane.geometry import sample_lane
 from bevlane.losses import (
     LaneTargets,
-    LossWeights,
     bev_iou_loss,
     classification_loss,
     endpoint_z_loss,
@@ -152,7 +151,7 @@ def test_lane_losses_gradient_with_labels_over_a_stack(rng, k, image):
     The label targets are read at the lane's own samples, so they slide
     with its span and are held fixed by contract: the curve and heights
     are differenced, and every column, the span's included, must equal
-    the weighted sum of the one-lane term gradients exactly.
+    the sum of the one-lane term gradients exactly.
     """
     cams = [k, CameraIntrinsics(fx=900.0, fy=950.0, ox=380.0, oy=150.0)] * 2
     pairs = [draw_perspective_pair(rng, cam, image) for cam in cams]
@@ -165,22 +164,21 @@ def test_lane_losses_gradient_with_labels_over_a_stack(rng, k, image):
         other[4:-2] += signed_margin(rng, 72, 0.02, 0.1)
         other[-2:] += [0.4, -1.5]
         labels.append(sample_lane(geo_to_lane(other), 300)[::-1])  # decreasing z
-    weights = LossWeights(alpha=0.7, beta=1.3)
     targets = LaneTargets.stack(gts, cams, labels)
-    loss, grad, terms, overlap = lane_losses(theta, targets, weights=weights)
+    loss, grad, terms, overlap = lane_losses(theta, targets)
     assert overlap.all() and terms.shape == (4, 5) and (terms > 1e-3).all()
     for lane in range(theta.shape[0]):
 
         def f(row, lane=lane):
             stack = theta.copy()
             stack[lane, :-2] = row
-            return lane_losses(stack, targets, weights=weights)[0][lane]
+            return lane_losses(stack, targets)[0][lane]
 
         fd = fd_gradient(f, theta[lane, :-2], geo_scales(72, theta[lane, -1])[:-2])
         assert_grad_close(grad[lane, :-2], fd, label=f"lane_losses[{lane}] labelled")
 
         one = LaneTargets.stack([gts[lane]], [cams[lane]], [labels[lane]])
-        alone = lane_losses(theta[lane][None], one, weights=weights)
+        alone = lane_losses(theta[lane][None], one)
         assert alone[0][0] == loss[lane] and np.array_equal(alone[1][0], grad[lane])
 
         pred = geo_to_lane(theta[lane])
@@ -191,13 +189,11 @@ def test_lane_losses_gradient_with_labels_over_a_stack(rng, k, image):
         l_h, g_h = height_loss(pred, np.interp(pred.profile.keypoint_z(), g3[:, 2], g3[:, 1]))
         l_z, g_z = endpoint_z_loss(pred, g3[0, 2], g3[-1, 2])
         assert np.array_equal(terms[lane], [per.l_per, per.l_v, l_bev, l_h, l_z])
-        assert loss[lane] == weights.alpha * (l_bev + l_h + l_z) + weights.beta * (
-            per.l_per + per.l_v
-        )
-        want = weights.beta * (per.grad_per + per.grad_v)
-        want[:4] += weights.alpha * g_bev
-        want[4:-2] += weights.alpha * g_h
-        want[-2:] += weights.alpha * np.array(g_z)
+        assert loss[lane] == (l_bev + l_h + l_z) + (per.l_per + per.l_v)
+        want = per.grad_per + per.grad_v
+        want[:4] += g_bev
+        want[4:-2] += g_h
+        want[-2:] += np.array(g_z)
         assert np.array_equal(grad[lane], want)
 
 

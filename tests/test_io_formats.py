@@ -5,6 +5,7 @@ import json
 import os
 import tempfile
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -326,6 +327,38 @@ class TestPointCache:
         assert got[0] is SchemaError and message in got[1]
 
     @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda f: {"frame_id": "7"}, "frame_id must be int, got str"),
+            (lambda f: {"frame_id": 7.9}, "frame_id must be int, got float"),
+            (lambda f: {"frame_id": True}, "frame_id must be int, got bool"),
+            (lambda f: {"seed": 2.5}, "seed must be int, got float"),
+            (lambda f: {"tag": [1, 2]}, "tag must be str, got list"),
+            (lambda f: {"camera_height": "1.5"}, "camera_height must be int or float, got str"),
+            (
+                lambda f: {"intrinsics": SimpleNamespace(**{**vars(f.intrinsics), "fx": True})},
+                "fx must be int or float, got bool",
+            ),
+            (
+                lambda f: {"image": SimpleNamespace(width=800.5, height=f.image.height)},
+                "width must be int, got float",
+            ),
+        ],
+        ids=["id-str", "id-float", "id-bool", "seed-float", "tag-list", "height-str", "fx-bool",
+             "width-float"],
+    )
+    def test_scalar_fields_take_only_their_json_type(self, tmp_path, decodes, change, message):
+        # refused alike on the cache path and on the JSON path
+        frames = sample_dataset()
+        frames[1] = type(frames[1])(**{**vars(frames[1]), **change(frames[1])})
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(frames, path)
+        got = outcome(path)
+        assert len(decodes) == 1
+        assert got == read_without_cache(path)
+        assert got[0] is SchemaError and f":3: {message}" in got[1]
+
+    @pytest.mark.parametrize(
         "damage",
         [
             lambda c, other: None,
@@ -574,6 +607,39 @@ def test_shapeless_anchors_rejected(tmp_path, field, fragment):
     path.write_text(_substitute(document, field, fragment))
     with pytest.raises(SchemaError, match="1-d of one length"):
         read_anchors(str(path))
+
+
+@pytest.mark.parametrize(
+    "kind, field, fragment, message",
+    [
+        ("dataset", ("lanes2d", 0, 0), '["400.0", "700"]', "lanes2d entries must be numbers"),
+        ("dataset", ("lanes3d", 0, 0, 2), '"5.0"', "lanes3d entries must be numbers"),
+        ("predictions", ("frame_id",), "3.0", "frame_id must be int, got float"),
+        ("predictions", ("lanes3d", 0, "curve", "a"), '"0.5"', "a must be int or float, got str"),
+        ("predictions", ("lanes3d", 0, "heights", 0), '"1.5"', "heights entries must be numbers"),
+        ("predictions", ("lanes3d", 0, "score"), "true", "score must be int or float, got bool"),
+        ("predictions", ("lanes2d", 0, 0), '["400.5", "319"]', "lanes2d entries must be numbers"),
+        ("anchors", ("image", "width"), "800.0", "width must be int, got float"),
+        ("anchors", ("inertia",), '"1.5"', "inertia must be int or float, got str"),
+        ("anchors", ("descriptors", 0, "v_end"), "false", "v_end must be int or float, got bool"),
+        ("anchors", ("descriptors", 0, "u", 0), '"3"', "u entries must be numbers"),
+    ],
+    ids=[
+        "dataset-point-str", "dataset-z-str", "pred-id-float", "pred-curve-str", "pred-height-str",
+        "pred-score-bool", "pred-point-str", "anchors-width-float", "anchors-inertia-str",
+        "anchors-v-end-bool", "anchors-u-str",
+    ],
+)
+def test_values_of_another_json_type_rejected(tmp_path, kind, field, fragment, message):
+    if kind == "predictions":
+        document = _written(lambda p: write_predictions([sample_prediction()], p))
+        reader, (header, document) = read_predictions, document.splitlines(True)
+    else:
+        reader, header, document, _ = valid_documents()[kind]
+    path = tmp_path / "doc"
+    path.write_text(header + _substitute(document, field, fragment))
+    with pytest.raises(SchemaError, match=message):
+        reader(str(path))
 
 
 if HAVE_HYPOTHESIS:
