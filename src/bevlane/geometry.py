@@ -67,7 +67,12 @@ class HeightProfile:
     z_max: float
 
     def __post_init__(self):
-        heights = tuple(_require_finite("height", h) for h in self.heights)
+        values = np.asarray(self.heights, dtype=float)
+        if values.ndim != 1:
+            raise ValidationError(f"heights must be 1-d, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            _require_finite("height", values[~np.isfinite(values)][0])
+        heights = tuple(values.tolist())
         object.__setattr__(self, "heights", heights)
         object.__setattr__(self, "z_min", _require_finite("z_min", self.z_min))
         object.__setattr__(self, "z_max", _require_finite("z_max", self.z_max))

@@ -27,6 +27,7 @@ paths build each frame through the same checks.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -126,11 +127,22 @@ def _int(obj: dict, key: str, where: str) -> int:
 
 
 def _numeric(points, where: str, name: str) -> np.ndarray:
-    """The list (or cached array) as an array, if numpy reads its entries as numbers."""
-    points = np.asarray(points)
-    if points.dtype.kind not in "iuf":
+    """The decoded list (or cached array) as an array, if its entries are numbers.
+
+    numpy reads a bool beside numbers as a number ([true, 319.0] becomes
+    [1.0, 319.0]), so a decoded list is also searched for bools.
+    """
+    array = np.asarray(points)
+    if array.dtype.kind not in "iuf" or (isinstance(points, list) and _holds_bool(points, array.ndim)):
         raise SchemaError(f"{where}: {name} entries must be numbers")
-    return points
+    return array
+
+
+def _holds_bool(items: list, depth: int) -> bool:
+    """Whether a nested list, depth levels deep, holds a bool."""
+    for _ in range(depth - 1):
+        items = itertools.chain.from_iterable(items)
+    return bool in set(map(type, items))
 
 
 def _check_finite_tree(document: dict, where: str) -> None:
@@ -453,9 +465,9 @@ def read_anchors(path: str) -> AnchorSet:
     img = _field(obj, "image", where)
     try:
         items = _field(obj, "descriptors", where)
-        rows = np.asarray(_field(obj, "rows", where))
-        us = [np.asarray(_field(d, "u", where)) for d in items]
-        if rows.ndim != 1 or any(u.shape != rows.shape for u in us):
+        rows = _field(obj, "rows", where)
+        us = [_field(d, "u", where) for d in items]
+        if np.ndim(rows) != 1 or any(np.shape(u) != np.shape(rows) for u in us):
             raise SchemaError(f"{where}: rows and every descriptor u must be 1-d of one length")
         descriptors = tuple(
             LaneDescriptor(

@@ -52,7 +52,7 @@ class EvalConfig:
 _EDGE_BAND = 1e-9
 
 
-def rasterize_lane(lane: Lane2D, image: ImageSpec, width: float = 30.0) -> np.ndarray:
+def rasterize_lane(lane: Lane2D, image: ImageSpec, width: float = EvalConfig.lane_width) -> np.ndarray:
     """Boolean mask of the lane widened to the given pixel width.
 
     Pixel (row j, column i) has its center at (i + 0.5, j + 0.5) and
@@ -75,13 +75,30 @@ def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float):
     (row-major indices into the canvas) for r in starts[n]:starts[n + 1];
     a lane's runs are sorted and no two of them overlap or touch.
 
-    The widened segment is a capsule, which is convex, so it meets each
-    pixel row in one interval of centers. Per (segment, row) pair the
-    interval of a capsule slightly narrower than the lane is filled
-    outright; the centers between it and a slightly wider capsule's
-    interval are decided by the per-pixel test (distance squared to the
-    clamped projection onto the segment, against the radius squared), so
-    the runs cover the pixels that test accepts, and only those.
+    Each lane is split into chains: maximal runs of segments along which
+    v never turns back (a chain breaks where the sign of dv flips). On a
+    chain, consecutive capsules (the widened segments) share the disk at
+    their common vertex, so the chain's union meets each pixel row in one
+    interval: a gap on the row would need the chain to cross the gap's
+    column within the radius of the row, and the disk around that
+    crossing covers the gap. The interval's ends lie on the union's
+    boundary: on an offset piece (a segment moved by the radius along its
+    normal), on the arc between two adjacent normals at a vertex, or on a
+    chain end's cap. So a segment is paired only with the rows of its two
+    offset pieces, each joined to the matching arc at its start vertex
+    (no arc on a chain turns through the vertical, since dv keeps its
+    sign); chain ends and zero-length segments, whose disk holds the arcs
+    at its point, get every row their capsule reaches, and no segment
+    gets more. A (chain, row)'s interval
+    is the hull of its pairs' intervals, counting those that clipping to
+    the canvas leaves empty, since they still bound it.
+
+    The hull for a capsule slightly narrower than the lane is filled
+    outright; the centers between it and the hull for a slightly wider
+    capsule are decided by the per-pixel test (distance squared to the
+    clamped projection onto a segment, against the radius squared)
+    against every segment of the chain that reaches the row, so the runs
+    cover the pixels that test accepts, and only those.
     """
     if not 1.0 <= width < np.inf:
         raise ValidationError("width must be finite and >= 1 pixel")
@@ -101,72 +118,131 @@ def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float):
     band = _EDGE_BAND * (1.0 + radius + h + w + np.abs(np.hstack([a, b])).max(axis=1))
     outer, inner = radius + band, radius - band
 
-    # Every (segment, row) pair whose row the wider capsule can reach; a
-    # segment's values reach its pairs by np.repeat, since pairs are
-    # grouped by segment.
-    v_lo = np.minimum(av, bv) - outer - 0.5
-    v_hi = np.maximum(av, bv) + outer - 0.5
-    first = np.ceil(np.clip(v_lo, 0, h)).astype(np.int64)
-    last = np.floor(np.clip(v_hi, -1, h - 1)).astype(np.int64)
-    counts = np.maximum(last - first + 1, 0)
-    rows = np.repeat(first, counts) + _ranks(counts)
-    y = rows + 0.5
+    # Chains: a lane's first segment starts one, and so does every segment
+    # whose dv has the opposite sign of the last nonzero dv before it.
+    n_segs = au.size
+    lane_segs = [len(p) - 1 for p in pts]
+    starts = np.zeros(n_segs, dtype=bool)
+    starts[np.cumsum(lane_segs) - lane_segs] = True
+    sign = np.sign(dv)
+    held = sign[np.maximum.accumulate(np.where((sign != 0) | starts, np.arange(n_segs), 0))]
+    starts[1:] |= sign[1:] * held[:-1] < 0
+    chain_first = np.flatnonzero(starts)
+    chain = np.cumsum(starts) - 1
+
+    # Rows per segment: every row the wider capsule reaches for chain ends
+    # and zero-length segments (whose disk holds the arcs at its point);
+    # else the rows of each offset piece joined to its arc at the start
+    # vertex, widened by the band and cut to that reach, as one range
+    # where the two meet.
+    zero = seg_len2 == 0.0
+    full = starts | np.append(starts[1:], True) | zero
+    reach_first, reach_last = _row_range(np.minimum(av, bv) - outer, np.maximum(av, bv) + outer, h)
+    shift = radius * (du / np.where(zero, 1.0, np.hypot(du, dv)))  # v of the radius along the normal
+    sides = []
+    for side in (shift, -shift):
+        ends = (av + np.roll(side, 1), av + side, bv + side)
+        lo, hi = np.minimum.reduce(ends) - band, np.maximum.reduce(ends) + band
+        first, last = _row_range(np.where(full, -np.inf, lo), np.where(full, np.inf, hi), h)
+        sides.append((np.maximum(first, reach_first), np.minimum(last, reach_last)))
+    (first, last), (first2, last2) = sides
+    join = (first2 <= last + 1) & (first <= last2 + 1)
+    first = np.where(join, np.minimum(first, first2), first)
+    last = np.where(join, np.maximum(last, last2), last)
+    last2 = np.where(join, first2 - 1, last2)
+    counts = np.maximum(np.concatenate([last - first, last2 - first2]) + 1, 0)
+    firsts = np.concatenate([first, first2])
+    rows = np.repeat(firsts, counts) + _ranks(counts)
 
     def per_pair(*values):
-        return [np.repeat(value, counts) for value in values]
+        return [np.repeat(np.concatenate([value, value]), counts) for value in values]
+
+    # The hull per (chain, row) goes into a table holding, chain by chain,
+    # the rows the chain's capsules reach; each of them is paired, with
+    # the segment that bounds the chain's interval there. A segment's row
+    # r is slot slot0 + r.
+    row0 = np.minimum.reduceat(reach_first, chain_first)
+    span = np.maximum(np.maximum.reduceat(reach_last, chain_first) - row0 + 1, 0)
+    base = np.cumsum(span) - span
+    slot0 = (base - row0)[chain]
 
     # A radius past 1e154 px overflows to inf here, which still gives the
     # right (whole-row) intervals.
     length = np.sqrt(seg_len2)
     with np.errstate(over="ignore"):
         radii = [(r * length, r * r) for r in (outer, inner)]
-    ua, va, ub, vb, du, dv, seg_len2 = per_pair(au, av, bu, bv, du, dv, seg_len2)
-
-    # Pixel columns inside the wider capsule (candidates) and inside the
-    # narrower one (certainly in the mask; none when the radius is within
-    # the band of 0).
+    y = rows + 0.5
+    ua, va, ub, vb, pair_du, pair_dv, pair_len2, slot, thin = per_pair(
+        au, av, bu, bv, du, dv, seg_len2, slot0, inner <= 0.0
+    )
     (cand_lo, cand_hi), (in_lo, in_hi) = _capsule_columns(
-        ua, ub, y - va, y - vb, du, dv, seg_len2,
+        ua, ub, y - va, y - vb, pair_du, pair_dv, pair_len2,
         [per_pair(reach, radius2) for reach, radius2 in radii], w,
     )
-    inside = (in_lo <= in_hi) & np.repeat(inner > 0.0, counts)
+    # Inner intervals only count where the narrower radius is above 0.
+    in_lo[thin], in_hi[thin] = w, -1
+
+    slot += rows
+    n_slots = int(span.sum())
+    hull = []
+    for values, empty, bound in (
+        (cand_lo, w, np.minimum), (cand_hi, -1, np.maximum),
+        (in_lo, w, np.minimum), (in_hi, -1, np.maximum),
+    ):
+        table = np.full(n_slots, empty, dtype=np.int64)
+        bound.at(table, slot, values)
+        hull.append(table)
+    cand_lo, cand_hi, in_lo, in_hi = hull
+    slot_chain = np.repeat(np.arange(chain_first.size), span)
+    slot_row = np.repeat(row0, span) + _ranks(span)
+    flat = slot_row * w
+    inside = in_lo <= in_hi
 
     # The per-pixel test, operation for operation, on the edge bands
     # [cand_lo, in_lo) and (in_hi, cand_hi] (all of [cand_lo, cand_hi]
-    # when nothing is inside): the center's projection onto the segment
+    # when nothing is inside), against every segment of the chain whose
+    # capsule reaches the row: the center's projection onto the segment
     # clamped to it (the start point for a zero-length segment), then
-    # squared distance against squared radius. Only the pairs whose band
-    # holds a pixel center are gathered.
-    n_pairs = rows.size
-    lengths = np.concatenate([
+    # squared distance against squared radius. Band pixels come sorted by
+    # slot, so a segment's pixels are one range of them.
+    lengths = np.column_stack([
         np.where(inside, in_lo, cand_hi + 1) - cand_lo,
         np.where(inside, cand_hi - in_hi, 0),
-    ])
+    ]).ravel()
     banded = np.flatnonzero(lengths > 0)
     lengths = lengths[banded]
-    side, at = np.divmod(banded, n_pairs)
-    pair = np.repeat(at, lengths)
+    at, side = np.divmod(banded, 2)
     cols = np.repeat(np.where(side == 0, cand_lo[at], in_hi[at] + 1), lengths) + _ranks(lengths)
-    pa, pv, pdu, pdv, len2 = ua[pair], va[pair], du[pair], dv[pair], seg_len2[pair]
-    uu, vv = cols + 0.5, y[pair]
+    at = np.repeat(at, lengths)
+    first = np.searchsorted(at, slot0 + reach_first, side="left")
+    tests = np.searchsorted(at, slot0 + reach_last, side="right") - first
+    pixel = np.repeat(first, tests) + _ranks(tests)
+    pa, pv, pdu, pdv, len2 = (np.repeat(x, tests) for x in (au, av, du, dv, seg_len2))
+    uu, vv = cols[pixel] + 0.5, slot_row[at[pixel]] + 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.clip(((uu - pa) * pdu + (vv - pv) * pdv) / len2, 0.0, 1.0)
     t = np.where(len2 == 0.0, 0.0, t)
     dist2 = (uu - (pa + t * pdu)) ** 2 + (vv - (pv + t * pdv)) ** 2
+    hit = pixel[dist2 <= radius * radius]
 
     # Merge each lane's inside intervals and edge pixels, in flat canvas
     # indices.
-    lane_of = np.repeat(np.repeat(np.arange(n_lanes), [len(p) - 1 for p in pts]), counts)
-    edge = dist2 <= radius * radius
-    flat = rows * w
-    edge_px = (flat[pair] + cols)[edge]
+    lane_of = np.repeat(np.arange(n_lanes), lane_segs)[chain_first][slot_chain]
+    edge_px = (flat[at] + cols)[hit]
     return _merge_runs(
-        np.concatenate([lane_of[inside], lane_of[pair[edge]]]),
+        np.concatenate([lane_of[inside], lane_of[at[hit]]]),
         np.concatenate([flat[inside] + in_lo[inside], edge_px]),
         np.concatenate([flat[inside] + in_hi[inside], edge_px]),
         n_lanes,
         h * w,
     )
+
+
+def _row_range(v_lo, v_hi, h: int):
+    """The first and last pixel rows whose centers lie in [v_lo, v_hi], cut to [0, h)."""
+    first = np.ceil(np.clip(v_lo - 0.5, 0, h)).astype(np.int64)
+    last = np.floor(np.clip(v_hi - 0.5, -1, h - 1)).astype(np.int64)
+    return first, last
 
 
 def _merge_runs(group, lo, hi, n_groups: int, size: int):

@@ -1,7 +1,7 @@
 """Eval's kernels on real mixed-ground frames, against independent routes.
 
 The other exactness tests use canvases of at most 40 px and polylines of
-at most 7 points. Here the frames are what the pipeline scores: 800 x 320
+at most 80 points. Here the frames are what the pipeline scores: 800 x 320
 images, 200-point GT lanes and 72-point projected predictions, on slope
 ground and on bumps whose projections fold (v not monotone).
 """

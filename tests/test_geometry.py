@@ -83,8 +83,14 @@ def test_height_profile_validation():
         HeightProfile(heights=np.array([1.0]), z_min=0.0, z_max=1.0)
     with pytest.raises(ValidationError):
         HeightProfile(heights=np.array([1.0, 2.0]), z_min=5.0, z_max=5.0)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="height must be finite, got nan"):
         HeightProfile(heights=np.array([1.0, np.nan]), z_min=0.0, z_max=1.0)
+    with pytest.raises(ValidationError, match="height must be finite, got inf"):
+        HeightProfile(heights=[1.0, np.inf, np.nan], z_min=0.0, z_max=1.0)
+    with pytest.raises(ValidationError, match="heights must be 1-d"):
+        HeightProfile(heights=[[1.0, 2.0], [3.0, 4.0]], z_min=0.0, z_max=1.0)
+    profile = HeightProfile(heights=[1, np.float64(2.5)], z_min=0.0, z_max=1.0)
+    assert profile.heights == (1.0, 2.5) and {type(h) for h in profile.heights} == {float}
 
 
 def test_lane_requires_positive_z_min():

@@ -642,6 +642,37 @@ def test_values_of_another_json_type_rejected(tmp_path, kind, field, fragment, m
         reader(str(path))
 
 
+@pytest.mark.parametrize(
+    "kind, field, fragment, name",
+    [
+        ("dataset", ("lanes2d", 0, 0), "[true, 700.0]", "lanes2d"),
+        ("dataset", ("lanes2d", 0, 0), "[true, false]", "lanes2d"),
+        ("dataset", ("lanes3d", 0, 0, 2), "true", "lanes3d"),
+        ("predictions", ("lanes3d", 0, "heights", 0), "false", "heights"),
+        ("predictions", ("lanes2d", 0, 0), "[true, 319.0]", "lanes2d"),
+        ("predictions", ("lanes2d", 0, 0), "[400, true]", "lanes2d"),
+        ("anchors", ("descriptors", 0, "u", 0), "true", "u"),
+        ("anchors", ("rows", 0), "false", "rows"),
+    ],
+    ids=[
+        "dataset-point", "dataset-point-of-bools", "dataset-z", "pred-height", "pred-point",
+        "pred-point-int", "anchors-u", "anchors-rows",
+    ],
+)
+def test_bool_beside_numbers_rejected(tmp_path, kind, field, fragment, name):
+    # numpy reads [true, 319.0] as [1.0, 319.0]; a bool among numbers is
+    # refused like a list of bools only
+    if kind == "predictions":
+        document = _written(lambda p: write_predictions([sample_prediction()], p))
+        reader, (header, document) = read_predictions, document.splitlines(True)
+    else:
+        reader, header, document, _ = valid_documents()[kind]
+    path = tmp_path / "doc"
+    path.write_text(header + _substitute(document, field, fragment))
+    with pytest.raises(SchemaError, match=f"{name} entries must be numbers"):
+        reader(str(path))
+
+
 if HAVE_HYPOTHESIS:
     _JSON = st.recursive(
         st.none()

@@ -21,6 +21,7 @@ from bevlane.metrics import (
 )
 from oracles import (
     chamfer_oracle,
+    dense_raster_oracle,
     f1_counts_oracle,
     lane_iou_matrix_oracle,
     raster_oracle,
@@ -178,6 +179,74 @@ if HAVE_HYPOTHESIS:
             image.height, image.width, width,
         )
         assert got.shape == (len(preds), len(gts))
+        np.testing.assert_array_equal(got, want)
+
+
+if HAVE_HYPOTHESIS:
+
+    @st.composite
+    def long_lanes(draw, image):
+        """A 20-80 point polyline of sub-pixel steps on a 1/8 pixel grid.
+
+        Each step moves by the lane's drift in u and rise in v, give or
+        take an eighth or two, so v mostly runs one way and chains of many
+        segments form; a step may also turn v back (a fold), keep it (a
+        flat run, dv = 0) or stand still (a repeated point). A lane that
+        drifts starts beside the canvas and crosses one of its borders, so
+        that a row's run there ends on a segment off the canvas.
+        """
+        n = draw(st.integers(20, 80))
+        drift, rise = draw(st.integers(-8, 8)), draw(st.integers(0, 8))
+        kinds = st.sampled_from(["rise"] * 6 + ["fold", "flat", "still"])
+        steps = [(0, 0)] * (n - 1)
+        for k, kind in enumerate(draw(st.lists(kinds, min_size=n - 1, max_size=n - 1))):
+            du, dv = drift + draw(st.integers(-2, 2)), max(rise + draw(st.integers(-1, 1)), 0)
+            if kind != "still":
+                steps[k] = (du, {"rise": dv, "fold": -dv, "flat": 0}[kind])
+        if abs(drift) >= 3:
+            start_u = -8 * 24 if drift > 0 else 8 * (image.width + 24)
+        else:
+            start_u = draw(st.integers(-8 * 20, 8 * (image.width + 20)))
+        start = (start_u, draw(st.integers(-8 * 10, 8 * (image.height + 10))))
+        return Lane2D(np.cumsum([start, *steps], axis=0) / 8.0)
+
+    def long_frames():
+        """A canvas, a width from 1 px to 1e300 px and 2-4 long lanes."""
+        return st.tuples(st.integers(6, 32), st.integers(6, 32)).map(
+            lambda size: ImageSpec(width=size[0], height=size[1])
+        ).flatmap(
+            lambda image: st.tuples(
+                st.lists(long_lanes(image), min_size=2, max_size=4),
+                st.just(image),
+                st.floats(1.0, 40.0) | st.sampled_from([1.0, 30.0, 1e6, 1e300]),
+            )
+        )
+
+    # A straight lane from beside the canvas: on some rows its run starts
+    # on the first segments, whose intervals there lie wholly off the
+    # canvas, and only they bound the run's start.
+    CROSSING = Lane2D(np.column_stack([np.linspace(-24.0, 40.0, 65), np.linspace(2.0, 10.0, 65)]))
+    MIRRORED = Lane2D(np.column_stack([16.0 - CROSSING.u, CROSSING.v]))
+
+    @given(case=long_frames())
+    @example(case=([CROSSING], ImageSpec(16, 12), 12.0))
+    def test_rasterize_matches_oracle_on_long_lanes(case):
+        lanes, image, width = case
+        for lane in lanes:
+            want = dense_raster_oracle(lane.points, image.height, image.width, width)
+            np.testing.assert_array_equal(rasterize_lane(lane, image, width=width), want)
+
+    @given(case=long_frames())
+    @example(case=([CROSSING, MIRRORED, CROSSING], ImageSpec(16, 12), 12.0))
+    def test_lane_iou_matrix_matches_oracle_on_long_lanes(case):
+        lanes, image, width = case
+        masks = [dense_raster_oracle(l.points, image.height, image.width, width) for l in lanes]
+        want = np.array([
+            [np.count_nonzero(a & b) / np.count_nonzero(a | b) if (a | b).any() else 1.0
+             for b in masks[1:]]
+            for a in masks[:1]
+        ])
+        got = lane_iou_matrix(lanes[:1], lanes[1:], image, EvalConfig(lane_width=width))
         np.testing.assert_array_equal(got, want)
 
 
