@@ -165,12 +165,15 @@ def _cmd_eval(opts) -> int:
     for frame in frames:
         pred = by_id.get(frame.frame_id, io_formats.PredictionFrame(frame_id=frame.frame_id))
         # Each predicted 3D lane is sampled once: its projection and its
-        # curve distance read the same points.
-        samples = [sample_lane(lane, opts.sample_count) for lane in pred.lanes3d]
-        if pred.lanes2d:
-            pred2d = list(pred.lanes2d)
-        else:
-            pred2d = [Lane2D(project_points(frame.intrinsics, points)) for points in samples]
+        # curve distance read the same points. A curve that overflows
+        # gives inf or NaN samples, which Lane2D and cd_error_per_pair
+        # refuse.
+        with np.errstate(over="ignore", invalid="ignore"):
+            samples = [sample_lane(lane, opts.sample_count) for lane in pred.lanes3d]
+            if pred.lanes2d:
+                pred2d = list(pred.lanes2d)
+            else:
+                pred2d = [Lane2D(project_points(frame.intrinsics, points)) for points in samples]
         gts2d = list(frame.lanes2d)
         n_pred_lanes += len(pred2d)
         n_gt_lanes += len(gts2d)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import hungarian_assign
 from .camera import ImageSpec, Lane2D
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, NonFiniteError, ValidationError
 
 DEFAULT_IOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 # Row-anchor accuracy counts a lane pair once this fraction of its points is correct.
@@ -46,7 +46,7 @@ class EvalConfig:
 # Margin against rounding, relative to the coordinate magnitudes involved:
 # the band around a capsule's edge where _lane_runs evaluates the per-pixel
 # test instead of trusting the analytic row interval, and the slack on the
-# bound point_polyline_distances prunes segments with. Rounding moves a
+# bound that sets point_polyline_distances' search range. Rounding moves a
 # computed distance by a few 1e-16 of those magnitudes, so 1e-9 leaves a
 # wide safety factor.
 _EDGE_BAND = 1e-9
@@ -500,14 +500,25 @@ def _row_stack(lanes: list[np.ndarray], row_anchors: np.ndarray) -> np.ndarray:
     return np.reshape(lanes, (len(lanes), row_anchors.size))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def point_polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
     """Distance from each point to the nearest spot on a polyline (3D).
 
-    A point's gap in z to a segment's z-interval bounds its distance to
-    that segment from below, so the exact test runs only on the segments
-    whose gap is within the distance to the nearest-in-z segment (plus a
-    slack for rounding). Nothing assumes z is monotone; when the bound
-    rules nothing out, every segment is tested.
+    A point's gap in z to a segment's z-interval [z_lo, z_hi] bounds its
+    distance to that segment from below. With the segments sorted by
+    z_lo, a point at height z takes as its bound r the distance to the
+    segment with the last z_lo at or below z (the first segment for a
+    point below them all), plus a slack for rounding of _EDGE_BAND times
+    the magnitudes involved. A segment whose gap is within r has
+    z_lo <= z + r and z_hi >= z - r, and z_hi - z_lo is at most reach,
+    the largest |dz| of a segment, so its z_lo lies in
+    [z - r - reach, z + r]: one range of the sorted order, found by
+    binary search. The exact test runs on that range, which holds every
+    segment that can be nearest, so each distance is the minimum over
+    all segments. Nothing assumes z is monotone. Input that overflows
+    gives inf or NaN without a warning; the range always keeps the
+    bound's segment, so a NaN bound gives NaN, not a distance over an
+    empty range.
     """
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
@@ -520,19 +531,23 @@ def point_polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.nda
     seg_len2 = np.einsum("kd,kd->k", d, d)
     seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
 
-    z = points[:, -1:]
-    z_lo = np.minimum(polyline[:-1, -1], polyline[1:, -1])
-    z_hi = np.maximum(polyline[:-1, -1], polyline[1:, -1])
-    gap = np.maximum(np.maximum(z_lo - z, z - z_hi), 0.0)
-    each = np.arange(points.shape[0])
-    nearest = gap.argmin(axis=1)
+    # Each point's range [first, stop) of the segments sorted by z_lo.
+    z = points[:, -1]
+    z_lo = np.minimum(a[:, -1], polyline[1:, -1])
+    order = np.argsort(z_lo)
+    z_lo = z_lo[order]
+    reach = np.abs(d[:, -1]).max()
+    below = np.maximum(np.searchsorted(z_lo, z, side="right") - 1, 0)
+    nearest = order[below]
     bound = np.sqrt(_segment_dist2(points, a[nearest], d[nearest], seg_len2[nearest]))
-    slack = _EDGE_BAND * (bound + np.abs(points).max() + np.abs(polyline).max())
-    tested = gap <= (bound + slack)[:, None]
-    tested[each, nearest] = True  # every point keeps at least one segment
-    p, k = np.nonzero(tested)
+    r = bound + _EDGE_BAND * (bound + np.abs(points).max() + np.abs(polyline).max())
+    first = np.minimum(np.searchsorted(z_lo, z - r - reach), below)
+    stop = np.maximum(np.searchsorted(z_lo, z + r, side="right"), below + 1)
+    counts = stop - first
+    p = np.repeat(np.arange(z.size), counts)
+    k = order[np.repeat(first, counts) + _ranks(counts)]
     dist2 = _segment_dist2(points[p], a[k], d[k], seg_len2[k])
-    return np.sqrt(np.minimum.reduceat(dist2, np.searchsorted(p, each)))
+    return np.sqrt(np.minimum.reduceat(dist2, np.cumsum(counts) - counts))
 
 
 def _segment_dist2(points, a, d, seg_len2):
@@ -543,7 +558,8 @@ def _segment_dist2(points, a, d, seg_len2):
     point-to-closest-spot vectors, since sqrt is monotone.
     """
     t = np.clip(np.einsum("nd,nd->n", points - a, d) / seg_len2, 0.0, 1.0)
-    return sum((points[:, c] - (a[:, c] + t * d[:, c])) ** 2 for c in range(points.shape[1]))
+    offset = points - (a + t[:, None] * d)
+    return (offset * offset).sum(axis=1)
 
 
 def cd_error_per_pair(
@@ -554,7 +570,8 @@ def cd_error_per_pair(
     """Symmetric mean point-to-polyline distance per matched pair, meters.
 
     Both sides are (m, 3) point arrays: predicted lanes as sample_lane
-    gives them, GT lanes as their labels.
+    gives them, GT lanes as their labels. A pair whose distance
+    overflows raises NonFiniteError.
     """
     values = []
     for i, j in pairs:
@@ -562,5 +579,8 @@ def cd_error_per_pair(
         gt_pts = np.asarray(gts[j], dtype=float)
         d_pg = point_polyline_distances(pred_pts, gt_pts).mean()
         d_gp = point_polyline_distances(gt_pts, pred_pts).mean()
-        values.append(0.5 * (d_pg + d_gp))
+        value = 0.5 * (d_pg + d_gp)
+        if not np.isfinite(value):
+            raise NonFiniteError(f"curve distance of pair (pred {i}, gt {j}) is not finite")
+        values.append(value)
     return np.array(values)

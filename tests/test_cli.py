@@ -695,6 +695,59 @@ def test_unusable_camera_height_exits_2(flat_dataset, tmp_path, value, message):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def _edit_first_record(path, out, edit):
+    """A copy of a JSON Lines file at out with edit applied to its first record."""
+    lines = open(path).read().splitlines()
+    record = json.loads(lines[1])
+    edit(record)
+    out.write_text("\n".join([lines[0], json.dumps(record), *lines[2:]]) + "\n")
+    return str(out)
+
+
+def _overflowing_label_segment(record):
+    record["lanes3d"][0][0][0], record["lanes3d"][0][1][0] = -1e308, 1e308
+
+
+def _far_label_point(record):
+    record["lanes3d"][0][0][0] = 1e200
+
+
+@pytest.mark.parametrize("edit", [_overflowing_label_segment, _far_label_point])
+def test_non_finite_curve_distance_exits_3(flat_dataset, tmp_path, edit):
+    # the labels are finite, so the dataset reads, but the distance of the
+    # matched pair overflows
+    preds = str(tmp_path / "preds.jsonl")
+    assert _run(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds])[0] == 0
+    dataset = _edit_first_record(flat_dataset, tmp_path / "d.jsonl", edit)
+    argv = ["eval", "--dataset", dataset, "--pred", preds, "--out", str(tmp_path / "r.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(argv)
+    assert code == 3
+    assert err.startswith("error:") and "curve distance of pair (pred 0, gt 0)" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_overflowing_predicted_curve_exits_2(flat_dataset, tmp_path):
+    # the lane's samples overflow, and eval refuses them as its 2D lane
+    preds = tmp_path / "preds.jsonl"
+    assert _run(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", str(preds)])[0] == 0
+
+    def huge_curve(record):
+        record["lanes3d"][0]["curve"]["a"] = 1e306
+
+    pred = _edit_first_record(preds, tmp_path / "p.jsonl", huge_curve)
+    argv = ["eval", "--dataset", flat_dataset, "--pred", pred, "--out", str(tmp_path / "r.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(argv)
+    assert code == 2
+    assert err == "error: lane points must be finite\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.fixture(scope="module")
 def jittered_dataset(tmp_path_factory):
     """MIXED_SPEC at 2 frames per scene, with each mode's default fit."""

@@ -1,11 +1,13 @@
 """Tests for the rasterized F1 suite, row-anchor accuracy, and curve distance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bevlane.assignment import resample_lanes
 from bevlane.camera import ImageSpec, Lane2D
-from bevlane.errors import DimensionMismatchError, ValidationError
+from bevlane.errors import DimensionMismatchError, NonFiniteError, ValidationError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, sample_lane
 from bevlane.metrics import (
     EvalConfig,
@@ -28,7 +30,7 @@ from oracles import (
 )
 
 try:
-    from hypothesis import example, given
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 
     HAVE_HYPOTHESIS = True
@@ -451,6 +453,37 @@ class TestCurveDistance:
         np.testing.assert_allclose(per, [0.1, 0.3], atol=1e-12)
         assert per.mean() == pytest.approx(0.2, abs=1e-12)
 
+    def test_nan_bound_keeps_its_segment(self):
+        # The first segment is 2e308 long, so its direction overflows and
+        # the distance to it, the point's bound, is NaN; the point's
+        # search range must still hold it rather than come out empty.
+        poly = np.array([[-1e308, 0.0, 1.0], [1e308, 0.0, 2.0], [0.0, 0.0, 3.0]])
+        got = point_polyline_distances(np.array([[0.0, 0.0, 1.5]]), poly)
+        assert np.isnan(got).all()
+
+    @pytest.mark.parametrize("x", [[-1e308, 1e308], [1e200, 0.0]])
+    def test_overflowing_pair_raises_naming_it(self, x):
+        gt = sample_lane(straight_lane3d(0.0), 72)
+        gt[:2, 0] = x
+        preds = [sample_lane(straight_lane3d(0.1), 72)] * 2
+        with pytest.raises(NonFiniteError, match=r"pair \(pred 1, gt 0\)"):
+            cd_error_per_pair(preds, [gt], [(1, 0)])
+
+    def test_long_lanes_stay_small(self):
+        # 2,000 points against a 2,000-vertex polyline: a dense (points x
+        # segments) pass would hold several 32 MB arrays at once.
+        pred = sample_lane(Lane3D(BevCurve(1e-5, -1e-3, 0.02, 0.3), HeightProfile(
+            tuple(1.5 + 0.1 * np.sin(np.arange(8))), 3.0, 80.0)), 2000)
+        gt = sample_lane(straight_lane3d(0.0), 2000)
+        tracemalloc.start()
+        try:
+            got = point_polyline_distances(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (2000,) and np.isfinite(got).all()
+        assert peak < 24 * 2**20
+
 
 def dense_point_polyline_distances(points, poly):
     """Minimum over every segment of the norm of the point-to-closest-spot vector."""
@@ -465,7 +498,7 @@ if HAVE_HYPOTHESIS:
 
     @st.composite
     def pruning_cases(draw):
-        """Points and a 3D polyline built against the z-gap pruning.
+        """Points and a 3D polyline built against the z-window search.
 
         Coordinates sit on an integer grid, so several segments often tie
         for the nearest spot (a point on a shared vertex ties two); z is
@@ -484,7 +517,34 @@ if HAVE_HYPOTHESIS:
         points[:, 0] += draw(st.sampled_from([0.0, 0.0, 1e3, -1e7]))
         return points, np.array(poly)
 
-    @given(case=pruning_cases())
+    @st.composite
+    def window_cases(draw):
+        """Points and a 3D polyline in general position against the z-window search.
+
+        Coordinates are arbitrary floats at one of several scales; z may
+        fold back, one segment may span the whole z range (the largest
+        reach), vertices may repeat (zero-length segments), and points may
+        sit before, after or far to the side of the polyline.
+        """
+        coord = st.floats(-10.0, 10.0, allow_nan=False)
+        vertex = st.tuples(coord, coord, coord)
+        poly = np.array(draw(st.lists(vertex, min_size=2, max_size=14)))
+        if draw(st.booleans()):
+            i = draw(st.integers(0, len(poly) - 2))
+            poly[i, 2], poly[i + 1, 2] = poly[:, 2].min() - 1.0, poly[:, 2].max() + 1.0
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(poly) - 1))
+            poly = np.insert(poly, i, poly[i], axis=0)
+        points = np.array(draw(st.lists(vertex, min_size=1, max_size=14)))
+        z_shift = st.sampled_from([0.0, -30.0, 30.0])
+        side = st.sampled_from([0.0, 0.0, 1e3, -1e7])
+        points[:, 2] += draw(st.lists(z_shift, min_size=len(points), max_size=len(points)))
+        points[:, 0] += draw(st.lists(side, min_size=len(points), max_size=len(points)))
+        scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+        return points * scale, poly * scale
+
+    @given(case=st.one_of(pruning_cases(), window_cases()))
+    @settings(max_examples=120)
     def test_pruned_distances_equal_dense(case):
         points, poly = case
         got = point_polyline_distances(points, poly)
