@@ -206,7 +206,10 @@ def _cmd_eval(opts) -> int:
             match = hungarian_assign(costs, match_threshold=opts.match_threshold)
             pairs = [(i, j) for i, j, _ in match.pairs]
             if pairs:
-                cd_values.extend(metrics.cd_error_per_pair(samples, frame.lanes3d, pairs))
+                try:
+                    cd_values.extend(metrics.cd_error_per_pair(samples, frame.lanes3d, pairs))
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"frame {frame.frame_id}: {exc}") from exc
 
     f1_section = {}
     f1_values = []

@@ -2,12 +2,15 @@
 
 Every data file starts with a header object declaring schema_version and
 kind. Floats are written with Python's shortest-repr JSON encoding,
-which round-trips exactly. They are read as plain floats, and each
-reader checks that what it builds is finite. Writes go through a temp
-file and an atomic replace so readers never observe a half-written
-file. Scene specs and CLI config files are read with the same JSON
-decoder as the data files. JSON Lines records end at a newline only: a raw
-U+2028 or other Unicode line break inside a string is part of the line.
+float.__repr__, which round-trips exactly. write_dataset formats each
+distinct value of a record's point lists once and writes that text
+wherever the value occurs, so its bytes equal json.dumps's. Floats are
+read as plain floats, and each reader checks that what it builds is
+finite. Writes go through a temp file and an atomic replace so readers
+never observe a half-written file. Scene specs and CLI config files are
+read with the same JSON decoder as the data files. JSON Lines records
+end at a newline only: a raw U+2028 or other Unicode line break inside
+a string is part of the line.
 
 write_dataset also writes a point cache beside the dataset,
 ``<dataset>.pts``, so that later stages skip decoding the dataset's
@@ -268,6 +271,47 @@ def _lane3d_from_json(obj: dict, where: str) -> Lane3D:
         raise SchemaError(f"{where}: bad 3D lane: {exc}") from exc
 
 
+def _point_lists(arrays: list[np.ndarray]) -> str:
+    """The text _dump gives [a.tolist() for a in arrays], for 2-d float64 arrays of points.
+
+    Values are grouped by their float64 bits, which keeps -0.0 and 0.0
+    apart, and each distinct one is formatted once with float.__repr__,
+    as json's encoder formats every float.
+    """
+    if any(a.ndim != 2 for a in arrays):
+        raise ValueError("point lists must be 2-d arrays")
+    values = np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+    if not np.isfinite(values).all():
+        raise ValueError("point lists must be finite to be written as JSON")
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
+    cells = texts[index]
+    parts = []
+    stop = 0
+    for a in arrays:
+        start, stop = stop, stop + a.size
+        parts.append(_array_text(cells[start:stop], *a.shape))
+    return "[" + ",".join(parts) + "]"
+
+
+def _array_text(cells: np.ndarray, rows: int, columns: int) -> str:
+    """An (rows, columns) array's JSON text from its values' texts in row-major order.
+
+    Each value is followed by its separator: "," inside a row, "],[" at a
+    row's end and "]]" at the last.
+    """
+    if not cells.size:
+        return "[" + ",".join(["[]"] * rows) + "]"
+    tokens = np.empty(2 * cells.size + 1, dtype=object)
+    tokens[0] = "[["
+    tokens[1::2] = cells
+    separators = tokens[2::2]
+    separators[:] = ","
+    separators[columns - 1 :: columns] = "],["
+    separators[-1] = "]]"
+    return "".join(tokens.tolist())
+
+
 def _cache_head(dataset_sha256: str, body_sha256: str) -> bytes:
     """The point cache's header line: what it holds and the digests that key it."""
     return _dump(
@@ -295,10 +339,14 @@ def write_dataset(frames: list[FrameRecord], path: str) -> None:
             "camera_height": frame.camera_height,
             "intrinsics": _intrinsics_to_json(frame.intrinsics),
             "image": _image_to_json(frame.image),
-            "lanes3d": [p.tolist() for p in lanes3d],
-            "lanes2d": [p.tolist() for p in lanes2d],
+            "lanes3d": None,
+            "lanes2d": None,
         }
-        lines.append(_dump(record))
+        # sort_keys writes the point lists side by side after camera_height,
+        # frame_id, image and intrinsics, which hold no strings, so the first
+        # match is theirs.
+        points_text = f'"lanes2d":{_point_lists(lanes2d)},"lanes3d":{_point_lists(lanes3d)}'
+        lines.append(_dump(record).replace('"lanes2d":null,"lanes3d":null', points_text, 1))
         record["lanes3d"] = [list(p.shape) for p in lanes3d]
         record["lanes2d"] = [list(p.shape) for p in lanes2d]
         shapes.append(record)

@@ -515,10 +515,11 @@ def point_polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.nda
     [z - r - reach, z + r]: one range of the sorted order, found by
     binary search. The exact test runs on that range, which holds every
     segment that can be nearest, so each distance is the minimum over
-    all segments. Nothing assumes z is monotone. Input that overflows
-    gives inf or NaN without a warning; the range always keeps the
-    bound's segment, so a NaN bound gives NaN, not a distance over an
-    empty range.
+    all segments; when every range holds only the bound's segment, the
+    bounds are the distances. Nothing assumes z is monotone. Input that
+    overflows gives inf or NaN without a warning; the range always keeps
+    the bound's segment, so a NaN bound gives NaN, not a distance over
+    an empty range.
     """
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
@@ -544,6 +545,9 @@ def point_polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.nda
     first = np.minimum(np.searchsorted(z_lo, z - r - reach), below)
     stop = np.maximum(np.searchsorted(z_lo, z + r, side="right"), below + 1)
     counts = stop - first
+    if counts.max() == 1:
+        # Every window holds only its bound's segment, whose distance is the bound.
+        return bound
     p = np.repeat(np.arange(z.size), counts)
     k = order[np.repeat(first, counts) + _ranks(counts)]
     dist2 = _segment_dist2(points[p], a[k], d[k], seg_len2[k])

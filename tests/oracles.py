@@ -8,6 +8,7 @@ package; agreement between the two routes is the point.
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
 
@@ -304,3 +305,26 @@ def lane_iou_matrix_oracle(
             inter = sum(1 for x, y in zip(a.flat, b.flat) if x and y)
             iou[i, j] = 1.0 if union == 0 else inter / union
     return iou
+
+
+def dataset_lines_oracle(frames) -> list[str]:
+    """A dataset file's lines, each record encoded whole by json.dumps."""
+
+    def dump(obj) -> str:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
+
+    lines = [dump({"kind": "dataset", "schema_version": "1"})]
+    for frame in frames:
+        k, image = frame.intrinsics, frame.image
+        record = {
+            "frame_id": frame.frame_id,
+            "tag": frame.tag,
+            "seed": frame.seed,
+            "camera_height": frame.camera_height,
+            "intrinsics": {"fx": k.fx, "fy": k.fy, "ox": k.ox, "oy": k.oy},
+            "image": {"width": image.width, "height": image.height},
+            "lanes3d": [np.asarray(p, dtype=float).tolist() for p in frame.lanes3d],
+            "lanes2d": [lane.points.tolist() for lane in frame.lanes2d],
+        }
+        lines.append(dump(record))
+    return lines

@@ -725,6 +725,7 @@ def test_non_finite_curve_distance_exits_3(flat_dataset, tmp_path, edit):
         code, err = _run(argv)
     assert code == 3
     assert err.startswith("error:") and "curve distance of pair (pred 0, gt 0)" in err
+    assert err.startswith("error: frame 0: curve distance of pair (pred 0, gt 0) is not finite")
     assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "r.json").exists()

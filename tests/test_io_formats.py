@@ -30,11 +30,13 @@ from bevlane.io_formats import (
     write_predictions,
     write_report,
 )
+from oracles import dataset_lines_oracle
 from test_eval_real_frames import MIXED_SPEC
 
 try:
-    from hypothesis import given
+    from hypothesis import example, given
     from hypothesis import strategies as st
+    from hypothesis.extra import numpy as hnp
 
     HAVE_HYPOTHESIS = True
 except ImportError:
@@ -246,6 +248,53 @@ def decodes(monkeypatch):
 
     monkeypatch.setattr(io_formats._DECODER, "decode", counting)
     return seen
+
+
+class TestPointListText:
+    def test_dataset_bytes_equal_a_json_dumps_writer(self, tmp_path):
+        # the benchmark's dataset: MIXED_SPEC at 25 frames per scene, seed 1
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(MIXED_SPEC))
+        scenes, jitter = read_scene_spec(str(spec))
+        frames = generate_dataset(scenes, 25, jitter=jitter, seed=1)
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(frames, path)
+        want = "".join(line + "\n" for line in dataset_lines_oracle(frames))
+        assert open(path, "rb").read() == want.encode("ascii")
+
+    def test_point_list_of_one_dimension_refused(self, tmp_path):
+        # the reader refuses such a lane; the writer refuses it before writing
+        frames = sample_dataset()
+        frames[0] = type(frames[0])(**{**vars(frames[0]), "lanes3d": (np.ones(3),) * 3})
+        with pytest.raises(ValueError, match="must be 2-d"):
+            write_dataset(frames, str(tmp_path / "bad.jsonl"))
+        assert os.listdir(tmp_path) == []
+
+
+if HAVE_HYPOTHESIS:
+    # A small pool mixed into the floats makes values repeat within a list.
+    _VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [0.0, -0.0, 1.5, 660.0, 1e-05]
+    )
+    _POINT_ARRAYS = st.lists(
+        hnp.arrays(
+            np.float64, st.tuples(st.integers(1, 6), st.sampled_from([2, 3])), elements=_VALUES
+        ),
+        max_size=5,
+    )
+
+    @given(arrays=_POINT_ARRAYS)
+    @example(arrays=[np.array([[-0.0, 0.0, -0.0], [0.0, 0.0, -0.0]])])
+    @example(arrays=[np.zeros((0, 3)), np.ones((1, 2)), np.zeros((2, 0)), np.zeros((0, 2))])
+    @example(
+        arrays=[
+            np.array([[5e-324, 2.2250738585072014e-308], [1e16, 9999999999999998.0]]),
+            np.array([[1e-05, 0.0001, 1e22], [-1e300, 660.0, 660.0], [1e-05, 5e-324, 1e16]]),
+        ]
+    )
+    def test_point_list_text_equals_the_stdlib_encoder(arrays):
+        want = json.dumps([a.tolist() for a in arrays], separators=(",", ":"))
+        assert io_formats._point_lists(arrays) == want
 
 
 class TestPointCache:

@@ -545,6 +545,13 @@ if HAVE_HYPOTHESIS:
 
     @given(case=st.one_of(pruning_cases(), window_cases()))
     @settings(max_examples=120)
+    # every point's window holds only its bound's segment
+    @example(
+        case=(
+            np.array([[0.1, 0.05, 5.0], [0.8, 0.2, 15.0], [0.3, 0.0, -1.0]]),
+            np.array([[0.0, 0.0, 0.0], [0.5, 0.1, 10.0], [1.5, 0.3, 20.0]]),
+        )
+    )
     def test_pruned_distances_equal_dense(case):
         points, poly = case
         got = point_polyline_distances(points, poly)
