@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .losses import (
     bev_iou_loss,
-    classification_loss,
     endpoint_z_loss,
     height_loss,
     height_variance_reg,
@@ -46,7 +45,6 @@ __all__ = [
     "MatchResult",
     "ResampledLane2D",
     "bev_iou_loss",
-    "classification_loss",
     "endpoint_z_loss",
     "height_loss",
     "height_variance_reg",

@@ -20,6 +20,8 @@ from .geometry import MAX_SAMPLE_COUNT
 
 MAX_ANCHORS = 50
 DEFAULT_DESCRIPTOR_ROWS = 36
+# Seeded k-means runs per clustering; the one with the lowest final inertia wins.
+KMEANS_RESTARTS = 10
 # Assignment-update rounds per k-means restart, unless the assignment settles first.
 KMEANS_MAX_ITERS = 100
 
@@ -167,28 +169,25 @@ def cluster_anchors(
     k: int,
     image: ImageSpec,
     seed: int = 0,
-    restarts: int = 10,
 ) -> AnchorSet:
     """Cluster lane descriptors into k anchors.
 
-    Runs k-means from several seeded restarts and keeps the lowest final
-    inertia. k is capped at 50: past that the dictionary stops being a
-    compact prior. The anchors' rows are the descriptor_rows of image
-    that the descriptors were built at.
+    Runs k-means from KMEANS_RESTARTS seeded restarts and keeps the
+    lowest final inertia. k is capped at 50: past that the dictionary
+    stops being a compact prior. The anchors' rows are the
+    descriptor_rows of image that the descriptors were built at.
     """
     if not 1 <= k <= MAX_ANCHORS:
         raise ValidationError(f"k must be in [1, {MAX_ANCHORS}], got {k}")
     if k > len(descriptors):
         raise ValidationError(f"k={k} exceeds the {len(descriptors)} descriptors")
-    if restarts < 1:
-        raise ValidationError("restarts must be >= 1")
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     data = np.stack([d.vector() for d in descriptors])
 
     best = None
     histories = []
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), r]))
         centers, inertia, history = _kmeans_once(data, k, rng)
         histories.append(tuple(history))

@@ -13,6 +13,7 @@ import argparse
 import sys
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from . import anchors as anchors_mod
 from . import datagen, fitting, io_formats, metrics, render
@@ -86,7 +87,8 @@ def _cmd_fit(opts) -> int:
             if opts.mode == "baseline":
                 fit = fitting.fit_perspective_baseline(gt2d, order=opts.order)
                 v = np.linspace(gt2d.v.max(), gt2d.v.min(), DEFAULT_SAMPLE_COUNT)
-                lanes.append((Lane2D(np.column_stack([fit.u_at(v), v])), fit.max_residual))
+                u = polyval(v, fit.coefficients)
+                lanes.append((Lane2D(np.column_stack([u, v])), fit.max_residual))
             elif targets[idx] is None:
                 skipped += 1
             else:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyval
 
 from .assignment import ResampledLane2D
 from .camera import CameraIntrinsics, Lane2D, invert_to_ground, project_points
@@ -88,7 +87,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class PolyFit:
-    """A least-squares BEV curve fit; coefficients are ascending powers of z."""
+    """A least-squares polynomial fit: coefficients in ascending powers,
+    with the rms and max residual."""
 
     coefficients: np.ndarray
     rms_residual: float
@@ -158,28 +158,16 @@ def fit_heights_direct(
     return HeightProfile(heights=tuple(heights), z_min=lo, z_max=hi)
 
 
-@dataclass(frozen=True)
-class PerspectiveFit:
-    """A least-squares u(v) polynomial, the coupled-image-space baseline."""
-
-    coefficients: np.ndarray
-    rms_residual: float
-    max_residual: float
-
-    def u_at(self, v):
-        u = polyval(np.asarray(v, dtype=float), self.coefficients)
-        return float(u) if np.ndim(u) == 0 else u
-
-
-def fit_perspective_baseline(lane: Lane2D, order: int = 3) -> PerspectiveFit:
-    """Fit u as a polynomial of v directly in the image plane.
+def fit_perspective_baseline(lane: Lane2D, order: int = 3) -> PolyFit:
+    """Fit u as a polynomial of v directly in the image plane, the
+    coupled-image-space baseline; coefficients are ascending powers of v.
 
     On uneven ground the projected lane can fold back in v, which no
     function u(v) can follow; the residuals record how badly.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
-    return PerspectiveFit(*_least_squares(lane.v, lane.u, order, "rows"))
+    return PolyFit(*_least_squares(lane.v, lane.u, order, "rows"))
 
 
 @dataclass(frozen=True)
@@ -247,7 +235,7 @@ def fit_lanes(
         raise DimensionMismatchError("need one initial lane per target")
     if not gts:
         return []
-    thetas = [lane_to_vector(init)[:-1] for init in inits]
+    thetas = [lane_to_vector(init) for init in inits]
     if any(t.size != thetas[0].size for t in thetas):
         raise DimensionMismatchError("all initial lanes must share one keypoint count")
     theta = np.stack(thetas)
@@ -292,7 +280,7 @@ def fit_lanes(
 
     return [
         FitReport(
-            lane_from_vector(np.append(best_theta[i], 1.0)),  # score 1
+            lane_from_vector(best_theta[i]),
             int(iterations[i]),
             False,
             targets.named(best_terms[i], best_loss[i]) if best_overlap[i] else {"total": np.inf},
@@ -321,7 +309,7 @@ def _start_lane(pts: np.ndarray, order: int, keypoints: int) -> Lane3D:
     z_min = max(float(pts[:, 2].min()), Z_FLOOR)
     z_max = max(float(pts[:, 2].max()), z_min + MIN_SPAN)
     profile = fit_heights_direct(pts, keypoints, z_min, z_max)
-    return Lane3D(curve=poly.to_curve(), profile=profile, score=1.0)
+    return Lane3D(curve=poly.to_curve(), profile=profile)
 
 
 def label_init(gt3: np.ndarray, cfg: FitConfig = FitConfig()) -> Lane3D:

@@ -96,7 +96,7 @@ class HeightProfile:
 
 @dataclass(frozen=True)
 class Lane3D:
-    """A lane: BEV curve plus height profile plus a confidence score.
+    """A lane: BEV curve plus height profile.
 
     The profile's [z_min, z_max] span doubles as the lane's longitudinal
     extent. z_min must be positive so every sample sits in front of the
@@ -105,14 +105,10 @@ class Lane3D:
 
     curve: BevCurve
     profile: HeightProfile
-    score: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "score", _require_finite("score", self.score))
         if self.profile.z_min <= 0.0:
             raise ValidationError(f"lane z_min must be > 0, got {self.profile.z_min}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"score must be in [0, 1], got {self.score}")
 
     @property
     def z_min(self) -> float:
@@ -138,11 +134,10 @@ def sample_lane(lane: Lane3D, count: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
 
 
 # A lane's free parameters as one flat vector, used by losses and fitting:
-# [a, b, c, d, h_0 .. h_{n-1}, z_min, z_max, score], length n + 7.
+# [a, b, c, d, h_0 .. h_{n-1}, z_min, z_max], length n + 6.
 CURVE_SLICE = slice(0, 4)
-IDX_Z_MIN = -3
-IDX_Z_MAX = -2
-IDX_SCORE = -1
+IDX_Z_MIN = -2
+IDX_Z_MAX = -1
 
 
 def lane_to_vector(lane: Lane3D) -> np.ndarray:
@@ -151,19 +146,19 @@ def lane_to_vector(lane: Lane3D) -> np.ndarray:
         [
             [c.a, c.b, c.c, c.d],
             lane.profile.heights,
-            [lane.z_min, lane.z_max, lane.score],
+            [lane.z_min, lane.z_max],
         ]
     )
 
 
 def lane_from_vector(vec: np.ndarray) -> Lane3D:
     vec = np.asarray(vec, dtype=float)
-    if vec.ndim != 1 or vec.size < 9:
-        raise ValidationError("parameter vector must be 1-d with length n + 7, n >= 2")
+    if vec.ndim != 1 or vec.size < 8:
+        raise ValidationError("parameter vector must be 1-d with length n + 6, n >= 2")
     curve = BevCurve(*vec[CURVE_SLICE])
     profile = HeightProfile(
         heights=tuple(vec[4:IDX_Z_MIN]),
         z_min=float(vec[IDX_Z_MIN]),
         z_max=float(vec[IDX_Z_MAX]),
     )
-    return Lane3D(curve=curve, profile=profile, score=float(vec[IDX_SCORE]))
+    return Lane3D(curve=curve, profile=profile)

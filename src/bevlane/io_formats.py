@@ -253,7 +253,6 @@ def _lane3d_to_json(lane: Lane3D) -> dict:
         "heights": list(lane.profile.heights),
         "z_min": lane.z_min,
         "z_max": lane.z_max,
-        "score": lane.score,
     }
 
 
@@ -266,7 +265,7 @@ def _lane3d_from_json(obj: dict, where: str) -> Lane3D:
             z_min=_float(obj, "z_min", where),
             z_max=_float(obj, "z_max", where),
         )
-        return Lane3D(curve=curve, profile=profile, score=_float(obj, "score", where))
+        return Lane3D(curve=curve, profile=profile)
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad 3D lane: {exc}") from exc
 

@@ -36,7 +36,6 @@ from .camera import CameraIntrinsics
 from .errors import DimensionMismatchError, GridMismatchError, ValidationError
 from .geometry import Lane3D, lane_to_vector
 
-BCE_EPS = 1e-7
 # Half-width e of the widened-lane IoU: meters in the bird's-eye view,
 # pixels in the image plane.
 BEV_E = 0.5
@@ -131,26 +130,6 @@ def _height_spread(heights: np.ndarray):
     safe = np.where(flat, 1.0, sigma[..., None])
     grad = np.where(flat, 0.0, centered / (heights.shape[-1] * safe))
     return sigma, grad
-
-
-def classification_loss(scores: np.ndarray, labels: np.ndarray):
-    """Mean binary cross-entropy over lane confidences.
-
-    Scores are clipped away from 0 and 1 before the logs; the gradient is
-    evaluated at the clipped values. Returns (loss, gradient over scores).
-    """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if scores.shape != labels.shape or scores.ndim != 1:
-        raise DimensionMismatchError(
-            f"scores and labels must be equal-length 1-d, got {scores.shape} vs {labels.shape}"
-        )
-    if scores.size == 0:
-        return 0.0, np.zeros(0)
-    p = np.clip(scores, BCE_EPS, 1.0 - BCE_EPS)
-    loss = float(-np.mean(labels * np.log(p) + (1.0 - labels) * np.log1p(-p)))
-    grad = (-labels / p + (1.0 - labels) / (1.0 - p)) / scores.size
-    return loss, grad
 
 
 @dataclass(frozen=True)
@@ -304,7 +283,7 @@ def project_with_jacobian(
 ):
     """Project a lane's uniform samples and differentiate through it.
 
-    geo_params is the lane parameter vector without the trailing score:
+    geo_params is the lane vector of geometry.lane_to_vector:
     [4 curve params, n heights, z_min, z_max]. Returns (u, v, Ju, Jv)
     where the Jacobians have one row per sample over those parameters.
     """
@@ -417,7 +396,7 @@ def perspective_losses(
     a lane can be scored straight from its vector.
     """
     if geo_params is None:
-        geo_params = lane_to_vector(pred)[:-1]
+        geo_params = lane_to_vector(pred)
     theta = np.asarray(geo_params, dtype=float)[None, :]
     l_per, l_v, grad_per, grad_v, overlap = _perspective_batch(theta, LaneTargets.stack([gt], [k]))
     return PerspectiveLosses(

@@ -35,7 +35,6 @@ def flat_lane():
     return Lane3D(
         curve=BevCurve(0.0, 0.0, 0.0, 2.0),
         profile=HeightProfile(heights=np.full(72, 1.5), z_min=4.0, z_max=60.0),
-        score=1.0,
     )
 
 

@@ -68,13 +68,9 @@ def sample_geo(rng, n=72):
     return np.concatenate([curve, heights, [z_min, z_max]])
 
 
-def geo_to_lane(geo, score=1.0):
+def geo_to_lane(geo):
     n = geo.size - 6
-    return Lane3D(
-        BevCurve(*geo[:4]),
-        HeightProfile(geo[4 : 4 + n], geo[-2], geo[-1]),
-        score,
-    )
+    return Lane3D(BevCurve(*geo[:4]), HeightProfile(geo[4 : 4 + n], geo[-2], geo[-1]))
 
 
 def perturbed_geo(rng, geo):

@@ -249,14 +249,6 @@ def kmeans_reference_best(x: np.ndarray, k: int, tries: int = 200, seed: int = 0
     return best
 
 
-def bce_oracle(scores, labels, eps: float = 1e-7) -> float:
-    total = 0.0
-    for s, y in zip(scores, labels):
-        s = min(1.0 - eps, max(eps, s))
-        total += -(y * np.log(s) + (1.0 - y) * np.log(1.0 - s))
-    return total / len(scores)
-
-
 def f1_counts_oracle(pred_points, gt_points, height, width_px, lane_width, thresholds):
     """(tp, fp, fn) per threshold from per-pixel masks + exhaustive matching.
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bevlane.anchors import (
+    KMEANS_RESTARTS,
     AnchorSet,
     anchor_recall,
     anchor_to_lane,
@@ -137,8 +138,8 @@ class TestClustering:
     def test_inertia_histories_never_increase(self, rng):
         us = rng.uniform(50.0, 750.0, size=20)
         descs = [build_descriptor(vertical_lane(float(u)), IMAGE) for u in us]
-        anchors = cluster_anchors(descs, 4, IMAGE, restarts=6)
-        assert len(anchors.inertia_histories) == 6
+        anchors = cluster_anchors(descs, 4, IMAGE)
+        assert len(anchors.inertia_histories) == KMEANS_RESTARTS
         for history in anchors.inertia_histories:
             assert all(a >= b - 1e-9 for a, b in zip(history, history[1:]))
         finals = [h[-1] for h in anchors.inertia_histories]
@@ -148,7 +149,7 @@ class TestClustering:
     def test_close_to_reference_kmeans(self, rng):
         us = rng.uniform(50.0, 750.0, size=30)
         descs = [build_descriptor(vertical_lane(float(u)), IMAGE) for u in us]
-        anchors = cluster_anchors(descs, 3, IMAGE, restarts=10)
+        anchors = cluster_anchors(descs, 3, IMAGE)
         data = np.stack([d.vector() for d in descs])
         reference = kmeans_reference_best(data, 3, tries=100)
         assert anchors.inertia <= reference * 1.01 + 1e-9
@@ -170,8 +171,6 @@ class TestClustering:
             cluster_anchors(descs, 51, IMAGE)
         with pytest.raises(ValidationError):
             cluster_anchors(descs, 3, IMAGE)
-        with pytest.raises(ValidationError):
-            cluster_anchors(descs, 2, IMAGE, restarts=0)
 
 
 class TestAnchorLanes:

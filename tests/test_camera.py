@@ -54,7 +54,6 @@ def test_project_lane_central(k):
     lane = Lane3D(
         curve=BevCurve(0, 0, 0, 0),
         profile=HeightProfile(heights=np.full(4, 1.5), z_min=5.0, z_max=50.0),
-        score=1.0,
     )
     out = project_lane(k, lane, 20)
     assert np.allclose(out.u, 400.0)

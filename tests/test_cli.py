@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -133,8 +134,6 @@ class TestFit:
         assert len(preds) == 2
         for p in preds:
             assert len(p.lanes3d) == 4 and not p.lanes2d
-            for lane in p.lanes3d:
-                assert lane.score == 1.0
 
     @pytest.mark.parametrize("flag", ["--alpha", "--e-bev"])
     def test_removed_3d_weights_exit_2(self, flat_dataset, tmp_path, capsys, flag):
@@ -868,15 +867,33 @@ def test_line_nested_past_the_recursion_limit_exits_2(flat_dataset, tmp_path, wh
     [
         ("dataset", '"frame_id":1', '"frame_id":"1"', "frame_id must be int, got str"),
         ("dataset", '"width":800', '"width":800.5', "width must be int, got float"),
-        ("predictions", '"score":1.0', '"score":true', "score must be int or float, got bool"),
+        ("predictions", '"z_max":80.0', '"z_max":true', "z_max must be int or float, got bool"),
     ],
-    ids=["dataset-id-str", "dataset-width-float", "pred-score-bool"],
+    ids=["dataset-id-str", "dataset-width-float", "pred-zmax-bool"],
 )
 def test_value_of_another_json_type_exits_2(flat_dataset, tmp_path, which, old, new, message):
     argv = _edited_inputs(flat_dataset, tmp_path, which, lambda line: line.replace(old, new, 1))
     code, err = _run(argv)
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+def test_lane_score_of_older_predictions_is_ignored(flat_dataset, tmp_path):
+    """Predictions written when each 3D lane still carried "score" read and
+    evaluate exactly as the same lanes without it."""
+    preds = tmp_path / "p.jsonl"
+    assert _run(["fit", "--dataset", flat_dataset, "--out", str(preds)])[0] == 0
+    scored = tmp_path / "scored.jsonl"
+    scored.write_text(re.sub(r'("z_max":[^,}]+)', r'\1,"score":1.0', preds.read_text()))
+    assert scored.read_text().count('"score":1.0') == 8
+    assert read_predictions(str(scored)) == read_predictions(str(preds))
+    reports = []
+    for path in (preds, scored):
+        out = tmp_path / f"{path.stem}-report.json"
+        argv = ["eval", "--dataset", flat_dataset, "--pred", str(path), "--out", str(out)]
+        assert _run(argv)[0] == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 if HAVE_HYPOTHESIS:

@@ -118,7 +118,7 @@ def test_fit_heights_direct_degenerate():
 
 
 def test_perspective_baseline_exact_on_flat_straight(k):
-    lane = Lane3D(BevCurve(0, 0, 0, 2.0), HeightProfile(np.full(2, 1.5), 4.0, 60.0), 1.0)
+    lane = Lane3D(BevCurve(0, 0, 0, 2.0), HeightProfile(np.full(2, 1.5), 4.0, 60.0))
     fit = fit_perspective_baseline(project_lane(k, lane, 50), order=3)
     # exact in exact arithmetic; the cubic Vandermonde over v ~ 500 leaves
     # lstsq rounding at the 1e-8 px level
@@ -149,9 +149,9 @@ def test_least_squares_fits_refuse_overflowing_powers():
 
 
 def test_fit_lane_2d_recovers_offset(k, image, monkeypatch):
-    gt_lane = Lane3D(BevCurve(0, 0, 0, 2.0), HeightProfile(np.full(72, 1.5), 4.0, 60.0), 1.0)
+    gt_lane = Lane3D(BevCurve(0, 0, 0, 2.0), HeightProfile(np.full(72, 1.5), 4.0, 60.0))
     gt = resample_lane(project_lane(k, gt_lane, 72), image)
-    init = Lane3D(BevCurve(0, 0, 0, 2.5), HeightProfile(np.full(72, 1.5), 4.0, 60.0), 1.0)
+    init = Lane3D(BevCurve(0, 0, 0, 2.5), HeightProfile(np.full(72, 1.5), 4.0, 60.0))
     # fixed-step momentum rings around the loss crease with amplitude
     # step * slope / 1.9, so settling under 1e-3 needs a small step
     monkeypatch.setattr(fitting, "STEP_SIZE", 5e-5)
@@ -176,7 +176,7 @@ def _mixed_block():
             cams.append(frame.intrinsics)
             inits.append(ipm_init(lane2d, frame.intrinsics, frame.camera_height))
     wavy = -1.5 + 0.1 * np.sin(np.linspace(0.0, 6.0, 72))
-    above = Lane3D(BevCurve(0, 0, 0, 1.0), HeightProfile(wavy, 3.0, 80.0), 1.0)
+    above = Lane3D(BevCurve(0, 0, 0, 1.0), HeightProfile(wavy, 3.0, 80.0))
     return gts + [gts[0]], cams + [cams[0]], inits + [above]
 
 
@@ -260,7 +260,7 @@ def test_fit_lanes_2d_checks_its_stack(k, image):
         fit_lanes(gts, cams, inits[:-1])
     with pytest.raises(DimensionMismatchError):
         fit_lanes(gts, cams[:-1], inits)
-    short = Lane3D(inits[0].curve, HeightProfile(np.full(10, 1.5), 3.0, 80.0), 1.0)
+    short = Lane3D(inits[0].curve, HeightProfile(np.full(10, 1.5), 3.0, 80.0))
     with pytest.raises(DimensionMismatchError):
         fit_lanes(gts[:2], cams[:2], [inits[0], short])
     other_grid = resample_lane(project_lane(k, inits[0], 72), ImageSpec(800, 300))
@@ -280,7 +280,7 @@ def test_fit_config_rejects_bad_keypoints():
 
 
 def test_fit_lane_2d_rejects_degree4(k, image):
-    gt_lane = Lane3D(BevCurve(0, 0, 0, 2.0), HeightProfile(np.full(72, 1.5), 4.0, 60.0), 1.0)
+    gt_lane = Lane3D(BevCurve(0, 0, 0, 2.0), HeightProfile(np.full(72, 1.5), 4.0, 60.0))
     gt = resample_lane(project_lane(k, gt_lane, 72), image)
     with pytest.raises(ValidationError):
         fit_lane_2d(gt, k, gt_lane, FitConfig(order=4))
@@ -311,7 +311,7 @@ def test_fit_lane_3d_at_optimum_stays_put(k, monkeypatch):
     gt2d = resample_lane(frame.lanes2d[0], frame.image)
     poly = fit_bev_polynomial(gt3, 3)
     profile = fit_heights_direct(gt3, 72)
-    least_squares = Lane3D(poly.to_curve(), profile, 1.0)
+    least_squares = Lane3D(poly.to_curve(), profile)
     calls = []
 
     def counted(*args, **kwargs):
@@ -431,7 +431,7 @@ def test_ipm_init_needs_points_below_horizon(k):
 
 
 def test_reprojection_residuals_zero_for_exact_lane(k):
-    lane = Lane3D(BevCurve(0, 0, 0.01, 2.0), HeightProfile(np.full(72, 1.5), 3.0, 70.0), 1.0)
+    lane = Lane3D(BevCurve(0, 0, 0.01, 2.0), HeightProfile(np.full(72, 1.5), 3.0, 70.0))
     gt3 = np.column_stack([
         lane.curve.x_at(np.linspace(3.0, 70.0, 80)),
         np.full(80, 1.5),

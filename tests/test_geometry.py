@@ -20,11 +20,10 @@ except ImportError:
     HAVE_HYPOTHESIS = False
 
 
-def make_lane(a=0.0, b=0.0, c=0.0, d=0.0, heights=(1.5, 1.5), z_min=5.0, z_max=10.0, score=1.0):
+def make_lane(a=0.0, b=0.0, c=0.0, d=0.0, heights=(1.5, 1.5), z_min=5.0, z_max=10.0):
     return Lane3D(
         curve=BevCurve(a, b, c, d),
         profile=HeightProfile(heights=np.asarray(heights, dtype=float), z_min=z_min, z_max=z_max),
-        score=score,
     )
 
 
@@ -96,8 +95,6 @@ def test_height_profile_validation():
 def test_lane_requires_positive_z_min():
     with pytest.raises(ValidationError):
         make_lane(z_min=0.0)
-    with pytest.raises(ValidationError):
-        make_lane(score=1.5)
 
 
 def test_sample_flat_straight_lane():
@@ -127,14 +124,14 @@ def test_sample_z_strictly_increasing_and_exact_ends():
 
 
 def test_vector_round_trip():
-    lane = make_lane(a=1e-5, b=1e-3, c=-0.1, d=2.0, heights=(1.0, 1.5, 2.0, 1.2), z_min=4.0, z_max=44.0, score=0.7)
+    lane = make_lane(a=1e-5, b=1e-3, c=-0.1, d=2.0, heights=(1.0, 1.5, 2.0, 1.2), z_min=4.0, z_max=44.0)
     vec = lane_to_vector(lane)
-    assert vec.shape == (4 + 4 + 3,)
+    assert vec.shape == (4 + 4 + 2,)
     back = lane_from_vector(vec)
     assert back.curve == lane.curve
     assert np.array_equal(back.profile.heights, lane.profile.heights)
     assert back.profile.z_min == lane.profile.z_min
-    assert back.score == lane.score
+    assert back.profile.z_max == lane.profile.z_max
 
 
 if HAVE_HYPOTHESIS:

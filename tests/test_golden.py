@@ -23,7 +23,9 @@ def test_artifacts_match_the_manifest(tmp_path):
         want = manifest["seeds"][str(seed)]
         for name in sorted(set(got) | set(want)):
             if got.get(name) != want.get(name):
-                mismatches.append(f"seed {seed}: {name}: this run {got.get(name)}, manifest {want.get(name)}")
+                mismatches.append(
+                    f"seed {seed}: {name}: this run {got.get(name)}, manifest {want.get(name)}"
+                )
     here = environment()
     pinned = {key: manifest[key] for key in here}
     assert not mismatches, (

@@ -15,7 +15,6 @@ from bevlane.geometry import sample_lane
 from bevlane.losses import (
     LaneTargets,
     bev_iou_loss,
-    classification_loss,
     endpoint_z_loss,
     height_loss,
     height_variance_reg,
@@ -81,16 +80,6 @@ def test_endpoint_z_gradient(rng):
         _, grad = endpoint_z_loss(lane, gt_span[0], gt_span[1])
         fd = fd_gradient(f, geo[-2:], np.ones(2))
         assert_grad_close(np.asarray(grad), fd, label="l_z")
-
-
-def test_classification_gradient(rng):
-    for _ in range(N_CONFIGS):
-        m = rng.integers(1, 8)
-        scores = rng.uniform(0.05, 0.95, m)
-        labels = (rng.uniform(size=m) > 0.5).astype(float)
-        _, grad = classification_loss(scores, labels)
-        fd = fd_gradient(lambda s: classification_loss(s, labels)[0], scores, np.ones(m))
-        assert_grad_close(grad, fd, label="l_cls")
 
 
 def test_height_variance_gradient(rng):

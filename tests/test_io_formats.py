@@ -59,7 +59,6 @@ def sample_prediction():
     lane3d = Lane3D(
         BevCurve(1.25e-5, -3e-4, 0.07, 1.75),
         HeightProfile(1.5 + 0.1 * np.sin(np.linspace(0, 4, 72)), 3.7, 61.2),
-        0.875,
     )
     lane2d = Lane2D([[400.5, 319.0], [410.25, 200.0], [415.125, 170.0]])
     return PredictionFrame(frame_id=3, lanes3d=(lane3d,), lanes2d=(lane2d,))
@@ -472,7 +471,7 @@ class TestPredictionsRoundTrip:
             src.curve.a, src.curve.b, src.curve.c, src.curve.d,
         )
         np.testing.assert_array_equal(lane.profile.heights, src.profile.heights)
-        assert (lane.z_min, lane.z_max, lane.score) == (src.z_min, src.z_max, src.score)
+        assert (lane.z_min, lane.z_max) == (src.z_min, src.z_max)
         np.testing.assert_array_equal(back[0].lanes2d[0].points, frames[0].lanes2d[0].points)
         assert back[1].lanes3d == () and back[1].lanes2d == ()
 
@@ -666,7 +665,7 @@ def test_shapeless_anchors_rejected(tmp_path, field, fragment):
         ("predictions", ("frame_id",), "3.0", "frame_id must be int, got float"),
         ("predictions", ("lanes3d", 0, "curve", "a"), '"0.5"', "a must be int or float, got str"),
         ("predictions", ("lanes3d", 0, "heights", 0), '"1.5"', "heights entries must be numbers"),
-        ("predictions", ("lanes3d", 0, "score"), "true", "score must be int or float, got bool"),
+        ("predictions", ("lanes3d", 0, "z_max"), "true", "z_max must be int or float, got bool"),
         ("predictions", ("lanes2d", 0, 0), '["400.5", "319"]', "lanes2d entries must be numbers"),
         ("anchors", ("image", "width"), "800.0", "width must be int, got float"),
         ("anchors", ("inertia",), '"1.5"', "inertia must be int or float, got str"),
@@ -675,7 +674,7 @@ def test_shapeless_anchors_rejected(tmp_path, field, fragment):
     ],
     ids=[
         "dataset-point-str", "dataset-z-str", "pred-id-float", "pred-curve-str", "pred-height-str",
-        "pred-score-bool", "pred-point-str", "anchors-width-float", "anchors-inertia-str",
+        "pred-zmax-bool", "pred-point-str", "anchors-width-float", "anchors-inertia-str",
         "anchors-v-end-bool", "anchors-u-str",
     ],
 )

@@ -14,7 +14,6 @@ from bevlane.losses import (
     PERSPECTIVE_E,
     LaneTargets,
     bev_iou_loss,
-    classification_loss,
     endpoint_z_loss,
     height_loss,
     height_variance_reg,
@@ -22,12 +21,12 @@ from bevlane.losses import (
     perspective_losses,
 )
 from bevlane.losses import _iou_loss_rows
-from oracles import bce_oracle, lane_iou_oracle
+from oracles import lane_iou_oracle
 
 
-def make_lane(a=0.0, b=0.0, c=0.0, d=0.0, heights=None, z_min=4.0, z_max=60.0, score=1.0, n=72):
+def make_lane(a=0.0, b=0.0, c=0.0, d=0.0, heights=None, z_min=4.0, z_max=60.0, n=72):
     h = np.full(n, 1.5) if heights is None else np.asarray(heights, dtype=float)
-    return Lane3D(BevCurve(a, b, c, d), HeightProfile(h, z_min, z_max), score)
+    return Lane3D(BevCurve(a, b, c, d), HeightProfile(h, z_min, z_max))
 
 
 def lane_iou(xs_pred, xs_gt, e):
@@ -97,23 +96,6 @@ def test_endpoint_z_loss_cases():
     assert endpoint_z_loss(make_lane(z_min=5, z_max=50), 5.0, 50.5)[0] == pytest.approx(0.5)
 
 
-def test_classification_loss_cases():
-    loss, _ = classification_loss(np.array([0.5]), np.array([1.0]))
-    assert loss == pytest.approx(math.log(2.0))
-    loss, _ = classification_loss(np.array([0.9, 0.1]), np.array([1.0, 0.0]))
-    assert loss == pytest.approx(-math.log(0.9), rel=1e-9)
-    assert loss == pytest.approx(0.10536, abs=1e-5)
-    loss, _ = classification_loss(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
-    assert loss == pytest.approx(0.0, abs=1e-6)
-
-
-def test_classification_loss_matches_oracle(rng):
-    scores = rng.uniform(0.0, 1.0, 9)
-    labels = (rng.uniform(size=9) > 0.5).astype(float)
-    loss, _ = classification_loss(scores, labels)
-    assert loss == pytest.approx(bce_oracle(scores, labels), rel=1e-12)
-
-
 def test_height_variance_reg_cases():
     assert height_variance_reg(make_lane(heights=[1.5, 1.5, 1.5], n=3))[0] == 0.0
     assert height_variance_reg(make_lane(heights=[0.0, 2.0], n=2))[0] == pytest.approx(1.0)
@@ -178,7 +160,7 @@ def test_tiny_iou_half_width_keeps_lane_losses_finite(k, image, branch, monkeypa
     gt = resample_lane(project_lane(k, on, 72), image)
     labels = None if branch == "2d" else [sample_lane(on, 200)] * 2
     targets = LaneTargets.stack([gt, gt], [k, k], labels)
-    theta = np.stack([lane_to_vector(on)[:-1], lane_to_vector(off)[:-1]])
+    theta = np.stack([lane_to_vector(on), lane_to_vector(off)])
     for e in (1e-150, 1e-162):
         monkeypatch.setattr(losses, "PERSPECTIVE_E", e)
         with warnings.catch_warnings():
@@ -195,7 +177,7 @@ def test_lane_losses_2d_zero_gradient_without_overlap(k, image):
     near = make_lane(d=1.0, heights=wavy, z_min=4.0, z_max=7.0)
     far = make_lane(d=1.0, heights=wavy, z_min=40.0, z_max=70.0)
     gt = resample_lane(project_lane(k, far, 72), image)
-    theta = np.stack([lane_to_vector(near)[:-1], lane_to_vector(far)[:-1]])
+    theta = np.stack([lane_to_vector(near), lane_to_vector(far)])
     loss, grad, terms, overlap = lane_losses(theta, LaneTargets.stack([gt, gt], [k, k]))
     assert overlap.tolist() == [False, True]
     assert loss[0] == np.inf and not grad[0].any()
@@ -208,7 +190,7 @@ def test_lane_losses_stack_of_one_without_overlap(k, image):
     near = make_lane(d=1.0, z_min=4.0, z_max=7.0)
     far = make_lane(d=1.0, z_min=40.0, z_max=70.0)
     gt = resample_lane(project_lane(k, far, 72), image)
-    theta = lane_to_vector(near)[None, :-1]
+    theta = lane_to_vector(near)[None]
     for labels in (None, [sample_lane(far, 200)]):
         loss, grad, _terms, overlap = lane_losses(theta, LaneTargets.stack([gt], [k], labels))
         assert not overlap[0] and loss[0] == np.inf and not grad.any()
@@ -221,7 +203,7 @@ def test_lane_loss_reads_labels_in_any_order(k, image, rng):
     pred = make_lane(c=0.012, d=1.2, heights=np.full(72, 1.45), z_min=5.0, z_max=55.0)
     gt = resample_lane(project_lane(k, gt_lane, 72), image)
     labels = sample_lane(gt_lane, 200)
-    theta = lane_to_vector(pred)[None, :-1]
+    theta = lane_to_vector(pred)[None]
     want = lane_losses(theta, LaneTargets.stack([gt], [k], [labels]))
     assert (want[2][0, 2:] > 0.0).all()  # l_bev, l_h and l_z
     for shuffled in (labels[::-1], labels[rng.permutation(200)]):

@@ -48,7 +48,7 @@ def random_lane2d(rng, image, n_pts=6):
 
 def straight_lane3d(x_offset=0.0, z_min=3.0, z_max=80.0, n=72):
     heights = HeightProfile(np.full(n, 1.5), z_min, z_max)
-    return Lane3D(BevCurve(0.0, 0.0, 0.0, x_offset), heights, 1.0)
+    return Lane3D(BevCurve(0.0, 0.0, 0.0, x_offset), heights)
 
 
 class TestRasterize:
@@ -425,7 +425,7 @@ class TestCurveDistance:
         for _ in range(5):
             curve = BevCurve(*rng.normal(scale=[1e-5, 1e-4, 0.02, 1.0]))
             heights = HeightProfile(1.5 + rng.normal(scale=0.1, size=72), 4.0, 70.0)
-            pred = sample_lane(Lane3D(curve, heights, 1.0), 72)
+            pred = sample_lane(Lane3D(curve, heights), 72)
             gt = sample_lane(straight_lane3d(rng.normal()), 37)
             got = cd_error_per_pair([pred], [gt], [(0, 0)]).mean()
             want = chamfer_oracle(pred, gt)

@@ -10,7 +10,7 @@ from bevlane.render import render_svg
 
 
 def pred_lane(d=2.0):
-    return Lane3D(BevCurve(0.0, 0.0, 0.0, d), HeightProfile(np.full(72, 1.5), 3.0, 80.0), 1.0)
+    return Lane3D(BevCurve(0.0, 0.0, 0.0, d), HeightProfile(np.full(72, 1.5), 3.0, 80.0))
 
 
 class TestPerspectiveView:
