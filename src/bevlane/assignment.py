@@ -29,7 +29,7 @@ def first_crossings(points: np.ndarray, rows: np.ndarray):
     segment wins; within it the crossing sits at fraction
     t = (r - v_i) / (v_i+1 - v_i), with t = 0 for a segment lying exactly
     on the row. Returns (found, seg_index, t) arrays over rows; rows no
-    segment covers read seg 0.
+    segment covers read seg 0 and t 0.
     """
     found, seg, t = first_crossings_batch(np.asarray(points)[None, :, 1], rows)
     return found[0], seg[0], t[0]
@@ -38,10 +38,28 @@ def first_crossings(points: np.ndarray, rows: np.ndarray):
 def first_crossings_batch(v: np.ndarray, rows: np.ndarray):
     """first_crossings for a stack of polylines given by their rows v, shape (L, m).
 
+    Returns (found, seg, t), each of shape (L, len(rows)), as
+    first_segments_batch and crossing_fraction give them. t is defined
+    only where found: it is computed there alone and reads 0 elsewhere.
+    """
+    v = np.asarray(v, dtype=float)
+    rows = np.asarray(rows, dtype=float)
+    found, seg = first_segments_batch(v, rows)
+    lane, row = np.nonzero(found)
+    at = lane * v.shape[1] + seg[lane, row]
+    va = v.ravel()[at]
+    t = np.zeros(found.shape)
+    t[lane, row] = crossing_fraction(rows[row], va, v.ravel()[at + 1] - va)
+    return found, seg, t
+
+
+def first_segments_batch(v: np.ndarray, rows: np.ndarray):
+    """The first segment of each polyline in a stack (L, m) to cover each row.
+
     Each segment covers the run of rows between its endpoint rows, found
     by binary search in the sorted rows; the first segment per (lane,
-    row) is the minimum over the runs that cover it. Returns (found, seg,
-    t), each of shape (L, len(rows)).
+    row) is the minimum over the runs that cover it. Returns (found,
+    seg), each of shape (L, len(rows)); rows no segment covers read seg 0.
     """
     v = np.asarray(v, dtype=float)
     rows = np.asarray(rows, dtype=float)
@@ -55,23 +73,25 @@ def first_crossings_batch(v: np.ndarray, rows: np.ndarray):
     stop = np.searchsorted(sorted_rows, hi, side="right")
     counts = np.where(lo <= hi, stop - first, 0)  # NaN rows cover nothing
 
-    # One entry per (segment, covered row): its flat (lane, row) cell.
-    owner = np.repeat(np.arange(lo.size), counts)
-    offset = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    cell = (owner // n_seg) * rows.size + order[first[owner] + offset]
+    # One entry per (segment, covered row): its flat (lane, row) cell. The
+    # k-th entry of a segment whose entries start at index e holds sorted
+    # row first + k, so entry i holds sorted row i + first - e.
+    entry = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    lane_start = np.repeat(np.arange(n_lanes) * rows.size, n_seg)
+    cell = np.repeat(lane_start, counts) + order[entry]
     seg = np.full(n_lanes * rows.size, n_seg)
-    np.minimum.at(seg, cell, owner % n_seg)
+    np.minimum.at(seg, cell, np.repeat(np.tile(np.arange(n_seg), n_lanes), counts))
     seg = seg.reshape(n_lanes, rows.size)
     found = seg < n_seg
     seg[~found] = 0
+    return found, seg
 
-    at = (np.arange(n_lanes) * (n_seg + 1))[:, None] + seg
-    va_s = v.ravel()[at]
-    dv = v.ravel()[at + 1] - va_s
-    safe_dv = np.where(dv == 0.0, 1.0, dv)
-    t = np.where(dv == 0.0, 0.0, (rows - va_s) / safe_dv)
-    t = np.clip(t, 0.0, 1.0)
-    return found, seg, t
+
+def crossing_fraction(r: np.ndarray, va: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Fraction t = (r - va) / dv at which row r crosses a segment from row va
+    to row va + dv, clipped to [0, 1]; t = 0 on a segment lying on its row."""
+    flat = dv == 0.0
+    return np.clip(np.where(flat, 0.0, (r - va) / np.where(flat, 1.0, dv)), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

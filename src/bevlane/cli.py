@@ -74,7 +74,8 @@ def _cmd_fit(opts) -> int:
     frames = io_formats.read_dataset(opts.dataset)
 
     # Per frame, in baseline mode each fitted (lane, max residual), and in
-    # 3d and 2d mode the index of each lane's job; fit_lanes solves the jobs.
+    # 3d and 2d mode the index of each lane's job; fit_lanes solves the jobs,
+    # which keep their frame id and lane index to name a failure.
     fitted_lanes = []
     jobs = []
     skipped = 0
@@ -99,10 +100,11 @@ def _cmd_fit(opts) -> int:
                     labels = None
                     start = fitting.ipm_init(gt2d, frame.intrinsics, frame.camera_height, cfg)
                 lanes.append(len(jobs))
-                jobs.append((targets[idx], frame.intrinsics, start, labels))
+                where = (frame.frame_id, idx)
+                jobs.append((targets[idx], frame.intrinsics, start, labels, where))
         fitted_lanes.append(lanes)
 
-    reports = _fit_in_blocks(jobs, cfg)
+    reports = _fit_by_grid(jobs, cfg)
     preds = []
     residuals = []
     for frame, lanes in zip(frames, fitted_lanes):
@@ -127,27 +129,25 @@ def _cmd_fit(opts) -> int:
     return 0
 
 
-# Lanes per fit_lanes call; results do not depend on it. Every array of
-# the 2D descent grows with the block: on the 400-lane mixed-ground set
-# (2-vCPU x86 host, numpy 2.4) the 2d fit stage peaked at 105 MB RSS with
-# one 400-lane block and at 93 MB with 64-lane blocks, which ran about as fast.
-FIT_BLOCK_LANES = 64
-
-
-def _fit_in_blocks(jobs, cfg) -> list:
-    """fit_lanes over (target, camera, start, labels or None) jobs: by row grid, in blocks."""
+def _fit_by_grid(jobs, cfg) -> list:
+    """fit_lanes over (target, camera, start, labels or None, (frame id, lane)) jobs,
+    one call per row grid. A non-finite objective is named by its frame and lane."""
     by_grid = {}
     for i, (gt, *_rest) in enumerate(jobs):
         by_grid.setdefault(gt.v_grid.tobytes(), []).append(i)
     reports = [None] * len(jobs)
     for members in by_grid.values():
-        for start in range(0, len(members), FIT_BLOCK_LANES):
-            block = members[start : start + FIT_BLOCK_LANES]
-            gts, cameras, starts, labels = zip(*(jobs[i] for i in block))
-            labels = None if labels[0] is None else labels
+        gts, cameras, starts, labels, where = zip(*(jobs[i] for i in members))
+        labels = None if labels[0] is None else labels
+        try:
             fits = fitting.fit_lanes(gts, cameras, starts, cfg, labels)
-            for i, report in zip(block, fits):
-                reports[i] = report
+        except NonFiniteError as exc:
+            if exc.lane is None:
+                raise
+            frame_id, lane = where[exc.lane]
+            raise NonFiniteError(f"frame {frame_id}, lane {lane}: {exc}") from exc
+        for i, report in zip(members, fits):
+            reports[i] = report
     return reports
 
 

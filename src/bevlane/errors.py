@@ -40,7 +40,15 @@ class RankDeficientError(LaneError):
 
 
 class NonFiniteError(LaneError):
-    """An optimization objective or gradient stopped being finite."""
+    """An optimization objective or gradient stopped being finite.
+
+    lane is the index, in the fitted stack, of the lane whose objective
+    did so, or None when no stack is involved.
+    """
+
+    def __init__(self, message: str, lane: int | None = None):
+        super().__init__(message)
+        self.lane = lane
 
 
 class SchemaError(LaneError):

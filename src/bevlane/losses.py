@@ -26,12 +26,13 @@ are their stacks of one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .assignment import ResampledLane2D, first_crossings_batch
+from .assignment import ResampledLane2D, crossing_fraction, first_segments_batch
 from .camera import CameraIntrinsics
 from .errors import DimensionMismatchError, GridMismatchError, ValidationError
 from .geometry import Lane3D, lane_to_vector
@@ -150,6 +151,21 @@ class LaneTargets:
     camera: np.ndarray
     labels: tuple[np.ndarray, ...] | None = None
 
+    @staticmethod
+    def check(
+        gts: list[ResampledLane2D],
+        intrinsics: list[CameraIntrinsics],
+        labels3d: list[np.ndarray] | None = None,
+    ) -> None:
+        """Raise unless the lanes share one row grid and each has one camera
+        and, when labels3d is given, one label array."""
+        if len(intrinsics) != len(gts):
+            raise DimensionMismatchError("need one camera per target lane")
+        if labels3d is not None and len(labels3d) != len(gts):
+            raise DimensionMismatchError("need one (m, 3) label array per target lane")
+        if any(not np.array_equal(g.v_grid, gts[0].v_grid) for g in gts):
+            raise GridMismatchError("a stack of targets must share one row grid")
+
     @classmethod
     def stack(
         cls,
@@ -159,13 +175,10 @@ class LaneTargets:
     ) -> "LaneTargets":
         """Targets from resampled lanes on one grid, with one camera and
         optionally one (m, 3) label array per lane."""
-        if len(intrinsics) != len(gts):
-            raise DimensionMismatchError("need one camera per target lane")
-        if any(not np.array_equal(g.v_grid, gts[0].v_grid) for g in gts):
-            raise GridMismatchError("a stack of targets must share one row grid")
+        cls.check(gts, intrinsics, labels3d)
         labels = None if labels3d is None else [np.asarray(g, dtype=float) for g in labels3d]
         if labels is not None:
-            if len(labels) != len(gts) or any(g.ndim != 2 or g.shape[1] != 3 for g in labels):
+            if any(g.ndim != 2 or g.shape[1] != 3 for g in labels):
                 raise DimensionMismatchError("need one (m, 3) label array per target lane")
             labels = tuple(g[np.argsort(g[:, 2], kind="stable")] for g in labels)
         return cls(
@@ -182,6 +195,25 @@ class LaneTargets:
         labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
         arrays = (self.u_values, self.present, self.v_ends, self.camera)
         return LaneTargets(self.rows, *(a[idx] for a in arrays), labels)
+
+    def put(self, idx: np.ndarray, other: "LaneTargets") -> "LaneTargets":
+        """These targets with the lanes at idx replaced by other's, in order."""
+        if not np.array_equal(other.rows, self.rows):
+            raise GridMismatchError("a stack of targets must share one row grid")
+        arrays = []
+        for mine, theirs in zip(
+            (self.u_values, self.present, self.v_ends, self.camera),
+            (other.u_values, other.present, other.v_ends, other.camera),
+        ):
+            arrays.append(mine.copy())
+            arrays[-1][idx] = theirs
+        labels = None
+        if self.labels is not None:
+            labels = list(self.labels)
+            for i, g in zip(idx, other.labels):
+                labels[i] = g
+            labels = tuple(labels)
+        return LaneTargets(self.rows, *arrays, labels)
 
     def named(self, terms: np.ndarray, loss: float) -> dict[str, float]:
         """One lane's row of lane_losses terms by name, plus "total"."""
@@ -211,6 +243,24 @@ class _Projection:
     w: np.ndarray
 
 
+@functools.lru_cache(maxsize=8)
+def _sample_tables(m: int, n: int):
+    """The parameter-free tables of m uniform samples over n height keypoints.
+
+    Returns (s, left, w, dz_dspan): the samples' span fractions s, the
+    left keypoint of each and its interpolation weight w, and dz/d[z_min,
+    z_max] = [1 - s, s], shape (2, m). All are read-only.
+    """
+    s = np.linspace(0.0, 1.0, m)
+    pos = s * (n - 1)
+    left = np.clip(np.floor(pos).astype(int), 0, n - 2)
+    w = pos - left
+    dz_dspan = np.stack([1.0 - s, s])
+    for table in (s, left, w, dz_dspan):
+        table.setflags(write=False)
+    return s, left, w, dz_dspan
+
+
 def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int) -> _Projection:
     """Project the uniform samples of an (L, P) stack of lanes through (L, 4) cameras.
 
@@ -218,39 +268,49 @@ def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int) -> _Proje
     used, so each lane's numbers do not depend on the rest of the stack.
     """
     fx, fy, ox, oy = camera.T[:, :, None]
-    n = theta.shape[1] - 6
+    n_lanes, n = theta.shape[0], theta.shape[1] - 6
     z_min, z_max = theta[:, -2:-1], theta[:, -1:]
     if not np.all((0.0 < z_min) & (z_min < z_max)):
         raise ValidationError("need 0 < z_min < z_max for every lane")
 
     m = sample_count
-    s = np.linspace(0.0, 1.0, m)
+    # Samples and height keypoints sit at uniform fractions of the span,
+    # so the interpolation weights of each sample are constants of the
+    # parameters: z_j = z_min + s_j * (z_max - z_min), and moving an
+    # endpoint slides the sample along the curve.
+    s, left, w, dz_dspan = _sample_tables(m, n)
     z = z_min + s * (z_max - z_min)
     # BevCurve.x_at's evaluator and its slope dx/dz, per lane.
     c0, c1, c2 = (theta[:, i : i + 1] for i in range(3))
     x = polyval(z, theta[:, 3::-1].T[..., None], tensor=False)
     slope = (3.0 * c0 * z + 2.0 * c1) * z + c2
-    # z_j = z_min + s_j * (z_max - z_min), so moving an endpoint slides
-    # the sample along the curve.
-    dx_dspan = np.stack([slope * (1.0 - s), slope * s], axis=1)
-
-    # Height keypoints sit at uniform fractions too, so the interpolation
-    # weights of each sample are constants of the parameters.
-    pos = s * (n - 1)
-    left = np.clip(np.floor(pos).astype(int), 0, n - 2)
-    w = pos - left
     y = (1.0 - w) * theta[:, 4 + left] + w * theta[:, 5 + left]
 
     inv_z = 1.0 / z
     inv_z2 = (inv_z**2)[:, None, :]
-    dz_dspan = np.stack([1.0 - s, s])
+    # fx * [z^3, z^2, z, 1] / z, each power as _powers forms it
+    du_dcurve = np.empty((n_lanes, 4, m))
+    z2 = z * z
+    np.multiply(fx, z2 * z, out=du_dcurve[:, 0])
+    np.multiply(fx, z2, out=du_dcurve[:, 1])
+    np.multiply(fx, z, out=du_dcurve[:, 2])
+    du_dcurve[:, 3] = fx
+    du_dcurve *= inv_z[:, None, :]
+    # fx * (dx/dspan * z - x * dz/dspan) / z^2 with dx/dspan = slope * dz/dspan
+    du_dspan = slope[:, None, :] * dz_dspan
+    du_dspan *= z[:, None, :]
+    du_dspan -= x[:, None, :] * dz_dspan
+    du_dspan *= fx[:, :, None]
+    du_dspan *= inv_z2
+    dv_dspan = -fy[:, :, None] * y[:, None, :] * dz_dspan
+    dv_dspan *= inv_z2
     return _Projection(
         u=fx * x / z + ox,
         v=fy * y / z + oy,
-        du_dcurve=fx[:, :, None] * _powers(z) * inv_z[:, None, :],
-        du_dspan=fx[:, :, None] * (dx_dspan * z[:, None, :] - x[:, None, :] * dz_dspan) * inv_z2,
+        du_dcurve=du_dcurve,
+        du_dspan=du_dspan,
         dv_dy=fy * inv_z,
-        dv_dspan=-fy[:, :, None] * y[:, None, :] * dz_dspan * inv_z2,
+        dv_dspan=dv_dspan,
         left=left,
         w=w,
     )
@@ -327,36 +387,44 @@ def _perspective_batch(theta: np.ndarray, targets: LaneTargets):
     proj = _project(theta, targets.camera, m)
     u, v = proj.u, proj.v
 
-    found, seg, t = first_crossings_batch(v, targets.rows)
+    found, seg = first_segments_batch(v, targets.rows)
     lane, row = np.nonzero(found & targets.present)
     count = np.bincount(lane, minlength=n_lanes)
     overlap = count > 0
 
     # One entry per (lane, row) both cover, in lane then row order.
     a = lane * m + seg[lane, row]
-    t = t[lane, row]
-    ua, ub = u.ravel()[a], u.ravel()[a + 1]
-    va, vb = v.ravel()[a], v.ravel()[a + 1]
-    diff = (1.0 - t) * ua + t * ub - targets.u_values[lane, row]
+    b = a + 1
+    ua, ub = u.ravel()[a], u.ravel()[b]
+    va, vb = v.ravel()[a], v.ravel()[b]
+    dv = vb - va
+    t = crossing_fraction(targets.rows[row], va, dv)
+    one_t = 1.0 - t
+    diff = one_t * ua + t * ub - targets.u_values[lane, row]
     l_per, g_rows = _iou_loss_rows(diff, lane, count, PERSPECTIVE_E)
 
     # Through the crossing fraction t = (r - va) / (vb - va) the row
     # placement feeds back into u: dt/dva = (t - 1) / dv, dt/dvb = -t / dv.
     # A segment lying on its row has t = 0 (as in first_crossings_batch)
     # whatever its ends do, so there dt/dv = 0.
-    dv = vb - va
     flat = dv == 0.0
     g_t = np.where(flat, 0.0, g_rows * (ub - ua) / np.where(flat, 1.0, dv))
     size = n_lanes * m
-    w_u = np.bincount(a, g_rows * (1.0 - t), size) + np.bincount(a + 1, g_rows * t, size)
-    w_v = np.bincount(a, g_t * (t - 1.0), size) + np.bincount(a + 1, -g_t * t, size)
+    w_u = np.bincount(a, g_rows * one_t, size) + np.bincount(b, g_rows * t, size)
+    w_v = np.bincount(a, g_t * (t - 1.0), size) + np.bincount(b, -g_t * t, size)
     grad_per = _contract(proj, dg - 6, w_u.reshape(n_lanes, m), w_v.reshape(n_lanes, m))
 
+    # l_v reads v at the two end samples alone. The first sample sits on
+    # keypoint 0 and on z_min, the last on keypoint n - 1 and on z_max
+    # (w is 0 and 1 there, and dz/dspan is [1, 0] and [0, 1]), so each
+    # end feeds one height and one span endpoint.
     d_ends = v[:, [0, -1]] - targets.v_ends
     l_v = np.abs(d_ends[:, 0]) + np.abs(d_ends[:, 1])
-    w_end = np.zeros((n_lanes, m))
-    w_end[:, [0, -1]] = np.sign(d_ends)
-    grad_v = _contract(proj, dg - 6, np.zeros((n_lanes, m)), w_end)
+    w_end = np.sign(d_ends)
+    grad_v = np.zeros((n_lanes, dg))
+    grad_v[:, [4, -3]] = w_end * proj.dv_dy[:, [0, -1]]
+    grad_v[:, -2] = w_end[:, 0] * proj.dv_dspan[:, 0, 0]
+    grad_v[:, -1] = w_end[:, 1] * proj.dv_dspan[:, 1, -1]
 
     l_per[~overlap] = np.inf
     l_v[~overlap] = np.inf
@@ -372,10 +440,11 @@ def _iou_loss_rows(diff, lane, count, e):
     dx = 0 the sign is taken as 0 (zero subgradient at the tie).
     """
     s = np.abs(diff)
-    iou = (2.0 * e - s) / (2.0 * e + s)
+    wide = 2.0 * e + s
+    iou = (2.0 * e - s) / wide
     rows = np.maximum(count, 1)
     loss = 1.0 - np.bincount(lane, iou, count.size) / rows
-    grad = np.sign(diff) * (4.0 * e) / (2.0 * e + s) ** 2 / rows[lane]
+    grad = np.sign(diff) * (4.0 * e) / wide**2 / rows[lane]
     return loss, grad
 
 

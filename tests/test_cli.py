@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bevlane import cli, fitting
+from bevlane import fitting
 from bevlane.anchors import MAX_ANCHORS
 from bevlane.assignment import resample_lane
 from bevlane.camera import project_lane
@@ -156,15 +156,15 @@ class TestFit:
             assert "--order: invalid int value: 'bezier'" in err and "Traceback" not in err
 
     def test_2d_fit_is_the_same_in_any_block(self, tmp_path, monkeypatch):
-        # two row grids in one dataset: the 300-row frames fit in their own blocks
+        # two row grids in one dataset: the 300-row frames fit in their own window
         spec = write_json(tmp_path / "spec.json", {"scenes": [
             {"preset": "bump"}, {"preset": "slope", "image": {"width": 800, "height": 300}},
         ]})
         dataset = str(tmp_path / "d.jsonl")
         assert main(["generate", "--spec", spec, "--frames", "2", "--out", dataset]) == 0
         outputs = []
-        for size in (1, 3, cli.FIT_BLOCK_LANES):
-            monkeypatch.setattr(cli, "FIT_BLOCK_LANES", size)
+        for size in (1, 3, fitting.ACTIVE_LANES):
+            monkeypatch.setattr(fitting, "ACTIVE_LANES", size)
             out = tmp_path / f"preds-{size}.jsonl"
             assert main(["fit", "--dataset", dataset, "--mode", "2d", "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -179,15 +179,15 @@ class TestFit:
                 assert np.array_equal(lane_to_vector(got), lane_to_vector(want))
 
     def test_3d_fit_is_the_same_in_any_block(self, tmp_path, monkeypatch):
-        # two row grids in one dataset: the 300-row frames fit in their own blocks
+        # two row grids in one dataset: the 300-row frames fit in their own window
         spec = write_json(tmp_path / "spec.json", {"scenes": [
             {"preset": "bump"}, {"preset": "slope", "image": {"width": 800, "height": 300}},
         ]})
         dataset = str(tmp_path / "d.jsonl")
         assert main(["generate", "--spec", spec, "--frames", "2", "--out", dataset]) == 0
         outputs = []
-        for size in (1, 3, cli.FIT_BLOCK_LANES):
-            monkeypatch.setattr(cli, "FIT_BLOCK_LANES", size)
+        for size in (1, 3, fitting.ACTIVE_LANES):
+            monkeypatch.setattr(fitting, "ACTIVE_LANES", size)
             out = tmp_path / f"preds-{size}.jsonl"
             assert main(["fit", "--dataset", dataset, "--mode", "3d", "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -215,6 +215,38 @@ class TestFit:
         code, err = _run(["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", out])
         assert code == 3
         assert "non-finite at iteration 0" in err and "Traceback" not in err
+
+    def test_nan_in_a_lane_that_joined_late_names_it_and_exits_3(self, tmp_path, monkeypatch):
+        # with a window of 2, the last lane of the last frame joins after
+        # earlier lanes ran their steps; its objective turns NaN at its third
+        spec = write_json(tmp_path / "spec.json", MIXED_SPEC)
+        dataset = str(tmp_path / "d.jsonl")
+        assert main(["generate", "--spec", spec, "--frames", "2", "--out", dataset]) == 0
+        frames = read_dataset(dataset)
+        last = frames[-1]
+        victim = resample_lane(last.lanes2d[-1], last.image).u_values
+        real = fitting.lane_losses
+        calls, seen = [], []
+
+        def nan_in_last_lane(theta, targets):
+            loss, grad, terms, overlap = real(theta, targets)
+            calls.append(theta.shape[0])
+            for i, u in enumerate(targets.u_values):
+                if np.array_equal(u, victim, equal_nan=True):
+                    seen.append(len(calls))
+                    if len(seen) == 4:
+                        loss[i] = np.nan
+            return loss, grad, terms, overlap
+
+        monkeypatch.setattr(fitting, "ACTIVE_LANES", 2)
+        monkeypatch.setattr(fitting, "lane_losses", nan_in_last_lane)
+        out = str(tmp_path / "preds.jsonl")
+        code, err = _run(["fit", "--dataset", dataset, "--mode", "2d", "--out", out])
+        assert code == 3
+        want = f"frame {last.frame_id}, lane {len(last.lanes2d) - 1}: objective became"
+        assert f"{want} non-finite at iteration 3" in err and "Traceback" not in err
+        assert len(seen) == 4 and seen[0] > 15 and calls[seen[0] - 1] == 2
+        assert not os.path.exists(out)
 
     def test_deterministic_predictions(self, flat_dataset, tmp_path):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")

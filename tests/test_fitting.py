@@ -200,6 +200,47 @@ def test_fit_lanes_2d_block_equals_each_lane_alone(order):
     assert any(r.iterations > 0 for r in block[:-1])
 
 
+def test_fit_lanes_2d_is_the_same_in_any_window(monkeypatch):
+    # at MAX_ITERS 18 some lanes stop on the plateau at 15 or 16 and others
+    # run to MAX_ITERS, the last one misses its target, and at windows 1
+    # and 3 lanes join mid-run
+    monkeypatch.setattr(fitting, "MAX_ITERS", 18)
+    gts, cams, inits = _mixed_block()
+    alone = [fit_lane_2d(gt, cam, init) for gt, cam, init in zip(gts, cams, inits)]
+    iterations = {r.iterations for r in alone}
+    assert fitting.PLATEAU_PATIENCE in iterations and fitting.MAX_ITERS in iterations
+    for window in (1, 3, 64, len(gts) + 1):
+        monkeypatch.setattr(fitting, "ACTIVE_LANES", window)
+        for got, want in zip(fit_lanes(gts, cams, inits), alone, strict=True):
+            assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(want.lane))
+            assert (got.iterations, got.terms) == (want.iterations, want.terms)
+
+
+def test_fit_lanes_nan_names_the_lane_and_its_own_iteration(monkeypatch):
+    # with a window of 3, lane 5 joins once earlier lanes have stopped;
+    # its objective turns NaN at its third step
+    gts, cams, inits = _mixed_block()
+    victim = gts[5].u_values
+    assert sum(np.array_equal(g.u_values, victim, equal_nan=True) for g in gts) == 1
+    seen = []
+
+    def nan_in_lane_5(theta, targets):
+        loss, grad, terms, overlap = lane_losses(theta, targets)
+        for i, u in enumerate(targets.u_values):
+            if np.array_equal(u, victim, equal_nan=True):
+                seen.append(theta.shape[0])
+                if len(seen) == 4:
+                    loss[i] = np.nan
+        return loss, grad, terms, overlap
+
+    monkeypatch.setattr(fitting, "ACTIVE_LANES", 3)
+    monkeypatch.setattr(fitting, "lane_losses", nan_in_lane_5)
+    with pytest.raises(NonFiniteError, match="non-finite at iteration 3$") as info:
+        fit_lanes(gts, cams, inits)
+    assert info.value.lane == 5
+    assert seen == [3, 3, 3, 3]
+
+
 def test_fit_lanes_2d_shuffled_block_gives_the_same_lanes():
     gts, cams, inits = _mixed_block()
     order = np.random.default_rng(3).permutation(len(gts))

@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from bevlane import losses
-from bevlane.assignment import resample_lane
+from numpy.polynomial.polynomial import polyval
+
+from bevlane import datagen, losses
+from bevlane.assignment import first_segments_batch, resample_lane
 from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, project_lane, project_points
 from bevlane.errors import DimensionMismatchError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector, sample_lane
@@ -20,7 +22,8 @@ from bevlane.losses import (
     lane_losses,
     perspective_losses,
 )
-from bevlane.losses import _iou_loss_rows
+from bevlane.fitting import FitConfig, label_init
+from bevlane.losses import _contract, _iou_loss_rows, _powers, _project, _Projection
 from oracles import lane_iou_oracle
 
 
@@ -224,3 +227,130 @@ def test_scale_ambiguity_regularizer_pins_scale(k, image):
     assert out_scaled.l_per == pytest.approx(out_base.l_per, abs=1e-9)
     assert out_scaled.l_v == pytest.approx(out_base.l_v, abs=1e-9)
     assert height_variance_reg(scaled)[0] == pytest.approx(s * height_variance_reg(base)[0], rel=1e-12)
+
+
+def _dense_project(theta, camera, sample_count):
+    """_project as it was written first: every table rebuilt per call and
+    the Jacobian factors assembled with np.stack."""
+    fx, fy, ox, oy = camera.T[:, :, None]
+    n = theta.shape[1] - 6
+    z_min, z_max = theta[:, -2:-1], theta[:, -1:]
+    s = np.linspace(0.0, 1.0, sample_count)
+    z = z_min + s * (z_max - z_min)
+    c0, c1, c2 = (theta[:, i : i + 1] for i in range(3))
+    x = polyval(z, theta[:, 3::-1].T[..., None], tensor=False)
+    slope = (3.0 * c0 * z + 2.0 * c1) * z + c2
+    dx_dspan = np.stack([slope * (1.0 - s), slope * s], axis=1)
+    pos = s * (n - 1)
+    left = np.clip(np.floor(pos).astype(int), 0, n - 2)
+    w = pos - left
+    y = (1.0 - w) * theta[:, 4 + left] + w * theta[:, 5 + left]
+    inv_z = 1.0 / z
+    inv_z2 = (inv_z**2)[:, None, :]
+    dz_dspan = np.stack([1.0 - s, s])
+    return _Projection(
+        u=fx * x / z + ox,
+        v=fy * y / z + oy,
+        du_dcurve=fx[:, :, None] * _powers(z) * inv_z[:, None, :],
+        du_dspan=fx[:, :, None] * (dx_dspan * z[:, None, :] - x[:, None, :] * dz_dspan) * inv_z2,
+        dv_dy=fy * inv_z,
+        dv_dspan=-fy[:, :, None] * y[:, None, :] * dz_dspan * inv_z2,
+        left=left,
+        w=w,
+    )
+
+
+def _dense_perspective_batch(theta, targets):
+    """_perspective_batch as it was written first: the crossing fraction on
+    the full (lanes, rows) grid, and l_v's gradient by a dense _contract."""
+    n_lanes, dg = theta.shape
+    m = losses.SAMPLE_COUNT
+    proj = _dense_project(theta, targets.camera, m)
+    u, v = proj.u, proj.v
+    found, seg = first_segments_batch(v, targets.rows)
+    at = (np.arange(n_lanes) * m)[:, None] + seg
+    va_s = v.ravel()[at]
+    dv_s = v.ravel()[at + 1] - va_s
+    t_grid = np.where(dv_s == 0.0, 0.0, (targets.rows - va_s) / np.where(dv_s == 0.0, 1.0, dv_s))
+    t_grid = np.clip(t_grid, 0.0, 1.0)
+
+    lane, row = np.nonzero(found & targets.present)
+    count = np.bincount(lane, minlength=n_lanes)
+    overlap = count > 0
+    a = lane * m + seg[lane, row]
+    t = t_grid[lane, row]
+    ua, ub = u.ravel()[a], u.ravel()[a + 1]
+    va, vb = v.ravel()[a], v.ravel()[a + 1]
+    diff = (1.0 - t) * ua + t * ub - targets.u_values[lane, row]
+    l_per, g_rows = _iou_loss_rows(diff, lane, count, PERSPECTIVE_E)
+    dv = vb - va
+    flat = dv == 0.0
+    g_t = np.where(flat, 0.0, g_rows * (ub - ua) / np.where(flat, 1.0, dv))
+    size = n_lanes * m
+    w_u = np.bincount(a, g_rows * (1.0 - t), size) + np.bincount(a + 1, g_rows * t, size)
+    w_v = np.bincount(a, g_t * (t - 1.0), size) + np.bincount(a + 1, -g_t * t, size)
+    grad_per = _contract(proj, dg - 6, w_u.reshape(n_lanes, m), w_v.reshape(n_lanes, m))
+    d_ends = v[:, [0, -1]] - targets.v_ends
+    l_v = np.abs(d_ends[:, 0]) + np.abs(d_ends[:, 1])
+    w_end = np.zeros((n_lanes, m))
+    w_end[:, [0, -1]] = np.sign(d_ends)
+    grad_v = _contract(proj, dg - 6, np.zeros((n_lanes, m)), w_end)
+    l_per[~overlap] = np.inf
+    l_v[~overlap] = np.inf
+    grad_per[~overlap] = 0.0
+    grad_v[~overlap] = 0.0
+    return l_per, l_v, grad_per, grad_v, overlap
+
+
+def _kernel_stack(keypoints):
+    """Lanes of every ground preset at their label starts, each preset with
+    its own camera, some folding back in v; one of them at order 2 (a = 0);
+    a lane whose near part lies at camera height, so its first samples sit
+    on the grid row oy = 160, first crossed there by a flat segment (dv ==
+    0); and a lane above
+    the horizon that misses its target."""
+    cfg = FitConfig(keypoints=keypoints)
+    gts, cams, thetas = [], [], []
+    for i, make in enumerate(datagen.SCENE_PRESETS.values()):
+        camera = CameraIntrinsics(fx=1000.0 - 40 * i, fy=1000.0 + 30 * i, ox=400.0, oy=160.0 - i)
+        frame = datagen.generate_frame(make(intrinsics=camera), seed=11)
+        for lane2d, gt3 in zip(frame.lanes2d, frame.lanes3d):
+            gts.append(resample_lane(lane2d, frame.image))
+            cams.append(frame.intrinsics)
+            thetas.append(lane_to_vector(label_init(gt3, cfg)))
+    thetas[1][0] = 0.0
+    k = CameraIntrinsics(fx=1000.0, fy=1000.0, ox=400.0, oy=160.0)
+    image = ImageSpec(width=800, height=320)
+    heights = np.where(np.arange(keypoints) <= keypoints // 2, 0.0, 1.5)
+    gts.append(resample_lane(Lane2D(np.array([[600.0, 300.0], [600.0, 150.0]])), image))
+    cams.append(k)
+    thetas.append(lane_to_vector(make_lane(d=1.0, heights=heights, z_min=4.0, z_max=30.0, n=keypoints)))
+    gts.append(gts[0])
+    cams.append(cams[0])
+    thetas.append(lane_to_vector(make_lane(d=1.0, heights=np.full(keypoints, -1.5), n=keypoints)))
+    return np.stack(thetas), LaneTargets.stack(gts, cams)
+
+
+@pytest.mark.parametrize("keypoints", [72, 2])
+def test_perspective_batch_equals_its_dense_form(keypoints):
+    theta, targets = _kernel_stack(keypoints)
+    proj = _project(theta, targets.camera, losses.SAMPLE_COUNT)
+    dense = _dense_project(theta, targets.camera, losses.SAMPLE_COUNT)
+    for name in _Projection.__dataclass_fields__:
+        assert np.array_equal(getattr(proj, name), getattr(dense, name)), name
+
+    got = losses._perspective_batch(theta, targets)
+    want = _dense_perspective_batch(theta, targets)
+    for name, g, w in zip(("l_per", "l_v", "grad_per", "grad_v", "overlap"), got, want):
+        assert np.array_equal(g, w), name
+    # the stack holds what it claims: folds, flat crossings, order 2, a miss
+    overlap = got[4]
+    assert overlap[:-1].all() and not overlap[-1]
+    folds = [(np.diff(v) > 0).any() and (np.diff(v) < 0).any() for v in proj.v[:-2]]
+    assert any(folds) == (keypoints > 2)  # two keypoints make heights linear in z
+    found, seg = first_segments_batch(proj.v, targets.rows)
+    flat_lane = theta.shape[0] - 2
+    cells = found[flat_lane] & targets.present[flat_lane]
+    rows_v = proj.v[flat_lane]
+    assert (rows_v[seg[flat_lane][cells]] == rows_v[seg[flat_lane][cells] + 1]).any()
+    assert theta[1, 0] == 0.0 and np.isfinite(got[2][1]).all()
