@@ -74,37 +74,43 @@ def _cmd_fit(opts) -> int:
     frames = io_formats.read_dataset(opts.dataset)
 
     # Per frame, in baseline mode each fitted (lane, max residual), and in
-    # 3d and 2d mode the index of each lane's job; fit_lanes solves the jobs,
-    # which keep their frame id and lane index to name a failure.
+    # 3d and 2d mode the index of each lane in the stack that fit_lanes
+    # solves; where holds each stacked lane's frame id and lane index to
+    # name a failure.
     fitted_lanes = []
-    jobs = []
+    gts, cameras, points, labels, where = [], [], [], [], []
     skipped = 0
     for frame in frames:
         if opts.mode == "3d" and len(frame.lanes3d) != len(frame.lanes2d):
             raise SchemaError(f"frame {frame.frame_id} has no lanes3d labels; use --mode 2d")
-        lanes = []
-        targets = [] if opts.mode == "baseline" else resample_on_grid(frame.lanes2d, frame.image)
-        for idx, gt2d in enumerate(frame.lanes2d):
-            if opts.mode == "baseline":
+        if opts.mode == "baseline":
+            lanes = []
+            for gt2d in frame.lanes2d:
                 fit = fitting.fit_perspective_baseline(gt2d, order=opts.order)
                 v = np.linspace(gt2d.v.max(), gt2d.v.min(), DEFAULT_SAMPLE_COUNT)
                 u = polyval(v, fit.coefficients)
                 lanes.append((Lane2D(np.column_stack([u, v])), fit.max_residual))
-            elif targets[idx] is None:
-                skipped += 1
-            else:
-                if opts.mode == "3d":
-                    labels = frame.lanes3d[idx]
-                    start = fitting.label_init(labels, cfg)
-                else:
-                    labels = None
-                    start = fitting.ipm_init(gt2d, frame.intrinsics, frame.camera_height, cfg)
-                lanes.append(len(jobs))
-                where = (frame.frame_id, idx)
-                jobs.append((targets[idx], frame.intrinsics, start, labels, where))
-        fitted_lanes.append(lanes)
+            fitted_lanes.append(lanes)
+            continue
+        targets = resample_on_grid(frame.lanes2d, frame.image)
+        kept = [idx for idx, target in enumerate(targets) if target is not None]
+        skipped += len(targets) - len(kept)
+        fitted_lanes.append(range(len(gts), len(gts) + len(kept)))
+        gts += [targets[idx] for idx in kept]
+        cameras += [frame.intrinsics] * len(kept)
+        frame_where = [(frame.frame_id, idx) for idx in kept]
+        where += frame_where
+        if opts.mode == "3d":
+            labels += [frame.lanes3d[idx] for idx in kept]
+            points += [fitting.by_depth(frame.lanes3d[idx]) for idx in kept]
+        else:
+            lanes2d = [frame.lanes2d[idx] for idx in kept]
+            k, height = frame.intrinsics, frame.camera_height
+            points += _naming_lanes(frame_where, fitting.ipm_points, lanes2d, k, height)
 
-    reports = _fit_by_grid(jobs, cfg)
+    if opts.mode != "baseline":
+        starts = _naming_lanes(where, fitting.lane_starts, points, cfg)
+        reports = _fit_by_grid(gts, cameras, starts, labels or None, where, cfg)
     preds = []
     residuals = []
     for frame, lanes in zip(frames, fitted_lanes):
@@ -129,23 +135,35 @@ def _cmd_fit(opts) -> int:
     return 0
 
 
-def _fit_by_grid(jobs, cfg) -> list:
-    """fit_lanes over (target, camera, start, labels or None, (frame id, lane)) jobs,
-    one call per row grid. A non-finite objective is named by its frame and lane."""
+def _naming_lanes(where, call, *args):
+    """call(*args), with a LaneError about lane i of its stack re-raised
+    with where[i], a (frame id, lane index) pair, named first."""
+    try:
+        return call(*args)
+    except LaneError as exc:
+        if exc.lane is None:
+            raise
+        frame_id, lane = where[exc.lane]
+        raise type(exc)(f"frame {frame_id}, lane {lane}: {exc}") from exc
+
+
+def _fit_by_grid(gts, cameras, starts, labels, where, cfg) -> list:
+    """fit_lanes over the stacked lanes (labels None without 3D labels),
+    one call per row grid. A failure is named by its frame and lane."""
     by_grid = {}
-    for i, (gt, *_rest) in enumerate(jobs):
+    for i, gt in enumerate(gts):
         by_grid.setdefault(gt.v_grid.tobytes(), []).append(i)
-    reports = [None] * len(jobs)
+    reports = [None] * len(gts)
     for members in by_grid.values():
-        gts, cameras, starts, labels, where = zip(*(jobs[i] for i in members))
-        labels = None if labels[0] is None else labels
-        try:
-            fits = fitting.fit_lanes(gts, cameras, starts, cfg, labels)
-        except NonFiniteError as exc:
-            if exc.lane is None:
-                raise
-            frame_id, lane = where[exc.lane]
-            raise NonFiniteError(f"frame {frame_id}, lane {lane}: {exc}") from exc
+        fits = _naming_lanes(
+            [where[i] for i in members],
+            fitting.fit_lanes,
+            [gts[i] for i in members],
+            [cameras[i] for i in members],
+            starts[members],
+            cfg,
+            None if labels is None else [labels[i] for i in members],
+        )
         for i, report in zip(members, fits):
             reports[i] = report
     return reports

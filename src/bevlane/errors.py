@@ -8,7 +8,15 @@ from __future__ import annotations
 
 
 class LaneError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    lane is the index, in a stack of lanes, of the lane the error is
+    about, or None when no stack is involved.
+    """
+
+    def __init__(self, message: str, lane: int | None = None):
+        super().__init__(message)
+        self.lane = lane
 
 
 class ValidationError(LaneError):
@@ -40,15 +48,7 @@ class RankDeficientError(LaneError):
 
 
 class NonFiniteError(LaneError):
-    """An optimization objective or gradient stopped being finite.
-
-    lane is the index, in the fitted stack, of the lane whose objective
-    did so, or None when no stack is involved.
-    """
-
-    def __init__(self, message: str, lane: int | None = None):
-        super().__init__(message)
-        self.lane = lane
+    """An optimization objective or gradient stopped being finite."""
 
 
 class SchemaError(LaneError):

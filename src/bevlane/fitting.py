@@ -3,17 +3,22 @@
 Every lane curve is the power cubic [a, b, c, d] of
 geometry.lane_to_vector. Direct fits handle the supervised pieces
 (polynomial BEV curve, height keypoints, a perspective-space polynomial
-baseline); with 3D labels they are the whole fit (label_init). With 2D
-labels only, momentum gradient descent on the image-plane losses
-recovers the lane from a flat-ground start (ipm_init, on the ground
-plane at the frame's recorded camera height), on the fixed schedule
-MAX_ITERS, STEP_SIZE and PLATEAU_PATIENCE. fit_lanes, the one fitter,
-scores a stack of lanes with losses.lane_losses and without 3D labels
-descends them, each lane with its own step scales, velocity, best
-iterate, iteration count and stop. It keeps at most ACTIVE_LANES lanes
-in a rolling window: a lane that stops hands its slot to the next one,
-so each objective call scores a full window; fit_lane_3d and
-fit_lane_2d are its stacks of one.
+baseline). lane_starts, the one start, fits a whole stack of lanes at
+once into the matrix of their vectors: one depth check and one power
+table over every lane's points, then a least-squares curve and
+interpolated heights per lane. With 3D labels (in order of z,
+by_depth) the starts are the whole fit; label_init is the start of one
+lane. With 2D labels only, momentum gradient descent on the
+image-plane losses recovers each lane from a flat-ground start (the
+points ipm_points back-projects onto the ground plane at the frame's
+recorded camera height; ipm_init is the start of one lane), on the
+fixed schedule MAX_ITERS, STEP_SIZE and PLATEAU_PATIENCE. fit_lanes,
+the one fitter, takes the start matrix, scores its lanes with
+losses.lane_losses and without 3D labels descends them, each lane with
+its own step scales, velocity, best iterate, iteration count and stop.
+It keeps at most ACTIVE_LANES lanes in a rolling window: a lane that
+stops hands its slot to the next one, so each objective call scores a
+full window; fit_lane_3d and fit_lane_2d are its stacks of one.
 The descent runs in a diagonally rescaled parameter space: curve
 coefficients act on different powers of z, so their raw gradient
 magnitudes differ by orders of magnitude and unscaled steps either
@@ -114,6 +119,18 @@ class PolyFit:
         return BevCurve(a=c[3], b=c[2], c=c[1], d=c[0])
 
 
+def _distinct_counts(values: np.ndarray, lane: np.ndarray, n_lanes: int) -> np.ndarray:
+    """Distinct entries per lane of values sorted within each lane, where
+    lane holds each entry's lane index in non-decreasing order.
+
+    Counts the entries that differ from their predecessor in the same
+    lane, rather than calling np.unique: numpy's unique imports numpy.ma.
+    """
+    new = np.ones(values.size, dtype=bool)
+    new[1:] = (values[1:] != values[:-1]) | (lane[1:] != lane[:-1])
+    return np.bincount(lane[new], minlength=n_lanes)
+
+
 def _least_squares(t: np.ndarray, y: np.ndarray, order: int, abscissae: str):
     """Ascending coefficients of the degree-order polynomial y(t) by least
     squares, with the rms and max residual.
@@ -122,7 +139,7 @@ def _least_squares(t: np.ndarray, y: np.ndarray, order: int, abscissae: str):
     given (abscissae names them), and DegenerateInputError when the
     powers of t overflow.
     """
-    n_distinct = np.unique(t).size
+    n_distinct = _distinct_counts(np.sort(t), np.zeros(t.size, dtype=int), 1)[0]
     if n_distinct < order + 1:
         raise RankDeficientError(
             f"{n_distinct} distinct {abscissae} cannot determine {order + 1} coefficients"
@@ -231,19 +248,21 @@ def _check_finite(
 def fit_lanes(
     gts: list[ResampledLane2D],
     intrinsics: list[CameraIntrinsics],
-    inits: list[Lane3D],
+    starts: np.ndarray,
     cfg: FitConfig = FitConfig(),
     labels3d: list[np.ndarray] | None = None,
 ) -> list[FitReport]:
     """Fit a stack of lanes from their starts, one report per lane.
 
-    The targets share one row grid; intrinsics holds each lane's camera.
-    The objective is lane_losses, called on a window of at most
-    ACTIVE_LANES lanes. With 3D labels (one (m, 3) array per lane) the
-    starts are scored and returned: descent from label_init never
-    lowered that loss. Without them, momentum descent runs on the lanes
-    in the window, each with its own step scales, velocity, best iterate
-    and iteration count. A lane stops when its loss plateaus or after
+    The targets share one row grid; intrinsics holds each lane's camera,
+    and starts is the (L, n + 6) matrix of the lanes' start vectors (see
+    geometry.lane_to_vector), as lane_starts returns it. The objective
+    is lane_losses, called on a window of at most ACTIVE_LANES lanes.
+    With 3D labels (one (m, 3) array per lane) the starts are scored and
+    returned: descent from their least-squares starts never lowered that
+    loss. Without them, momentum descent runs on the lanes in the
+    window, each with its own step scales, velocity, best iterate and
+    iteration count. A lane stops when its loss plateaus or after
     MAX_ITERS of its own steps, at the 3D scale its start pinned (2D
     labels cannot determine it); the next lane in stack order then takes
     its slot, scored at its start in the next objective call. A lane
@@ -254,15 +273,17 @@ def fit_lanes(
     """
     if cfg.order == 4:
         raise ValidationError("gradient refinement is cubic; degree 4 is least-squares only")
-    if len(inits) != len(gts):
-        raise DimensionMismatchError("need one initial lane per target")
+    if len(starts) != len(gts):
+        raise DimensionMismatchError("need one start vector per target")
     if not gts:
         return []
-    n_keys = len(inits[0].profile.heights)
-    if any(len(init.profile.heights) != n_keys for init in inits):
-        raise DimensionMismatchError("all initial lanes must share one keypoint count")
+    starts = np.asarray(starts, dtype=float)
+    if starts.ndim != 2 or starts.shape[1] < 8:
+        raise DimensionMismatchError(
+            f"starts must be an (L, n + 6) matrix with n >= 2, got shape {starts.shape}"
+        )
     LaneTargets.check(gts, intrinsics, labels3d)
-    n_params = n_keys + 6
+    n_params = starts.shape[1]
     mask = np.ones(n_params)
     if cfg.order == 2:
         mask[0] = 0.0
@@ -272,7 +293,7 @@ def fit_lanes(
         """The targets, start vectors and step sizes of lanes."""
         labels = None if labels3d is None else [labels3d[i] for i in lanes]
         targets = LaneTargets.stack([gts[i] for i in lanes], [intrinsics[i] for i in lanes], labels)
-        theta = np.stack([lane_to_vector(inits[i]) for i in lanes])
+        theta = starts[lanes]
         if cfg.order == 2:
             theta[:, 0] = 0.0
         _clamp_span(theta)
@@ -339,27 +360,92 @@ def fit_lane_2d(
     cfg: FitConfig = FitConfig(),
 ) -> FitReport:
     """Refine one lane against 2D labels only: fit_lanes on a stack of one."""
-    return fit_lanes([gt], [k], [init], cfg)[0]
+    return fit_lanes([gt], [k], lane_to_vector(init)[None], cfg)[0]
 
 
-def _start_lane(pts: np.ndarray, order: int, keypoints: int) -> Lane3D:
-    """Least-squares curve through [x, y, z] points, then heights over their
-    z span clamped by Z_FLOOR and MIN_SPAN, so short spans are padded
-    rather than stretched."""
-    if order == 4:
+def by_depth(points: np.ndarray) -> np.ndarray:
+    """(m, 3) [x, y, z] points in stable order of z: the row order in which
+    labelled lanes are handed to lane_starts. Points already in that
+    order come back as they are, without a copy."""
+    points = np.asarray(points, dtype=float)
+    z = points[:, 2]
+    if (z[1:] >= z[:-1]).all():
+        return points
+    return points[np.argsort(z, kind="stable")]
+
+
+def lane_starts(points: list[np.ndarray], cfg: FitConfig = FitConfig()) -> np.ndarray:
+    """The least-squares starts of a stack of lanes, one (m, 3) array of
+    [x, y, z] points per lane.
+
+    Row i of the (L, cfg.keypoints + 6) result is lane i's vector (see
+    geometry.lane_to_vector): its degree-cfg.order curve x(z), fitted by
+    np.linalg.lstsq to its points in the order given (row order changes
+    the last bits), then heights interpolated over its z span clamped by
+    Z_FLOOR and MIN_SPAN, so short spans are padded rather than
+    stretched. Each error's lane attribute is the index of the first
+    failing lane: RankDeficientError for fewer distinct z than curve
+    coefficients, DegenerateInputError for z whose powers overflow, and
+    ValidationError for a non-finite coefficient or height.
+    """
+    if cfg.order == 4:
         raise ValidationError("lane curves are cubic; degree 4 is least-squares only")
-    poly = fit_bev_polynomial(pts, order=order)
-    z_min = max(float(pts[:, 2].min()), Z_FLOOR)
-    z_max = max(float(pts[:, 2].max()), z_min + MIN_SPAN)
-    profile = fit_heights_direct(pts, keypoints, z_min, z_max)
-    return Lane3D(curve=poly.to_curve(), profile=profile)
+    order, n_lanes = cfg.order, len(points)
+    starts = np.zeros((n_lanes, cfg.keypoints + 6))
+    if not n_lanes:
+        return starts
+    points = [np.asarray(p, dtype=float) for p in points]
+    if any(p.ndim != 2 or p.shape[1] != 3 for p in points):
+        raise ValidationError("expected (m, 3) points for every lane")
+    sizes = np.array([p.shape[0] for p in points])
+    ends = np.cumsum(sizes)
+    pts = np.concatenate(points)
+    lane = np.repeat(np.arange(n_lanes), sizes)
+    # Each point-long temporary is dropped as soon as it is used: together
+    # they would set the peak memory of the fit.
+    by_z = np.lexsort((pts[:, 2], lane))
+    z, y = pts[by_z, 2], pts[by_z, 1]
+    del by_z
+    distinct = _distinct_counts(z, lane, n_lanes)
+    with np.errstate(over="ignore"):
+        design = np.vander(pts[:, 2], order + 1, increasing=True)
+    # z is finite, so its powers overflow first in the highest one
+    overflow = np.zeros(n_lanes, dtype=bool)
+    overflow[lane[~np.isfinite(design[:, -1])]] = True
+    del lane
+    bad = np.flatnonzero((distinct < order + 1) | overflow)
+    if bad.size:
+        i = int(bad[0])
+        if distinct[i] < order + 1:
+            raise RankDeficientError(
+                f"{distinct[i]} distinct z values cannot determine {order + 1} coefficients",
+                lane=i,
+            )
+        raise DegenerateInputError(f"z values too large for a degree-{order} fit", lane=i)
+
+    lo = np.maximum(z[ends - sizes], Z_FLOOR)
+    hi = np.maximum(z[ends - 1], lo + MIN_SPAN)
+    grid = np.linspace(lo, hi, cfg.keypoints, axis=1)
+    for i, (first, end) in enumerate(zip(ends - sizes, ends)):
+        coeffs = np.linalg.lstsq(design[first:end], pts[first:end, 0], rcond=None)[0]
+        starts[i, 3 - order : 4] = coeffs[::-1]
+        starts[i, 4:-2] = np.interp(grid[i], z[first:end], y[first:end])
+    starts[:, -2], starts[:, -1] = lo, hi
+
+    bad = np.flatnonzero(~np.isfinite(starts).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        j = int(np.flatnonzero(~np.isfinite(starts[i]))[0])
+        name = "abcd"[j] if j < 4 else "height"
+        raise ValidationError(f"{name} must be finite, got {float(starts[i, j])!r}", lane=i)
+    return starts
 
 
 def label_init(gt3: np.ndarray, cfg: FitConfig = FitConfig()) -> Lane3D:
     """The 3D twin of ipm_init: a cubic lane whose curve, span and heights
-    are read off its 3D labeled points, in order of z, by least squares."""
-    gt3 = np.asarray(gt3, dtype=float)
-    return _start_lane(gt3[np.argsort(gt3[:, 2], kind="stable")], cfg.order, cfg.keypoints)
+    are read off its 3D labeled points, in order of z, by least squares.
+    It is lane_starts on a stack of one."""
+    return lane_from_vector(lane_starts([by_depth(gt3)], cfg)[0])
 
 
 def fit_lane_3d(
@@ -369,7 +455,29 @@ def fit_lane_3d(
     cfg: FitConfig = FitConfig(),
 ) -> FitReport:
     """Fit one lane to 3D labeled points: fit_lanes with labels on a stack of one."""
-    return fit_lanes([gt2d], [k], [label_init(gt3, cfg)], cfg, [gt3])[0]
+    return fit_lanes([gt2d], [k], lane_starts([by_depth(gt3)], cfg), cfg, [gt3])[0]
+
+
+def ipm_points(lanes: list[Lane2D], k: CameraIntrinsics, camera_height: float) -> list[np.ndarray]:
+    """Each lane's points below the horizon, back-projected onto the plane
+    y = camera_height (> 0) in image order, with one invert_to_ground call.
+
+    Raises DegenerateInputError naming (by its lane attribute) the first
+    lane with fewer than two such points.
+    """
+    if not lanes:
+        return []
+    points = np.concatenate([lane.points for lane in lanes])
+    below = points[:, 1] > k.oy + 1e-9
+    ground = invert_to_ground(k, points[below, 0], points[below, 1], camera_height)
+    lane = np.repeat(np.arange(len(lanes)), [len(gt) for gt in lanes])
+    counts = np.bincount(lane[below], minlength=len(lanes))
+    few = np.flatnonzero(counts < 2)
+    if few.size:
+        raise DegenerateInputError(
+            "too few points below the horizon to back-project", lane=int(few[0])
+        )
+    return np.split(ground, np.cumsum(counts)[:-1])
 
 
 def ipm_init(
@@ -379,17 +487,12 @@ def ipm_init(
 
     Back-projects every point below the horizon onto the plane
     y = camera_height (> 0), the height the frame records for its
-    camera, and fits curve and heights to the result. That height also
-    pins the overall scale, which 2D data leaves free. Raises
+    camera, and fits curve and heights to the result, in image order.
+    That height also pins the overall scale, which 2D data leaves free.
+    It is ipm_points and lane_starts on a stack of one. Raises
     DegenerateInputError when too few points back-project.
     """
-    below = gt.points[gt.points[:, 1] > k.oy + 1e-9]
-    pts = invert_to_ground(k, below[:, 0], below[:, 1], camera_height)
-    if pts.shape[0] < 2:
-        raise DegenerateInputError("too few points below the horizon to back-project")
-    if np.unique(pts[:, 2]).size < cfg.order + 1:
-        raise DegenerateInputError("back-projected points span too few distinct depths")
-    return _start_lane(pts, cfg.order, cfg.keypoints)
+    return lane_from_vector(lane_starts(ipm_points([gt], k, camera_height), cfg)[0])
 
 
 def reprojection_residuals(lane: Lane3D, k: CameraIntrinsics, gt3: np.ndarray) -> np.ndarray:

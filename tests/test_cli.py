@@ -856,6 +856,59 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_fit_loads_no_numpy_ma(flat_dataset, tmp_path):
+    """No fit mode imports numpy.ma, which costs a fresh process 12-18 ms
+    (2-vCPU x86 host, numpy 2.4). numpy 2.4's np.unique calls
+    np.ma.is_masked and so imports it: fitting counts distinct depths and
+    rows from sorted differences instead."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = str(tmp_path / "p.jsonl")
+    code = (
+        "import sys\n"
+        "from bevlane import cli\n"
+        f"fit = ['fit', '--dataset', {flat_dataset!r}, '--out', {out!r}, '--mode']\n"
+        "codes = [cli.main(fit + [mode]) for mode in ('3d', '2d', 'baseline')]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
+def _far_label(lane):
+    for point in lane:
+        point[2] *= 1e110
+
+
+def _one_depth_label(lane):
+    for point in lane:
+        point[2] = 20.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_far_label, "z values too large for a degree-3 fit"),
+        (_one_depth_label, "1 distinct z values cannot determine 4 coefficients"),
+    ],
+)
+def test_start_error_names_a_later_frame_and_its_lane(flat_dataset, tmp_path, edit, message):
+    # every lane's start is fitted in one stack, after all frames are read
+    lines = open(flat_dataset).read().splitlines()
+    record = json.loads(lines[-1])
+    edit(record["lanes3d"][2])
+    lines[-1] = json.dumps(record)
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "p.jsonl"
+    code, err = _run(["fit", "--dataset", str(dataset), "--mode", "3d", "--out", str(out)])
+    assert code == 2
+    assert err == f"error: frame {record['frame_id']}, lane 2: {message}\n"
+    assert record["frame_id"] == 1 and not out.exists()
+
+
 @pytest.mark.parametrize("which", ["spec", "config", "dataset"])
 def test_non_utf8_input_exits_2(flat_dataset, tmp_path, which):
     spec = tmp_path / "spec.json"

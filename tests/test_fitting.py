@@ -1,10 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 
 from bevlane import datagen, fitting
 from bevlane.assignment import resample_lane
-from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, project_lane, project_points
+from bevlane.camera import (
+    CameraIntrinsics,
+    ImageSpec,
+    Lane2D,
+    invert_to_ground,
+    project_lane,
+    project_points,
+)
 from bevlane.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -26,8 +35,10 @@ from bevlane.fitting import (
     reprojection_residuals,
 )
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector
+from bevlane.io_formats import read_scene_spec
 from bevlane.losses import lane_losses
 from oracles import normal_equations_fit
+from test_acceptance import MIXED_SPEC
 
 
 def bump_frame(seed=0):
@@ -184,7 +195,7 @@ def _mixed_block():
 def test_fit_lanes_2d_block_equals_each_lane_alone(order):
     gts, cams, inits = _mixed_block()
     cfg = FitConfig(order=order)
-    block = fit_lanes(gts, cams, inits, cfg)
+    block = fit_lanes(gts, cams, np.stack([lane_to_vector(i) for i in inits]), cfg)
     for gt, cam, init, got in zip(gts, cams, inits, block):
         alone = fit_lane_2d(gt, cam, init, cfg)
         assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(alone.lane))
@@ -211,7 +222,8 @@ def test_fit_lanes_2d_is_the_same_in_any_window(monkeypatch):
     assert fitting.PLATEAU_PATIENCE in iterations and fitting.MAX_ITERS in iterations
     for window in (1, 3, 64, len(gts) + 1):
         monkeypatch.setattr(fitting, "ACTIVE_LANES", window)
-        for got, want in zip(fit_lanes(gts, cams, inits), alone, strict=True):
+        starts = np.stack([lane_to_vector(i) for i in inits])
+        for got, want in zip(fit_lanes(gts, cams, starts), alone, strict=True):
             assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(want.lane))
             assert (got.iterations, got.terms) == (want.iterations, want.terms)
 
@@ -236,7 +248,7 @@ def test_fit_lanes_nan_names_the_lane_and_its_own_iteration(monkeypatch):
     monkeypatch.setattr(fitting, "ACTIVE_LANES", 3)
     monkeypatch.setattr(fitting, "lane_losses", nan_in_lane_5)
     with pytest.raises(NonFiniteError, match="non-finite at iteration 3$") as info:
-        fit_lanes(gts, cams, inits)
+        fit_lanes(gts, cams, np.stack([lane_to_vector(i) for i in inits]))
     assert info.value.lane == 5
     assert seen == [3, 3, 3, 3]
 
@@ -244,8 +256,9 @@ def test_fit_lanes_nan_names_the_lane_and_its_own_iteration(monkeypatch):
 def test_fit_lanes_2d_shuffled_block_gives_the_same_lanes():
     gts, cams, inits = _mixed_block()
     order = np.random.default_rng(3).permutation(len(gts))
-    block = fit_lanes(gts, cams, inits)
-    shuffled = fit_lanes(*([items[i] for i in order] for items in (gts, cams, inits)))
+    starts = np.stack([lane_to_vector(i) for i in inits])
+    block = fit_lanes(gts, cams, starts)
+    shuffled = fit_lanes([gts[i] for i in order], [cams[i] for i in order], starts[order])
     for j, i in enumerate(order):
         assert np.array_equal(lane_to_vector(shuffled[j].lane), lane_to_vector(block[i].lane))
         assert shuffled[j].terms == block[i].terms
@@ -269,7 +282,7 @@ def test_fit_lanes_with_labels_block_equals_each_lane_alone(monkeypatch):
     gts, cams, starts, labels = _labelled_block()
     monkeypatch.setattr(fitting, "MAX_ITERS", 80)
     monkeypatch.setattr(fitting, "PLATEAU_PATIENCE", 20)
-    block = fit_lanes(gts, cams, starts, labels3d=labels)
+    block = fit_lanes(gts, cams, np.stack([lane_to_vector(s) for s in starts]), labels3d=labels)
     for gt, cam, gt3, got in zip(gts, cams, labels, block[:-1]):
         alone = fit_lane_3d(gt3, gt, cam)
         assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(alone.lane))
@@ -286,7 +299,9 @@ def test_fit_lanes_with_labels_block_equals_each_lane_alone(monkeypatch):
 
     order = np.random.default_rng(3).permutation(len(gts))
     shuffled = fit_lanes(
-        *([items[i] for i in order] for items in (gts, cams, starts)),
+        [gts[i] for i in order],
+        [cams[i] for i in order],
+        np.stack([lane_to_vector(starts[i]) for i in order]),
         labels3d=[labels[i] for i in order],
     )
     for j, i in enumerate(order):
@@ -295,16 +310,16 @@ def test_fit_lanes_with_labels_block_equals_each_lane_alone(monkeypatch):
 
 
 def test_fit_lanes_2d_checks_its_stack(k, image):
-    gts, cams, inits = _mixed_block()
+    gts, cams, lanes = _mixed_block()
+    inits = np.stack([lane_to_vector(i) for i in lanes])
     assert fit_lanes([], [], []) == []
     with pytest.raises(DimensionMismatchError):
         fit_lanes(gts, cams, inits[:-1])
     with pytest.raises(DimensionMismatchError):
         fit_lanes(gts, cams[:-1], inits)
-    short = Lane3D(inits[0].curve, HeightProfile(np.full(10, 1.5), 3.0, 80.0))
     with pytest.raises(DimensionMismatchError):
-        fit_lanes(gts[:2], cams[:2], [inits[0], short])
-    other_grid = resample_lane(project_lane(k, inits[0], 72), ImageSpec(800, 300))
+        fit_lanes(gts[:2], cams[:2], inits[:2, :7])  # one height keypoint each
+    other_grid = resample_lane(project_lane(k, lanes[0], 72), ImageSpec(800, 300))
     with pytest.raises(GridMismatchError):
         fit_lanes([gts[0], other_grid], [k, k], inits[:2])
     labels = _labelled_block()[3]
@@ -490,3 +505,104 @@ def test_order3_never_loses_to_order2(rng):
         r3 = fit_bev_polynomial(pts, 3).rms_residual
         r2 = fit_bev_polynomial(pts, 2).rms_residual
         assert r3 <= r2 + 1e-12
+
+
+def _per_lane_start(pts, cfg):
+    """The start of one lane as fit_lane_3d and ipm_init built it lane by
+    lane: fit_bev_polynomial, then fit_heights_direct over the span
+    clamped by Z_FLOOR and MIN_SPAN, then lane_to_vector."""
+    poly = fit_bev_polynomial(pts, cfg.order)
+    z_min = max(float(pts[:, 2].min()), fitting.Z_FLOOR)
+    z_max = max(float(pts[:, 2].max()), z_min + fitting.MIN_SPAN)
+    profile = fit_heights_direct(pts, cfg.keypoints, z_min, z_max)
+    return lane_to_vector(Lane3D(poly.to_curve(), profile))
+
+
+def _mixed_spec_frames(tmp_path):
+    """Two frames of every preset of the acceptance suite's mixed-ground recipe."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(MIXED_SPEC))
+    scenes, jitter = read_scene_spec(str(path))
+    frames = datagen.generate_dataset(scenes, frames_per_spec=2, jitter=jitter, seed=1)
+    assert len(frames) == 8
+    return frames
+
+
+@pytest.mark.parametrize("order", [3, 2])
+def test_lane_starts_equal_the_per_lane_path_on_mixed_ground(tmp_path, order):
+    cfg = FitConfig(order=order)
+    labelled, ground = [], []
+    for frame in _mixed_spec_frames(tmp_path):
+        labelled += [gt3[np.argsort(gt3[:, 2], kind="stable")] for gt3 in frame.lanes3d]
+        for lane in frame.lanes2d:
+            below = lane.points[lane.points[:, 1] > frame.intrinsics.oy + 1e-9]
+            k, height = frame.intrinsics, frame.camera_height
+            ground.append(invert_to_ground(k, below[:, 0], below[:, 1], height))
+        stacked = fitting.ipm_points(list(frame.lanes2d), frame.intrinsics, frame.camera_height)
+        for got, want in zip(stacked, ground[-len(stacked) :], strict=True):
+            assert np.array_equal(got, want)
+    # the back-projected lanes come in image order, not in order of z
+    assert any(np.any(np.diff(pts[:, 2]) < 0) for pts in ground)
+    want = np.stack([_per_lane_start(pts, cfg) for pts in labelled])
+    assert np.array_equal(fitting.lane_starts(labelled, cfg), want)
+    want = np.stack([_per_lane_start(pts, cfg) for pts in ground])
+    assert np.array_equal(fitting.lane_starts(ground, cfg), want)
+
+
+@pytest.mark.parametrize("order", [3, 2])
+def test_lane_starts_equal_the_per_lane_path_at_the_edges(order):
+    cfg = FitConfig(order=order, keypoints=5)
+    rng = np.random.default_rng(7)
+
+    def lane(z):
+        z = np.asarray(z, dtype=float)
+        return np.column_stack([rng.normal(1.0, 0.3, z.size), rng.normal(1.5, 0.1, z.size), z])
+
+    points = [
+        lane([5.0, 5.0, 9.0, 9.0, 9.0, 14.0, 20.0, 20.0]),  # duplicate depths
+        # exactly order + 1 distinct depths, the first at the last one above
+        lane(np.arange(order + 1.0) + 20.0),
+        lane([-2.0, -1.0, 0.05, 0.07, 3.0]),  # z_min below Z_FLOOR
+        lane([0.02, 0.04, 0.06, 0.08]),  # the whole lane below Z_FLOOR
+        lane([20.0, 20.1, 20.2, 20.3]),  # a span shorter than MIN_SPAN
+        lane([30.0, 12.0, 55.0, 4.0, 18.0, 12.0, 41.0]),  # unsorted, with a tie
+    ]
+    want = np.stack([_per_lane_start(pts, cfg) for pts in points])
+    got = fitting.lane_starts(points, cfg)
+    assert np.array_equal(got, want)
+    assert got[2, -2] == fitting.Z_FLOOR and got[4, -1] == 20.0 + fitting.MIN_SPAN
+    if order == 2:
+        assert np.all(got[:, 0] == 0.0)
+
+
+def test_lane_starts_name_the_first_failing_lane():
+    cfg = FitConfig()
+    good = np.column_stack([np.ones(6), np.full(6, 1.5), np.arange(6.0) + 3.0])
+    few = good[:4].copy()
+    few[3, 2] = few[2, 2]  # order distinct depths: one short
+    with pytest.raises(RankDeficientError, match="3 distinct z values cannot") as info:
+        fitting.lane_starts([good, good, few, few], cfg)
+    assert info.value.lane == 2
+    with pytest.raises(RankDeficientError):
+        fit_bev_polynomial(few, cfg.order)
+    far = good * [1.0, 1.0, 1e110]
+    with pytest.raises(DegenerateInputError, match="too large") as info:
+        fitting.lane_starts([good, far], cfg)
+    assert info.value.lane == 1
+    huge = good * [1e308, 1.0, 1.0]
+    huge[::2, 0] *= -1.0
+    with pytest.raises(ValidationError, match="must be finite") as info:
+        fitting.lane_starts([good, good, huge], cfg)
+    assert info.value.lane == 2
+    with pytest.raises(ValidationError, match="degree 4"):
+        fitting.lane_starts([good], FitConfig(order=4))
+    assert fitting.lane_starts([], cfg).shape == (0, cfg.keypoints + 6)
+
+
+def test_ipm_points_name_the_lane_without_points_below_the_horizon(k):
+    near = Lane2D(np.array([[400.0, 300.0], [410.0, 250.0], [420.0, 200.0]]))
+    above = Lane2D(np.array([[400.0, 100.0], [410.0, 120.0], [420.0, 170.0]]))
+    with pytest.raises(DegenerateInputError, match="below the horizon") as info:
+        fitting.ipm_points([near, near, above], k, 1.5)
+    assert info.value.lane == 2
+    assert fitting.ipm_points([], k, 1.5) == []
