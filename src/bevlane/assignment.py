@@ -149,35 +149,17 @@ def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
     return np.where(found, (1.0 - t) * u_a + t * u_b, np.nan)
 
 
-def resample_on_grid(lanes: list[Lane2D], image: ImageSpec) -> list[ResampledLane2D | None]:
-    """Every lane resampled on the image row grid; None for a lane that covers no grid row."""
-    rows = row_grid(image)
-    out = []
-    for lane, u_values in zip(lanes, resample_lanes(lanes, rows)):
-        present = ~np.isnan(u_values)
-        if not present.any():
-            out.append(None)
-            continue
-        out.append(
-            ResampledLane2D(
-                v_grid=rows,
-                u_values=u_values,
-                present=present,
-                v_first=float(lane.v[0]),
-                v_last=float(lane.v[-1]),
-            )
-        )
-    return out
-
-
 def resample_lane(lane: Lane2D, image: ImageSpec) -> ResampledLane2D:
-    """resample_on_grid for one lane; raises DegenerateLaneError when it covers no grid row."""
-    (resampled,) = resample_on_grid([lane], image)
-    if resampled is None:
+    """One lane resampled on the image row grid; raises DegenerateLaneError
+    when it covers no grid row."""
+    rows = row_grid(image)
+    (u_values,) = resample_lanes([lane], rows)
+    present = ~np.isnan(u_values)
+    if not present.any():
         raise DegenerateLaneError(
             f"lane spanning v in [{lane.v.min():.2f}, {lane.v.max():.2f}] covers no image row"
         )
-    return resampled
+    return ResampledLane2D(rows, u_values, present, float(lane.v[0]), float(lane.v[-1]))
 
 
 def cost_matrix(pred_u: np.ndarray, gt_u: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from .assignment import (
     cost_matrix,
     hungarian_assign,
     resample_lanes,
-    resample_on_grid,
     row_grid,
 )
 from .camera import Lane2D, project_lane, project_points
@@ -33,6 +32,7 @@ from .errors import (
     VersionError,
 )
 from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT, sample_lane
+from .losses import LaneTargets
 
 
 def _count(limit: int | None = None, low: int = 1):
@@ -74,11 +74,13 @@ def _cmd_fit(opts) -> int:
     frames = io_formats.read_dataset(opts.dataset)
 
     # Per frame, in baseline mode each fitted (lane, max residual), and in
-    # 3d and 2d mode the index of each lane in the stack that fit_lanes
-    # solves; where holds each stacked lane's frame id and lane index to
-    # name a failure.
+    # 3d and 2d mode the stack index of each lane that covers an image
+    # row. Per stacked lane, where (frame id, lane index) names it in a
+    # failure, points feed its start, and u_rows, v_ends and cameras make
+    # its target on the row grid of its image height (heights, grids).
     fitted_lanes = []
-    gts, cameras, points, labels, where = [], [], [], [], []
+    where, points, u_rows, v_ends, cameras, heights = [], [], [], [], [], []
+    grids = {}
     skipped = 0
     for frame in frames:
         if opts.mode == "3d" and len(frame.lanes3d) != len(frame.lanes2d):
@@ -92,25 +94,44 @@ def _cmd_fit(opts) -> int:
                 lanes.append((Lane2D(np.column_stack([u, v])), fit.max_residual))
             fitted_lanes.append(lanes)
             continue
-        targets = resample_on_grid(frame.lanes2d, frame.image)
-        kept = [idx for idx, target in enumerate(targets) if target is not None]
-        skipped += len(targets) - len(kept)
-        fitted_lanes.append(range(len(gts), len(gts) + len(kept)))
-        gts += [targets[idx] for idx in kept]
-        cameras += [frame.intrinsics] * len(kept)
-        frame_where = [(frame.frame_id, idx) for idx in kept]
+        rows = grids.setdefault(frame.image.height, row_grid(frame.image))
+        u_values = resample_lanes(frame.lanes2d, rows)
+        kept = np.flatnonzero(~np.isnan(u_values).all(axis=1))
+        skipped += len(frame.lanes2d) - kept.size
+        fitted_lanes.append(range(len(where), len(where) + kept.size))
+        frame_where = [(frame.frame_id, int(i)) for i in kept]
         where += frame_where
+        u_rows += [u_values[i] for i in kept]
+        v_ends += [(frame.lanes2d[i].v[0], frame.lanes2d[i].v[-1]) for i in kept]
+        k = frame.intrinsics
+        cameras += [(k.fx, k.fy, k.ox, k.oy)] * kept.size
+        heights += [frame.image.height] * kept.size
         if opts.mode == "3d":
-            labels += [frame.lanes3d[idx] for idx in kept]
-            points += [fitting.by_depth(frame.lanes3d[idx]) for idx in kept]
+            points += [fitting.by_depth(frame.lanes3d[i]) for i in kept]
         else:
-            lanes2d = [frame.lanes2d[idx] for idx in kept]
-            k, height = frame.intrinsics, frame.camera_height
+            lanes2d, height = [frame.lanes2d[i] for i in kept], frame.camera_height
             points += _naming_lanes(frame_where, fitting.ipm_points, lanes2d, k, height)
 
     if opts.mode != "baseline":
         starts = _naming_lanes(where, fitting.lane_starts, points, cfg)
-        reports = _fit_by_grid(gts, cameras, starts, labels or None, where, cfg)
+        reports = [None] * len(where)
+        v_ends, cameras, heights = np.array(v_ends), np.array(cameras), np.array(heights)
+        for height in dict.fromkeys(heights.tolist()):
+            members = np.flatnonzero(heights == height)
+            u_values = np.array([u_rows[i] for i in members])
+            targets = LaneTargets(
+                rows=grids[height],
+                u_values=u_values,
+                present=~np.isnan(u_values),
+                v_ends=v_ends[members],
+                camera=cameras[members],
+                labels=[points[i] for i in members] if opts.mode == "3d" else None,
+            )
+            fits = _naming_lanes(
+                [where[i] for i in members], fitting.fit_lanes, targets, starts[members], cfg
+            )
+            for i, report in zip(members, fits):
+                reports[i] = report
     preds = []
     residuals = []
     for frame, lanes in zip(frames, fitted_lanes):
@@ -145,28 +166,6 @@ def _naming_lanes(where, call, *args):
             raise
         frame_id, lane = where[exc.lane]
         raise type(exc)(f"frame {frame_id}, lane {lane}: {exc}") from exc
-
-
-def _fit_by_grid(gts, cameras, starts, labels, where, cfg) -> list:
-    """fit_lanes over the stacked lanes (labels None without 3D labels),
-    one call per row grid. A failure is named by its frame and lane."""
-    by_grid = {}
-    for i, gt in enumerate(gts):
-        by_grid.setdefault(gt.v_grid.tobytes(), []).append(i)
-    reports = [None] * len(gts)
-    for members in by_grid.values():
-        fits = _naming_lanes(
-            [where[i] for i in members],
-            fitting.fit_lanes,
-            [gts[i] for i in members],
-            [cameras[i] for i in members],
-            starts[members],
-            cfg,
-            None if labels is None else [labels[i] for i in members],
-        )
-        for i, report in zip(members, fits):
-            reports[i] = report
-    return reports
 
 
 def _cmd_eval(opts) -> int:
@@ -292,6 +291,13 @@ def _cmd_anchors(opts) -> int:
     if not frames:
         raise SchemaError("dataset has no frames")
     image = frames[0].image
+    # descriptors sit at rows of one image size and anchors match on its grid
+    other = next((f.image for f in frames if f.image != image), None)
+    if other is not None:
+        raise SchemaError(
+            f"anchors need one image size, got {image.width}x{image.height} "
+            f"and {other.width}x{other.height}"
+        )
     all_lanes = [lane for frame in frames for lane in frame.lanes2d]
     built = anchors_mod.build_descriptors(all_lanes, image, opts.rows)
     descriptors = [d for d in built if d is not None]

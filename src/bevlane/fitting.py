@@ -13,10 +13,11 @@ image-plane losses recovers each lane from a flat-ground start (the
 points ipm_points back-projects onto the ground plane at the frame's
 recorded camera height; ipm_init is the start of one lane), on the
 fixed schedule MAX_ITERS, STEP_SIZE and PLATEAU_PATIENCE. fit_lanes,
-the one fitter, takes the start matrix, scores its lanes with
-losses.lane_losses and without 3D labels descends them, each lane with
-its own step scales, velocity, best iterate, iteration count and stop.
-It keeps at most ACTIVE_LANES lanes in a rolling window: a lane that
+the one fitter, takes one losses.LaneTargets stack on a row grid and
+the start matrix, scores its lanes with losses.lane_losses and without
+3D labels descends them, each lane with its own step scales, velocity,
+best iterate, iteration count and stop. It keeps at most ACTIVE_LANES
+lanes in a rolling window of slots that index the stack: a lane that
 stops hands its slot to the next one, so each objective call scores a
 full window; fit_lane_3d and fit_lane_2d are its stacks of one.
 The descent runs in a diagonally rescaled parameter space: curve
@@ -41,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import BevCurve, HeightProfile, Lane3D, lane_from_vector, lane_to_vector
-from .losses import LaneTargets, lane_losses
+from .losses import LaneTargets, by_depth, lane_losses
 
 # The 2D descent's schedule: at most MAX_ITERS momentum steps of base size
 # STEP_SIZE, and a lane stops once PLATEAU_PATIENCE steps in a row have not
@@ -51,12 +52,13 @@ STEP_SIZE = 1e-2
 PLATEAU_PATIENCE = 15
 MOMENTUM = 0.9
 # Lanes in fit_lanes' window: each objective call scores at most this
-# many, and results do not depend on it. Every array of the descent grows
-# with the window, not with the stack; at a few lanes the fixed cost of a
-# call dominates. With 64, the 2d fit of the 400-lane mixed-ground set at
-# seed 1 peaks at 47.7 MB RSS in a fresh process (2-vCPU x86 host, numpy
-# 2.4), below the 59 MB at which eval tops the same pipeline run in one
-# process.
+# many, and results do not depend on it. The descent's arrays grow with
+# the window; its targets and starts grow with the stack, one row of u
+# per image row and lane, as the CLI's resampled labels do anyway. At a
+# few lanes the fixed cost of a call dominates. With 64, the 2d fit of
+# the 400-lane mixed-ground set at seed 1 peaks at 49.5 MB RSS in a
+# fresh process that runs only fit (2-vCPU x86 host, numpy 2.4), below
+# the 59 MB at which eval tops the same pipeline run in one process.
 ACTIVE_LANES = 64
 # Hard floor on z_min and on the span so samples stay in front of the camera.
 Z_FLOOR = 0.1
@@ -246,69 +248,56 @@ def _check_finite(
 
 
 def fit_lanes(
-    gts: list[ResampledLane2D],
-    intrinsics: list[CameraIntrinsics],
-    starts: np.ndarray,
-    cfg: FitConfig = FitConfig(),
-    labels3d: list[np.ndarray] | None = None,
+    targets: LaneTargets, starts: np.ndarray, cfg: FitConfig = FitConfig()
 ) -> list[FitReport]:
     """Fit a stack of lanes from their starts, one report per lane.
 
-    The targets share one row grid; intrinsics holds each lane's camera,
-    and starts is the (L, n + 6) matrix of the lanes' start vectors (see
+    targets holds every lane's target on one row grid, with its camera;
+    starts is the (L, n + 6) matrix of the lanes' start vectors (see
     geometry.lane_to_vector), as lane_starts returns it. The objective
     is lane_losses, called on a window of at most ACTIVE_LANES lanes.
-    With 3D labels (one (m, 3) array per lane) the starts are scored and
-    returned: descent from their least-squares starts never lowered that
-    loss. Without them, momentum descent runs on the lanes in the
-    window, each with its own step scales, velocity, best iterate and
-    iteration count. A lane stops when its loss plateaus or after
-    MAX_ITERS of its own steps, at the 3D scale its start pinned (2D
-    labels cannot determine it); the next lane in stack order then takes
-    its slot, scored at its start in the next objective call. A lane
-    whose projection misses its target reads +inf with a zero gradient.
-    Every lane's result is the one it gets alone, whatever the window.
-    A NaN objective raises NonFiniteError, whose lane attribute is the
-    lane's index in the stack.
+    With 3D labels in targets the starts are scored and returned:
+    descent from their least-squares starts never lowered that loss.
+    Without them, momentum descent runs on the lanes in the window, each
+    with its own step scales, velocity, best iterate and iteration
+    count. A lane stops when its loss plateaus or after MAX_ITERS of its
+    own steps, at the 3D scale its start pinned (2D labels cannot
+    determine it); the next lane in stack order then takes its slot,
+    scored at its start in the next objective call. A lane whose
+    projection misses its target reads +inf with a zero gradient. Every
+    lane's result is the one it gets alone, whatever the window. A NaN
+    objective raises NonFiniteError, whose lane attribute is the lane's
+    index in the stack.
     """
     if cfg.order == 4:
         raise ValidationError("gradient refinement is cubic; degree 4 is least-squares only")
-    if len(starts) != len(gts):
+    n_lanes = len(targets.u_values)
+    if len(starts) != n_lanes:
         raise DimensionMismatchError("need one start vector per target")
-    if not gts:
+    if not n_lanes:
         return []
-    starts = np.asarray(starts, dtype=float)
+    starts = np.array(starts, dtype=float)
     if starts.ndim != 2 or starts.shape[1] < 8:
         raise DimensionMismatchError(
             f"starts must be an (L, n + 6) matrix with n >= 2, got shape {starts.shape}"
         )
-    LaneTargets.check(gts, intrinsics, labels3d)
     n_params = starts.shape[1]
     mask = np.ones(n_params)
     if cfg.order == 2:
-        mask[0] = 0.0
-    max_iters = 0 if labels3d is not None else MAX_ITERS
+        starts[:, 0] = mask[0] = 0.0
+    _clamp_span(starts)
+    max_iters = 0 if targets.labels is not None else MAX_ITERS
 
-    def start(lanes):
-        """The targets, start vectors and step sizes of lanes."""
-        labels = None if labels3d is None else [labels3d[i] for i in lanes]
-        targets = LaneTargets.stack([gts[i] for i in lanes], [intrinsics[i] for i in lanes], labels)
-        theta = starts[lanes]
-        if cfg.order == 2:
-            theta[:, 0] = 0.0
-        _clamp_span(theta)
-        return targets, theta, STEP_SIZE * np.stack([_scales(row) for row in theta]) ** 2
-
-    # Slot s of the window holds lane lane_of[s] with its targets, vector,
-    # step sizes, velocity, last gradient, best iterate and iteration count.
-    n_lanes, width = len(gts), min(ACTIVE_LANES, len(gts))
+    # Slot s of the window holds lane lane_of[s] with its vector, step
+    # sizes, velocity, last gradient, best iterate and iteration count.
+    width = min(ACTIVE_LANES, n_lanes)
     lane_of = np.zeros(width, dtype=int)
     theta, step, velocity, grad, best_theta = (np.zeros((width, n_params)) for _ in range(5))
     best_loss = np.zeros(width)
     best_overlap = np.zeros(width, dtype=bool)
     best_iter = np.zeros(width, dtype=int)
     iterations = np.zeros(width, dtype=int)
-    targets = best_terms = None
+    best_terms = None
     reports = [None] * n_lanes
     busy, free, queued = np.zeros(0, dtype=int), np.arange(width), 0
     while busy.size or queued < n_lanes:
@@ -320,15 +309,14 @@ def fit_lanes(
 
         joined = free[: n_lanes - queued]
         if joined.size:
-            lanes = np.arange(queued, queued + joined.size)
+            lane_of[joined] = np.arange(queued, queued + joined.size)
             queued += joined.size
-            fresh, theta[joined], step[joined] = start(lanes)
-            targets = fresh if targets is None else targets.put(joined, fresh)
-            lane_of[joined] = lanes
+            theta[joined] = starts[lane_of[joined]]
+            step[joined] = STEP_SIZE * np.stack([_scales(row) for row in theta[joined]]) ** 2
             velocity[joined] = 0.0
             iterations[joined] = 0
         slots = np.concatenate([busy, joined])
-        loss, grad_now, terms, overlap = lane_losses(theta[slots], targets.take(slots))
+        loss, grad_now, terms, overlap = lane_losses(theta[slots], targets.take(lane_of[slots]))
         _check_finite(loss, grad_now, lane_of[slots], iterations[slots])
         grad[slots] = grad_now
         if best_terms is None:
@@ -360,18 +348,7 @@ def fit_lane_2d(
     cfg: FitConfig = FitConfig(),
 ) -> FitReport:
     """Refine one lane against 2D labels only: fit_lanes on a stack of one."""
-    return fit_lanes([gt], [k], lane_to_vector(init)[None], cfg)[0]
-
-
-def by_depth(points: np.ndarray) -> np.ndarray:
-    """(m, 3) [x, y, z] points in stable order of z: the row order in which
-    labelled lanes are handed to lane_starts. Points already in that
-    order come back as they are, without a copy."""
-    points = np.asarray(points, dtype=float)
-    z = points[:, 2]
-    if (z[1:] >= z[:-1]).all():
-        return points
-    return points[np.argsort(z, kind="stable")]
+    return fit_lanes(LaneTargets.stack([gt], [k]), lane_to_vector(init)[None], cfg)[0]
 
 
 def lane_starts(points: list[np.ndarray], cfg: FitConfig = FitConfig()) -> np.ndarray:
@@ -455,7 +432,8 @@ def fit_lane_3d(
     cfg: FitConfig = FitConfig(),
 ) -> FitReport:
     """Fit one lane to 3D labeled points: fit_lanes with labels on a stack of one."""
-    return fit_lanes([gt2d], [k], lane_starts([by_depth(gt3)], cfg), cfg, [gt3])[0]
+    targets = LaneTargets.stack([gt2d], [k], [gt3])
+    return fit_lanes(targets, lane_starts(targets.labels, cfg), cfg)[0]
 
 
 def ipm_points(lanes: list[Lane2D], k: CameraIntrinsics, camera_height: float) -> list[np.ndarray]:

@@ -54,7 +54,7 @@ _CACHE_VERSION = "1"
 
 @dataclass(frozen=True)
 class PredictionFrame:
-    """Predicted lanes for one frame; 3D, 2D, or both."""
+    """Predicted lanes for one frame; 3D, 2D, or both, one 2D lane per 3D lane."""
 
     frame_id: int
     lanes3d: tuple[Lane3D, ...] = ()
@@ -474,6 +474,9 @@ def read_predictions(path: str) -> list[PredictionFrame]:
             )
         except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad prediction record: {exc}") from exc
+        n3, n2 = len(frame.lanes3d), len(frame.lanes2d)
+        if n3 and n2 and n3 != n2:
+            raise SchemaError(f"{where}: {n3} lanes3d for {n2} lanes2d")
         frames.append(frame)
     return frames
 

@@ -133,15 +133,29 @@ def _height_spread(heights: np.ndarray):
     return sigma, grad
 
 
+def by_depth(points: np.ndarray) -> np.ndarray:
+    """(m, 3) [x, y, z] points in stable order of z, the order in which
+    LaneTargets holds 3D labels and lanes are handed to
+    fitting.lane_starts. Points already in that order come back as they
+    are, without a copy."""
+    points = np.asarray(points, dtype=float)
+    z = points[:, 2]
+    if (z[1:] >= z[:-1]).all():
+        return points
+    return points[np.argsort(z, kind="stable")]
+
+
 @dataclass(frozen=True)
 class LaneTargets:
     """The targets of a stack of lanes, each with its camera.
 
-    All lanes share one row grid. u_values and present are (L, rows),
-    v_ends holds each target's [v_first, v_last] and camera its [fx, fy,
-    ox, oy], so each lane projects through its own frame's intrinsics.
-    labels is None for 2D-only targets, or else holds each lane's 3D
-    label points, an (m, 3) array of [x, y, z] sorted by z.
+    All lanes share one row grid, rows. u_values is (L, rows), the
+    resample_lanes rows of the targets, and present marks where they are
+    not NaN. v_ends holds each target's [v_first, v_last] and camera its
+    [fx, fy, ox, oy], so each lane projects through its own frame's
+    intrinsics. labels is None for 2D-only targets, or else holds each
+    lane's 3D label points, an (m, 3) array of [x, y, z], which
+    construction puts in order of z (by_depth).
     """
 
     rows: np.ndarray
@@ -151,20 +165,20 @@ class LaneTargets:
     camera: np.ndarray
     labels: tuple[np.ndarray, ...] | None = None
 
-    @staticmethod
-    def check(
-        gts: list[ResampledLane2D],
-        intrinsics: list[CameraIntrinsics],
-        labels3d: list[np.ndarray] | None = None,
-    ) -> None:
-        """Raise unless the lanes share one row grid and each has one camera
-        and, when labels3d is given, one label array."""
-        if len(intrinsics) != len(gts):
+    def __post_init__(self):
+        n_lanes = len(self.u_values)
+        shape = (n_lanes, self.rows.size)
+        if self.u_values.shape != shape or self.present.shape != shape:
+            raise DimensionMismatchError("need one row of u values and presence per target lane")
+        if self.v_ends.shape != (n_lanes, 2):
+            raise DimensionMismatchError("need one [v_first, v_last] per target lane")
+        if self.camera.shape != (n_lanes, 4):
             raise DimensionMismatchError("need one camera per target lane")
-        if labels3d is not None and len(labels3d) != len(gts):
-            raise DimensionMismatchError("need one (m, 3) label array per target lane")
-        if any(not np.array_equal(g.v_grid, gts[0].v_grid) for g in gts):
-            raise GridMismatchError("a stack of targets must share one row grid")
+        if self.labels is not None:
+            labels = [np.asarray(g, dtype=float) for g in self.labels]
+            if len(labels) != n_lanes or any(g.ndim != 2 or g.shape[1] != 3 for g in labels):
+                raise DimensionMismatchError("need one (m, 3) label array per target lane")
+            object.__setattr__(self, "labels", tuple(by_depth(g) for g in labels))
 
     @classmethod
     def stack(
@@ -175,19 +189,17 @@ class LaneTargets:
     ) -> "LaneTargets":
         """Targets from resampled lanes on one grid, with one camera and
         optionally one (m, 3) label array per lane."""
-        cls.check(gts, intrinsics, labels3d)
-        labels = None if labels3d is None else [np.asarray(g, dtype=float) for g in labels3d]
-        if labels is not None:
-            if any(g.ndim != 2 or g.shape[1] != 3 for g in labels):
-                raise DimensionMismatchError("need one (m, 3) label array per target lane")
-            labels = tuple(g[np.argsort(g[:, 2], kind="stable")] for g in labels)
+        rows = gts[0].v_grid if gts else np.zeros(0)
+        if any(not np.array_equal(g.v_grid, rows) for g in gts):
+            raise GridMismatchError("a stack of targets must share one row grid")
+        shape = (len(gts), rows.size)
         return cls(
-            rows=gts[0].v_grid,
-            u_values=np.stack([g.u_values for g in gts]),
-            present=np.stack([g.present for g in gts]),
-            v_ends=np.array([[g.v_first, g.v_last] for g in gts]),
-            camera=np.array([[k.fx, k.fy, k.ox, k.oy] for k in intrinsics]),
-            labels=labels,
+            rows=rows,
+            u_values=np.array([g.u_values for g in gts]).reshape(shape),
+            present=np.array([g.present for g in gts], dtype=bool).reshape(shape),
+            v_ends=np.array([[g.v_first, g.v_last] for g in gts]).reshape(-1, 2),
+            camera=np.array([[k.fx, k.fy, k.ox, k.oy] for k in intrinsics]).reshape(-1, 4),
+            labels=labels3d,
         )
 
     def take(self, idx: np.ndarray) -> "LaneTargets":
@@ -195,25 +207,6 @@ class LaneTargets:
         labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
         arrays = (self.u_values, self.present, self.v_ends, self.camera)
         return LaneTargets(self.rows, *(a[idx] for a in arrays), labels)
-
-    def put(self, idx: np.ndarray, other: "LaneTargets") -> "LaneTargets":
-        """These targets with the lanes at idx replaced by other's, in order."""
-        if not np.array_equal(other.rows, self.rows):
-            raise GridMismatchError("a stack of targets must share one row grid")
-        arrays = []
-        for mine, theirs in zip(
-            (self.u_values, self.present, self.v_ends, self.camera),
-            (other.u_values, other.present, other.v_ends, other.camera),
-        ):
-            arrays.append(mine.copy())
-            arrays[-1][idx] = theirs
-        labels = None
-        if self.labels is not None:
-            labels = list(self.labels)
-            for i, g in zip(idx, other.labels):
-                labels[i] = g
-            labels = tuple(labels)
-        return LaneTargets(self.rows, *arrays, labels)
 
     def named(self, terms: np.ndarray, loss: float) -> dict[str, float]:
         """One lane's row of lane_losses terms by name, plus "total"."""

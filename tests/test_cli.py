@@ -248,6 +248,35 @@ class TestFit:
         assert len(seen) == 4 and seen[0] > 15 and calls[seen[0] - 1] == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("mode", ["3d", "2d"])
+    def test_a_lane_above_the_image_is_skipped(self, flat_dataset, tmp_path, capsys, mode):
+        # lane 1 of the first frame lies wholly above row 0, so it covers no
+        # image row: it is counted, left out of the predictions, and the
+        # other lanes fit as they do alone
+        def above(record):
+            for point in record["lanes2d"][1]:
+                point[1] -= 1000.0
+
+        dataset = _edit_first_record(flat_dataset, tmp_path / "d.jsonl", above)
+        out = str(tmp_path / "preds.jsonl")
+        capsys.readouterr()
+        assert main(["fit", "--dataset", dataset, "--mode", mode, "--out", out]) == 0
+        assert "fit 7 lanes in mode " + mode + " (skipped 1);" in capsys.readouterr().out
+        frames = read_dataset(dataset)
+        assert max(frames[0].lanes2d[1].v) < 0.0
+        preds = read_predictions(out)
+        assert [len(p.lanes3d) for p in preds] == [3, 4]
+        for frame, pred in zip(frames, preds, strict=True):
+            kept = [i for i in range(4) if (frame.frame_id, i) != (frames[0].frame_id, 1)]
+            for i, got in zip(kept, pred.lanes3d, strict=True):
+                lane2d, k = frame.lanes2d[i], frame.intrinsics
+                gt = resample_lane(lane2d, frame.image)
+                if mode == "3d":
+                    want = fit_lane_3d(frame.lanes3d[i], gt, k).lane
+                else:
+                    want = fit_lane_2d(gt, k, ipm_init(lane2d, k, frame.camera_height)).lane
+                assert np.array_equal(lane_to_vector(got), lane_to_vector(want))
+
     def test_deterministic_predictions(self, flat_dataset, tmp_path):
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         for out in (a, b):
@@ -287,6 +316,23 @@ class TestEval:
 
     def test_missing_args_exit_2(self, flat_dataset, tmp_path):
         assert main(["eval", "--dataset", flat_dataset]) == 2
+
+    def test_unequal_lanes3d_and_lanes2d_exit_2(self, flat_dataset, tmp_path):
+        # a projected record that lost one lanes3d entry: matching would
+        # index its 3D samples by 2D lanes
+        preds, projected = str(tmp_path / "preds.jsonl"), str(tmp_path / "projected.jsonl")
+        assert main(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds]) == 0
+        argv = ["project", "--dataset", flat_dataset, "--pred", preds, "--out", projected]
+        assert main(argv) == 0
+
+        def drop_one(record):
+            del record["lanes3d"][-1]
+
+        edited = _edit_first_record(projected, tmp_path / "edited.jsonl", drop_one)
+        argv = ["eval", "--dataset", flat_dataset, "--pred", edited, "--out", str(tmp_path / "r")]
+        code, err = _run(argv)
+        assert code == 2
+        assert err == f"error: {edited}:2: 3 lanes3d for 4 lanes2d\n"
 
 
 class TestInputContract:
@@ -379,6 +425,21 @@ class TestAnchorsCommand:
         assert "recall@30px 1.0000" in capsys.readouterr().out
         anchors = read_anchors(out)
         assert anchors.k == 4
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_mixed_image_sizes_exit_2(self, tmp_path, first):
+        # descriptors are read at one image size's rows, so a dataset with
+        # two sizes is refused in either frame order
+        scenes = [{"preset": "flat", "image": {"width": 800, "height": 300}}, {"preset": "slope"}]
+        spec = write_json(tmp_path / "spec.json", {"scenes": scenes[first:] + scenes[:first]})
+        dataset = str(tmp_path / "d.jsonl")
+        assert main(["generate", "--spec", spec, "--frames", "3", "--out", dataset]) == 0
+        out = tmp_path / "a.json"
+        code, err = _run(["anchors", "--dataset", dataset, "-k", "4", "--out", str(out)])
+        assert code == 2
+        sizes = ["800x300", "800x320"][first:] + ["800x300", "800x320"][:first]
+        assert err == f"error: anchors need one image size, got {sizes[0]} and {sizes[1]}\n"
+        assert not out.exists()
 
     def test_k_beyond_lanes_exits_2(self, flat_dataset, tmp_path):
         code = main([

@@ -36,7 +36,7 @@ from bevlane.fitting import (
 )
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector
 from bevlane.io_formats import read_scene_spec
-from bevlane.losses import lane_losses
+from bevlane.losses import LaneTargets, lane_losses
 from oracles import normal_equations_fit
 from test_acceptance import MIXED_SPEC
 
@@ -195,7 +195,8 @@ def _mixed_block():
 def test_fit_lanes_2d_block_equals_each_lane_alone(order):
     gts, cams, inits = _mixed_block()
     cfg = FitConfig(order=order)
-    block = fit_lanes(gts, cams, np.stack([lane_to_vector(i) for i in inits]), cfg)
+    starts = np.stack([lane_to_vector(i) for i in inits])
+    block = fit_lanes(LaneTargets.stack(gts, cams), starts, cfg)
     for gt, cam, init, got in zip(gts, cams, inits, block):
         alone = fit_lane_2d(gt, cam, init, cfg)
         assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(alone.lane))
@@ -223,7 +224,8 @@ def test_fit_lanes_2d_is_the_same_in_any_window(monkeypatch):
     for window in (1, 3, 64, len(gts) + 1):
         monkeypatch.setattr(fitting, "ACTIVE_LANES", window)
         starts = np.stack([lane_to_vector(i) for i in inits])
-        for got, want in zip(fit_lanes(gts, cams, starts), alone, strict=True):
+        got_lanes = fit_lanes(LaneTargets.stack(gts, cams), starts)
+        for got, want in zip(got_lanes, alone, strict=True):
             assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(want.lane))
             assert (got.iterations, got.terms) == (want.iterations, want.terms)
 
@@ -248,7 +250,7 @@ def test_fit_lanes_nan_names_the_lane_and_its_own_iteration(monkeypatch):
     monkeypatch.setattr(fitting, "ACTIVE_LANES", 3)
     monkeypatch.setattr(fitting, "lane_losses", nan_in_lane_5)
     with pytest.raises(NonFiniteError, match="non-finite at iteration 3$") as info:
-        fit_lanes(gts, cams, np.stack([lane_to_vector(i) for i in inits]))
+        fit_lanes(LaneTargets.stack(gts, cams), np.stack([lane_to_vector(i) for i in inits]))
     assert info.value.lane == 5
     assert seen == [3, 3, 3, 3]
 
@@ -257,8 +259,10 @@ def test_fit_lanes_2d_shuffled_block_gives_the_same_lanes():
     gts, cams, inits = _mixed_block()
     order = np.random.default_rng(3).permutation(len(gts))
     starts = np.stack([lane_to_vector(i) for i in inits])
-    block = fit_lanes(gts, cams, starts)
-    shuffled = fit_lanes([gts[i] for i in order], [cams[i] for i in order], starts[order])
+    block = fit_lanes(LaneTargets.stack(gts, cams), starts)
+    shuffled = fit_lanes(
+        LaneTargets.stack([gts[i] for i in order], [cams[i] for i in order]), starts[order]
+    )
     for j, i in enumerate(order):
         assert np.array_equal(lane_to_vector(shuffled[j].lane), lane_to_vector(block[i].lane))
         assert shuffled[j].terms == block[i].terms
@@ -282,7 +286,8 @@ def test_fit_lanes_with_labels_block_equals_each_lane_alone(monkeypatch):
     gts, cams, starts, labels = _labelled_block()
     monkeypatch.setattr(fitting, "MAX_ITERS", 80)
     monkeypatch.setattr(fitting, "PLATEAU_PATIENCE", 20)
-    block = fit_lanes(gts, cams, np.stack([lane_to_vector(s) for s in starts]), labels3d=labels)
+    targets = LaneTargets.stack(gts, cams, labels)
+    block = fit_lanes(targets, np.stack([lane_to_vector(s) for s in starts]))
     for gt, cam, gt3, got in zip(gts, cams, labels, block[:-1]):
         alone = fit_lane_3d(gt3, gt, cam)
         assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(alone.lane))
@@ -299,10 +304,10 @@ def test_fit_lanes_with_labels_block_equals_each_lane_alone(monkeypatch):
 
     order = np.random.default_rng(3).permutation(len(gts))
     shuffled = fit_lanes(
-        [gts[i] for i in order],
-        [cams[i] for i in order],
+        LaneTargets.stack(
+            [gts[i] for i in order], [cams[i] for i in order], [labels[i] for i in order]
+        ),
         np.stack([lane_to_vector(starts[i]) for i in order]),
-        labels3d=[labels[i] for i in order],
     )
     for j, i in enumerate(order):
         assert np.array_equal(lane_to_vector(shuffled[j].lane), lane_to_vector(block[i].lane))
@@ -312,21 +317,21 @@ def test_fit_lanes_with_labels_block_equals_each_lane_alone(monkeypatch):
 def test_fit_lanes_2d_checks_its_stack(k, image):
     gts, cams, lanes = _mixed_block()
     inits = np.stack([lane_to_vector(i) for i in lanes])
-    assert fit_lanes([], [], []) == []
+    assert fit_lanes(LaneTargets.stack([], []), []) == []
     with pytest.raises(DimensionMismatchError):
-        fit_lanes(gts, cams, inits[:-1])
+        fit_lanes(LaneTargets.stack(gts, cams), inits[:-1])
     with pytest.raises(DimensionMismatchError):
-        fit_lanes(gts, cams[:-1], inits)
+        fit_lanes(LaneTargets.stack(gts, cams[:-1]), inits)
     with pytest.raises(DimensionMismatchError):
-        fit_lanes(gts[:2], cams[:2], inits[:2, :7])  # one height keypoint each
+        fit_lanes(LaneTargets.stack(gts[:2], cams[:2]), inits[:2, :7])  # one height keypoint each
     other_grid = resample_lane(project_lane(k, lanes[0], 72), ImageSpec(800, 300))
     with pytest.raises(GridMismatchError):
-        fit_lanes([gts[0], other_grid], [k, k], inits[:2])
+        fit_lanes(LaneTargets.stack([gts[0], other_grid], [k, k]), inits[:2])
     labels = _labelled_block()[3]
     with pytest.raises(DimensionMismatchError):
-        fit_lanes(gts, cams, inits, labels3d=labels[:-1])
+        fit_lanes(LaneTargets.stack(gts, cams, labels[:-1]), inits)
     with pytest.raises(DimensionMismatchError):
-        fit_lanes(gts[:1], cams[:1], inits[:1], labels3d=[labels[0][:, :2]])
+        fit_lanes(LaneTargets.stack(gts[:1], cams[:1], [labels[0][:, :2]]), inits[:1])
 
 
 def test_fit_config_rejects_bad_keypoints():
