@@ -42,15 +42,23 @@ def first_crossings_batch(v: np.ndarray, rows: np.ndarray):
     first_segments_batch and crossing_fraction give them. t is defined
     only where found: it is computed there alone and reads 0 elsewhere.
     """
+    found, seg, _at, t_found = _crossed_cells(v, rows)
+    t = np.zeros(found.shape)
+    t[found] = t_found
+    return found, seg, t
+
+
+def _crossed_cells(v: np.ndarray, rows: np.ndarray):
+    """first_segments_batch's (found, seg), then per found cell, in row-major
+    order, the flat index in v of its segment's first point and its
+    crossing fraction."""
     v = np.asarray(v, dtype=float)
     rows = np.asarray(rows, dtype=float)
     found, seg = first_segments_batch(v, rows)
     lane, row = np.nonzero(found)
     at = lane * v.shape[1] + seg[lane, row]
     va = v.ravel()[at]
-    t = np.zeros(found.shape)
-    t[lane, row] = crossing_fraction(rows[row], va, v.ravel()[at + 1] - va)
-    return found, seg, t
+    return found, seg, at, crossing_fraction(rows[row], va, v.ravel()[at + 1] - va)
 
 
 def first_segments_batch(v: np.ndarray, rows: np.ndarray):
@@ -68,19 +76,29 @@ def first_segments_batch(v: np.ndarray, rows: np.ndarray):
     n_lanes, n_seg = v.shape[0], v.shape[1] - 1
     va, vb = v[:, :-1], v[:, 1:]
     lo = np.minimum(va, vb).ravel()
-    hi = np.maximum(va, vb).ravel()
     first = np.searchsorted(sorted_rows, lo, side="left")
-    stop = np.searchsorted(sorted_rows, hi, side="right")
-    counts = np.where(lo <= hi, stop - first, 0)  # NaN rows cover nothing
+    counts = np.searchsorted(sorted_rows, np.maximum(va, vb).ravel(), side="right")
+    counts -= first
+    counts[np.isnan(lo)] = 0  # NaN rows cover nothing
+    del lo
+    # Only segments that cover a row are expanded; covering holds their
+    # flat (lane, segment) indices in ascending order.
+    covering = np.flatnonzero(counts)
+    first, counts = first[covering], counts[covering]
 
     # One entry per (segment, covered row): its flat (lane, row) cell. The
     # k-th entry of a segment whose entries start at index e holds sorted
     # row first + k, so entry i holds sorted row i + first - e.
-    entry = np.arange(counts.sum()) + np.repeat(first - (np.cumsum(counts) - counts), counts)
-    lane_start = np.repeat(np.arange(n_lanes) * rows.size, n_seg)
-    cell = np.repeat(lane_start, counts) + order[entry]
+    entry = np.repeat(first - (np.cumsum(counts) - counts), counts)
+    del first
+    entry += np.arange(entry.size)
+    cell = order[entry]
+    del entry
+    lane, segment = np.divmod(covering, n_seg)
+    cell += np.repeat(lane * rows.size, counts)
+    del lane
     seg = np.full(n_lanes * rows.size, n_seg)
-    np.minimum.at(seg, cell, np.repeat(np.tile(np.arange(n_seg), n_lanes), counts))
+    np.minimum.at(seg, cell, np.repeat(segment, counts))
     seg = seg.reshape(n_lanes, rows.size)
     found = seg < n_seg
     seg[~found] = 0
@@ -132,7 +150,8 @@ def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
     the projection so a row is crossed several times, the crossing
     nearest the lane's near end is used. Rows a lane does not cover read
     NaN. Lanes with fewer points are padded with NaN rows, which no row
-    crosses, so one first_crossings_batch call serves them all.
+    crosses, so one first_segments_batch call serves them all. Only the
+    covered cells are interpolated.
     """
     rows = np.asarray(rows, dtype=float)
     if not lanes:
@@ -143,10 +162,10 @@ def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
     for n, lane in enumerate(lanes):
         v[n, : len(lane)] = lane.v
         u[n, : len(lane)] = lane.u
-    found, seg, t = first_crossings_batch(v, rows)
-    u_a = np.take_along_axis(u, seg, axis=1)
-    u_b = np.take_along_axis(u, seg + 1, axis=1)
-    return np.where(found, (1.0 - t) * u_a + t * u_b, np.nan)
+    found, _seg, at, t = _crossed_cells(v, rows)
+    out = np.full(found.shape, np.nan)
+    out[found] = (1.0 - t) * u.ravel()[at] + t * u.ravel()[at + 1]
+    return out
 
 
 def resample_lane(lane: Lane2D, image: ImageSpec) -> ResampledLane2D:

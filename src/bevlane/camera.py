@@ -99,12 +99,29 @@ def project_points(k: CameraIntrinsics, points: np.ndarray) -> np.ndarray:
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValidationError(f"expected (m, 3) points, got {points.shape}")
-    z = points[:, 2]
+    return _project(k.fx, k.fy, k.ox, k.oy, points)
+
+
+def project_stack(cameras: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """project_points of an (L, m, 3) stack, lane i through cameras[i] = [fx, fy, ox, oy].
+
+    Returns the (L, m, 2) array of [u, v]; each lane's numbers depend only
+    on its own points and camera.
+    """
+    fx, fy, ox, oy = np.asarray(cameras, dtype=float).T[:, :, None]
+    return _project(fx, fy, ox, oy, np.asarray(points, dtype=float))
+
+
+def _project(fx, fy, ox, oy, points: np.ndarray) -> np.ndarray:
+    """[u, v] of [x, y, z] points (..., 3), with intrinsics that broadcast
+    against points[..., 0]."""
+    z = points[..., 2]
     if np.any(z <= 0.0):
         raise DomainError("cannot project points with z <= 0")
-    u = k.fx * points[:, 0] / z + k.ox
-    v = k.fy * points[:, 1] / z + k.oy
-    return np.column_stack([u, v])
+    uv = np.empty(points.shape[:-1] + (2,))
+    uv[..., 0] = fx * points[..., 0] / z + ox
+    uv[..., 1] = fy * points[..., 1] / z + oy
+    return uv
 
 
 def project_lane(k: CameraIntrinsics, lane: Lane3D, count: int = DEFAULT_SAMPLE_COUNT) -> Lane2D:

@@ -24,14 +24,14 @@ from .assignment import (
     resample_lanes,
     row_grid,
 )
-from .camera import Lane2D, project_lane, project_points
+from .camera import Lane2D, project_lane, project_stack
 from .errors import (
     LaneError,
     NonFiniteError,
     SchemaError,
     VersionError,
 )
-from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT, sample_lane
+from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT, sample_lanes
 from .losses import LaneTargets
 
 
@@ -72,6 +72,10 @@ def _cmd_fit(opts) -> int:
         raise SchemaError("--keypoints does not apply to --mode baseline")
     cfg = fitting.FitConfig(order=opts.order, **keypoints)
     frames = io_formats.read_dataset(opts.dataset)
+    if opts.mode != "baseline":
+        u_blocks = _resample_by_height(
+            [frame.lanes2d for frame in frames], [frame.image for frame in frames]
+        )
 
     # Per frame, in baseline mode each fitted (lane, max residual), and in
     # 3d and 2d mode the stack index of each lane that covers an image
@@ -82,7 +86,7 @@ def _cmd_fit(opts) -> int:
     where, points, u_rows, v_ends, cameras, heights = [], [], [], [], [], []
     grids = {}
     skipped = 0
-    for frame in frames:
+    for n, frame in enumerate(frames):
         if opts.mode == "3d" and len(frame.lanes3d) != len(frame.lanes2d):
             raise SchemaError(f"frame {frame.frame_id} has no lanes3d labels; use --mode 2d")
         if opts.mode == "baseline":
@@ -94,8 +98,8 @@ def _cmd_fit(opts) -> int:
                 lanes.append((Lane2D(np.column_stack([u, v])), fit.max_residual))
             fitted_lanes.append(lanes)
             continue
-        rows = grids.setdefault(frame.image.height, row_grid(frame.image))
-        u_values = resample_lanes(frame.lanes2d, rows)
+        grids.setdefault(frame.image.height, row_grid(frame.image))
+        u_values = u_blocks[n]
         kept = np.flatnonzero(~np.isnan(u_values).all(axis=1))
         skipped += len(frame.lanes2d) - kept.size
         fitted_lanes.append(range(len(where), len(where) + kept.size))
@@ -156,6 +160,26 @@ def _cmd_fit(opts) -> int:
     return 0
 
 
+def _resample_by_height(lanes, images):
+    """Per frame i, resample_lanes(lanes[i], row_grid(images[i])), as a slice
+    of one resample_lanes call over the lanes of every frame of its image
+    height.
+
+    Each lane is resampled on its own, so a slice reads as its frame
+    would alone.
+    """
+    blocks = [None] * len(lanes)
+    for height in dict.fromkeys(image.height for image in images):
+        members = [i for i, image in enumerate(images) if image.height == height]
+        rows = row_grid(images[members[0]])
+        u_values = resample_lanes([lane for i in members for lane in lanes[i]], rows)
+        start = 0
+        for i in members:
+            blocks[i] = u_values[start : start + len(lanes[i])]
+            start += len(lanes[i])
+    return blocks
+
+
 def _naming_lanes(where, call, *args):
     """call(*args), with a LaneError about lane i of its stack re-raised
     with where[i], a (frame id, lane index) pair, named first."""
@@ -173,6 +197,7 @@ def _cmd_eval(opts) -> int:
     preds = io_formats.read_predictions(opts.pred)
     io_formats.validate_predictions(preds, frames)
     by_id = {p.frame_id: p for p in preds}
+    preds = [by_id.get(f.frame_id, io_formats.PredictionFrame(frame_id=f.frame_id)) for f in frames]
 
     cfg = metrics.EvalConfig(lane_width=opts.lane_width, tusimple_pixel_tol=opts.tusimple_tol)
     totals = {t: [0, 0, 0] for t in cfg.iou_thresholds}
@@ -181,38 +206,45 @@ def _cmd_eval(opts) -> int:
     n_pred_lanes = 0
     n_gt_lanes = 0
 
-    for frame in frames:
-        pred = by_id.get(frame.frame_id, io_formats.PredictionFrame(frame_id=frame.frame_id))
-        # Each predicted 3D lane is sampled once: its projection and its
-        # curve distance read the same points. A curve that overflows
-        # gives inf or NaN samples, which Lane2D and cd_error_per_pair
-        # refuse.
-        with np.errstate(over="ignore", invalid="ignore"):
-            samples = [sample_lane(lane, opts.sample_count) for lane in pred.lanes3d]
-            if pred.lanes2d:
-                pred2d = list(pred.lanes2d)
-            else:
-                pred2d = [Lane2D(project_points(frame.intrinsics, points)) for points in samples]
+    # Every predicted 3D lane of the dataset is sampled once, in one pass,
+    # and projected through its own frame's camera: its projection and its
+    # curve distance read the same points. A curve that overflows gives
+    # inf or NaN samples, which Lane2D and cd_error_per_pair refuse, so a
+    # lane that overflows in any frame is refused before any frame is
+    # scored.
+    n_lanes3d = [len(p.lanes3d) for p in preds]
+    splits = np.cumsum(n_lanes3d)[:-1]
+    cameras = [[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.ox, f.intrinsics.oy] for f in frames]
+    cameras = np.repeat(np.reshape(cameras, (-1, 4)), n_lanes3d, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = sample_lanes([lane for p in preds for lane in p.lanes3d], opts.sample_count)
+        projected = project_stack(cameras, samples)
+    samples = np.split(samples, splits)
+    pred2d = [
+        list(p.lanes2d) if p.lanes2d else [Lane2D(points) for points in uv]
+        for p, uv in zip(preds, np.split(projected, splits))
+    ]
+
+    # Matching reads every image row and row-anchor accuracy every
+    # tusimple_row_step-th row from mid-image down. Each side's lanes are
+    # resampled once per image height, on every row of that height.
+    images = [frame.image for frame in frames]
+    pred_blocks = _resample_by_height(pred2d, images)
+    gt_blocks = _resample_by_height([frame.lanes2d for frame in frames], images)
+
+    per_frame = zip(frames, preds, pred2d, samples, pred_blocks, gt_blocks)
+    for frame, pred, lanes, points, pred_u, gt_u in per_frame:
         gts2d = list(frame.lanes2d)
-        n_pred_lanes += len(pred2d)
+        n_pred_lanes += len(lanes)
         n_gt_lanes += len(gts2d)
 
-        for t, (tp, fp, fn) in metrics.f1_counts(pred2d, gts2d, frame.image, cfg).items():
+        for t, (tp, fp, fn) in metrics.f1_counts(lanes, gts2d, frame.image, cfg).items():
             totals[t][0] += tp
             totals[t][1] += fp
             totals[t][2] += fn
 
-        # Both stacks are read once per frame: matching uses every image
-        # row and row-anchor accuracy every tusimple_row_step-th row from
-        # mid-image down, so without matching only those rows are read.
-        # Each row is resampled on its own, so a subset of the grid reads
-        # the same as resampling at that subset.
-        matched = bool(pred.lanes3d and frame.lanes3d)
-        anchors = slice(frame.image.height // 2, None, opts.tusimple_row_step)
         grid = row_grid(frame.image)
-        if not matched:
-            grid, anchors = grid[anchors], slice(None)
-        pred_u, gt_u = resample_lanes(pred2d, grid), resample_lanes(gts2d, grid)
+        anchors = slice(frame.image.height // 2, None, opts.tusimple_row_step)
         ts = metrics.tusimple_accuracy(pred_u[:, anchors], gt_u[:, anchors], grid[anchors], cfg)
         ts_correct += ts.correct_points
         ts_points += ts.gt_points
@@ -220,13 +252,13 @@ def _cmd_eval(opts) -> int:
         ts_pred += ts.pred_lanes
         ts_gt += ts.gt_lanes
 
-        if matched:
+        if pred.lanes3d and frame.lanes3d:
             costs = cost_matrix(pred_u, gt_u, grid)
             match = hungarian_assign(costs, match_threshold=opts.match_threshold)
             pairs = [(i, j) for i, j, _ in match.pairs]
             if pairs:
                 try:
-                    cd_values.extend(metrics.cd_error_per_pair(samples, frame.lanes3d, pairs))
+                    cd_values.extend(metrics.cd_error_per_pair(points, frame.lanes3d, pairs))
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"frame {frame.frame_id}: {exc}") from exc
 

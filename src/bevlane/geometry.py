@@ -125,12 +125,29 @@ def sample_lane(lane: Lane3D, count: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
     Samples are uniform in z over the lane's span, so consecutive points
     strictly increase in z.
     """
+    return sample_lanes([lane], count)[0]
+
+
+def sample_lanes(lanes: list[Lane3D], count: int = DEFAULT_SAMPLE_COUNT) -> np.ndarray:
+    """sample_lane of every lane, as one (len(lanes), count, 3) array.
+
+    Each lane's samples use only its own numbers, with the same
+    elementwise operations as BevCurve.x_at and HeightProfile.y_at, so
+    they do not depend on the rest of the stack.
+    """
     if not 2 <= count <= MAX_SAMPLE_COUNT:
         raise ValidationError(f"sample count must be in [2, {MAX_SAMPLE_COUNT}], got {count}")
-    z = np.linspace(lane.z_min, lane.z_max, count)
-    x = lane.curve.x_at(z)
-    y = lane.profile.y_at(z)
-    return np.column_stack([x, y, z])
+    out = np.empty((len(lanes), count, 3))
+    if not lanes:
+        return out
+    curves = np.array([lane.curve.coefficients() for lane in lanes])
+    spans = np.array([[lane.z_min, lane.z_max] for lane in lanes])
+    z = np.linspace(spans[:, 0], spans[:, 1], count, axis=1)
+    out[:, :, 0] = polyval(z, curves.T[..., None], tensor=False)
+    for i, lane in enumerate(lanes):
+        out[i, :, 1] = lane.profile.y_at(z[i])
+    out[:, :, 2] = z
+    return out
 
 
 # A lane's free parameters as one flat vector, used by losses and fitting:

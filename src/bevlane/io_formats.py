@@ -50,6 +50,8 @@ SCHEMA_VERSION = "1"
 # The point cache's name suffix and layout version.
 _CACHE_SUFFIX = ".pts"
 _CACHE_VERSION = "1"
+# read_dataset hashes the dataset file in blocks of this many bytes.
+_HASH_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,16 @@ def _sha256(chunks) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write(path: str, chunks) -> str:
-    """Write byte chunks through a temp file and an atomic replace; their sha256."""
-    digest = hashlib.sha256()
+def _atomic_write(path: str, chunks, digest=None) -> None:
+    """Write byte chunks through a temp file and an atomic replace, each
+    chunk also fed to digest (a hashlib object) when one is given."""
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         for chunk in chunks:
-            digest.update(chunk)
+            if digest is not None:
+                digest.update(chunk)
             f.write(chunk)
     os.replace(tmp, path)
-    return digest.hexdigest()
 
 
 def _dump(obj) -> str:
@@ -181,6 +183,17 @@ def _text(data: bytes, path: str) -> str:
 
 def _read_text(path: str) -> str:
     return _text(_read_bytes(path), path)
+
+
+def _sha256_and_head(path: str) -> tuple[str, bytes]:
+    """The file's sha256, read in blocks of _HASH_BLOCK bytes, and its first
+    line (its first block, if that holds no newline)."""
+    with open(path, "rb") as f:
+        head = f.readline(_HASH_BLOCK)
+        digest = hashlib.sha256(head)
+        while block := f.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.hexdigest(), head
 
 
 def _parse_object(text: str, where: str, kind: str | None = None) -> dict:
@@ -350,14 +363,17 @@ def write_dataset(frames: list[FrameRecord], path: str) -> None:
         record["lanes2d"] = [list(p.shape) for p in lanes2d]
         shapes.append(record)
         points += lanes3d + lanes2d
-    dataset_sha256 = _atomic_write(path, (line.encode("utf-8") + b"\n" for line in lines))
+    dataset_sha256 = hashlib.sha256()
+    _atomic_write(path, (line.encode("utf-8") + b"\n" for line in lines), dataset_sha256)
     body = [_dump(shapes).encode("ascii") + b"\n"]
     body += [np.ascontiguousarray(p, dtype="<f8") for p in points]
-    _atomic_write(path + _CACHE_SUFFIX, [_cache_head(dataset_sha256, _sha256(body)), *body])
+    head = _cache_head(dataset_sha256.hexdigest(), _sha256(body))
+    _atomic_write(path + _CACHE_SUFFIX, [head, *body])
 
 
-def _cached_records(path: str, data: bytes) -> list | None:
-    """(line number, object) per record from the point cache, or None if it does not vouch for data.
+def _cached_records(path: str, dataset_sha256: str) -> list | None:
+    """(line number, object) per record from the point cache, or None if it
+    does not vouch for the dataset bytes whose sha256 is dataset_sha256.
 
     Each object is the record as the JSON decoder gives it, with every
     point list as a read-only float64 array view of the cache.
@@ -369,8 +385,7 @@ def _cached_records(path: str, data: bytes) -> list | None:
     body = cache.find(b"\n") + 1
     if not body:
         return None
-    digests = hashlib.sha256(data).hexdigest(), _sha256([memoryview(cache)[body:]])
-    if cache[:body] != _cache_head(*digests):
+    if cache[:body] != _cache_head(dataset_sha256, _sha256([memoryview(cache)[body:]])):
         return None
     # Matching digests vouch for the bytes, not for the writer: a body of
     # another layout is a miss too.
@@ -433,15 +448,18 @@ def _frame(obj: dict, where: str) -> FrameRecord:
 
 
 def read_dataset(path: str) -> list[FrameRecord]:
-    """The dataset's frames, from its point cache when that matches the file's bytes."""
-    data = _read_bytes(path)
-    records = _cached_records(path, data)
+    """The dataset's frames, from its point cache when that matches the file's bytes.
+
+    The file is hashed block by block; its whole text is held only when
+    the cache does not vouch for it.
+    """
+    dataset_sha256, head = _sha256_and_head(path)
+    records = _cached_records(path, dataset_sha256)
     if records is None:
-        records = _records(_text(data, path), path, "dataset")
+        records = _records(_read_text(path), path, "dataset")
     else:
         # The cache vouches for bytes write_dataset wrote, whose first line is the header.
-        _parse_object(data[: data.index(b"\n")].decode("ascii"), f"{path}:1", "dataset")
-    del data  # what the frames need is in records; the file's bytes can go
+        _parse_object(head[: head.index(b"\n")].decode("ascii"), f"{path}:1", "dataset")
     return [_frame(obj, f"{path}:{line_no}") for line_no, obj in records]
 
 

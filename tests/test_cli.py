@@ -15,7 +15,7 @@ import pytest
 
 from bevlane import fitting
 from bevlane.anchors import MAX_ANCHORS
-from bevlane.assignment import resample_lane
+from bevlane.assignment import match_lanes, resample_lane
 from bevlane.camera import project_lane
 from bevlane.cli import build_parser, main
 from bevlane.datagen import MAX_FRAMES_PER_SPEC, bump_scene, generate_frame
@@ -26,6 +26,8 @@ from bevlane.io_formats import (
     read_dataset,
     read_predictions,
     read_report,
+    write_dataset,
+    write_predictions,
 )
 
 try:
@@ -316,6 +318,83 @@ class TestEval:
 
     def test_missing_args_exit_2(self, flat_dataset, tmp_path):
         assert main(["eval", "--dataset", flat_dataset]) == 2
+
+    @pytest.mark.parametrize("mode", ["3d", "2d", "baseline"])
+    def test_two_image_heights_fit_and_score_as_each_frame_alone(self, tmp_path, mode):
+        # frames alternate between 300 and 320 rows, so each height's lanes
+        # are resampled in one stack that the other height's frames
+        # interleave; jitter makes every frame's lanes differ
+        scenes = [{"preset": "bump", "image": {"width": 800, "height": 300}}, {"preset": "slope"}]
+        jitter = {
+            "curve_delta": [0.0, 0.0005, 0.02, 0.5],
+            "amplitude_delta": 0.05,
+            "grade_delta": 0.01,
+        }
+        spec = write_json(tmp_path / "spec.json", {"scenes": scenes, "jitter": jitter})
+        generated = str(tmp_path / "generated.jsonl")
+        assert main(["generate", "--spec", spec, "--frames", "3", "--out", generated]) == 0
+        by_height = {300: [], 320: []}
+        for frame in read_dataset(generated):
+            by_height[frame.image.height].append(frame)
+        frames = [frame for pair in zip(by_height[300], by_height[320]) for frame in pair]
+        assert [frame.image.height for frame in frames] == [300, 320] * 3
+        # the 300-row frames' lanes reach rows that only the 320-row grid has
+        assert all(lane.v.max() > 320 for frame in frames for lane in frame.lanes2d)
+        dataset, preds = str(tmp_path / "d.jsonl"), str(tmp_path / "p.jsonl")
+        write_dataset(frames, dataset)
+        assert main(["fit", "--dataset", dataset, "--mode", mode, "--out", preds]) == 0
+
+        def report(dataset, preds):
+            out = str(tmp_path / "r.json")
+            assert _run(["eval", "--dataset", dataset, "--pred", preds, "--out", out])[0] == 0
+            return read_report(out)
+
+        whole = report(dataset, preds)
+        alone, pairs = [], []
+        for frame, pred in zip(frames, read_predictions(preds), strict=True):
+            one_dataset, one_preds = str(tmp_path / "d1.jsonl"), str(tmp_path / "p1.jsonl")
+            write_dataset([frame], one_dataset)
+            # fit resamples each height's lanes in one stack too
+            argv = ["fit", "--dataset", one_dataset, "--mode", mode, "--out", one_preds]
+            assert _run(argv)[0] == 0
+            assert read_predictions(one_preds) == [pred]
+            write_predictions([pred], one_preds)
+            alone.append(report(one_dataset, one_preds))
+            lanes = list(pred.lanes2d) or [project_lane(frame.intrinsics, l) for l in pred.lanes3d]
+            pairs.append(len(match_lanes(lanes, list(frame.lanes2d), frame.image).pairs))
+        for key, counts in whole["f1"].items():
+            for name in ("tp", "fp", "fn"):
+                assert counts[name] == sum(r["f1"][key][name] for r in alone)
+        for name in ("correct_points", "gt_points"):
+            assert whole["tusimple"][name] == sum(r["tusimple"][name] for r in alone)
+        if mode == "baseline":
+            assert whole["cd_error"] is None
+        else:
+            # the mean over every matched pair, from each frame's mean over its own
+            assert [r["cd_error"] is None for r in alone] == [n == 0 for n in pairs]
+            want = sum(r["cd_error"] * n for r, n in zip(alone, pairs) if n) / sum(pairs)
+            assert whole["cd_error"] == pytest.approx(want, rel=1e-12)
+
+    def test_an_overflowing_lane_in_a_later_frame_is_refused_first(self, flat_dataset, tmp_path):
+        # every predicted lane is sampled and projected before any frame is
+        # scored, so a lane that overflows in frame 1 exits 2 before frame
+        # 0's curve distance can overflow (exit 3)
+        preds = str(tmp_path / "preds.jsonl")
+        assert _run(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds])[0] == 0
+        dataset = _edit_first_record(flat_dataset, tmp_path / "d.jsonl", _far_label_point)
+        lines = open(preds).read().splitlines()
+        assert len(lines) == 3
+        record = json.loads(lines[2])
+        record["lanes3d"][0]["curve"]["a"] = 1e306
+        edited = tmp_path / "p.jsonl"
+        edited.write_text("\n".join([*lines[:2], json.dumps(record)]) + "\n")
+
+        def run(pred):
+            out = str(tmp_path / "r.json")
+            return _run(["eval", "--dataset", dataset, "--pred", pred, "--out", out])
+
+        assert run(str(edited)) == (2, "error: lane points must be finite\n")
+        assert run(preds)[0] == 3  # frame 0's curve distance alone
 
     def test_unequal_lanes3d_and_lanes2d_exit_2(self, flat_dataset, tmp_path):
         # a projected record that lost one lanes3d entry: matching would

@@ -12,9 +12,16 @@ import numpy as np
 import pytest
 
 from bevlane.assignment import cost_matrix, hungarian_assign, match_lanes, resample_lanes, row_grid
-from bevlane.camera import project_lane
+from bevlane.camera import project_lane, project_points, project_stack
 from bevlane.cli import main
-from bevlane.geometry import sample_lane
+from bevlane.geometry import (
+    MAX_SAMPLE_COUNT,
+    BevCurve,
+    HeightProfile,
+    Lane3D,
+    sample_lane,
+    sample_lanes,
+)
 from bevlane.io_formats import read_dataset, read_predictions, read_report
 from bevlane.metrics import (
     EvalConfig,
@@ -101,11 +108,11 @@ def test_rasterize_and_iou_match_dense_oracle_on_real_frames(mixed_set, tag):
 @pytest.mark.parametrize("step", [1, 7, 10, 400])
 @pytest.mark.parametrize("mode", ["3d", "2d", "baseline"])
 def test_shared_row_resample_equals_per_call_resampling(mixed_set, tmp_path, mode, step):
-    # eval reads each frame's lane stacks once, on the image row grid or,
-    # with no matching to follow (baseline predictions hold no lanes3d),
-    # on the row anchors alone; matching, row-anchor accuracy and so the
-    # report must equal what resampling per call, at each call's own rows,
-    # gives
+    # eval resamples each side's lanes once per image height, on every
+    # image row, and reads the row anchors from there, with or without
+    # matching to follow (baseline predictions hold no lanes3d); matching,
+    # row-anchor accuracy and so the report must equal what resampling
+    # per call, at each call's own rows, gives
     paths, frames, preds = mixed_set
     preds = preds[mode]
     assert any(folded(g) for f in frames for g in f.lanes2d)
@@ -148,3 +155,42 @@ def test_shared_row_resample_equals_per_call_resampling(mixed_set, tmp_path, mod
         "gt_points": points,
     }
     assert report["cd_error"] == (float(np.mean(cd_values)) if cd_values else None)
+
+
+def _sampled_alone(lane, count):
+    """One lane's samples through BevCurve.x_at and HeightProfile.y_at."""
+    z = np.linspace(lane.z_min, lane.z_max, count)
+    return np.column_stack([lane.curve.x_at(z), lane.profile.y_at(z), z])
+
+
+@pytest.mark.parametrize("count", [2, MAX_SAMPLE_COUNT])
+def test_sample_lanes_and_their_projection_equal_each_lane_alone(mixed_set, tmp_path, count):
+    # eval samples and projects every predicted lane of the dataset in one
+    # stack; each lane must read exactly as it does alone
+    paths, frames, preds = mixed_set
+    order2 = str(tmp_path / "order2.jsonl")
+    argv = ["fit", "--dataset", paths["dataset"], "--mode", "3d", "--order", "2", "--out", order2]
+    assert main(argv) == 0
+    by_id = {p.frame_id: p for p in read_predictions(order2)}
+    lanes, cameras = [], []
+    for frame_preds in (preds["3d"], preds["2d"], [by_id[f.frame_id] for f in frames]):
+        for frame, pred in zip(frames, frame_preds):
+            lanes += pred.lanes3d
+            cameras += [frame.intrinsics] * len(pred.lanes3d)
+    assert sum(lane.curve.a == 0.0 for lane in lanes) >= len(frames) * 4  # the order-2 fits
+    # a lane spanning kilometres, every curve coefficient nonzero
+    profile = HeightProfile((1.5, 0.9, -4.0, 12.0), z_min=3.0, z_max=4500.0)
+    lanes.append(Lane3D(BevCurve(2e-9, -3e-6, 0.02, 1.75), profile))
+    cameras.append(frames[0].intrinsics)
+
+    got = sample_lanes(lanes, count)
+    assert got.shape == (len(lanes), count, 3)
+    projected = project_stack([[k.fx, k.fy, k.ox, k.oy] for k in cameras], got)
+    assert projected.shape == (len(lanes), count, 2)
+    for lane, k, points, uv in zip(lanes, cameras, got, projected):
+        want = _sampled_alone(lane, count)
+        assert np.array_equal(points, want)
+        assert np.array_equal(sample_lane(lane, count), want)
+        x, y, z = want.T
+        assert np.array_equal(uv, np.column_stack([k.fx * x / z + k.ox, k.fy * y / z + k.oy]))
+        assert np.array_equal(project_points(k, want), uv)

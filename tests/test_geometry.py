@@ -3,12 +3,14 @@ import pytest
 
 from bevlane.errors import ValidationError
 from bevlane.geometry import (
+    MAX_SAMPLE_COUNT,
     BevCurve,
     HeightProfile,
     Lane3D,
     lane_from_vector,
     lane_to_vector,
     sample_lane,
+    sample_lanes,
 )
 
 try:
@@ -121,6 +123,16 @@ def test_sample_z_strictly_increasing_and_exact_ends():
     z = pts[:, 2]
     assert z[0] == 3.0 and z[-1] == 71.0
     assert np.all(np.diff(z) > 0)
+
+
+def test_sample_lanes_of_no_lane_and_bad_counts():
+    assert sample_lanes([], 5).shape == (0, 5, 3)
+    lane = make_lane()
+    for count in (1, MAX_SAMPLE_COUNT + 1):
+        with pytest.raises(ValidationError, match="sample count"):
+            sample_lanes([lane], count)
+        with pytest.raises(ValidationError, match="sample count"):
+            sample_lane(lane, count)
 
 
 def test_vector_round_trip():

@@ -320,6 +320,31 @@ class TestPointCache:
         read_without_cache(path)
         assert len(decodes) == len(mixed_frames) + 1
 
+    @pytest.mark.parametrize("block", [64, 1 << 20])
+    def test_cache_hit_never_reads_the_dataset_whole(
+        self, mixed_frames, tmp_path, monkeypatch, block
+    ):
+        # the dataset is hashed block by block; only a miss reads its text
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(mixed_frames, path)
+        data = open(path, "rb").read()
+        assert data.index(b"\n") < 64 < len(data)  # the header fits the head of either size
+        read = []
+        real = io_formats._read_bytes
+
+        def recording(name):
+            read.append(name)
+            return real(name)
+
+        monkeypatch.setattr(io_formats, "_read_bytes", recording)
+        monkeypatch.setattr(io_formats, "_HASH_BLOCK", block)
+        assert io_formats._sha256_and_head(path)[0] == hashlib.sha256(data).hexdigest()
+        got = read_dataset(path)
+        assert read == [path + ".pts"]
+        read.clear()
+        assert_same_frames(got, read_without_cache(path))
+        assert read == [path + ".pts", path]  # the cache, which is away, then the dataset
+
     def test_two_writes_give_identical_bytes(self, mixed_frames, tmp_path):
         paths = [str(tmp_path / f"{name}.jsonl") for name in ("a", "b")]
         for path in paths:
