@@ -1,10 +1,11 @@
-"""Command-line pipeline: generate, fit, eval, anchors, project, render.
+"""Command-line pipeline: generate, fit, eval, anchors, render.
 
 Every flag is declared once, in build_parser. Flags can also come from a
 JSON config file (--config) whose top level maps subcommand names to
 {flag dest: value} sections; config values go through the same parser as
 flags, and explicit command-line values win. Exit codes: 0 success, 2
-usage or schema problems, 3 numerical failure during fitting.
+usage or schema problems, 3 when a computation gives non-finite values
+(a fit's objective, or eval's curve distance).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .assignment import (
     resample_lanes,
     row_grid,
 )
-from .camera import Lane2D, project_lane, project_stack
+from .camera import Lane2D, project_stack
 from .errors import (
     LaneError,
     NonFiniteError,
@@ -206,12 +207,12 @@ def _cmd_eval(opts) -> int:
     n_pred_lanes = 0
     n_gt_lanes = 0
 
-    # Every predicted 3D lane of the dataset is sampled once, in one pass,
-    # and projected through its own frame's camera: its projection and its
-    # curve distance read the same points. A curve that overflows gives
-    # inf or NaN samples, which Lane2D and cd_error_per_pair refuse, so a
-    # lane that overflows in any frame is refused before any frame is
-    # scored.
+    # A record holds 3D or 2D lanes, never both. Every predicted 3D lane of
+    # the dataset is sampled once, in one pass, and projected through its
+    # own frame's camera: its projection and its curve distance read the
+    # same points. A curve that overflows gives inf or NaN samples, which
+    # Lane2D and cd_error_per_pair refuse, so a lane that overflows in any
+    # frame is refused before any frame is scored.
     n_lanes3d = [len(p.lanes3d) for p in preds]
     splits = np.cumsum(n_lanes3d)[:-1]
     cameras = [[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.ox, f.intrinsics.oy] for f in frames]
@@ -221,8 +222,7 @@ def _cmd_eval(opts) -> int:
         projected = project_stack(cameras, samples)
     samples = np.split(samples, splits)
     pred2d = [
-        list(p.lanes2d) if p.lanes2d else [Lane2D(points) for points in uv]
-        for p, uv in zip(preds, np.split(projected, splits))
+        [*p.lanes2d, *map(Lane2D, uv)] for p, uv in zip(preds, np.split(projected, splits))
     ]
 
     # Matching reads every image row and row-anchor accuracy every
@@ -344,27 +344,6 @@ def _cmd_anchors(opts) -> int:
         f"(inertia {anchor_set.inertia:.4g}, restart {anchor_set.chosen_restart}); "
         f"recall@{opts.match_threshold:g}px {recall:.4f}; wrote {opts.out}"
     )
-    return 0
-
-
-def _cmd_project(opts) -> int:
-    frames = io_formats.read_dataset(opts.dataset)
-    preds = io_formats.read_predictions(opts.pred)
-    io_formats.validate_predictions(preds, frames)
-    by_id = {f.frame_id: f for f in frames}
-    out = []
-    n = 0
-    for pred in preds:
-        frame = by_id[pred.frame_id]
-        lanes2d = tuple(project_lane(frame.intrinsics, l, opts.sample_count) for l in pred.lanes3d)
-        n += len(lanes2d)
-        out.append(
-            io_formats.PredictionFrame(
-                frame_id=pred.frame_id, lanes3d=pred.lanes3d, lanes2d=lanes2d
-            )
-        )
-    io_formats.write_predictions(out, opts.out)
-    print(f"projected {n} lanes to {opts.out}")
     return 0
 
 
@@ -497,17 +476,6 @@ def build_parser() -> argparse.ArgumentParser:
             },
             "--seed": {"type": int, "default": 0, "help": "k-means seed"},
             "--match-threshold": {**match_threshold, "help": "recall distance [px]"},
-        },
-    )
-    add(
-        "project",
-        _cmd_project,
-        "project 3D predictions into 2D polylines",
-        {
-            "--dataset": {"required": True, "help": "input dataset (for intrinsics)"},
-            "--pred": {"required": True, "help": "3D predictions file"},
-            "--out": {"required": True, "help": "output predictions with 2D lanes"},
-            "--sample-count": sample_count,
         },
     )
     add(

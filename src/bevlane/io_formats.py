@@ -52,11 +52,23 @@ _CACHE_SUFFIX = ".pts"
 _CACHE_VERSION = "1"
 # read_dataset hashes the dataset file in blocks of this many bytes.
 _HASH_BLOCK = 1 << 20
+# The largest |u| and |v| of a 2D point the readers accept, in pixels.
+# The kernels' highest power of a pixel coordinate is the fourth (fit
+# --mode baseline's degree-4 np.vander on v), and the raster and k-means
+# sum squared differences of two coordinates, up to (2 * MAX_PIXEL) ** 2.
+# Those stay finite below about 1e77, the fourth root of float64's
+# maximum (1.8e308). The raster's work sets a tighter bound: it tests one
+# by one the pixels within metrics._EDGE_BAND (1e-9) of the coordinate
+# magnitude of a capsule's edge, a band about a pixel wide at 1e9. Eval
+# of one frame of zig-zag lanes took 44 MB at 1e9, 443 MB at 1e10 and
+# over 3 GB at 1e11. At 1e9 a fourth power is 1e36 and a squared
+# difference 4e18.
+MAX_PIXEL = 1e9
 
 
 @dataclass(frozen=True)
 class PredictionFrame:
-    """Predicted lanes for one frame; 3D, 2D, or both, one 2D lane per 3D lane."""
+    """Predicted lanes for one frame, 3D or 2D."""
 
     frame_id: int
     lanes3d: tuple[Lane3D, ...] = ()
@@ -242,10 +254,21 @@ def _field(obj: dict, key: str, where: str):
 
 
 def _lanes2d(items, where: str, name: str) -> tuple[Lane2D, ...]:
+    """The 2D lanes of a record, each point's |u| and |v| at most MAX_PIXEL."""
     try:
-        return tuple(Lane2D(_numeric(p, where, name)) for p in items)
+        lanes = tuple(Lane2D(_numeric(p, where, name)) for p in items)
     except (TypeError, ValueError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad {name}: {exc}") from exc
+    if lanes and np.abs(np.concatenate([lane.points for lane in lanes])).max() > MAX_PIXEL:
+        lane, point = next(
+            (i, j) for i, lane in enumerate(lanes) for j, uv in enumerate(lane.points)
+            if np.abs(uv).max() > MAX_PIXEL
+        )
+        raise SchemaError(
+            f"{where}: {name} lane {lane}, point {point}: |u| and |v| must be at most "
+            f"{MAX_PIXEL:g}, got {lanes[lane].points[point].tolist()}"
+        )
+    return lanes
 
 
 def _intrinsics_to_json(k: CameraIntrinsics) -> dict:
@@ -492,9 +515,8 @@ def read_predictions(path: str) -> list[PredictionFrame]:
             )
         except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad prediction record: {exc}") from exc
-        n3, n2 = len(frame.lanes3d), len(frame.lanes2d)
-        if n3 and n2 and n3 != n2:
-            raise SchemaError(f"{where}: {n3} lanes3d for {n2} lanes2d")
+        if frame.lanes3d and frame.lanes2d:
+            raise SchemaError(f"{where}: a record holds lanes3d or lanes2d, not both")
         frames.append(frame)
     return frames
 

@@ -115,7 +115,7 @@ def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float):
     au, av, bu, bv = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
     du, dv = bu - au, bv - av
     seg_len2 = du * du + dv * dv
-    band = _EDGE_BAND * (1.0 + radius + h + w + np.abs(np.hstack([a, b])).max(axis=1))
+    band = _EDGE_BAND * (1.0 + radius + h + w + np.maximum.reduce(np.abs([au, av, bu, bv])))
     outer, inner = radius + band, radius - band
 
     # Chains: a lane's first segment starts one, and so does every segment
@@ -154,8 +154,10 @@ def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float):
     firsts = np.concatenate([first, first2])
     rows = np.repeat(firsts, counts) + _ranks(counts)
 
+    pair_seg = np.repeat(np.concatenate([np.arange(n_segs)] * 2), counts)
+
     def per_pair(*values):
-        return [np.repeat(np.concatenate([value, value]), counts) for value in values]
+        return [value[pair_seg] for value in values]
 
     # The hull per (chain, row) goes into a table holding, chain by chain,
     # the rows the chain's capsules reach; each of them is paired, with

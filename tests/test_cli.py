@@ -396,22 +396,23 @@ class TestEval:
         assert run(str(edited)) == (2, "error: lane points must be finite\n")
         assert run(preds)[0] == 3  # frame 0's curve distance alone
 
-    def test_unequal_lanes3d_and_lanes2d_exit_2(self, flat_dataset, tmp_path):
-        # a projected record that lost one lanes3d entry: matching would
-        # index its 3D samples by 2D lanes
-        preds, projected = str(tmp_path / "preds.jsonl"), str(tmp_path / "projected.jsonl")
+    @pytest.mark.parametrize("command", ["eval", "render"])
+    @pytest.mark.parametrize("n2d", [4, 3])
+    def test_record_with_lanes3d_and_lanes2d_exits_2(self, flat_dataset, tmp_path, command, n2d):
+        # a record holds 3D or 2D lanes: one with both is refused, whether
+        # or not its counts agree
+        preds = str(tmp_path / "preds.jsonl")
         assert main(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds]) == 0
-        argv = ["project", "--dataset", flat_dataset, "--pred", preds, "--out", projected]
-        assert main(argv) == 0
+        lanes2d = [lane.points.tolist() for lane in read_dataset(flat_dataset)[0].lanes2d]
 
-        def drop_one(record):
-            del record["lanes3d"][-1]
+        def add_lanes2d(record):
+            record["lanes2d"] = lanes2d[:n2d]
 
-        edited = _edit_first_record(projected, tmp_path / "edited.jsonl", drop_one)
-        argv = ["eval", "--dataset", flat_dataset, "--pred", edited, "--out", str(tmp_path / "r")]
+        edited = _edit_first_record(preds, tmp_path / "edited.jsonl", add_lanes2d)
+        argv = [command, "--dataset", flat_dataset, "--pred", edited, "--out", str(tmp_path / "r")]
         code, err = _run(argv)
         assert code == 2
-        assert err == f"error: {edited}:2: 3 lanes3d for 4 lanes2d\n"
+        assert err == f"error: {edited}:2: a record holds lanes3d or lanes2d, not both\n"
 
 
 class TestInputContract:
@@ -528,27 +529,6 @@ class TestAnchorsCommand:
         assert code == 2
 
 
-class TestProject:
-    def test_projection_matches_library(self, flat_dataset, tmp_path):
-        preds = str(tmp_path / "preds.jsonl")
-        projected = str(tmp_path / "projected.jsonl")
-        assert main(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds]) == 0
-        assert main([
-            "project", "--dataset", flat_dataset, "--pred", preds,
-            "--out", projected, "--sample-count", "48",
-        ]) == 0
-        frames = read_dataset(flat_dataset)
-        out = read_predictions(projected)
-        for frame, pred in zip(frames, out):
-            assert len(pred.lanes2d) == len(pred.lanes3d) == 4
-            for lane3d, lane2d in zip(pred.lanes3d, pred.lanes2d):
-                want = project_lane(frame.intrinsics, lane3d, 48)
-                np.testing.assert_allclose(lane2d.points, want.points, atol=1e-12)
-
-    def test_requires_pred(self, flat_dataset, tmp_path):
-        assert main(["project", "--dataset", flat_dataset, "--out", "x.jsonl"]) == 2
-
-
 class TestRender:
     def test_render_views(self, flat_dataset, tmp_path):
         for view in ("perspective", "bev", "profile"):
@@ -616,7 +596,6 @@ class TestConfigFile:
             "anchors": {
                 "dataset": flat_dataset, "k": 3, "rows": 20, "seed": 4, "match_threshold": 25.0,
             },
-            "project": {"dataset": flat_dataset, "pred": preds, "sample_count": 48},
             "render": {
                 "dataset": flat_dataset, "pred": preds, "frame": 1, "view": "bev",
                 "sample_count": 40,
@@ -677,7 +656,6 @@ COUNT_FLAGS = [
     ("generate", "--frames", MAX_FRAMES_PER_SPEC),
     ("fit", "--keypoints", MAX_KEYPOINTS),
     ("eval", "--sample-count", MAX_SAMPLE_COUNT),
-    ("project", "--sample-count", MAX_SAMPLE_COUNT),
     ("render", "--sample-count", MAX_SAMPLE_COUNT),
     ("anchors", "--rows", MAX_SAMPLE_COUNT),
     ("anchors", "-k", MAX_ANCHORS),
@@ -694,7 +672,6 @@ def _count_flag_argv(tmp_path, command):
         "generate": ["--spec", "--out"],
         "fit": ["--dataset", "--out"],
         "eval": ["--dataset", "--pred", "--out"],
-        "project": ["--dataset", "--pred", "--out"],
         "render": ["--dataset", "--out"],
         "anchors": ["--dataset", "--out"],
     }[command]
@@ -918,6 +895,45 @@ def test_overflowing_predicted_curve_exits_2(flat_dataset, tmp_path):
     assert code == 2
     assert err == "error: lane points must be finite\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.fixture(scope="module")
+def preset_dataset(tmp_path_factory):
+    """One frame of each ground preset, and its 3d fit."""
+    root = tmp_path_factory.mktemp("presets")
+    spec = {"scenes": [{"preset": p} for p in ("flat", "slope", "bump", "rough")]}
+    dataset, preds = str(root / "d.jsonl"), str(root / "p.jsonl")
+    argv = ["generate", "--spec", write_json(root / "spec.json", spec), "--frames", "1"]
+    assert main([*argv, "--out", dataset]) == 0
+    assert main(["fit", "--dataset", dataset, "--mode", "3d", "--out", preds]) == 0
+    return dataset, preds
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [["fit", "--mode", "3d"], ["fit", "--mode", "2d"], ["fit", "--mode", "baseline"],
+     ["eval"], ["anchors", "-k", "2"]],
+    ids=["fit-3d", "fit-2d", "fit-baseline", "eval", "anchors"],
+)
+@pytest.mark.parametrize("u", [1e308, -1e308])
+def test_far_2d_label_point_exits_2(preset_dataset, tmp_path, stage, u):
+    # a finite u whose powers and squares overflow in the kernels is
+    # refused where the dataset is read, before any stage runs
+    dataset, preds = preset_dataset
+
+    def far_point(record):
+        record["lanes2d"][1][20][0] = u
+
+    edited = _edit_first_record(dataset, tmp_path / "d.jsonl", far_point)
+    argv = [stage[0], "--dataset", edited, *stage[1:], "--out", str(tmp_path / "out")]
+    if stage[0] == "eval":
+        argv += ["--pred", preds]
+    code, err = _run(argv)
+    assert code == 2
+    assert err == (
+        f"error: {edited}:2: lanes2d lane 1, point 20: |u| and |v| must be at most 1e+09, "
+        f"got [{u!r}, {float(read_dataset(dataset)[0].lanes2d[1].v[20])!r}]\n"
+    )
 
 
 @pytest.fixture(scope="module")
@@ -1233,3 +1249,11 @@ class TestParser:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "generate" in capsys.readouterr().out
+
+    def test_five_subcommands(self, capsys):
+        # eval and render project 3D lanes themselves: no project command
+        assert main(["--help"]) == 0
+        assert "{generate,fit,eval,anchors,render}" in capsys.readouterr().out
+        code, err = _run(["project", "--dataset", "d", "--pred", "p", "--out", "o"])
+        assert code == 2
+        assert "invalid choice: 'project'" in err and "Traceback" not in err

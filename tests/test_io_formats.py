@@ -17,6 +17,7 @@ from bevlane.datagen import JitterSpec, bump_scene, flat_scene, generate_dataset
 from bevlane.errors import SchemaError, VersionError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D
 from bevlane.io_formats import (
+    MAX_PIXEL,
     PredictionFrame,
     atomic_write_text,
     read_anchors,
@@ -55,13 +56,25 @@ def sample_anchors():
     return cluster_anchors([build_descriptor(l, IMAGE) for l in lanes], 2, IMAGE)
 
 
-def sample_prediction():
+def sample_predictions():
+    """A 3D-only record and a 2D-only record: a record holds one view."""
     lane3d = Lane3D(
         BevCurve(1.25e-5, -3e-4, 0.07, 1.75),
         HeightProfile(1.5 + 0.1 * np.sin(np.linspace(0, 4, 72)), 3.7, 61.2),
     )
     lane2d = Lane2D([[400.5, 319.0], [410.25, 200.0], [415.125, 170.0]])
-    return PredictionFrame(frame_id=3, lanes3d=(lane3d,), lanes2d=(lane2d,))
+    return [
+        PredictionFrame(frame_id=3, lanes3d=(lane3d,)),
+        PredictionFrame(frame_id=4, lanes2d=(lane2d,)),
+    ]
+
+
+def _prediction_record(field: tuple) -> tuple[str, str]:
+    """The predictions header and the sample record that holds field: the
+    2D-only one for a lanes2d field, else the 3D-only one."""
+    document = _written(lambda p: write_predictions(sample_predictions(), p))
+    header, lanes3d, lanes2d = document.splitlines(True)
+    return header, lanes2d if field[0] == "lanes2d" else lanes3d
 
 
 class TestDatasetRoundTrip:
@@ -101,7 +114,7 @@ class TestDatasetRoundTrip:
 
     def test_kind_mismatch(self, tmp_path):
         path = str(tmp_path / "preds.jsonl")
-        write_predictions([sample_prediction()], path)
+        write_predictions(sample_predictions(), path)
         with pytest.raises(SchemaError):
             read_dataset(path)
 
@@ -296,6 +309,13 @@ if HAVE_HYPOTHESIS:
         assert io_formats._point_lists(arrays) == want
 
 
+def _moved_2d_point(frame, coordinate: int, value: float = np.nextafter(MAX_PIXEL, np.inf)):
+    """The lanes2d field of frame with coordinate of lane 1's point 20 set to value."""
+    points = frame.lanes2d[1].points.copy()
+    points[20, coordinate] = value
+    return {"lanes2d": (frame.lanes2d[0], Lane2D(points), *frame.lanes2d[2:])}
+
+
 class TestPointCache:
     def test_cache_reads_like_json(self, mixed_frames, tmp_path):
         assert {"slope", "bump"} <= {f.tag for f in mixed_frames}
@@ -386,8 +406,10 @@ class TestPointCache:
             (2, lambda f: {"lanes3d": f.lanes3d[:-1]}, ":4: 3 lanes3d for 4 lanes2d"),
             (3, lambda f: {"lanes3d": (f.lanes3d[0][:1],) + f.lanes3d[1:]}, ":5: lanes3d entries"),
             (3, lambda f: {"lanes3d": (f.lanes3d[0][:0],) + f.lanes3d[1:]}, ":5: lanes3d entries"),
+            (2, lambda f: _moved_2d_point(f, 0), ":4: lanes2d lane 1, point 20: |u| and |v|"),
+            (2, lambda f: _moved_2d_point(f, 1), ":4: lanes2d lane 1, point 20: |u| and |v|"),
         ],
-        ids=["camera-height", "lane-count", "one-point", "no-point"],
+        ids=["camera-height", "lane-count", "one-point", "no-point", "far-u", "far-v"],
     )
     def test_record_checks_hold_on_the_cache_path(self, tmp_path, decodes, index, change, message):
         frames = sample_dataset()
@@ -398,6 +420,19 @@ class TestPointCache:
         assert len(decodes) == 1
         assert got == read_without_cache(path)
         assert got[0] is SchemaError and message in got[1]
+
+    @pytest.mark.parametrize("coordinate", [0, 1])
+    @pytest.mark.parametrize("value", [MAX_PIXEL, -MAX_PIXEL])
+    def test_2d_points_at_max_pixel_read_on_both_paths(self, tmp_path, decodes, coordinate, value):
+        frames = sample_dataset()
+        moved = _moved_2d_point(frames[2], coordinate, value)
+        frames[2] = type(frames[2])(**{**vars(frames[2]), **moved})
+        path = str(tmp_path / "dataset.jsonl")
+        write_dataset(frames, path)
+        got = read_dataset(path)
+        assert len(decodes) == 1
+        assert_same_frames(got, read_without_cache(path))
+        assert got[2].lanes2d[1].points[20, coordinate] == value
 
     @pytest.mark.parametrize(
         "change, message",
@@ -485,11 +520,11 @@ class TestPointCache:
 
 class TestPredictionsRoundTrip:
     def test_exact_round_trip(self, tmp_path):
-        frames = [sample_prediction(), PredictionFrame(frame_id=9)]
+        frames = [*sample_predictions(), PredictionFrame(frame_id=9)]
         path = str(tmp_path / "preds.jsonl")
         write_predictions(frames, path)
         back = read_predictions(path)
-        assert [f.frame_id for f in back] == [3, 9]
+        assert [f.frame_id for f in back] == [3, 4, 9]
         lane = back[0].lanes3d[0]
         src = frames[0].lanes3d[0]
         assert (lane.curve.a, lane.curve.b, lane.curve.c, lane.curve.d) == (
@@ -497,8 +532,22 @@ class TestPredictionsRoundTrip:
         )
         np.testing.assert_array_equal(lane.profile.heights, src.profile.heights)
         assert (lane.z_min, lane.z_max) == (src.z_min, src.z_max)
-        np.testing.assert_array_equal(back[0].lanes2d[0].points, frames[0].lanes2d[0].points)
-        assert back[1].lanes3d == () and back[1].lanes2d == ()
+        np.testing.assert_array_equal(back[1].lanes2d[0].points, frames[1].lanes2d[0].points)
+        assert back[0].lanes2d == () and back[1].lanes3d == ()
+        assert back[2].lanes3d == () and back[2].lanes2d == ()
+
+    @pytest.mark.parametrize("coordinate", [0, 1])
+    def test_2d_points_read_up_to_max_pixel(self, tmp_path, coordinate):
+        points = np.array([[400.5, 319.0], [410.25, 200.0], [415.125, 170.0]])
+        path = str(tmp_path / "preds.jsonl")
+        for value in (MAX_PIXEL, -MAX_PIXEL):
+            points[1, coordinate] = value
+            write_predictions([PredictionFrame(frame_id=4, lanes2d=(Lane2D(points),))], path)
+            assert read_predictions(path)[0].lanes2d[0].points[1, coordinate] == value
+        points[1, coordinate] = -np.nextafter(MAX_PIXEL, np.inf)
+        write_predictions([PredictionFrame(frame_id=4, lanes2d=(Lane2D(points),))], path)
+        with pytest.raises(SchemaError, match=r":2: lanes2d lane 0, point 1: \|u\| and \|v\|"):
+            read_predictions(path)
 
     def test_bad_lane_is_schema_error(self, tmp_path):
         path = str(tmp_path / "preds.jsonl")
@@ -657,7 +706,7 @@ def test_non_positive_camera_height_rejected(tmp_path, fragment):
     "reader, write",
     [
         (read_dataset, lambda p: write_dataset(sample_dataset()[:1], p)),
-        (read_predictions, lambda p: write_predictions([sample_prediction()], p)),
+        (read_predictions, lambda p: write_predictions(sample_predictions(), p)),
         (read_report, lambda p: write_report({"mf1": 0.5}, p)),
         (read_anchors, lambda p: write_anchors(sample_anchors(), p)),
     ],
@@ -705,8 +754,7 @@ def test_shapeless_anchors_rejected(tmp_path, field, fragment):
 )
 def test_values_of_another_json_type_rejected(tmp_path, kind, field, fragment, message):
     if kind == "predictions":
-        document = _written(lambda p: write_predictions([sample_prediction()], p))
-        reader, (header, document) = read_predictions, document.splitlines(True)
+        reader, (header, document) = read_predictions, _prediction_record(field)
     else:
         reader, header, document, _ = valid_documents()[kind]
     path = tmp_path / "doc"
@@ -736,8 +784,7 @@ def test_bool_beside_numbers_rejected(tmp_path, kind, field, fragment, name):
     # numpy reads [true, 319.0] as [1.0, 319.0]; a bool among numbers is
     # refused like a list of bools only
     if kind == "predictions":
-        document = _written(lambda p: write_predictions([sample_prediction()], p))
-        reader, (header, document) = read_predictions, document.splitlines(True)
+        reader, (header, document) = read_predictions, _prediction_record(field)
     else:
         reader, header, document, _ = valid_documents()[kind]
     path = tmp_path / "doc"
