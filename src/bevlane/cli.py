@@ -114,8 +114,10 @@ def _cmd_fit(opts) -> int:
         if opts.mode == "3d":
             points += [fitting.by_depth(frame.lanes3d[i]) for i in kept]
         else:
-            lanes2d, height = [frame.lanes2d[i] for i in kept], frame.camera_height
-            points += _naming_lanes(frame_where, fitting.ipm_points, lanes2d, k, height)
+            points += _naming_lanes(
+                frame_where, fitting.lane_gap_points, [frame.lanes2d[i] for i in kept],
+                u_values[kept], grids[frame.image.height], k, frame.camera_height,
+            )
 
     if opts.mode != "baseline":
         starts = _naming_lanes(where, fitting.lane_starts, points, cfg)

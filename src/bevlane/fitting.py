@@ -1,4 +1,4 @@
-"""Fitting lanes to labeled points: least squares plus gradient refinement.
+"""Fitting lanes to labeled points: least squares, scored once.
 
 Every lane curve is the power cubic [a, b, c, d] of
 geometry.lane_to_vector. Direct fits handle the supervised pieces
@@ -6,24 +6,18 @@ geometry.lane_to_vector. Direct fits handle the supervised pieces
 baseline). lane_starts, the one start, fits a whole stack of lanes at
 once into the matrix of their vectors: one depth check and one power
 table over every lane's points, then a least-squares curve and
-interpolated heights per lane. With 3D labels (in order of z,
-by_depth) the starts are the whole fit; label_init is the start of one
-lane. With 2D labels only, momentum gradient descent on the
-image-plane losses recovers each lane from a flat-ground start (the
-points ipm_points back-projects onto the ground plane at the frame's
-recorded camera height; ipm_init is the start of one lane), on the
-fixed schedule MAX_ITERS, STEP_SIZE and PLATEAU_PATIENCE. fit_lanes,
-the one fitter, takes one losses.LaneTargets stack on a row grid and
-the start matrix, scores its lanes with losses.lane_losses and without
-3D labels descends them, each lane with its own step scales, velocity,
-best iterate, iteration count and stop. It keeps at most ACTIVE_LANES
-lanes in a rolling window of slots that index the stack: a lane that
-stops hands its slot to the next one, so each objective call scores a
-full window; fit_lane_3d and fit_lane_2d are its stacks of one.
-The descent runs in a diagonally rescaled parameter space: curve
-coefficients act on different powers of z, so their raw gradient
-magnitudes differ by orders of magnitude and unscaled steps either
-crawl or blow up.
+interpolated heights per lane. With 3D labels the points are the labels
+in order of z (by_depth); label_init is the start of one lane. With 2D
+labels only they come from the frame's shared ground: lane_gap_points
+reads one depth per image row from the gaps between adjacent lanes and
+back-projects every lane's rows at it, and a lane it cannot serve falls
+back to the flat-ground points of ipm_points within Z_CAP (ipm_init
+starts one lane from all of its flat-ground points). fit_lanes, the one
+fitter, takes one losses.LaneTargets stack on a row grid and the start
+matrix and scores each start once with losses.lane_losses, in blocks of
+ACTIVE_LANES; fit_lane_3d and fit_lane_2d are its stacks of one.
+Neither branch descends: on the mixed-ground set, descent from the
+lane-gap start lowered 2D mF1 from 0.98 to 0.90-0.92.
 """
 
 from __future__ import annotations
@@ -44,30 +38,21 @@ from .errors import (
 from .geometry import BevCurve, HeightProfile, Lane3D, lane_from_vector, lane_to_vector
 from .losses import LaneTargets, by_depth, lane_losses
 
-# The 2D descent's schedule: at most MAX_ITERS momentum steps of base size
-# STEP_SIZE, and a lane stops once PLATEAU_PATIENCE steps in a row have not
-# lowered its best loss.
-MAX_ITERS = 60
-STEP_SIZE = 1e-2
-PLATEAU_PATIENCE = 15
-MOMENTUM = 0.9
-# Lanes in fit_lanes' window: each objective call scores at most this
-# many, and results do not depend on it. The descent's arrays grow with
-# the window; its targets and starts grow with the stack, one row of u
-# per image row and lane, as the CLI's resampled labels do anyway. At a
-# few lanes the fixed cost of a call dominates. With 64, the 2d fit of
-# the 400-lane mixed-ground set at seed 1 peaks at 49.5 MB RSS in a
-# fresh process that runs only fit (2-vCPU x86 host, numpy 2.4), below
-# the 59 MB at which eval tops the same pipeline run in one process.
+# Lanes in one lane_losses call of fit_lanes: results do not depend on
+# it, and the objective's arrays grow with it.
 ACTIVE_LANES = 64
 # Hard floor on z_min and on the span so samples stay in front of the camera.
 Z_FLOOR = 0.1
 MIN_SPAN = 0.5
-# Heights and span endpoints feel the raw-pixel endpoint loss, whose slope
-# per unit parameter is fy/z-ish (hundreds), versus the row-averaged IoU
-# slopes of order 1/(e * rows). Equal steps overshoot those creases by
-# meters, so these parameters take steps damped by this factor squared.
-ROW_TERM_DAMP = 1e-2
+# The lane-gap start: a row where adjacent lanes lie less than MIN_GAP_PX
+# apart (a merge) gives no depth, and a lane starts from the gaps only
+# with at least MIN_GAP_ROWS rows of depth, the points a cubic needs.
+# Otherwise it falls back to flat-ground back-projection, whose points
+# beyond Z_CAP meters are dropped: near the horizon it puts rising ground
+# at kilometres.
+MIN_GAP_PX = 1.0
+MIN_GAP_ROWS = 4
+Z_CAP = 100.0
 
 # Upper limit on height keypoints per lane; the 2D fit holds (lanes x
 # keypoints) arrays, and every predicted lane stores its keypoints.
@@ -202,11 +187,10 @@ def fit_perspective_baseline(lane: Lane2D, order: int = 3) -> PolyFit:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Outcome of a fit.
+    """Outcome of a fit: the lane at its start and the loss pieces there.
 
-    terms holds the loss pieces at the returned lane: without 3D labels
-    the best iterate seen, never worse than the initialization. No fitter
-    stops on a convergence test, so converged is always False.
+    No fitter iterates, so iterations is always 0 and converged always
+    False; both stay because perfbench's fit observers read them.
     """
 
     lane: Lane3D
@@ -215,62 +199,42 @@ class FitReport:
     terms: dict[str, float]
 
 
-def _scales(theta: np.ndarray) -> np.ndarray:
-    """Per-parameter step scales; curve coefficients scale by z powers,
-    heights and span endpoints are damped against the endpoint-row creases."""
-    scales = np.ones(theta.size)
-    zc = max(abs(float(theta[-1])), 1.0)
-    scales[0] = zc**-3
-    scales[1] = zc**-2
-    scales[2] = zc**-1
-    scales[4:] = ROW_TERM_DAMP
-    return scales
-
-
 def _clamp_span(theta: np.ndarray) -> None:
     """Keep z_min above the floor and the span at least MIN_SPAN, per lane."""
     theta[..., -2] = np.maximum(theta[..., -2], Z_FLOOR)
     theta[..., -1] = np.maximum(theta[..., -1], theta[..., -2] + MIN_SPAN)
 
 
-def _check_finite(
-    loss: np.ndarray, grad: np.ndarray, lanes: np.ndarray, iterations: np.ndarray
-) -> None:
+def _check_finite(loss: np.ndarray, grad: np.ndarray, lanes: np.ndarray) -> None:
     """Raise NonFiniteError naming the first of lanes whose loss is NaN, or
-    finite with a non-finite gradient, and that lane's own iteration."""
+    finite with a non-finite gradient."""
     grad_ok = np.isfinite(grad).all(axis=-1)
     bad = np.flatnonzero(np.isnan(loss) | (np.isfinite(loss) & ~grad_ok))
     if bad.size:
-        i = bad[0]
-        raise NonFiniteError(
-            f"objective became non-finite at iteration {iterations[i]}", lane=int(lanes[i])
-        )
+        lane = int(lanes[bad[0]])
+        raise NonFiniteError("objective became non-finite at the lane's start", lane=lane)
 
 
 def fit_lanes(
     targets: LaneTargets, starts: np.ndarray, cfg: FitConfig = FitConfig()
 ) -> list[FitReport]:
-    """Fit a stack of lanes from their starts, one report per lane.
+    """Score a stack of lanes at their starts, one report per lane.
 
     targets holds every lane's target on one row grid, with its camera;
     starts is the (L, n + 6) matrix of the lanes' start vectors (see
-    geometry.lane_to_vector), as lane_starts returns it. The objective
-    is lane_losses, called on a window of at most ACTIVE_LANES lanes.
-    With 3D labels in targets the starts are scored and returned:
-    descent from their least-squares starts never lowered that loss.
-    Without them, momentum descent runs on the lanes in the window, each
-    with its own step scales, velocity, best iterate and iteration
-    count. A lane stops when its loss plateaus or after MAX_ITERS of its
-    own steps, at the 3D scale its start pinned (2D labels cannot
-    determine it); the next lane in stack order then takes its slot,
-    scored at its start in the next objective call. A lane whose
-    projection misses its target reads +inf with a zero gradient. Every
-    lane's result is the one it gets alone, whatever the window. A NaN
-    objective raises NonFiniteError, whose lane attribute is the lane's
-    index in the stack.
+    geometry.lane_to_vector), as lane_starts returns it. Each start has
+    its span clamped by Z_FLOOR and MIN_SPAN (and with order 2 its cubic
+    coefficient set to 0) and is scored once by lane_losses, in blocks
+    of at most ACTIVE_LANES lanes; a lane's report is the one it gets
+    alone. With 3D labels in targets the starts are their least-squares
+    fits, and without them the lane-gap starts (lane_gap_points): no
+    descent is run in either branch. A lane whose projection misses its
+    target reads +inf. A NaN objective, or a finite one with a
+    non-finite gradient, raises NonFiniteError, whose lane attribute is
+    the lane's index in the stack.
     """
     if cfg.order == 4:
-        raise ValidationError("gradient refinement is cubic; degree 4 is least-squares only")
+        raise ValidationError("lane curves are cubic; degree 4 is least-squares only")
     n_lanes = len(targets.u_values)
     if len(starts) != n_lanes:
         raise DimensionMismatchError("need one start vector per target")
@@ -281,63 +245,17 @@ def fit_lanes(
         raise DimensionMismatchError(
             f"starts must be an (L, n + 6) matrix with n >= 2, got shape {starts.shape}"
         )
-    n_params = starts.shape[1]
-    mask = np.ones(n_params)
     if cfg.order == 2:
-        starts[:, 0] = mask[0] = 0.0
+        starts[:, 0] = 0.0
     _clamp_span(starts)
-    max_iters = 0 if targets.labels is not None else MAX_ITERS
-
-    # Slot s of the window holds lane lane_of[s] with its vector, step
-    # sizes, velocity, last gradient, best iterate and iteration count.
-    width = min(ACTIVE_LANES, n_lanes)
-    lane_of = np.zeros(width, dtype=int)
-    theta, step, velocity, grad, best_theta = (np.zeros((width, n_params)) for _ in range(5))
-    best_loss = np.zeros(width)
-    best_overlap = np.zeros(width, dtype=bool)
-    best_iter = np.zeros(width, dtype=int)
-    iterations = np.zeros(width, dtype=int)
-    best_terms = None
-    reports = [None] * n_lanes
-    busy, free, queued = np.zeros(0, dtype=int), np.arange(width), 0
-    while busy.size or queued < n_lanes:
-        velocity[busy] = MOMENTUM * velocity[busy] - step[busy] * (grad[busy] * mask)
-        moved = theta[busy] + velocity[busy]
-        _clamp_span(moved)
-        theta[busy] = moved
-        iterations[busy] += 1
-
-        joined = free[: n_lanes - queued]
-        if joined.size:
-            lane_of[joined] = np.arange(queued, queued + joined.size)
-            queued += joined.size
-            theta[joined] = starts[lane_of[joined]]
-            step[joined] = STEP_SIZE * np.stack([_scales(row) for row in theta[joined]]) ** 2
-            velocity[joined] = 0.0
-            iterations[joined] = 0
-        slots = np.concatenate([busy, joined])
-        loss, grad_now, terms, overlap = lane_losses(theta[slots], targets.take(lane_of[slots]))
-        _check_finite(loss, grad_now, lane_of[slots], iterations[slots])
-        grad[slots] = grad_now
-        if best_terms is None:
-            best_terms = np.zeros((width, terms.shape[1]))
-
-        better = (loss < best_loss[slots]) | (iterations[slots] == 0)
-        won = slots[better]
-        best_loss[won], best_theta[won] = loss[better], theta[won]
-        best_terms[won], best_overlap[won] = terms[better], overlap[better]
-        best_iter[won] = iterations[won]
-        going = (iterations[slots] - best_iter[slots] < PLATEAU_PATIENCE) & (
-            iterations[slots] < max_iters
-        )
-        busy, free = slots[going], slots[~going]
-        for s in free:
-            reports[lane_of[s]] = FitReport(
-                lane_from_vector(best_theta[s]),
-                int(iterations[s]),
-                False,
-                targets.named(best_terms[s], best_loss[s]) if best_overlap[s] else {"total": np.inf},
-            )
+    reports = []
+    for first in range(0, n_lanes, ACTIVE_LANES):
+        block = np.arange(first, min(first + ACTIVE_LANES, n_lanes))
+        loss, grad, terms, overlap = lane_losses(starts[block], targets.take(block))
+        _check_finite(loss, grad, block)
+        for i, theta in enumerate(starts[block]):
+            named = targets.named(terms[i], loss[i]) if overlap[i] else {"total": np.inf}
+            reports.append(FitReport(lane_from_vector(theta), 0, False, named))
     return reports
 
 
@@ -347,7 +265,7 @@ def fit_lane_2d(
     init: Lane3D,
     cfg: FitConfig = FitConfig(),
 ) -> FitReport:
-    """Refine one lane against 2D labels only: fit_lanes on a stack of one."""
+    """Score one lane's start against 2D labels only: fit_lanes on a stack of one."""
     return fit_lanes(LaneTargets.stack([gt], [k]), lane_to_vector(init)[None], cfg)[0]
 
 
@@ -456,6 +374,80 @@ def ipm_points(lanes: list[Lane2D], k: CameraIntrinsics, camera_height: float) -
             "too few points below the horizon to back-project", lane=int(few[0])
         )
     return np.split(ground, np.cumsum(counts)[:-1])
+
+
+def _median_rows(values: np.ndarray) -> np.ndarray:
+    """The median of each column of values over its non-NaN entries, NaN
+    where it has none.
+
+    Sorts each column, which puts NaN last, and reads the middle of its
+    finite count, rather than calling np.nanmedian: that imports numpy.ma.
+    """
+    ordered = np.sort(values, axis=0)
+    count = np.count_nonzero(~np.isnan(values), axis=0)
+    low = np.take_along_axis(ordered, (np.maximum(count, 1) - 1)[None] // 2, axis=0)[0]
+    high = np.take_along_axis(ordered, count[None] // 2, axis=0)[0]
+    return np.where(count > 0, 0.5 * (low + high), np.nan)
+
+
+def lane_gap_points(
+    lanes: list[Lane2D],
+    u_values: np.ndarray,
+    rows: np.ndarray,
+    k: CameraIntrinsics,
+    camera_height: float,
+) -> list[np.ndarray]:
+    """Each of a frame's lanes back-projected onto the ground its lanes
+    share: one (m, 3) array of [x, y, z] per lane, for lane_starts.
+
+    u_values is the frame's resample_lanes rows of lanes on rows. The
+    lanes of a frame lie on one ground at a fixed lateral gap, so the
+    column gap |du| of two adjacent lanes (ordered by their mean u) gives
+    each row they share a depth z = c / |du|, above the horizon too. Rows
+    with |du| below MIN_GAP_PX (merges) give none. Each pair's c is pinned
+    at its nearest shared row below the horizon, where the flat ground at
+    camera_height puts it. A row's depth is the median over pairs, and
+    each lane's rows with a depth are back-projected at it, nearest first.
+    Only image rows are used, so label points below the image lie outside
+    the start. A lane with fewer than MIN_GAP_ROWS such rows, as every
+    lane of a one-lane frame, takes the points of ipm_points instead,
+    without those beyond Z_CAP. Errors from that fallback name the lane
+    by its index in lanes.
+    """
+    if not lanes:
+        return []
+    rows = np.asarray(rows, dtype=float)
+    u_values = np.asarray(u_values, dtype=float)
+    present = ~np.isnan(u_values)
+    mean_u = np.where(present, u_values, 0.0).sum(axis=1) / np.maximum(present.sum(axis=1), 1)
+    order = np.argsort(mean_u, kind="stable")
+    gap = np.abs(u_values[order[1:]] - u_values[order[:-1]])
+    gap[~(gap >= MIN_GAP_PX)] = np.nan
+    # each pair's nearest row below the horizon with a gap pins its scale
+    pinned = ~np.isnan(gap) & (rows > k.oy)
+    has_pin = pinned.any(axis=1)
+    nearest = rows.size - 1 - np.argmax(pinned[has_pin, ::-1], axis=1)
+    pairs = gap[has_pin]
+    with np.errstate(over="ignore", invalid="ignore"):
+        pin_z = invert_to_ground(k, k.ox, rows[nearest], camera_height)[..., 2]
+        scale = pin_z * pairs[np.arange(pairs.shape[0]), nearest]
+        depth = _median_rows(scale[:, None] / pairs) if pairs.size else np.full(rows.size, np.nan)
+        # each lane's rows with a depth, nearest first, back-projected there
+        depth, rows, u_values = depth[::-1], rows[::-1], u_values[:, ::-1]
+        near = present[:, ::-1] & np.isfinite(depth)
+        z = np.broadcast_to(depth, near.shape)[near]
+        x = (u_values[near] - k.ox) * z / k.fx
+        y = (np.broadcast_to(rows, near.shape)[near] - k.oy) * z / k.fy
+    counts = near.sum(axis=1)
+    points = np.split(np.column_stack([x, y, z]), np.cumsum(counts)[:-1])
+    fallback = np.flatnonzero(counts < MIN_GAP_ROWS).tolist()
+    try:
+        flat = ipm_points([lanes[i] for i in fallback], k, camera_height)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(str(exc), lane=fallback[exc.lane]) from exc
+    for i, ground in zip(fallback, flat):
+        points[i] = ground[ground[:, 2] <= Z_CAP]
+    return points
 
 
 def ipm_init(

@@ -168,6 +168,43 @@ def test_criterion_3_2d_only_pipeline(tmp_path):
     )
 
 
+# Curve distance bound [m] of the 2d fit per ground preset of MIXED_SPEC.
+# At seeds 1, 2 and 9001 it measured flat 0.147, slope 1.18-1.41, bump
+# 0.51-0.70 and rough 0.33-0.34: slope's grade breaks the flat-ground
+# depth that pins the scale at the nearest row, and bump folds rows.
+CD_BOUND_2D = {"flat": 0.25, "slope": 2.0, "bump": 1.0, "rough": 0.5}
+
+
+def test_criterion_3_mixed_ground_2d_beats_the_row_polynomial(tmp_path):
+    """On each ground preset of MIXED_SPEC, at seeds 1, 2 and 9001, the 2d
+    fit scores an mF1 at least the baseline mode's, and its curve distance
+    stays within the preset's CD_BOUND_2D."""
+    t0 = perf_counter()
+    rows = []
+    for seed in (1, 2, 9001):
+        for scene in MIXED_SPEC["scenes"]:
+            preset = scene["preset"]
+            spec = write_spec(tmp_path, {**MIXED_SPEC, "scenes": [scene]})
+            dataset = str(tmp_path / "dataset.jsonl")
+            run(["generate", "--spec", spec, "--frames", "25", "--seed", str(seed),
+                 "--out", dataset])
+            reports = {}
+            for mode in ("2d", "baseline"):
+                preds = str(tmp_path / f"preds-{mode}.jsonl")
+                report_path = str(tmp_path / f"report-{mode}.json")
+                run(["fit", "--dataset", dataset, "--mode", mode, "--out", preds])
+                run(["eval", "--dataset", dataset, "--pred", preds, "--out", report_path])
+                reports[mode] = read_report(report_path)
+            mf1, cd = reports["2d"]["mf1"], reports["2d"]["cd_error"]
+            base = reports["baseline"]["mf1"]
+            assert mf1 >= base, f"seed {seed}, {preset}: 2d mF1 {mf1} < baseline {base}"
+            assert cd <= CD_BOUND_2D[preset], f"seed {seed}, {preset}: curve distance {cd} m"
+            rows.append(f"{seed}/{preset} {mf1:.3f} vs {base:.3f}, {cd:.2f} m")
+    elapsed = perf_counter() - t0
+    assert elapsed < 120.0
+    print(f"criterion 3 (mixed ground) PASS: {'; '.join(rows)} ({elapsed:.1f}s)")
+
+
 def test_criterion_4_gradients_match_finite_differences(rng, k, image):
     """Every loss term's analytic gradient agrees with central finite
     differences (h=1e-6) within 1e-5 relative error on 100 kink-free

@@ -15,12 +15,12 @@ import pytest
 
 from bevlane import fitting
 from bevlane.anchors import MAX_ANCHORS
-from bevlane.assignment import match_lanes, resample_lane
+from bevlane.assignment import match_lanes, resample_lane, resample_lanes, row_grid
 from bevlane.camera import project_lane
 from bevlane.cli import build_parser, main
 from bevlane.datagen import MAX_FRAMES_PER_SPEC, bump_scene, generate_frame
-from bevlane.fitting import MAX_KEYPOINTS, fit_lane_2d, fit_lane_3d, ipm_init
-from bevlane.geometry import MAX_SAMPLE_COUNT, lane_to_vector
+from bevlane.fitting import MAX_KEYPOINTS, fit_lane_2d, fit_lane_3d, lane_gap_points, lane_starts
+from bevlane.geometry import MAX_SAMPLE_COUNT, lane_from_vector, lane_to_vector
 from bevlane.io_formats import (
     read_anchors,
     read_dataset,
@@ -46,6 +46,17 @@ MIXED_SPEC = {
     ],
     "jitter": {"curve_delta": [0.0, 0.0005, 0.02, 0.5], "amplitude_delta": 0.05},
 }
+
+
+def _fit_frame_2d(frame, kept):
+    """The 2d fit of a frame's lanes at the indices kept, each alone from
+    the lane-gap start of those lanes."""
+    lanes, rows, k = [frame.lanes2d[i] for i in kept], row_grid(frame.image), frame.intrinsics
+    points = lane_gap_points(lanes, resample_lanes(lanes, rows), rows, k, frame.camera_height)
+    return [
+        fit_lane_2d(resample_lane(lane, frame.image), k, lane_from_vector(start)).lane
+        for lane, start in zip(lanes, lane_starts(points), strict=True)
+    ]
 
 
 def write_json(path, obj):
@@ -174,11 +185,9 @@ class TestFit:
         frames = read_dataset(dataset)
         assert {f.image.height for f in frames} == {300, 320}
         for frame, pred in zip(frames, read_predictions(str(out)), strict=True):
-            for lane2d, got in zip(frame.lanes2d, pred.lanes3d, strict=True):
-                gt = resample_lane(lane2d, frame.image)
-                init = ipm_init(lane2d, frame.intrinsics, frame.camera_height)
-                want = fit_lane_2d(gt, frame.intrinsics, init).lane
-                assert np.array_equal(lane_to_vector(got), lane_to_vector(want))
+            want = _fit_frame_2d(frame, range(len(frame.lanes2d)))
+            for got, lane in zip(pred.lanes3d, want, strict=True):
+                assert np.array_equal(lane_to_vector(got), lane_to_vector(lane))
 
     def test_3d_fit_is_the_same_in_any_block(self, tmp_path, monkeypatch):
         # two row grids in one dataset: the 300-row frames fit in their own window
@@ -216,11 +225,11 @@ class TestFit:
         out = str(tmp_path / "preds.jsonl")
         code, err = _run(["fit", "--dataset", flat_dataset, "--mode", "2d", "--out", out])
         assert code == 3
-        assert "non-finite at iteration 0" in err and "Traceback" not in err
+        assert "non-finite at the lane's start" in err and "Traceback" not in err
 
     def test_nan_in_a_lane_that_joined_late_names_it_and_exits_3(self, tmp_path, monkeypatch):
-        # with a window of 2, the last lane of the last frame joins after
-        # earlier lanes ran their steps; its objective turns NaN at its third
+        # with a window of 2, the last lane of the last frame is scored in
+        # the last of 8 blocks, after the others, and its objective is NaN
         spec = write_json(tmp_path / "spec.json", MIXED_SPEC)
         dataset = str(tmp_path / "d.jsonl")
         assert main(["generate", "--spec", spec, "--frames", "2", "--out", dataset]) == 0
@@ -236,8 +245,7 @@ class TestFit:
             for i, u in enumerate(targets.u_values):
                 if np.array_equal(u, victim, equal_nan=True):
                     seen.append(len(calls))
-                    if len(seen) == 4:
-                        loss[i] = np.nan
+                    loss[i] = np.nan
             return loss, grad, terms, overlap
 
         monkeypatch.setattr(fitting, "ACTIVE_LANES", 2)
@@ -246,8 +254,8 @@ class TestFit:
         code, err = _run(["fit", "--dataset", dataset, "--mode", "2d", "--out", out])
         assert code == 3
         want = f"frame {last.frame_id}, lane {len(last.lanes2d) - 1}: objective became"
-        assert f"{want} non-finite at iteration 3" in err and "Traceback" not in err
-        assert len(seen) == 4 and seen[0] > 15 and calls[seen[0] - 1] == 2
+        assert f"{want} non-finite at the lane's start" in err and "Traceback" not in err
+        assert seen == [8] and calls == [2] * 8
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize("mode", ["3d", "2d"])
@@ -270,13 +278,16 @@ class TestFit:
         assert [len(p.lanes3d) for p in preds] == [3, 4]
         for frame, pred in zip(frames, preds, strict=True):
             kept = [i for i in range(4) if (frame.frame_id, i) != (frames[0].frame_id, 1)]
-            for i, got in zip(kept, pred.lanes3d, strict=True):
-                lane2d, k = frame.lanes2d[i], frame.intrinsics
-                gt = resample_lane(lane2d, frame.image)
-                if mode == "3d":
-                    want = fit_lane_3d(frame.lanes3d[i], gt, k).lane
-                else:
-                    want = fit_lane_2d(gt, k, ipm_init(lane2d, k, frame.camera_height)).lane
+            if mode == "2d":
+                # the kept lanes share their ground without the skipped one
+                wants = _fit_frame_2d(frame, kept)
+            else:
+                wants = [
+                    fit_lane_3d(frame.lanes3d[i], resample_lane(frame.lanes2d[i], frame.image),
+                                frame.intrinsics).lane
+                    for i in kept
+                ]
+            for got, want in zip(pred.lanes3d, wants, strict=True):
                 assert np.array_equal(lane_to_vector(got), lane_to_vector(want))
 
     def test_deterministic_predictions(self, flat_dataset, tmp_path):
@@ -777,10 +788,10 @@ def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, f
     ],
 )
 def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, command, key, value, via):
-    # the 2D descent's schedule, its loss settings, the raster resolution and
-    # the k-means restart count are constants, and the IPM start reads the
-    # frame's camera height, so these are refused like any unknown option,
-    # before anything runs
+    # the 2D fit runs no descent, the loss settings, the raster resolution
+    # and the k-means restart count are constants, and the 2D start reads
+    # the frame's camera height, so these are refused like any unknown
+    # option, before anything runs
     argv = [command, "--dataset", flat_dataset, "--out", str(tmp_path / "o")]
     argv += {"fit": ["--mode", "2d"], "eval": ["--pred", str(tmp_path / "p")]}.get(
         command, ["-k", "2"]
@@ -1180,8 +1191,8 @@ if HAVE_HYPOTHESIS:
         "jitter": {"curve_delta": [0.0, 1e-4, 0.01, 0.2], "amplitude_delta": 0.05,
                    "grade_delta": 0.01, "wavelength_delta": 2.0},
     }
-    # Every count field of fit and anchors is bounded (the 2D descent's
-    # schedule and the k-means restarts are constants), so none is left out
+    # Every count field of fit and anchors is bounded (the 2D fit runs no
+    # descent and the k-means restarts are a constant), so none is left out
     # for fear of a drawn 10**6 running for minutes.
     FUZZ_CONFIG = {
         "generate": {"frames": 1, "seed": 3},

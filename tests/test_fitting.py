@@ -5,7 +5,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from bevlane import datagen, fitting
-from bevlane.assignment import resample_lane
+from bevlane.assignment import resample_lane, resample_lanes, row_grid
 from bevlane.camera import (
     CameraIntrinsics,
     ImageSpec,
@@ -32,11 +32,20 @@ from bevlane.fitting import (
     fit_perspective_baseline,
     ipm_init,
     label_init,
+    lane_gap_points,
     reprojection_residuals,
 )
-from bevlane.geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector
+from bevlane.geometry import (
+    BevCurve,
+    HeightProfile,
+    Lane3D,
+    lane_from_vector,
+    lane_to_vector,
+    sample_lane,
+)
 from bevlane.io_formats import read_scene_spec
 from bevlane.losses import LaneTargets, lane_losses
+from bevlane.metrics import cd_error_per_pair
 from oracles import normal_equations_fit
 from test_acceptance import MIXED_SPEC
 
@@ -159,16 +168,15 @@ def test_least_squares_fits_refuse_overflowing_powers():
     assert fit_bev_polynomial(pts, 2).rms_residual == 0.0  # squares still fit
 
 
-def test_fit_lane_2d_recovers_offset(k, image, monkeypatch):
-    gt_lane = Lane3D(BevCurve(0, 0, 0, 2.0), HeightProfile(np.full(72, 1.5), 4.0, 60.0))
-    gt = resample_lane(project_lane(k, gt_lane, 72), image)
-    init = Lane3D(BevCurve(0, 0, 0, 2.5), HeightProfile(np.full(72, 1.5), 4.0, 60.0))
-    # fixed-step momentum rings around the loss crease with amplitude
-    # step * slope / 1.9, so settling under 1e-3 needs a small step
-    monkeypatch.setattr(fitting, "STEP_SIZE", 5e-5)
-    monkeypatch.setattr(fitting, "MAX_ITERS", 4000)
-    monkeypatch.setattr(fitting, "PLATEAU_PATIENCE", 200)
-    report = fit_lane_2d(gt, k, init)
+def test_fit_lane_2d_recovers_offset(k, image):
+    # the lane at 2 m between neighbours 3.5 m away: their column gaps
+    # give each row's depth, and the lane's start sits on it
+    scene = datagen.flat_scene(lateral_offsets=(-1.5, 2.0, 5.5), intrinsics=k, image=image)
+    frame = datagen.generate_frame(scene)
+    lanes, rows = list(frame.lanes2d), row_grid(image)
+    points = lane_gap_points(lanes, resample_lanes(lanes, rows), rows, k, frame.camera_height)
+    start = lane_from_vector(fitting.lane_starts(points)[1])
+    report = fit_lane_2d(resample_lane(lanes[1], image), k, start)
     assert report.terms["l_per"] < 1e-3
     assert report.terms["l_reg"] < 1e-3
     assert report.lane.curve.d == pytest.approx(2.0, abs=5e-3)
@@ -191,6 +199,46 @@ def _mixed_block():
     return gts + [gts[0]], cams + [cams[0]], inits + [above]
 
 
+def _tapered_frame(taper, merge):
+    """Four lanes on level ground whose lateral offsets grow by a factor
+    1 + taper * z; with merge the rightmost one meets its neighbour at
+    60 m and runs on it from there."""
+    k, z = datagen.DEFAULT_INTRINSICS, np.linspace(3.0, 80.0, 200)
+    x = [o * (1.0 + taper * z) for o in (-5.25, -1.75, 1.75, 5.25)]
+    if merge:
+        w = np.clip((z - 10.0) / 50.0, 0.0, 1.0)
+        x[3] = (1.0 - w) * x[3] + w * x[2]
+    lanes3d = [np.column_stack([xs, np.full(z.size, 1.5), z]) for xs in x]
+    return lanes3d, [Lane2D(project_points(k, points)) for points in lanes3d]
+
+
+@pytest.mark.parametrize("merge", [False, True])
+def test_lane_gap_start_degrades_smoothly_with_taper(merge):
+    # the lane-gap depth assumes one lane width at every depth: a width
+    # that grows with depth bends it steadily, never in a jump, and rows
+    # where the merging lanes meet (|du| -> 0) give no depth and no error
+    k, image = datagen.DEFAULT_INTRINSICS, datagen.DEFAULT_IMAGE
+    rows = row_grid(image)
+    distances = []
+    for taper in np.linspace(0.0, 0.01, 11):
+        lanes3d, lanes2d = _tapered_frame(taper, merge)
+        u = resample_lanes(lanes2d, rows)
+        if merge:
+            assert (np.abs(u[3] - u[2]) < fitting.MIN_GAP_PX).sum() >= 5
+        points = lane_gap_points(lanes2d, u, rows, k, 1.5)
+        targets = LaneTargets(
+            rows, u, ~np.isnan(u), np.array([[lane.v[0], lane.v[-1]] for lane in lanes2d]),
+            np.tile([k.fx, k.fy, k.ox, k.oy], (4, 1)),
+        )
+        fits = fit_lanes(targets, fitting.lane_starts(points))
+        samples = [sample_lane(report.lane, 72) for report in fits]
+        distances.append(cd_error_per_pair(samples, lanes3d, [(i, i) for i in range(4)]).mean())
+    steps = np.diff(distances)
+    assert distances[0] < 0.2
+    assert (steps > 0.0).all() and steps.max() < 1.5 * steps.mean()
+    assert 3.0 < distances[-1] < 5.0
+
+
 @pytest.mark.parametrize("order", [3, 2])
 def test_fit_lanes_2d_block_equals_each_lane_alone(order):
     gts, cams, inits = _mixed_block()
@@ -203,24 +251,22 @@ def test_fit_lanes_2d_block_equals_each_lane_alone(order):
         assert (got.iterations, got.converged, got.terms) == (
             alone.iterations, alone.converged, alone.terms
         )
-    # the missing lane scores +inf, gets no gradient (not even from the
-    # height spread), so never moves, and stops on the plateau
+    # every lane is returned at its start (order 2 zeroes its cubic), and
+    # the missing lane scores +inf
+    for init, got in zip(inits, block):
+        want = lane_to_vector(init)
+        want[0] = 0.0 if order == 2 else want[0]
+        assert np.array_equal(lane_to_vector(got.lane), want)
+        assert (got.iterations, got.converged) == (0, False)
     assert block[-1].terms == {"total": float("inf")}
-    assert block[-1].iterations == fitting.PLATEAU_PATIENCE
-    assert np.array_equal(block[-1].lane.profile.heights, inits[-1].profile.heights)
     assert all(np.isfinite(r.terms["total"]) for r in block[:-1])
-    assert any(r.iterations > 0 for r in block[:-1])
 
 
 def test_fit_lanes_2d_is_the_same_in_any_window(monkeypatch):
-    # at MAX_ITERS 18 some lanes stop on the plateau at 15 or 16 and others
-    # run to MAX_ITERS, the last one misses its target, and at windows 1
-    # and 3 lanes join mid-run
-    monkeypatch.setattr(fitting, "MAX_ITERS", 18)
+    # at windows 1 and 3 the lanes are scored over several blocks, and the
+    # last one misses its target
     gts, cams, inits = _mixed_block()
     alone = [fit_lane_2d(gt, cam, init) for gt, cam, init in zip(gts, cams, inits)]
-    iterations = {r.iterations for r in alone}
-    assert fitting.PLATEAU_PATIENCE in iterations and fitting.MAX_ITERS in iterations
     for window in (1, 3, 64, len(gts) + 1):
         monkeypatch.setattr(fitting, "ACTIVE_LANES", window)
         starts = np.stack([lane_to_vector(i) for i in inits])
@@ -230,9 +276,9 @@ def test_fit_lanes_2d_is_the_same_in_any_window(monkeypatch):
             assert (got.iterations, got.terms) == (want.iterations, want.terms)
 
 
-def test_fit_lanes_nan_names_the_lane_and_its_own_iteration(monkeypatch):
-    # with a window of 3, lane 5 joins once earlier lanes have stopped;
-    # its objective turns NaN at its third step
+def test_fit_lanes_nan_names_the_lane(monkeypatch):
+    # with a window of 3, lane 5 is scored in the second block, where its
+    # objective turns NaN
     gts, cams, inits = _mixed_block()
     victim = gts[5].u_values
     assert sum(np.array_equal(g.u_values, victim, equal_nan=True) for g in gts) == 1
@@ -243,16 +289,15 @@ def test_fit_lanes_nan_names_the_lane_and_its_own_iteration(monkeypatch):
         for i, u in enumerate(targets.u_values):
             if np.array_equal(u, victim, equal_nan=True):
                 seen.append(theta.shape[0])
-                if len(seen) == 4:
-                    loss[i] = np.nan
+                loss[i] = np.nan
         return loss, grad, terms, overlap
 
     monkeypatch.setattr(fitting, "ACTIVE_LANES", 3)
     monkeypatch.setattr(fitting, "lane_losses", nan_in_lane_5)
-    with pytest.raises(NonFiniteError, match="non-finite at iteration 3$") as info:
+    with pytest.raises(NonFiniteError, match="non-finite at the lane's start$") as info:
         fit_lanes(LaneTargets.stack(gts, cams), np.stack([lane_to_vector(i) for i in inits]))
     assert info.value.lane == 5
-    assert seen == [3, 3, 3, 3]
+    assert seen == [3]
 
 
 def test_fit_lanes_2d_shuffled_block_gives_the_same_lanes():
@@ -282,10 +327,8 @@ def _labelled_block():
     return gts, cams, starts + inits[-1:], labels + labels[:1]
 
 
-def test_fit_lanes_with_labels_block_equals_each_lane_alone(monkeypatch):
+def test_fit_lanes_with_labels_block_equals_each_lane_alone():
     gts, cams, starts, labels = _labelled_block()
-    monkeypatch.setattr(fitting, "MAX_ITERS", 80)
-    monkeypatch.setattr(fitting, "PLATEAU_PATIENCE", 20)
     targets = LaneTargets.stack(gts, cams, labels)
     block = fit_lanes(targets, np.stack([lane_to_vector(s) for s in starts]))
     for gt, cam, gt3, got in zip(gts, cams, labels, block[:-1]):
@@ -296,7 +339,7 @@ def test_fit_lanes_with_labels_block_equals_each_lane_alone(monkeypatch):
         )
         assert set(got.terms) == {"l_per", "l_v", "l_bev", "l_h", "l_z", "total"}
         assert np.isfinite(got.terms["total"])
-    # labelled starts are scored, never moved, whatever the descent schedule
+    # labelled starts are scored, never moved
     for start, got in zip(starts, block):
         assert got.iterations == 0
         assert np.array_equal(lane_to_vector(got.lane), lane_to_vector(start))
@@ -380,17 +423,11 @@ def test_fit_lane_3d_at_optimum_stays_put(k, monkeypatch):
         return lane_losses(*args, **kwargs)
 
     monkeypatch.setattr(fitting, "lane_losses", counted)
-    # the descent schedule does not reach the 3D fit
-    for max_iters, step, patience in ((60, 1e-2, 15), (0, 1e-2, 15), (60, 1.0, 1)):
-        monkeypatch.setattr(fitting, "MAX_ITERS", max_iters)
-        monkeypatch.setattr(fitting, "STEP_SIZE", step)
-        monkeypatch.setattr(fitting, "PLATEAU_PATIENCE", patience)
-        calls.clear()
-        report = fit_lane_3d(gt3, gt2d, frame.intrinsics)
-        assert len(calls) == 1
-        assert np.array_equal(lane_to_vector(report.lane), lane_to_vector(least_squares))
-        assert (report.iterations, report.converged) == (0, False)
-        assert report.terms["total"] < 1e-9
+    report = fit_lane_3d(gt3, gt2d, frame.intrinsics)
+    assert len(calls) == 1
+    assert np.array_equal(lane_to_vector(report.lane), lane_to_vector(least_squares))
+    assert (report.iterations, report.converged) == (0, False)
+    assert report.terms["total"] < 1e-9
 
 
 def test_fit_lane_3d_short_label_pads_span_without_stretching(k, image):
@@ -415,24 +452,21 @@ def test_fit_lane_3d_non_finite_loss_raises(monkeypatch):
         return np.full(n, np.nan), np.zeros(theta.shape), np.zeros((n, 5)), np.ones(n, dtype=bool)
 
     monkeypatch.setattr(fitting, "lane_losses", nan_loss)
-    with pytest.raises(NonFiniteError, match="iteration 0"):
+    with pytest.raises(NonFiniteError, match="at the lane's start"):
         fit_lane_3d(frame.lanes3d[0], gt2d, frame.intrinsics)
 
 
-def test_fit_lane_3d_noisy_labels_ignore_descent_knobs(k, rng, monkeypatch):
+def test_fit_lane_3d_noisy_labels_ignore_descent_knobs(k, rng):
     frame = bump_frame(seed=5)
     gt3 = np.array(frame.lanes3d[2])
     noisy = gt3.copy()
     noisy[:, 0] += rng.normal(0.0, 0.05, gt3.shape[0])
     noisy[:, 1] += rng.normal(0.0, 0.05, gt3.shape[0])
     gt2d = resample_lane(frame.lanes2d[2], frame.image)
-    monkeypatch.setattr(fitting, "MAX_ITERS", 0)
-    at_init = fit_lane_3d(noisy, gt2d, frame.intrinsics)
-    monkeypatch.setattr(fitting, "MAX_ITERS", 80)
-    monkeypatch.setattr(fitting, "PLATEAU_PATIENCE", 20)
+    # the fit is the noisy labels' least-squares start, scored once
     refined = fit_lane_3d(noisy, gt2d, frame.intrinsics)
-    assert np.array_equal(lane_to_vector(refined.lane), lane_to_vector(at_init.lane))
-    assert refined.terms == at_init.terms
+    assert np.array_equal(lane_to_vector(refined.lane), lane_to_vector(label_init(noisy)))
+    assert refined.iterations == 0
     z = gt3[:, 2]
     # the lane is straight laterally; require the fit not to invent curvature
     assert np.abs(refined.lane.curve.x_at(z) - gt3[:, 0]).max() < 0.25
@@ -611,3 +645,39 @@ def test_ipm_points_name_the_lane_without_points_below_the_horizon(k):
         fitting.ipm_points([near, near, above], k, 1.5)
     assert info.value.lane == 2
     assert fitting.ipm_points([], k, 1.5) == []
+
+
+def test_lane_gap_points_fall_back_to_flat_ground_within_z_cap(image):
+    # a lone lane on a climbing road has no neighbour to measure a gap to:
+    # it takes its flat-ground points, whose depths near the horizon run
+    # past Z_CAP and are dropped
+    frame = datagen.generate_frame(datagen.slope_scene(grade=0.03, lateral_offsets=(1.75,)))
+    k, lanes, rows = frame.intrinsics, list(frame.lanes2d), row_grid(image)
+    u = resample_lanes(lanes, rows)
+    (got,) = lane_gap_points(lanes, u, rows, k, frame.camera_height)
+    (flat,) = fitting.ipm_points(lanes, k, frame.camera_height)
+    assert flat[:, 2].max() > fitting.Z_CAP
+    assert np.array_equal(got, flat[flat[:, 2] <= fitting.Z_CAP])
+    assert lane_gap_points([], np.zeros((0, rows.size)), rows, k, 1.5) == []
+
+
+def test_lane_gap_points_name_the_fallback_lane_without_points_below_the_horizon(k, image):
+    # lanes 0 and 1 lie 1.5 m either side of the camera on level ground
+    # 1.5 m below it; lane 2 lies above the horizon with three rows of its
+    # own, too few for a depth, and nothing to back-project
+    rows = row_grid(image)
+    lanes = [
+        Lane2D(np.array([[260.0, 300.0], [380.0, 180.0]])),
+        Lane2D(np.array([[540.0, 300.0], [420.0, 180.0]])),
+        Lane2D(np.array([[400.0, 100.0], [410.0, 102.0]])),
+    ]
+    u = resample_lanes(lanes, rows)
+    with pytest.raises(DegenerateInputError, match="below the horizon") as info:
+        lane_gap_points(lanes, u, rows, k, 1.5)
+    assert info.value.lane == 2
+    # on level ground the gaps give each shared row, nearest first, the
+    # depth of the plane at camera height
+    near_first = np.arange(300, 179, -1)
+    for u_lane, got in zip(u, lane_gap_points(lanes[:2], u[:2], rows, k, 1.5)):
+        want = invert_to_ground(k, u_lane[near_first], rows[near_first], 1.5)
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
