@@ -143,6 +143,16 @@ def row_grid(image: ImageSpec) -> np.ndarray:
     return np.arange(image.height, dtype=float)
 
 
+def by_height(images: list[ImageSpec]):
+    """Each distinct image height, in order of first appearance, as its
+    row grid and the indices of the images of that height: fit and eval
+    resample and score one height's lanes as one stack."""
+    heights = [image.height for image in images]
+    for height in dict.fromkeys(heights):
+        members = [i for i, h in enumerate(heights) if h == height]
+        yield row_grid(images[members[0]]), members
+
+
 def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
     """u of every lane at the given rows, shape (len(lanes), len(rows)).
 

@@ -18,22 +18,10 @@ from numpy.polynomial.polynomial import polyval
 
 from . import anchors as anchors_mod
 from . import datagen, fitting, io_formats, metrics, render
-from .assignment import (
-    DEFAULT_MATCH_THRESHOLD,
-    cost_matrix,
-    hungarian_assign,
-    resample_lanes,
-    row_grid,
-)
-from .camera import Lane2D, project_stack
-from .errors import (
-    LaneError,
-    NonFiniteError,
-    SchemaError,
-    VersionError,
-)
-from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT, sample_lanes
-from .losses import LaneTargets
+from .assignment import DEFAULT_MATCH_THRESHOLD
+from .camera import Lane2D
+from .errors import LaneError, NonFiniteError, SchemaError, VersionError
+from .geometry import DEFAULT_SAMPLE_COUNT, MAX_SAMPLE_COUNT
 
 
 def _count(limit: int | None = None, low: int = 1):
@@ -73,225 +61,50 @@ def _cmd_fit(opts) -> int:
         raise SchemaError("--keypoints does not apply to --mode baseline")
     cfg = fitting.FitConfig(order=opts.order, **keypoints)
     frames = io_formats.read_dataset(opts.dataset)
-    if opts.mode != "baseline":
-        u_blocks = _resample_by_height(
-            [frame.lanes2d for frame in frames], [frame.image for frame in frames]
-        )
+    bare = next((f for f in frames if len(f.lanes3d) != len(f.lanes2d)), None)
+    if opts.mode == "3d" and bare is not None:
+        raise SchemaError(f"frame {bare.frame_id} has no lanes3d labels; use --mode 2d")
 
-    # Per frame, in baseline mode each fitted (lane, max residual), and in
-    # 3d and 2d mode the stack index of each lane that covers an image
-    # row. Per stacked lane, where (frame id, lane index) names it in a
-    # failure, points feed its start, and u_rows, v_ends and cameras make
-    # its target on the row grid of its image height (heights, grids).
-    fitted_lanes = []
-    where, points, u_rows, v_ends, cameras, heights = [], [], [], [], [], []
-    grids = {}
-    skipped = 0
-    for n, frame in enumerate(frames):
-        if opts.mode == "3d" and len(frame.lanes3d) != len(frame.lanes2d):
-            raise SchemaError(f"frame {frame.frame_id} has no lanes3d labels; use --mode 2d")
-        if opts.mode == "baseline":
-            lanes = []
-            for gt2d in frame.lanes2d:
-                fit = fitting.fit_perspective_baseline(gt2d, order=opts.order)
-                v = np.linspace(gt2d.v.max(), gt2d.v.min(), DEFAULT_SAMPLE_COUNT)
-                u = polyval(v, fit.coefficients)
-                lanes.append((Lane2D(np.column_stack([u, v])), fit.max_residual))
-            fitted_lanes.append(lanes)
-            continue
-        grids.setdefault(frame.image.height, row_grid(frame.image))
-        u_values = u_blocks[n]
-        kept = np.flatnonzero(~np.isnan(u_values).all(axis=1))
-        skipped += len(frame.lanes2d) - kept.size
-        fitted_lanes.append(range(len(where), len(where) + kept.size))
-        frame_where = [(frame.frame_id, int(i)) for i in kept]
-        where += frame_where
-        u_rows += [u_values[i] for i in kept]
-        v_ends += [(frame.lanes2d[i].v[0], frame.lanes2d[i].v[-1]) for i in kept]
-        k = frame.intrinsics
-        cameras += [(k.fx, k.fy, k.ox, k.oy)] * kept.size
-        heights += [frame.image.height] * kept.size
-        if opts.mode == "3d":
-            points += [fitting.by_depth(frame.lanes3d[i]) for i in kept]
-        else:
-            points += _naming_lanes(
-                frame_where, fitting.lane_gap_points, [frame.lanes2d[i] for i in kept],
-                u_values[kept], grids[frame.image.height], k, frame.camera_height,
-            )
-
-    if opts.mode != "baseline":
-        starts = _naming_lanes(where, fitting.lane_starts, points, cfg)
-        reports = [None] * len(where)
-        v_ends, cameras, heights = np.array(v_ends), np.array(cameras), np.array(heights)
-        for height in dict.fromkeys(heights.tolist()):
-            members = np.flatnonzero(heights == height)
-            u_values = np.array([u_rows[i] for i in members])
-            targets = LaneTargets(
-                rows=grids[height],
-                u_values=u_values,
-                present=~np.isnan(u_values),
-                v_ends=v_ends[members],
-                camera=cameras[members],
-                labels=[points[i] for i in members] if opts.mode == "3d" else None,
-            )
-            fits = _naming_lanes(
-                [where[i] for i in members], fitting.fit_lanes, targets, starts[members], cfg
-            )
-            for i, report in zip(members, fits):
-                reports[i] = report
-    preds = []
-    residuals = []
-    for frame, lanes in zip(frames, fitted_lanes):
-        if opts.mode != "baseline":
-            lanes = [(reports[i].lane, reports[i].terms["total"]) for i in lanes]
-        residuals.extend(value for _lane, value in lanes)
-        fitted = tuple(lane for lane, _value in lanes)
-        preds.append(
-            io_formats.PredictionFrame(
-                frame_id=frame.frame_id,
-                lanes3d=() if opts.mode == "baseline" else fitted,
-                lanes2d=fitted if opts.mode == "baseline" else (),
-            )
-        )
+    # Per frame, each fitted lane with its max residual (baseline) or final loss.
+    if opts.mode == "baseline":
+        fitted = [[_fit_baseline(gt2d, opts.order) for gt2d in f.lanes2d] for f in frames]
+    else:
+        fitted = [
+            [(report.lane, report.terms["total"]) for report in reports]
+            for reports in fitting.fit_dataset(frames, opts.mode, cfg)
+        ]
+    side = "lanes2d" if opts.mode == "baseline" else "lanes3d"
+    preds = [
+        io_formats.PredictionFrame(frame_id=frame.frame_id, **{side: tuple(l for l, _ in lanes)})
+        for frame, lanes in zip(frames, fitted)
+    ]
     io_formats.write_predictions(preds, opts.out)
+    values = [value for lanes in fitted for _lane, value in lanes]
+    skipped = sum(len(frame.lanes2d) for frame in frames) - len(values)
     label = "max residual [px]" if opts.mode == "baseline" else "final loss"
-    mean_val = float(np.mean(residuals)) if residuals else float("nan")
+    mean_val = float(np.mean(values)) if values else float("nan")
     print(
-        f"fit {len(residuals)} lanes in mode {opts.mode} (skipped {skipped}); "
+        f"fit {len(values)} lanes in mode {opts.mode} (skipped {skipped}); "
         f"mean {label}: {mean_val:.6g}; wrote {opts.out}"
     )
     return 0
 
 
-def _resample_by_height(lanes, images):
-    """Per frame i, resample_lanes(lanes[i], row_grid(images[i])), as a slice
-    of one resample_lanes call over the lanes of every frame of its image
-    height.
-
-    Each lane is resampled on its own, so a slice reads as its frame
-    would alone.
-    """
-    blocks = [None] * len(lanes)
-    for height in dict.fromkeys(image.height for image in images):
-        members = [i for i, image in enumerate(images) if image.height == height]
-        rows = row_grid(images[members[0]])
-        u_values = resample_lanes([lane for i in members for lane in lanes[i]], rows)
-        start = 0
-        for i in members:
-            blocks[i] = u_values[start : start + len(lanes[i])]
-            start += len(lanes[i])
-    return blocks
-
-
-def _naming_lanes(where, call, *args):
-    """call(*args), with a LaneError about lane i of its stack re-raised
-    with where[i], a (frame id, lane index) pair, named first."""
-    try:
-        return call(*args)
-    except LaneError as exc:
-        if exc.lane is None:
-            raise
-        frame_id, lane = where[exc.lane]
-        raise type(exc)(f"frame {frame_id}, lane {lane}: {exc}") from exc
+def _fit_baseline(gt2d: Lane2D, order: int) -> tuple[Lane2D, float]:
+    """The u(v) polynomial of one 2D lane, sampled over its rows, and its max residual."""
+    fit = fitting.fit_perspective_baseline(gt2d, order=order)
+    v = np.linspace(gt2d.v.max(), gt2d.v.min(), DEFAULT_SAMPLE_COUNT)
+    return Lane2D(np.column_stack([polyval(v, fit.coefficients), v])), fit.max_residual
 
 
 def _cmd_eval(opts) -> int:
     frames = io_formats.read_dataset(opts.dataset)
     preds = io_formats.read_predictions(opts.pred)
     io_formats.validate_predictions(preds, frames)
-    by_id = {p.frame_id: p for p in preds}
-    preds = [by_id.get(f.frame_id, io_formats.PredictionFrame(frame_id=f.frame_id)) for f in frames]
-
     cfg = metrics.EvalConfig(lane_width=opts.lane_width, tusimple_pixel_tol=opts.tusimple_tol)
-    totals = {t: [0, 0, 0] for t in cfg.iou_thresholds}
-    ts_correct = ts_points = ts_matched = ts_pred = ts_gt = 0
-    cd_values = []
-    n_pred_lanes = 0
-    n_gt_lanes = 0
-
-    # A record holds 3D or 2D lanes, never both. Every predicted 3D lane of
-    # the dataset is sampled once, in one pass, and projected through its
-    # own frame's camera: its projection and its curve distance read the
-    # same points. A curve that overflows gives inf or NaN samples, which
-    # Lane2D and cd_error_per_pair refuse, so a lane that overflows in any
-    # frame is refused before any frame is scored.
-    n_lanes3d = [len(p.lanes3d) for p in preds]
-    splits = np.cumsum(n_lanes3d)[:-1]
-    cameras = [[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.ox, f.intrinsics.oy] for f in frames]
-    cameras = np.repeat(np.reshape(cameras, (-1, 4)), n_lanes3d, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = sample_lanes([lane for p in preds for lane in p.lanes3d], opts.sample_count)
-        projected = project_stack(cameras, samples)
-    samples = np.split(samples, splits)
-    pred2d = [
-        [*p.lanes2d, *map(Lane2D, uv)] for p, uv in zip(preds, np.split(projected, splits))
-    ]
-
-    # Matching reads every image row and row-anchor accuracy every
-    # tusimple_row_step-th row from mid-image down. Each side's lanes are
-    # resampled once per image height, on every row of that height.
-    images = [frame.image for frame in frames]
-    pred_blocks = _resample_by_height(pred2d, images)
-    gt_blocks = _resample_by_height([frame.lanes2d for frame in frames], images)
-
-    per_frame = zip(frames, preds, pred2d, samples, pred_blocks, gt_blocks)
-    for frame, pred, lanes, points, pred_u, gt_u in per_frame:
-        gts2d = list(frame.lanes2d)
-        n_pred_lanes += len(lanes)
-        n_gt_lanes += len(gts2d)
-
-        for t, (tp, fp, fn) in metrics.f1_counts(lanes, gts2d, frame.image, cfg).items():
-            totals[t][0] += tp
-            totals[t][1] += fp
-            totals[t][2] += fn
-
-        grid = row_grid(frame.image)
-        anchors = slice(frame.image.height // 2, None, opts.tusimple_row_step)
-        ts = metrics.tusimple_accuracy(pred_u[:, anchors], gt_u[:, anchors], grid[anchors], cfg)
-        ts_correct += ts.correct_points
-        ts_points += ts.gt_points
-        ts_matched += ts.matched_pairs
-        ts_pred += ts.pred_lanes
-        ts_gt += ts.gt_lanes
-
-        if pred.lanes3d and frame.lanes3d:
-            costs = cost_matrix(pred_u, gt_u, grid)
-            match = hungarian_assign(costs, match_threshold=opts.match_threshold)
-            pairs = [(i, j) for i, j, _ in match.pairs]
-            if pairs:
-                try:
-                    cd_values.extend(metrics.cd_error_per_pair(points, frame.lanes3d, pairs))
-                except NonFiniteError as exc:
-                    raise NonFiniteError(f"frame {frame.frame_id}: {exc}") from exc
-
-    f1_section = {}
-    f1_values = []
-    for t in cfg.iou_thresholds:
-        counts = metrics.counts_to_f1(*totals[t])
-        f1_values.append(counts.f1)
-        f1_section[f"{t:.2f}"] = {
-            "tp": counts.tp,
-            "fp": counts.fp,
-            "fn": counts.fn,
-            "precision": counts.precision,
-            "recall": counts.recall,
-            "f1": counts.f1,
-        }
-    report = {
-        "frames": len(frames),
-        "pred_lanes": n_pred_lanes,
-        "gt_lanes": n_gt_lanes,
-        "f1": f1_section,
-        "mf1": float(np.mean(f1_values)),
-        "tusimple": {
-            "accuracy": ts_correct / ts_points if ts_points else 0.0,
-            "fp_rate": (ts_pred - ts_matched) / ts_pred if ts_pred else 0.0,
-            "fn_rate": (ts_gt - ts_matched) / ts_gt if ts_gt else 0.0,
-            "correct_points": ts_correct,
-            "gt_points": ts_points,
-        },
-        "cd_error": float(np.mean(cd_values)) if cd_values else None,
-    }
+    report = metrics.evaluate(
+        frames, preds, cfg, opts.sample_count, opts.match_threshold, opts.tusimple_row_step
+    )
     io_formats.write_report(report, opts.out)
     print(format_report(report))
     return 0

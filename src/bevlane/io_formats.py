@@ -64,6 +64,16 @@ _HASH_BLOCK = 1 << 20
 # over 3 GB at 1e11. At 1e9 a fourth power is 1e36 and a squared
 # difference 4e18.
 MAX_PIXEL = 1e9
+# The largest |x|, |y| and z of a lanes3d point the readers accept, in
+# meters. The kernels' highest power of a meter coordinate is the cube
+# (lane_starts' np.vander on z, and z ** 3 in the BEV term's gradient),
+# and the curve distance sums three squared differences of two points.
+# These overflow past about 5e102 for z (z ** 3) and 4e153 for x and y:
+# a label z of 1e120 made the 3d fit refuse its cubes, an x or y of 1e160
+# made eval's curve distance overflow (exit 3), and an x of 1e160 leaked
+# RuntimeWarnings from the 3d fit. Road scenes span under a kilometer;
+# at 1e9 m a cube is 1e27 and a squared difference 4e18.
+MAX_METERS = 1e9
 
 
 @dataclass(frozen=True)
@@ -462,11 +472,17 @@ def _frame(obj: dict, where: str) -> FrameRecord:
         raise SchemaError(f"{where}: camera_height must be > 0, got {frame.camera_height}")
     if frame.lanes3d and len(frame.lanes3d) != len(frame.lanes2d):
         raise SchemaError(f"{where}: {len(frame.lanes3d)} lanes3d for {len(frame.lanes2d)} lanes2d")
-    for pts in frame.lanes3d:
+    for lane, pts in enumerate(frame.lanes3d):
         if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 2:
             raise SchemaError(f"{where}: lanes3d entries must be (m >= 2, 3) point lists")
         if not np.isfinite(pts).all() or (pts[:, 2] <= 0.0).any():
             raise SchemaError(f"{where}: lanes3d points must be finite with z > 0")
+        far = np.flatnonzero(np.abs(pts).max(axis=1) > MAX_METERS)
+        if far.size:
+            raise SchemaError(
+                f"{where}: lanes3d lane {lane}, point {far[0]}: |x|, |y| and z must be at "
+                f"most {MAX_METERS:g}, got {pts[far[0]].tolist()}"
+            )
     return frame
 
 

@@ -7,17 +7,24 @@ from the runs, clears a threshold, swept over thresholds 0.50 to 0.95.
 Row-anchor accuracy follows the fraction-of-correct-points convention
 with a pixel tolerance. Curve distance is a symmetric mean
 point-to-polyline distance in meters between matched 3D lanes.
+evaluate is the one pass over a dataset and its predictions: it samples
+and projects every predicted 3D lane once, resamples each image
+height's lanes as one stack, scores each frame on its slices and sums
+the report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .assignment import hungarian_assign
-from .camera import ImageSpec, Lane2D
+from .assignment import (
+    DEFAULT_MATCH_THRESHOLD, by_height, cost_matrix, hungarian_assign, resample_lanes
+)
+from .camera import ImageSpec, Lane2D, project_stack
 from .errors import DimensionMismatchError, NonFiniteError, ValidationError
+from .geometry import DEFAULT_SAMPLE_COUNT, sample_lanes
 
 DEFAULT_IOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 # Row-anchor accuracy counts a lane pair once this fraction of its points is correct.
@@ -429,9 +436,14 @@ def f1_suite(
     preds: list[Lane2D], gts: list[Lane2D], image: ImageSpec, cfg: EvalConfig = EvalConfig()
 ) -> F1Result:
     """Detection F1 swept over the configured IoU thresholds."""
-    counts = {t: counts_to_f1(*c) for t, c in f1_counts(preds, gts, image, cfg).items()}
-    mf1 = float(np.mean([c.f1 for c in counts.values()]))
-    return F1Result(counts=counts, mf1=mf1)
+    return _f1_result(f1_counts(preds, gts, image, cfg))
+
+
+def _f1_result(counts: dict[float, tuple[int, int, int]]) -> F1Result:
+    """Scores per threshold from raw (tp, fp, fn), and their mean F1, for
+    f1_suite's frame and evaluate's dataset alike."""
+    scores = {t: counts_to_f1(*c) for t, c in counts.items()}
+    return F1Result(counts=scores, mf1=float(np.mean([c.f1 for c in scores.values()])))
 
 
 @dataclass(frozen=True)
@@ -590,3 +602,87 @@ def cd_error_per_pair(
             raise NonFiniteError(f"curve distance of pair (pred {i}, gt {j}) is not finite")
         values.append(value)
     return np.array(values)
+
+
+def evaluate(
+    frames: list,
+    preds: list,
+    cfg: EvalConfig = EvalConfig(),
+    sample_count: int = DEFAULT_SAMPLE_COUNT,
+    match_threshold: float = DEFAULT_MATCH_THRESHOLD,
+    row_step: int = 10,
+) -> dict:
+    """The report of predictions against a dataset's frames.
+
+    frames are datagen.FrameRecords and preds prediction records (frame_id
+    with lanes3d or lanes2d), at most one per frame; a frame without one
+    predicts no lanes. Each predicted 3D lane is sampled at sample_count
+    points, all in one pass, and projected through its own frame's camera,
+    so its 2D lane and its curve distance read the same points; a curve
+    that overflows is refused (as a Lane2D) before any frame is scored.
+    Each image height's lanes of each side are resampled in one call on
+    every row of that height. Per frame, F1 counts come from f1_counts,
+    row-anchor accuracy reads every row_step-th row from mid-image down,
+    and 3D pairs matched on the rows within match_threshold give curve
+    distances, the report's mean over all of them.
+    """
+    by_id = {p.frame_id: p for p in preds}
+    preds = [by_id.get(frame.frame_id) for frame in frames]
+    lanes3d = [pred.lanes3d if pred else () for pred in preds]
+    n_lanes3d = [len(lanes) for lanes in lanes3d]
+    splits = np.cumsum(n_lanes3d)[:-1]
+    cameras = [[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.ox, f.intrinsics.oy] for f in frames]
+    cameras = np.repeat(np.reshape(cameras, (-1, 4)), n_lanes3d, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = sample_lanes([lane for lanes in lanes3d for lane in lanes], sample_count)
+        projected = project_stack(cameras, samples)
+    samples = np.split(samples, splits)
+    pred2d = [
+        [*(pred.lanes2d if pred else ()), *map(Lane2D, uv)]
+        for pred, uv in zip(preds, np.split(projected, splits))
+    ]
+
+    totals = {t: [0, 0, 0] for t in cfg.iou_thresholds}
+    ts = [0] * 5  # correct and GT points, matched, predicted and GT lanes
+    cd_values = [np.zeros(0)] * len(frames)
+    for rows, members in by_height([frame.image for frame in frames]):
+        pred_u, gt_u = (
+            np.split(resample_lanes([lane for lanes in side for lane in lanes], rows),
+                     np.cumsum([len(lanes) for lanes in side])[:-1])
+            for side in ([pred2d[n] for n in members], [frames[n].lanes2d for n in members])
+        )
+        anchors = slice(rows.size // 2, None, row_step)
+        for n, p_u, g_u in zip(members, pred_u, gt_u):
+            frame = frames[n]
+            for t, counts in f1_counts(pred2d[n], list(frame.lanes2d), frame.image, cfg).items():
+                totals[t] = [a + b for a, b in zip(totals[t], counts)]
+            r = tusimple_accuracy(p_u[:, anchors], g_u[:, anchors], rows[anchors], cfg)
+            counts = (r.correct_points, r.gt_points, r.matched_pairs, r.pred_lanes, r.gt_lanes)
+            ts = [a + b for a, b in zip(ts, counts)]
+            if lanes3d[n] and frame.lanes3d:
+                match = hungarian_assign(cost_matrix(p_u, g_u, rows), match_threshold)
+                try:
+                    cd_values[n] = cd_error_per_pair(
+                        samples[n], frame.lanes3d, [(i, j) for i, j, _ in match.pairs]
+                    )
+                except NonFiniteError as exc:
+                    raise NonFiniteError(f"frame {frame.frame_id}: {exc}") from exc
+
+    f1 = _f1_result(totals)
+    correct, points, matched, n_pred, n_gt = ts
+    cd_values = np.concatenate([np.zeros(0), *cd_values])
+    return {
+        "frames": len(frames),
+        "pred_lanes": sum(len(lanes) for lanes in pred2d),
+        "gt_lanes": sum(len(frame.lanes2d) for frame in frames),
+        "f1": {f"{t:.2f}": asdict(c) for t, c in f1.counts.items()},
+        "mf1": f1.mf1,
+        "tusimple": {
+            "accuracy": correct / points if points else 0.0,
+            "fp_rate": (n_pred - matched) / n_pred if n_pred else 0.0,
+            "fn_rate": (n_gt - matched) / n_gt if n_gt else 0.0,
+            "correct_points": correct,
+            "gt_points": points,
+        },
+        "cd_error": float(np.mean(cd_values)) if cd_values.size else None,
+    }

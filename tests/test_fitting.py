@@ -1,4 +1,6 @@
 import json
+from dataclasses import replace
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -681,3 +683,77 @@ def test_lane_gap_points_name_the_fallback_lane_without_points_below_the_horizon
     for u_lane, got in zip(u, lane_gap_points(lanes[:2], u[:2], rows, k, 1.5)):
         want = invert_to_ground(k, u_lane[near_first], rows[near_first], 1.5)
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def _two_height_frames(tmp_path):
+    """Two jittered bump frames of 320 rows and two slope frames of 300
+    rows, alternating, so each height's stack is interleaved."""
+    path = tmp_path / "spec.json"
+    scenes = [{"preset": "bump"}, {"preset": "slope", "image": {"width": 800, "height": 300}}]
+    path.write_text(json.dumps({"scenes": scenes, "jitter": MIXED_SPEC["jitter"]}))
+    scenes, jitter = read_scene_spec(str(path))
+    frames = datagen.generate_dataset(scenes, frames_per_spec=2, jitter=jitter, seed=1)
+    frames = [frames[0], frames[2], frames[1], frames[3]]
+    assert [frame.image.height for frame in frames] == [320, 300, 320, 300]
+    return frames
+
+
+def _bits(reports):
+    return [
+        (lane_to_vector(r.lane).tobytes(), r.iterations, r.converged, r.terms) for r in reports
+    ]
+
+
+@pytest.mark.parametrize("mode", ["3d", "2d"])
+def test_fit_dataset_gives_any_subset_the_reports_of_the_full_run(tmp_path, mode):
+    frames = _two_height_frames(tmp_path)
+    whole = fitting.fit_dataset(frames, mode)
+    assert [len(reports) for reports in whole] == [len(f.lanes2d) for f in frames]
+    subsets = [(i,) for i in range(4)] + list(combinations(range(4), 2)) + [(3, 2, 1, 0)]
+    for subset in subsets:
+        got = fitting.fit_dataset([frames[i] for i in subset], mode)
+        for i, reports in zip(subset, got, strict=True):
+            assert _bits(reports) == _bits(whole[i]), (subset, i)
+
+
+def test_fit_dataset_errors_name_the_frame_and_the_lane(tmp_path, monkeypatch):
+    frames = _two_height_frames(tmp_path)
+    victim = frames[2]  # the second frame of the 320-row stack
+    lanes = list(victim.lanes2d)
+    # lane 0 covers no image row, so it is skipped, and lane 2 lies above
+    # the horizon with two rows of its own: no depth from the gaps, and no
+    # point to back-project
+    lanes[0] = Lane2D(lanes[0].points - [0.0, 1000.0])
+    lanes[2] = Lane2D(np.array([[400.0, 100.0], [410.0, 102.0]]))
+    frames[2] = replace(victim, lanes2d=tuple(lanes))
+    with pytest.raises(DegenerateInputError) as info:
+        fitting.fit_dataset(frames, "2d")
+    want = f"frame {victim.frame_id}, lane 2: too few points below the horizon to back-project"
+    assert str(info.value) == want
+
+    labels = list(victim.lanes3d)
+    labels[3] = labels[3] * [1.0, 1.0, 0.0] + [0.0, 0.0, 20.0]
+    frames[2] = replace(victim, lanes3d=tuple(labels))
+    with pytest.raises(RankDeficientError) as info:
+        fitting.fit_dataset(frames, "3d")
+    want = f"frame {victim.frame_id}, lane 3: 1 distinct z values cannot determine 4 coefficients"
+    assert str(info.value) == want
+
+    frames[2] = victim
+    target = resample_lane(victim.lanes2d[1], victim.image).u_values
+
+    def nan_in_lane_1(theta, targets):
+        loss, grad, terms, overlap = lane_losses(theta, targets)
+        for i, u in enumerate(targets.u_values):
+            if np.array_equal(u, target, equal_nan=True):
+                loss[i] = np.nan
+        return loss, grad, terms, overlap
+
+    monkeypatch.setattr(fitting, "lane_losses", nan_in_lane_1)
+    for mode in ("3d", "2d"):
+        with pytest.raises(NonFiniteError) as info:
+            fitting.fit_dataset(frames, mode)
+        want = f"frame {victim.frame_id}, lane 1: objective became non-finite at the lane's start"
+        assert str(info.value) == want
+    with pytest.raises(ValidationError, match="mode must be"):
+        fitting.fit_dataset(frames, "baseline")

@@ -1,10 +1,12 @@
 """Tests for the rasterized F1 suite, row-anchor accuracy, and curve distance."""
 
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from bevlane import datagen
 from bevlane.assignment import resample_lanes
 from bevlane.camera import ImageSpec, Lane2D
 from bevlane.errors import DimensionMismatchError, NonFiniteError, ValidationError
@@ -13,6 +15,7 @@ from bevlane.metrics import (
     EvalConfig,
     cd_error_per_pair,
     counts_to_f1,
+    evaluate,
     f1_counts,
     f1_suite,
     lane_iou_matrix,
@@ -21,6 +24,7 @@ from bevlane.metrics import (
     rasterize_lane,
     tusimple_accuracy,
 )
+from bevlane.io_formats import PredictionFrame
 from oracles import (
     chamfer_oracle,
     dense_raster_oracle,
@@ -357,6 +361,22 @@ class TestF1Suite:
     def test_no_lanes_at_all(self):
         result = f1_suite([], [], SMALL)
         assert all(c.f1 == 0.0 for c in result.counts.values())
+
+    def test_evaluate_reports_the_f1_suite_scores(self):
+        # the report's F1 section and mF1 are f1_suite's scores, which
+        # criterion 6 checks against the pixel oracle; a frame without a
+        # prediction record predicts nothing
+        frame = datagen.generate_frame(datagen.bump_scene(seed=4), frame_id=7)
+        shifted = [Lane2D(lane.points + [6.0 * i, 0.0]) for i, lane in enumerate(frame.lanes2d)]
+        cfg = EvalConfig(lane_width=20.0)
+        suite = f1_suite(shifted, list(frame.lanes2d), frame.image, cfg)
+        assert 0.0 < suite.mf1 < 1.0
+        report = evaluate([frame], [PredictionFrame(frame_id=7, lanes2d=tuple(shifted))], cfg)
+        assert report["f1"] == {f"{t:.2f}": asdict(c) for t, c in suite.counts.items()}
+        assert report["mf1"] == suite.mf1
+        report = evaluate([frame], [], cfg)
+        assert {(c["tp"], c["fp"], c["fn"]) for c in report["f1"].values()} == {(0, 0, 4)}
+        assert report["pred_lanes"] == 0 and report["cd_error"] is None
 
 
 class TestTuSimple:
