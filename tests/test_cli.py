@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bevlane import fitting
+from bevlane import fitting, io_formats
 from bevlane.anchors import MAX_ANCHORS
 from bevlane.assignment import match_lanes, resample_lane, resample_lanes, row_grid
 from bevlane.camera import project_lane
@@ -863,13 +863,42 @@ def _edit_first_record(path, out, edit):
     return str(out)
 
 
+def _overflowing_label_segment(record):
+    record["lanes3d"][0][0][0], record["lanes3d"][0][1][0] = -1e308, 1e308
+
+
+def _far_label_point(record):
+    record["lanes3d"][0][0][0] = 1e200
+
+
+@pytest.mark.parametrize("edit", [_overflowing_label_segment, _far_label_point])
+def test_non_finite_curve_distance_exits_3(flat_dataset, tmp_path, monkeypatch, edit):
+    # the reader refuses these labels (MAX_METERS); past that bound, eval's
+    # own guard still turns the overflowing distance of the matched pair
+    # into exit 3
+    monkeypatch.setattr(io_formats, "MAX_METERS", np.inf)
+    preds = str(tmp_path / "preds.jsonl")
+    assert _run(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds])[0] == 0
+    dataset = _edit_first_record(flat_dataset, tmp_path / "d.jsonl", edit)
+    argv = ["eval", "--dataset", dataset, "--pred", preds, "--out", str(tmp_path / "r.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(argv)
+    assert code == 3
+    assert err.startswith("error:") and "curve distance of pair (pred 0, gt 0)" in err
+    assert err.startswith("error: frame 0: curve distance of pair (pred 0, gt 0) is not finite")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "r.json").exists()
+
+
 def _far_straight_lane(record):
     lane = record["lanes3d"][0]
     lane["curve"].update(a=0.0, b=0.0, c=0.0)
     lane["z_max"] = 1e200
 
 
-def test_non_finite_curve_distance_exits_3(flat_dataset, tmp_path):
+def test_far_predicted_span_exits_3(flat_dataset, tmp_path):
     # the dataset's labels are bounded, but a predicted span is not: a
     # straight lane out to 1e200 m has finite samples, and it matches its
     # label, but their distance overflows
