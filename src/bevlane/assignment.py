@@ -194,30 +194,39 @@ def resample_lane(lane: Lane2D, image: ImageSpec) -> ResampledLane2D:
 def cost_matrix(pred_u: np.ndarray, gt_u: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Pairwise matching costs of two resample_lanes stacks on rows, shape (P, G).
 
-    A cost is the mean |u_p - u_g| over the rows both lanes cover, plus
-    the distance between their nearest covered rows and between their
-    farthest ones. It is +inf when the pair shares no row, so also when
-    either lane covers none. Each prediction meets all ground truths at
-    once, which keeps memory at one (G, rows) array.
+    With a leading frame axis, stacks (F, P, rows) and (F, G, rows) give
+    each frame's costs as one (F, P, G) array; the 2-D call is the stack
+    of one frame. A cost is the mean |u_p - u_g| over the rows both lanes
+    cover, plus the distance between their nearest covered rows and
+    between their farthest ones. It is +inf when the pair shares no row,
+    so also when either lane covers none, as NaN padding does. Each
+    prediction slot meets every frame's ground truths at once, which
+    keeps memory at one (F, G, rows) array.
     """
+    pred_u, gt_u = np.asarray(pred_u, dtype=float), np.asarray(gt_u, dtype=float)
+    if pred_u.ndim == 2:
+        return cost_matrix(pred_u[None], gt_u[None], rows)[0]
     rows = np.asarray(rows, dtype=float)
 
     def ends(u):
         """Nearest and farthest covered row of each lane."""
         return (
-            np.where(np.isnan(u), -np.inf, rows).max(axis=1, initial=-np.inf),
-            np.where(np.isnan(u), np.inf, rows).min(axis=1, initial=np.inf),
+            np.where(np.isnan(u), -np.inf, rows).max(axis=-1, initial=-np.inf),
+            np.where(np.isnan(u), np.inf, rows).min(axis=-1, initial=np.inf),
         )
 
     p_near, p_far = ends(pred_u)
     g_near, g_far = ends(gt_u)
-    costs = np.full((len(pred_u), len(gt_u)), np.inf)
-    for i, u in enumerate(pred_u):
-        gap = np.abs(gt_u - u)
-        shared = np.count_nonzero(~np.isnan(gap), axis=1)
+    costs = np.full((pred_u.shape[0], pred_u.shape[1], gt_u.shape[1]), np.inf)
+    for i in range(pred_u.shape[1]):
+        gap = np.abs(gt_u - pred_u[:, i, None])
+        shared = np.count_nonzero(~np.isnan(gap), axis=-1)
         hit = shared > 0
-        horizontal = np.nansum(gap[hit], axis=1) / shared[hit]
-        costs[i, hit] = horizontal + np.abs(p_near[i] - g_near[hit]) + np.abs(p_far[i] - g_far[hit])
+        horizontal = np.nansum(gap[hit], axis=-1) / shared[hit]
+        f, j = np.nonzero(hit)
+        costs[f, i, j] = (
+            horizontal + np.abs(p_near[f, i] - g_near[f, j]) + np.abs(p_far[f, i] - g_far[f, j])
+        )
     return costs
 
 

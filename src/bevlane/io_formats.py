@@ -2,9 +2,10 @@
 
 Every data file starts with a header object declaring schema_version and
 kind. Floats are written with Python's shortest-repr JSON encoding,
-float.__repr__, which round-trips exactly. write_dataset formats each
-distinct value of a record's point lists once and writes that text
-wherever the value occurs, so its bytes equal json.dumps's. Floats are
+float.__repr__, which round-trips exactly. write_dataset and
+write_predictions format each distinct value of a record's floats once
+and write that text wherever the value occurs, so their bytes equal
+json.dumps's. Floats are
 read as plain floats, and each reader checks that what it builds is
 finite. Writes go through a temp file and an atomic replace so readers
 never observe a half-written file. Scene specs and CLI config files are
@@ -44,7 +45,7 @@ from .anchors import AnchorSet, LaneDescriptor
 from .camera import CameraIntrinsics, ImageSpec, Lane2D
 from .datagen import SCENE_PRESETS, FrameRecord, JitterSpec, SceneSpec
 from .errors import SchemaError, ValidationError, VersionError
-from .geometry import BevCurve, HeightProfile, Lane3D
+from .geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector
 
 SCHEMA_VERSION = "1"
 # The point cache's name suffix and layout version.
@@ -289,19 +290,6 @@ def _image_to_json(image: ImageSpec) -> dict:
     return {"width": image.width, "height": image.height}
 
 
-def _points_to_json(points: np.ndarray) -> list:
-    return np.asarray(points, dtype=float).tolist()
-
-
-def _lane3d_to_json(lane: Lane3D) -> dict:
-    return {
-        "curve": {"a": lane.curve.a, "b": lane.curve.b, "c": lane.curve.c, "d": lane.curve.d},
-        "heights": list(lane.profile.heights),
-        "z_min": lane.z_min,
-        "z_max": lane.z_max,
-    }
-
-
 def _lane3d_from_json(obj: dict, where: str) -> Lane3D:
     try:
         curve_obj = _field(obj, "curve", where)
@@ -317,26 +305,30 @@ def _lane3d_from_json(obj: dict, where: str) -> Lane3D:
 
 
 def _point_lists(arrays: list[np.ndarray]) -> str:
-    """The text _dump gives [a.tolist() for a in arrays], for 2-d float64 arrays of points.
-
-    Values are grouped by their float64 bits, which keeps -0.0 and 0.0
-    apart, and each distinct one is formatted once with float.__repr__,
-    as json's encoder formats every float.
-    """
+    """The text _dump gives [a.tolist() for a in arrays], for 2-d float64 arrays of points."""
     if any(a.ndim != 2 for a in arrays):
         raise ValueError("point lists must be 2-d arrays")
-    values = np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
-    if not np.isfinite(values).all():
-        raise ValueError("point lists must be finite to be written as JSON")
-    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
-    cells = texts[index]
+    cells = _float_texts(np.concatenate([np.zeros(0), *(a.ravel() for a in arrays)]))
     parts = []
     stop = 0
     for a in arrays:
         start, stop = stop, stop + a.size
         parts.append(_array_text(cells[start:stop], *a.shape))
     return "[" + ",".join(parts) + "]"
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each value of a 1-d float64 array, as an object array.
+
+    Values are grouped by their float64 bits, which keeps -0.0 and 0.0
+    apart, and each distinct one is formatted once with float.__repr__,
+    as json's encoder formats every float. Non-finite values are refused,
+    as _dump refuses them.
+    """
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite to be written as JSON")
+    bits, index = np.unique(values.view(np.uint64), return_inverse=True)
+    return np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)[index]
 
 
 def _array_text(cells: np.ndarray, rows: int, columns: int) -> str:
@@ -503,17 +495,33 @@ def read_dataset(path: str) -> list[FrameRecord]:
 
 
 def write_predictions(frames: list[PredictionFrame], path: str) -> None:
+    """Write prediction records; nothing is written if any value is refused.
+
+    Each record's floats are formatted once per distinct value, as
+    write_dataset formats its point lists, so the bytes equal _dump's of
+    the whole record.
+    """
     lines = [_header("predictions")]
     for frame in frames:
-        lines.append(
-            _dump(
-                {
-                    "frame_id": frame.frame_id,
-                    "lanes3d": [_lane3d_to_json(l) for l in frame.lanes3d],
-                    "lanes2d": [_points_to_json(l.points) for l in frame.lanes2d],
-                }
+        vectors = [lane_to_vector(lane) for lane in frame.lanes3d]
+        points = [lane.points for lane in frame.lanes2d]
+        cells = _float_texts(np.concatenate([np.zeros(0), *vectors, *(p.ravel() for p in points)]))
+        lanes3d, lanes2d = [], []
+        stop = 0
+        for vector in vectors:
+            start, stop = stop, stop + vector.size
+            # _dump's key order, from the vector [a, b, c, d, heights..., z_min, z_max]
+            a, b, c, d, *heights, z_min, z_max = cells[start:stop].tolist()
+            lanes3d.append(
+                f'{{"curve":{{"a":{a},"b":{b},"c":{c},"d":{d}}},"heights":[{",".join(heights)}],'
+                f'"z_max":{z_max},"z_min":{z_min}}}'
             )
-        )
+        for p in points:
+            start, stop = stop, stop + p.size
+            lanes2d.append(_array_text(cells[start:stop], *p.shape))
+        lanes = f'"lanes2d":[{",".join(lanes2d)}],"lanes3d":[{",".join(lanes3d)}]'
+        record = _dump({"frame_id": frame.frame_id, "lanes2d": None, "lanes3d": None})
+        lines.append(record.replace('"lanes2d":null,"lanes3d":null', lanes, 1))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -9,8 +9,9 @@ with a pixel tolerance. Curve distance is a symmetric mean
 point-to-polyline distance in meters between matched 3D lanes.
 evaluate is the one pass over a dataset and its predictions: it samples
 and projects every predicted 3D lane once, resamples each image
-height's lanes as one stack, scores each frame on its slices and sums
-the report.
+height's lanes as one stack, counts row-anchor hits and matching costs
+for all of that height's frames at once, and per frame keeps only the
+F1 raster, the assignments and one curve-distance call.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .assignment import (
     DEFAULT_MATCH_THRESHOLD, by_height, cost_matrix, hungarian_assign, resample_lanes
 )
 from .camera import ImageSpec, Lane2D, project_stack
-from .errors import DimensionMismatchError, NonFiniteError, ValidationError
+from .errors import DimensionMismatchError, NonFiniteError, SchemaError, ValidationError
 from .geometry import DEFAULT_SAMPLE_COUNT, sample_lanes
+from .io_formats import MAX_PIXEL
 
 DEFAULT_IOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 # Row-anchor accuracy counts a lane pair once this fraction of its points is correct.
@@ -472,37 +474,52 @@ def tusimple_accuracy(
     the lane does not reach, as resample_lanes gives them. A predicted
     point is correct within cfg.tusimple_pixel_tol; lanes pair up
     one-to-one maximizing the correct fraction and a pair only counts
-    once its fraction reaches TUSIMPLE_MIN_CORRECT.
+    once its fraction reaches TUSIMPLE_MIN_CORRECT. This is the one-frame
+    view of the stacks evaluate scores.
     """
     row_anchors = np.asarray(row_anchors, dtype=float)
     pred_u, gt_u = (_row_stack(lanes, row_anchors) for lanes in (preds, gts))
-
-    n_pred, n_gt = len(pred_u), len(gt_u)
-    # NaN on either side compares False, so only rows both lanes reach count.
-    ok = np.abs(pred_u[:, None, :] - gt_u[None, :, :]) <= cfg.tusimple_pixel_tol
-    correct = ok.sum(axis=2)
-    totals = np.count_nonzero(~np.isnan(gt_u), axis=1)
-    fraction = np.where(totals > 0, correct / np.maximum(totals, 1), 0.0)
-
+    correct, totals, fraction = _anchor_hits(pred_u[None], gt_u[None], cfg.tusimple_pixel_tol)
+    correct_points, matched = _anchor_matches(correct[0], fraction[0])
     gt_points = int(totals.sum())
-    matched = []
-    if n_pred and n_gt:
-        result = hungarian_assign(1.0 - fraction, match_threshold=float("inf"))
-        matched = [(i, j) for i, j, _ in result.pairs if fraction[i, j] >= TUSIMPLE_MIN_CORRECT]
-    correct_points = int(sum(correct[i, j] for i, j in matched))
-    accuracy = correct_points / gt_points if gt_points > 0 else 0.0
-    fp_rate = (n_pred - len(matched)) / n_pred if n_pred > 0 else 0.0
-    fn_rate = (n_gt - len(matched)) / n_gt if n_gt > 0 else 0.0
+    n_pred, n_gt = len(pred_u), len(gt_u)
     return TuSimpleResult(
-        accuracy=accuracy,
-        fp_rate=fp_rate,
-        fn_rate=fn_rate,
+        accuracy=correct_points / gt_points if gt_points > 0 else 0.0,
+        fp_rate=(n_pred - matched) / n_pred if n_pred > 0 else 0.0,
+        fn_rate=(n_gt - matched) / n_gt if n_gt > 0 else 0.0,
         correct_points=correct_points,
         gt_points=gt_points,
-        matched_pairs=len(matched),
+        matched_pairs=matched,
         pred_lanes=n_pred,
         gt_lanes=n_gt,
     )
+
+
+def _anchor_hits(pred_u: np.ndarray, gt_u: np.ndarray, tol: float):
+    """Row-anchor counts of stacks (F, P, anchors) and (F, G, anchors), NaN where absent.
+
+    Returns correct (F, P, G), the anchors where prediction p lies within
+    tol of GT g (NaN on either side compares False, so only rows both
+    lanes reach count); totals (F, G), the anchors each GT lane reaches;
+    and the correct fraction (F, P, G), 0 for a GT lane that reaches
+    none. Each prediction slot meets every frame's GT lanes at once,
+    which keeps memory at one (F, G, anchors) array.
+    """
+    correct = np.zeros((pred_u.shape[0], pred_u.shape[1], gt_u.shape[1]), dtype=np.int64)
+    for i in range(pred_u.shape[1]):
+        correct[:, i] = np.count_nonzero(np.abs(pred_u[:, i, None] - gt_u) <= tol, axis=-1)
+    totals = np.count_nonzero(~np.isnan(gt_u), axis=-1)
+    fraction = np.where(totals[:, None] > 0, correct / np.maximum(totals, 1)[:, None], 0.0)
+    return correct, totals, fraction
+
+
+def _anchor_matches(correct: np.ndarray, fraction: np.ndarray) -> tuple[int, int]:
+    """One frame's correct points and matched pairs from its (P, G) slices of _anchor_hits."""
+    if not fraction.size:
+        return 0, 0
+    result = hungarian_assign(1.0 - fraction, match_threshold=float("inf"))
+    matched = [(i, j) for i, j, _ in result.pairs if fraction[i, j] >= TUSIMPLE_MIN_CORRECT]
+    return int(sum(correct[i, j] for i, j in matched)), len(matched)
 
 
 def _row_stack(lanes: list[np.ndarray], row_anchors: np.ndarray) -> np.ndarray:
@@ -515,49 +532,99 @@ def _row_stack(lanes: list[np.ndarray], row_anchors: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def point_polyline_distances(points: np.ndarray, polyline: np.ndarray) -> np.ndarray:
+def point_polyline_distances(
+    points: np.ndarray,
+    polyline: np.ndarray,
+    point_counts: np.ndarray | None = None,
+    vertex_counts: np.ndarray | None = None,
+) -> np.ndarray:
     """Distance from each point to the nearest spot on a polyline (3D).
 
+    One call measures a stack of queries: points holds every query's
+    points and polyline every query's vertices, each concatenated in
+    query order, and point_counts and vertex_counts give each query's
+    share. Without them, all points form one query against the one
+    polyline. A point is measured against its own query's segments only,
+    and its distance does not depend on the other queries.
+
     A point's gap in z to a segment's z-interval [z_lo, z_hi] bounds its
-    distance to that segment from below. With the segments sorted by
-    z_lo, a point at height z takes as its bound r the distance to the
-    segment with the last z_lo at or below z (the first segment for a
-    point below them all), plus a slack for rounding of _EDGE_BAND times
-    the magnitudes involved. A segment whose gap is within r has
-    z_lo <= z + r and z_hi >= z - r, and z_hi - z_lo is at most reach,
-    the largest |dz| of a segment, so its z_lo lies in
-    [z - r - reach, z + r]: one range of the sorted order, found by
-    binary search. The exact test runs on that range, which holds every
-    segment that can be nearest, so each distance is the minimum over
-    all segments; when every range holds only the bound's segment, the
-    bounds are the distances. Nothing assumes z is monotone. Input that
-    overflows gives inf or NaN without a warning; the range always keeps
-    the bound's segment, so a NaN bound gives NaN, not a distance over
-    an empty range.
+    distance to that segment from below. With each query's segments
+    sorted by z_lo, a point at height z takes as its bound r the distance
+    to the segment with the last z_lo at or below z (the first segment
+    for a point below them all), plus a slack for rounding of _EDGE_BAND
+    times the magnitudes of its query's points and polyline. A segment
+    whose gap is within r has z_lo <= z + r and z_hi >= z - r, and
+    z_hi - z_lo is at most reach, the largest |dz| of a segment of the
+    query, so its z_lo lies in [z - r - reach, z + r]: one range of the
+    query's sorted order, found by binary search. The exact test runs on
+    that range, which holds every segment that can be nearest, so each
+    distance is the minimum over all segments; when every range holds
+    only the bound's segment, the bounds are the distances. Nothing
+    assumes z is monotone. Input that overflows gives inf or NaN without
+    a warning; the range always keeps the bound's segment, so a NaN bound
+    gives NaN, not a distance over an empty range.
     """
     points = np.asarray(points, dtype=float)
     polyline = np.asarray(polyline, dtype=float)
-    if polyline.shape[0] < 2:
+    if point_counts is None:
+        point_counts, vertex_counts = [points.shape[0]], [polyline.shape[0]]
+    point_counts = np.asarray(point_counts, dtype=np.int64)
+    vertex_counts = np.asarray(vertex_counts, dtype=np.int64)
+    if (vertex_counts < 2).any():
         raise ValidationError("polyline needs at least 2 points")
+    if (
+        point_counts.shape != vertex_counts.shape
+        or (point_counts < 0).any()
+        or point_counts.sum() != points.shape[0]
+        or vertex_counts.sum() != polyline.shape[0]
+    ):
+        raise DimensionMismatchError("point and vertex counts must split the points and polyline")
     if points.shape[0] == 0:
         return np.zeros(0)
-    a = polyline[:-1]
-    d = polyline[1:] - a
+    n_queries = vertex_counts.size
+    query = np.repeat(np.arange(n_queries), point_counts)
+    seg_counts = vertex_counts - 1
+    n_segs = int(seg_counts.sum())
+    seg_first = np.cumsum(seg_counts) - seg_counts
+    seg_query = np.repeat(np.arange(n_queries), seg_counts)
+    # Segment s of query q runs from vertex s + q of the concatenation, so
+    # no segment joins two queries' polylines.
+    start = np.arange(n_segs) + seg_query
+    a, b = polyline[start], polyline[start + 1]
+    d = b - a
     seg_len2 = np.einsum("kd,kd->k", d, d)
-    seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
+    seg_len2[seg_len2 == 0.0] = 1.0
+    reach = np.maximum.reduceat(np.abs(d[:, -1]), seg_first)
+    # Each query's largest coordinate magnitude, of its points plus of its polyline.
+    size = np.zeros(n_queries)
+    np.maximum.at(size, query, np.abs(points).max(axis=1))
+    size += np.maximum.reduceat(np.abs(polyline).max(axis=1), np.cumsum(vertex_counts) - vertex_counts)
 
-    # Each point's range [first, stop) of the segments sorted by z_lo.
+    # The segments sorted by (query, z_lo): keys query * S + rank, where
+    # rank is a segment's place among all S segments of the call sorted by
+    # z_lo. A z value's place among its own query's z_lo is then a search
+    # of the z_lo of every query, for its rank, and of the keys, which
+    # never leaves the query's range.
     z = points[:, -1]
-    z_lo = np.minimum(a[:, -1], polyline[1:, -1])
-    order = np.argsort(z_lo)
-    z_lo = z_lo[order]
-    reach = np.abs(d[:, -1]).max()
-    below = np.maximum(np.searchsorted(z_lo, z, side="right") - 1, 0)
+    z_lo = np.minimum(a[:, -1], b[:, -1])
+    by_value = np.argsort(z_lo, kind="stable")
+    rank = np.empty(n_segs, dtype=np.int64)
+    rank[by_value] = np.arange(n_segs)
+    keys = seg_query * n_segs + rank
+    order = np.argsort(keys)
+    keys, z_sorted, query_key = keys[order], z_lo[by_value], query * n_segs
+
+    def place(values, side):
+        """Where each point's value goes among its query's sorted z_lo, as a sorted index."""
+        return np.searchsorted(keys, query_key + np.searchsorted(z_sorted, values, side=side))
+
+    # Each point's range [first, stop) of its query's sorted segments.
+    below = np.maximum(place(z, "right") - 1, seg_first[query])
     nearest = order[below]
     bound = np.sqrt(_segment_dist2(points, a[nearest], d[nearest], seg_len2[nearest]))
-    r = bound + _EDGE_BAND * (bound + np.abs(points).max() + np.abs(polyline).max())
-    first = np.minimum(np.searchsorted(z_lo, z - r - reach), below)
-    stop = np.maximum(np.searchsorted(z_lo, z + r, side="right"), below + 1)
+    r = bound + _EDGE_BAND * (bound + size[query])
+    first = np.minimum(place(z - r - reach[query], "left"), below)
+    stop = np.maximum(place(z + r, "right"), below + 1)
     counts = stop - first
     if counts.max() == 1:
         # Every window holds only its bound's segment, whose distance is the bound.
@@ -588,20 +655,29 @@ def cd_error_per_pair(
     """Symmetric mean point-to-polyline distance per matched pair, meters.
 
     Both sides are (m, 3) point arrays: predicted lanes as sample_lane
-    gives them, GT lanes as their labels. A pair whose distance
+    gives them, GT lanes as their labels. Every pair's two directions
+    (its predicted points to its GT polyline, and back) are measured in
+    one point_polyline_distances call, and each direction's mean is the
+    number that direction measured alone gives. A pair whose distance
     overflows raises NonFiniteError.
     """
-    values = []
-    for i, j in pairs:
-        pred_pts = np.asarray(preds[i], dtype=float)
-        gt_pts = np.asarray(gts[j], dtype=float)
-        d_pg = point_polyline_distances(pred_pts, gt_pts).mean()
-        d_gp = point_polyline_distances(gt_pts, pred_pts).mean()
-        value = 0.5 * (d_pg + d_gp)
-        if not np.isfinite(value):
-            raise NonFiniteError(f"curve distance of pair (pred {i}, gt {j}) is not finite")
-        values.append(value)
-    return np.array(values)
+    if not pairs:
+        return np.zeros(0)
+    # Query 2k reads pair k's predicted points against its GT lane, 2k + 1 the reverse.
+    lanes = [(np.asarray(preds[i], dtype=float), np.asarray(gts[j], dtype=float)) for i, j in pairs]
+    points = [lane for pair in lanes for lane in pair]
+    polylines = [lane for pred, gt in lanes for lane in (gt, pred)]
+    counts = [len(lane) for lane in points]
+    distances = point_polyline_distances(
+        np.concatenate(points), np.concatenate(polylines), counts, [len(lane) for lane in polylines]
+    )
+    means = np.array([d.mean() for d in np.split(distances, np.cumsum(counts)[:-1])]).reshape(-1, 2)
+    values = 0.5 * (means[:, 0] + means[:, 1])
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i, j = pairs[bad[0]]
+        raise NonFiniteError(f"curve distance of pair (pred {i}, gt {j}) is not finite")
+    return values
 
 
 def evaluate(
@@ -618,13 +694,17 @@ def evaluate(
     with lanes3d or lanes2d), at most one per frame; a frame without one
     predicts no lanes. Each predicted 3D lane is sampled at sample_count
     points, all in one pass, and projected through its own frame's camera,
-    so its 2D lane and its curve distance read the same points; a curve
-    that overflows is refused (as a Lane2D) before any frame is scored.
+    so its 2D lane and its curve distance read the same points. Before any
+    frame is scored, a curve that overflows is refused (as a Lane2D), and
+    so is one that projects past MAX_PIXEL, naming its frame and lane.
     Each image height's lanes of each side are resampled in one call on
-    every row of that height. Per frame, F1 counts come from f1_counts,
-    row-anchor accuracy reads every row_step-th row from mid-image down,
-    and 3D pairs matched on the rows within match_threshold give curve
-    distances, the report's mean over all of them.
+    every row of that height and padded to one (frames, lanes, rows)
+    stack. Row-anchor hits (every row_step-th row from mid-image down)
+    and matching costs come from those stacks in one pass per prediction
+    slot. Per frame, F1 counts come from f1_counts, lanes pair up for
+    row-anchor accuracy on the frame's slices, and 3D pairs matched on
+    the rows within match_threshold give curve distances, the report's
+    mean over all of them.
     """
     by_id = {p.frame_id: p for p in preds}
     preds = [by_id.get(frame.frame_id) for frame in frames]
@@ -641,26 +721,40 @@ def evaluate(
         [*(pred.lanes2d if pred else ()), *map(Lane2D, uv)]
         for pred, uv in zip(preds, np.split(projected, splits))
     ]
+    far = np.flatnonzero((np.abs(projected) > MAX_PIXEL).any(axis=(1, 2)))
+    if far.size:
+        n = int(np.searchsorted(np.cumsum(n_lanes3d), far[0], side="right"))
+        raise SchemaError(
+            f"frame {frames[n].frame_id}: predicted lane {far[0] - sum(n_lanes3d[:n])} "
+            f"projects past |u| or |v| = {MAX_PIXEL:g} px"
+        )
 
     totals = {t: [0, 0, 0] for t in cfg.iou_thresholds}
-    ts = [0] * 5  # correct and GT points, matched, predicted and GT lanes
+    correct_points = gt_points = matched = 0
     cd_values = [np.zeros(0)] * len(frames)
     for rows, members in by_height([frame.image for frame in frames]):
         pred_u, gt_u = (
-            np.split(resample_lanes([lane for lanes in side for lane in lanes], rows),
-                     np.cumsum([len(lanes) for lanes in side])[:-1])
+            _padded(resample_lanes([lane for lanes in side for lane in lanes], rows),
+                    [len(lanes) for lanes in side])
             for side in ([pred2d[n] for n in members], [frames[n].lanes2d for n in members])
         )
         anchors = slice(rows.size // 2, None, row_step)
-        for n, p_u, g_u in zip(members, pred_u, gt_u):
+        correct, anchor_totals, fraction = _anchor_hits(
+            pred_u[..., anchors], gt_u[..., anchors], cfg.tusimple_pixel_tol
+        )
+        gt_points += int(anchor_totals.sum())
+        scored3d = [bool(lanes3d[n] and frames[n].lanes3d) for n in members]
+        costs = cost_matrix(pred_u, gt_u, rows) if any(scored3d) else None
+        del pred_u, gt_u  # the frames below read only their slices of the counts and costs
+        for k, n in enumerate(members):
             frame = frames[n]
             for t, counts in f1_counts(pred2d[n], list(frame.lanes2d), frame.image, cfg).items():
                 totals[t] = [a + b for a, b in zip(totals[t], counts)]
-            r = tusimple_accuracy(p_u[:, anchors], g_u[:, anchors], rows[anchors], cfg)
-            counts = (r.correct_points, r.gt_points, r.matched_pairs, r.pred_lanes, r.gt_lanes)
-            ts = [a + b for a, b in zip(ts, counts)]
-            if lanes3d[n] and frame.lanes3d:
-                match = hungarian_assign(cost_matrix(p_u, g_u, rows), match_threshold)
+            own = (k, slice(len(pred2d[n])), slice(len(frame.lanes2d)))
+            hits, pairs = _anchor_matches(correct[own], fraction[own])
+            correct_points, matched = correct_points + hits, matched + pairs
+            if scored3d[k]:
+                match = hungarian_assign(costs[own], match_threshold)
                 try:
                     cd_values[n] = cd_error_per_pair(
                         samples[n], frame.lanes3d, [(i, j) for i, j, _ in match.pairs]
@@ -669,20 +763,30 @@ def evaluate(
                     raise NonFiniteError(f"frame {frame.frame_id}: {exc}") from exc
 
     f1 = _f1_result(totals)
-    correct, points, matched, n_pred, n_gt = ts
+    n_pred = sum(len(lanes) for lanes in pred2d)
+    n_gt = sum(len(frame.lanes2d) for frame in frames)
     cd_values = np.concatenate([np.zeros(0), *cd_values])
     return {
         "frames": len(frames),
-        "pred_lanes": sum(len(lanes) for lanes in pred2d),
-        "gt_lanes": sum(len(frame.lanes2d) for frame in frames),
+        "pred_lanes": n_pred,
+        "gt_lanes": n_gt,
         "f1": {f"{t:.2f}": asdict(c) for t, c in f1.counts.items()},
         "mf1": f1.mf1,
         "tusimple": {
-            "accuracy": correct / points if points else 0.0,
+            "accuracy": correct_points / gt_points if gt_points else 0.0,
             "fp_rate": (n_pred - matched) / n_pred if n_pred else 0.0,
             "fn_rate": (n_gt - matched) / n_gt if n_gt else 0.0,
-            "correct_points": correct,
-            "gt_points": points,
+            "correct_points": correct_points,
+            "gt_points": gt_points,
         },
         "cd_error": float(np.mean(cd_values)) if cd_values.size else None,
     }
+
+
+def _padded(u: np.ndarray, counts: list[int]) -> np.ndarray:
+    """The rows of u, counts[f] lanes per frame in order, as one (frames, lanes, rows)
+    stack, NaN in the slots past a frame's own lanes."""
+    counts = np.asarray(counts, dtype=np.int64)
+    out = np.full((counts.size, counts.max(initial=0), u.shape[1]), np.nan)
+    out[np.repeat(np.arange(counts.size), counts), _ranks(counts)] = u
+    return out

@@ -320,3 +320,25 @@ def dataset_lines_oracle(frames) -> list[str]:
         }
         lines.append(dump(record))
     return lines
+
+
+def predictions_lines_oracle(frames) -> list[str]:
+    """A predictions file's lines, each record encoded whole by json.dumps."""
+
+    def dump(obj) -> str:
+        return json.dumps(obj, sort_keys=True, allow_nan=False, separators=(",", ":"))
+
+    lines = [dump({"kind": "predictions", "schema_version": "1"})]
+    for frame in frames:
+        lanes3d = [
+            {
+                "curve": {"a": lane.curve.a, "b": lane.curve.b, "c": lane.curve.c, "d": lane.curve.d},
+                "heights": list(lane.profile.heights),
+                "z_min": lane.z_min,
+                "z_max": lane.z_max,
+            }
+            for lane in frame.lanes3d
+        ]
+        lanes2d = [lane.points.tolist() for lane in frame.lanes2d]
+        lines.append(dump({"frame_id": frame.frame_id, "lanes3d": lanes3d, "lanes2d": lanes2d}))
+    return lines

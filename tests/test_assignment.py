@@ -226,6 +226,38 @@ if HAVE_HYPOTHESIS:
                 assert costs[i, j] == want or abs(costs[i, j] - want) <= 1e-12 * want
 
 
+def test_stacked_cost_matrix_equals_its_2d_calls_frame_by_frame(rng):
+    # frames hold different lane counts, padded with NaN lanes (which cover
+    # no row) to one (frames, lanes, rows) stack per side; each frame's
+    # slice of the stacked costs equals the 2-D call on its own lanes, and
+    # a pad pairs with nothing
+    image = ImageSpec(120, 90)
+    rows = row_grid(image)
+    counts = [(3, 2), (0, 2), (1, 0), (4, 4), (2, 3)]
+
+    def lanes(n):
+        return [
+            Lane2D(np.column_stack([rng.uniform(5.0, 115.0, 6), np.sort(rng.uniform(-5.0, 95.0, 6))]))
+            for _ in range(n)
+        ]
+
+    frames = [(resample_lanes(lanes(p), rows), resample_lanes(lanes(g), rows)) for p, g in counts]
+    stacks = []
+    for side, width in ((0, 4), (1, 4)):
+        stack = np.full((len(frames), width, rows.size), np.nan)
+        for f, frame in enumerate(frames):
+            stack[f, : len(frame[side])] = frame[side]
+        stacks.append(stack)
+    costs = cost_matrix(*stacks, rows)
+    assert costs.shape == (len(frames), 4, 4)
+    for f, (pred_u, gt_u) in enumerate(frames):
+        alone = cost_matrix(pred_u, gt_u, rows)
+        assert np.array_equal(costs[f, : len(pred_u), : len(gt_u)], alone)
+        padded = np.ones(costs[f].shape, dtype=bool)
+        padded[: len(pred_u), : len(gt_u)] = False
+        assert np.isposinf(costs[f][padded]).all()
+
+
 def pair_cost(a: Lane2D, b: Lane2D, image: ImageSpec) -> float:
     """cost_matrix of one-row stacks: the matching cost of lane a against lane b."""
     rows = row_grid(image)

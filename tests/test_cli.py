@@ -9,12 +9,13 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bevlane import fitting, io_formats
+from bevlane import fitting, io_formats, metrics
 from bevlane.anchors import MAX_ANCHORS
 from bevlane.assignment import match_lanes, resample_lane, resample_lanes, row_grid
 from bevlane.camera import project_lane
@@ -58,6 +59,20 @@ def _fit_frame_2d(frame, kept):
         fit_lane_2d(resample_lane(lane, frame.image), k, lane_from_vector(start)).lane
         for lane, start in zip(lanes, lane_starts(points), strict=True)
     ]
+
+
+def _two_height_frames(tmp_path):
+    """Six jittered frames, bump at 300 rows and slope at 320, alternating:
+    the set of TestEval.test_two_image_heights_fit_and_score_as_each_frame_alone."""
+    scenes = [{"preset": "bump", "image": {"width": 800, "height": 300}}, {"preset": "slope"}]
+    jitter = {"curve_delta": [0.0, 0.0005, 0.02, 0.5], "amplitude_delta": 0.05, "grade_delta": 0.01}
+    spec = write_json(tmp_path / "spec.json", {"scenes": scenes, "jitter": jitter})
+    generated = str(tmp_path / "generated.jsonl")
+    assert main(["generate", "--spec", spec, "--frames", "3", "--out", generated]) == 0
+    by_height = {300: [], 320: []}
+    for frame in read_dataset(generated):
+        by_height[frame.image.height].append(frame)
+    return [frame for pair in zip(by_height[300], by_height[320]) for frame in pair]
 
 
 def write_json(path, obj):
@@ -386,6 +401,64 @@ class TestEval:
             assert [r["cd_error"] is None for r in alone] == [n == 0 for n in pairs]
             want = sum(r["cd_error"] * n for r, n in zip(alone, pairs) if n) / sum(pairs)
             assert whole["cd_error"] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["3d", "2d", "baseline"])
+    def test_padded_stacks_score_as_each_frame_alone(self, tmp_path, mode):
+        # eval scores each image height's frames as (frames, lanes, rows)
+        # stacks, NaN past a frame's own lanes; frames with fewer or more
+        # predicted than GT lanes, one with no lanes and one with no
+        # record must count as each frame evaluated alone
+        frames = _two_height_frames(tmp_path)
+        dataset, path = str(tmp_path / "d.jsonl"), str(tmp_path / "p.jsonl")
+        write_dataset(frames, dataset)
+        assert main(["fit", "--dataset", dataset, "--mode", mode, "--out", path]) == 0
+        # frame 4 loses a GT lane after the fit, so its stack slots past
+        # both sides' lanes pair a padded prediction with a padded GT lane
+        frames[4] = replace(frames[4], lanes2d=frames[4].lanes2d[:-1], lanes3d=frames[4].lanes3d[:-1])
+        side = "lanes2d" if mode == "baseline" else "lanes3d"
+        edits = {
+            0: lambda lanes: lanes[:1],
+            1: lambda lanes: lanes[1:],
+            2: lambda lanes: (*lanes, lanes[0]),
+            5: lambda lanes: (),
+        }
+        preds = [
+            replace(pred, **{side: edits.get(n, tuple)(getattr(pred, side))})
+            for n, pred in enumerate(read_predictions(path))
+            if n != 3
+        ]
+        lane_counts = [len(getattr(pred, side)) for pred in preds]
+        gt_counts = [len(frames[n].lanes2d) for n in (0, 1, 2, 4, 5)]
+        assert lane_counts[0] < gt_counts[0] and lane_counts[2] > gt_counts[2] > 0
+        assert lane_counts[3] > gt_counts[3] and max(lane_counts[::2]) > lane_counts[3]
+        assert lane_counts[4] == 0 and len(set(lane_counts)) >= 4
+
+        whole = metrics.evaluate(frames, preds)
+        alone = [
+            metrics.evaluate([frame], [p for p in preds if p.frame_id == frame.frame_id])
+            for frame in frames
+        ]
+        for key, counts in whole["f1"].items():
+            for name in ("tp", "fp", "fn"):
+                assert counts[name] == sum(r["f1"][key][name] for r in alone)
+        for name in ("pred_lanes", "gt_lanes"):
+            assert whole[name] == sum(r[name] for r in alone)
+        for name in ("correct_points", "gt_points"):
+            assert whole["tusimple"][name] == sum(r["tusimple"][name] for r in alone)
+        matched = sum(round(r["gt_lanes"] * (1.0 - r["tusimple"]["fn_rate"])) for r in alone)
+        assert whole["tusimple"]["fn_rate"] == (whole["gt_lanes"] - matched) / whole["gt_lanes"]
+        assert whole["tusimple"]["fp_rate"] == (whole["pred_lanes"] - matched) / whole["pred_lanes"]
+        if mode == "baseline":
+            assert whole["cd_error"] is None
+            return
+        pairs = []
+        for frame in frames:
+            pred = next((p for p in preds if p.frame_id == frame.frame_id), None)
+            lanes = [project_lane(frame.intrinsics, lane) for lane in (pred.lanes3d if pred else ())]
+            pairs.append(len(match_lanes(lanes, list(frame.lanes2d), frame.image).pairs))
+        assert [r["cd_error"] is None for r in alone] == [n == 0 for n in pairs]
+        want = sum(r["cd_error"] * n for r, n in zip(alone, pairs) if n) / sum(pairs)
+        assert whole["cd_error"] == pytest.approx(want, rel=1e-12)
 
     def test_an_overflowing_lane_in_a_later_frame_is_refused_first(self, flat_dataset, tmp_path):
         # every predicted lane is sampled and projected before any frame is
@@ -913,6 +986,27 @@ def test_far_predicted_span_exits_3(flat_dataset, tmp_path):
     assert err.startswith("error:") and "curve distance of pair (pred 0, gt 0)" in err
     assert err.startswith("error: frame 0: curve distance of pair (pred 0, gt 0) is not finite")
     assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_near_predicted_span_exits_2(flat_dataset, tmp_path):
+    # a lane starting 1e-12 m ahead projects to |u| of about 1e15 px:
+    # finite, but past what the readers accept of a 2D lane, so eval
+    # refuses it, naming the frame and the lane, before it is rasterized
+    preds = str(tmp_path / "preds.jsonl")
+    assert _run(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds])[0] == 0
+    lines = open(preds).read().splitlines()
+    record = json.loads(lines[2])
+    record["lanes3d"][1]["z_min"] = 1e-12
+    near = tmp_path / "near.jsonl"
+    near.write_text("\n".join([*lines[:2], json.dumps(record)]) + "\n")
+    argv = ["eval", "--dataset", flat_dataset, "--pred", str(near), "--out", str(tmp_path / "r.json")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = _run(argv)
+    assert code == 2
+    assert err == "error: frame 1: predicted lane 1 projects past |u| or |v| = 1e+09 px\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (tmp_path / "r.json").exists()
 

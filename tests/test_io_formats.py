@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from bevlane import io_formats
+from bevlane import fitting, io_formats
 from bevlane.anchors import build_descriptor, cluster_anchors
 from bevlane.camera import ImageSpec, Lane2D
 from bevlane.datagen import JitterSpec, bump_scene, flat_scene, generate_dataset
@@ -31,7 +31,7 @@ from bevlane.io_formats import (
     write_predictions,
     write_report,
 )
-from oracles import dataset_lines_oracle
+from oracles import dataset_lines_oracle, predictions_lines_oracle
 from test_eval_real_frames import MIXED_SPEC
 
 try:
@@ -274,6 +274,30 @@ class TestPointListText:
         want = "".join(line + "\n" for line in dataset_lines_oracle(frames))
         assert open(path, "rb").read() == want.encode("ascii")
 
+    def test_predictions_bytes_equal_a_json_dumps_writer(self, mixed_frames, tmp_path):
+        # 3d and 2d fits share values across lanes, and the samples hold
+        # 2D lanes and a record with no lanes
+        fitted = {mode: fitting.fit_dataset(mixed_frames, mode) for mode in ("3d", "2d")}
+        frames = [
+            PredictionFrame(frame_id=n, lanes3d=tuple(report.lane for report in reports))
+            for mode in ("3d", "2d")
+            for n, reports in enumerate(fitted[mode])
+        ]
+        frames += [*sample_predictions(), PredictionFrame(frame_id=9)]
+        path = str(tmp_path / "preds.jsonl")
+        write_predictions(frames, path)
+        want = "".join(line + "\n" for line in predictions_lines_oracle(frames))
+        assert open(path, "rb").read() == want.encode("ascii")
+
+    def test_non_finite_prediction_refused_and_nothing_written(self, tmp_path):
+        # the lane types refuse non-finite values; past them, the writer
+        # still refuses one, as json.dumps(allow_nan=False) does
+        frames = sample_predictions()
+        object.__setattr__(frames[0].lanes3d[0].curve, "c", float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            write_predictions(frames, str(tmp_path / "bad.jsonl"))
+        assert os.listdir(tmp_path) == []
+
     def test_point_list_of_one_dimension_refused(self, tmp_path):
         # the reader refuses such a lane; the writer refuses it before writing
         frames = sample_dataset()
@@ -307,6 +331,37 @@ if HAVE_HYPOTHESIS:
     def test_point_list_text_equals_the_stdlib_encoder(arrays):
         want = json.dumps([a.tolist() for a in arrays], separators=(",", ":"))
         assert io_formats._point_lists(arrays) == want
+
+
+    _LANES3D = st.builds(
+        lambda curve, heights, z_min, span: Lane3D(
+            BevCurve(*curve), HeightProfile(tuple(heights), z_min, z_min + span)
+        ),
+        st.lists(_VALUES, min_size=4, max_size=4),
+        st.lists(_VALUES, min_size=2, max_size=5),
+        st.floats(1e-3, 1e3),
+        st.floats(1e-3, 1e3),
+    )
+    _LANES2D = hnp.arrays(
+        np.float64, st.tuples(st.integers(2, 5), st.just(2)), elements=_VALUES
+    ).map(Lane2D)
+
+    @given(
+        records=st.lists(
+            st.one_of(
+                st.lists(_LANES3D, max_size=3).map(lambda lanes: {"lanes3d": tuple(lanes)}),
+                st.lists(_LANES2D, max_size=3).map(lambda lanes: {"lanes2d": tuple(lanes)}),
+            ),
+            max_size=4,
+        )
+    )
+    def test_predictions_text_equals_the_stdlib_encoder(records):
+        frames = [PredictionFrame(frame_id=n, **lanes) for n, lanes in enumerate(records)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "preds.jsonl")
+            write_predictions(frames, path)
+            got = open(path, "rb").read()
+        assert got == "".join(line + "\n" for line in predictions_lines_oracle(frames)).encode()
 
 
 def _moved_2d_point(frame, coordinate: int, value: float = np.nextafter(MAX_PIXEL, np.inf)):

@@ -505,6 +505,78 @@ class TestCurveDistance:
         assert peak < 24 * 2**20
 
 
+def _stacked_and_alone(queries):
+    """point_polyline_distances of (points, polyline) queries in one stacked
+    call, and the concatenation of a call per query."""
+    stacked = point_polyline_distances(
+        np.concatenate([points for points, _ in queries]),
+        np.concatenate([poly for _, poly in queries]),
+        [len(points) for points, _ in queries],
+        [len(poly) for _, poly in queries],
+    )
+    alone = np.concatenate([point_polyline_distances(points, poly) for points, poly in queries])
+    return stacked, alone
+
+
+class TestStackedCurveDistance:
+    def test_stacked_queries_equal_each_query_alone(self, rng):
+        # sizes differ, z folds back, one segment has zero length, and a
+        # far query's reach and magnitudes must not widen another's windows
+        steps = np.arange(30.0)
+        folded = np.column_stack([np.sin(steps), np.zeros(30), 5.0 + np.cos(steps)])
+        zero = rng.normal(scale=3.0, size=(9, 3))
+        zero[4] = zero[3]
+        far = sample_lane(straight_lane3d(0.3, z_min=3.0, z_max=4e5), 50)
+        queries = [
+            (rng.normal(scale=2.0, size=(40, 3)) + [0.0, 0.0, 5.0], folded),
+            (rng.normal(scale=3.0, size=(1, 3)), zero),
+            (sample_lane(straight_lane3d(0.1), 72), sample_lane(straight_lane3d(0.0), 37)),
+            (far, sample_lane(straight_lane3d(0.0), 100)),
+            (sample_lane(straight_lane3d(0.0), 100), far),
+            (zero, np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])),
+        ]
+        stacked, alone = _stacked_and_alone(queries)
+        assert np.array_equal(stacked, alone)
+        # and each equals the minimum over every segment
+        want = np.concatenate([dense_point_polyline_distances(p, poly) for p, poly in queries])
+        assert np.array_equal(stacked, want)
+
+    def test_a_query_without_points_is_skipped(self):
+        poly = sample_lane(straight_lane3d(0.0), 10)
+        points = sample_lane(straight_lane3d(0.5), 7)
+        got = point_polyline_distances(
+            np.concatenate([points, points]), np.concatenate([poly] * 3), [7, 0, 7], [10] * 3
+        )
+        alone = point_polyline_distances(points, poly)
+        assert np.array_equal(got, np.concatenate([alone, alone]))
+
+    @pytest.mark.parametrize(
+        "point_counts, vertex_counts", [([3], [4, 4]), ([2, 2], [4, 4]), ([3, 0], [5, 4])]
+    )
+    def test_counts_that_do_not_split_the_stack_are_refused(self, point_counts, vertex_counts):
+        with pytest.raises(DimensionMismatchError):
+            point_polyline_distances(np.zeros((3, 3)), np.ones((8, 3)), point_counts, vertex_counts)
+
+    def test_a_one_vertex_polyline_in_the_stack_is_refused(self):
+        with pytest.raises(ValidationError, match="at least 2 points"):
+            point_polyline_distances(np.zeros((2, 3)), np.ones((3, 3)), [1, 1], [2, 1])
+
+    def test_pair_distances_equal_each_direction_alone(self, rng):
+        # each pair's value is 0.5 * (mean pred -> GT + mean GT -> pred), bit
+        # for bit as per-direction calls give it, for lanes of several sizes
+        preds = [sample_lane(straight_lane3d(x), m) for x, m in ((0.1, 72), (5.3, 72), (9.0, 2000))]
+        gts = [sample_lane(straight_lane3d(x, z_max=60.0), m) for x, m in ((5.0, 37), (0.0, 72))]
+        gts[1][:, 1] += rng.normal(scale=0.05, size=72)
+        pairs = [(1, 0), (0, 1), (2, 1), (2, 0)]
+        want = [
+            0.5 * (point_polyline_distances(preds[i], gts[j]).mean()
+                   + point_polyline_distances(gts[j], preds[i]).mean())
+            for i, j in pairs
+        ]
+        assert np.array_equal(cd_error_per_pair(preds, gts, pairs), want)
+        assert cd_error_per_pair(preds, gts, []).shape == (0,)
+
+
 def dense_point_polyline_distances(points, poly):
     """Minimum over every segment of the norm of the point-to-closest-spot vector."""
     a, d = poly[:-1], np.diff(poly, axis=0)
@@ -576,6 +648,13 @@ if HAVE_HYPOTHESIS:
         points, poly = case
         got = point_polyline_distances(points, poly)
         np.testing.assert_array_equal(got, dense_point_polyline_distances(points, poly))
+
+
+    @given(cases=st.lists(st.one_of(pruning_cases(), window_cases()), min_size=1, max_size=4))
+    @settings(max_examples=60)
+    def test_stacked_distances_equal_each_query_alone(cases):
+        stacked, alone = _stacked_and_alone(cases)
+        np.testing.assert_array_equal(stacked, alone)
 
 
 class TestEvalConfig:
