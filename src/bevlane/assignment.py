@@ -1,8 +1,9 @@
 """Row-grid resampling of 2D lanes and one-to-one lane assignment.
 
-Reading a 2D polyline at image rows lives here alone: fitting targets,
-matching, row-anchor accuracy and anchor descriptors all sample lanes
-through resample_lanes, and are compared as its row arrays (u per row,
+Reading a 2D polyline at image rows lives here alone, in _crossed_cells:
+the perspective loss takes its crossings from it, and fitting targets,
+matching, row-anchor accuracy and anchor descriptors sample lanes
+through resample_lanes and are compared as its row arrays (u per row,
 NaN where absent) on a shared grid of image rows: cost_matrix scores
 every pair at once. Assignment minimizes total cost one-to-one and drops
 pairs at or above a cost threshold.
@@ -29,36 +30,34 @@ def first_crossings(points: np.ndarray, rows: np.ndarray):
     segment wins; within it the crossing sits at fraction
     t = (r - v_i) / (v_i+1 - v_i), with t = 0 for a segment lying exactly
     on the row. Returns (found, seg_index, t) arrays over rows; rows no
-    segment covers read seg 0 and t 0.
+    segment covers read seg 0 and t 0; it is the one-lane view of _crossed_cells.
     """
-    found, seg, t = first_crossings_batch(np.asarray(points)[None, :, 1], rows)
-    return found[0], seg[0], t[0]
-
-
-def first_crossings_batch(v: np.ndarray, rows: np.ndarray):
-    """first_crossings for a stack of polylines given by their rows v, shape (L, m).
-
-    Returns (found, seg, t), each of shape (L, len(rows)), as
-    first_segments_batch and crossing_fraction give them. t is defined
-    only where found: it is computed there alone and reads 0 elsewhere.
-    """
-    found, seg, _at, t_found = _crossed_cells(v, rows)
-    t = np.zeros(found.shape)
-    t[found] = t_found
+    rows = np.asarray(rows, dtype=float)
+    _lane, row, at, t_crossed = _crossed_cells(np.asarray(points)[None, :, 1], rows)
+    found = np.zeros(rows.size, dtype=bool)
+    seg, t = np.zeros(rows.size, dtype=np.int64), np.zeros(rows.size)
+    found[row], seg[row], t[row] = True, at, t_crossed
     return found, seg, t
 
 
-def _crossed_cells(v: np.ndarray, rows: np.ndarray):
-    """first_segments_batch's (found, seg), then per found cell, in row-major
-    order, the flat index in v of its segment's first point and its
-    crossing fraction."""
+def _crossed_cells(v: np.ndarray, rows: np.ndarray, keep: np.ndarray | None = None):
+    """Where a stack of polylines, given by their rows v (L, m), first crosses each row.
+
+    A (lane, row) cell is crossed where first_segments_batch finds a
+    segment; keep, a boolean (L, len(rows)) mask, drops the cells it
+    does not mark. Per kept crossed cell, in row-major order: its lane,
+    its row, the flat index in v of its segment's first point, and its
+    crossing_fraction, computed at those cells alone.
+    """
     v = np.asarray(v, dtype=float)
     rows = np.asarray(rows, dtype=float)
     found, seg = first_segments_batch(v, rows)
+    if keep is not None:
+        found &= keep
     lane, row = np.nonzero(found)
     at = lane * v.shape[1] + seg[lane, row]
     va = v.ravel()[at]
-    return found, seg, at, crossing_fraction(rows[row], va, v.ravel()[at + 1] - va)
+    return lane, row, at, crossing_fraction(rows[row], va, v.ravel()[at + 1] - va)
 
 
 def first_segments_batch(v: np.ndarray, rows: np.ndarray):
@@ -116,26 +115,29 @@ def crossing_fraction(r: np.ndarray, va: np.ndarray, dv: np.ndarray) -> np.ndarr
 class ResampledLane2D:
     """A 2D lane sampled at fixed image rows.
 
-    v_grid is shared across lanes of a frame; present marks rows the lane
-    covers and u_values holds the interpolated column there (NaN
-    elsewhere). v_first / v_last keep the polyline's own continuous
+    v_grid is shared across lanes of a frame; u_values holds the
+    interpolated column at the rows the lane covers (present) and NaN
+    elsewhere. v_first / v_last keep the polyline's own continuous
     endpoint rows for endpoint comparisons that need sub-row precision.
     """
 
     v_grid: np.ndarray
     u_values: np.ndarray
-    present: np.ndarray
     v_first: float
     v_last: float
 
     def __post_init__(self):
-        for name in ("v_grid", "u_values", "present"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
-        if not (self.v_grid.shape == self.u_values.shape == self.present.shape):
-            raise ValidationError("grid, values and presence must share one shape")
+        self.v_grid.setflags(write=False)
+        self.u_values.setflags(write=False)
+        if self.v_grid.shape != self.u_values.shape:
+            raise ValidationError("grid and values must share one shape")
         if not self.present.any():
             raise ValidationError("a resampled lane must cover at least one row")
+
+    @property
+    def present(self) -> np.ndarray:
+        """The rows the lane covers: where u_values is not NaN."""
+        return ~np.isnan(self.u_values)
 
 
 def row_grid(image: ImageSpec) -> np.ndarray:
@@ -160,7 +162,7 @@ def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
     the projection so a row is crossed several times, the crossing
     nearest the lane's near end is used. Rows a lane does not cover read
     NaN. Lanes with fewer points are padded with NaN rows, which no row
-    crosses, so one first_segments_batch call serves them all. Only the
+    crosses, so one _crossed_cells call serves them all. Only the
     covered cells are interpolated.
     """
     rows = np.asarray(rows, dtype=float)
@@ -172,9 +174,9 @@ def resample_lanes(lanes: list[Lane2D], rows: np.ndarray) -> np.ndarray:
     for n, lane in enumerate(lanes):
         v[n, : len(lane)] = lane.v
         u[n, : len(lane)] = lane.u
-    found, _seg, at, t = _crossed_cells(v, rows)
-    out = np.full(found.shape, np.nan)
-    out[found] = (1.0 - t) * u.ravel()[at] + t * u.ravel()[at + 1]
+    lane, row, at, t = _crossed_cells(v, rows)
+    out = np.full((len(lanes), rows.size), np.nan)
+    out[lane, row] = (1.0 - t) * u.ravel()[at] + t * u.ravel()[at + 1]
     return out
 
 
@@ -183,12 +185,11 @@ def resample_lane(lane: Lane2D, image: ImageSpec) -> ResampledLane2D:
     when it covers no grid row."""
     rows = row_grid(image)
     (u_values,) = resample_lanes([lane], rows)
-    present = ~np.isnan(u_values)
-    if not present.any():
+    if np.isnan(u_values).all():
         raise DegenerateLaneError(
             f"lane spanning v in [{lane.v.min():.2f}, {lane.v.max():.2f}] covers no image row"
         )
-    return ResampledLane2D(rows, u_values, present, float(lane.v[0]), float(lane.v[-1]))
+    return ResampledLane2D(rows, u_values, float(lane.v[0]), float(lane.v[-1]))
 
 
 def cost_matrix(pred_u: np.ndarray, gt_u: np.ndarray, rows: np.ndarray) -> np.ndarray:

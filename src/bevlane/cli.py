@@ -59,7 +59,8 @@ def _cmd_fit(opts) -> int:
     keypoints = {} if opts.keypoints is None else {"keypoints": opts.keypoints}
     if opts.mode == "baseline" and keypoints:
         raise SchemaError("--keypoints does not apply to --mode baseline")
-    cfg = fitting.FitConfig(order=opts.order, **keypoints)
+    # the lane model of the 3d and 2d modes; baseline reads --order alone, 4 included
+    cfg = None if opts.mode == "baseline" else fitting.FitConfig(order=opts.order, **keypoints)
     frames = io_formats.read_dataset(opts.dataset)
     bare = next((f for f in frames if len(f.lanes3d) != len(f.lanes2d)), None)
     if opts.mode == "3d" and bare is not None:

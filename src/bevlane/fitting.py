@@ -69,10 +69,9 @@ ORDERS = (2, 3, 4)
 class FitConfig:
     """The lane model of the fitters.
 
-    order is the polynomial degree of the least-squares fits: 2, 3 or 4.
-    Degree 4 is available for those fits only; a lane's curve is the
-    power cubic of geometry.lane_to_vector, and order 2 pins its cubic
-    coefficient at 0.
+    order is the degree of the lane curves, 2 or 3 (degree 4 is for the
+    least-squares fits alone): a lane's curve is the power cubic of
+    geometry.lane_to_vector, and order 2 pins its cubic coefficient at 0.
 
     keypoints is the number of height keypoints per lane, 2 to
     MAX_KEYPOINTS. label_init and ipm_init read both, and fit_lanes
@@ -83,8 +82,9 @@ class FitConfig:
     keypoints: int = 72
 
     def __post_init__(self):
-        if self.order not in ORDERS:
-            raise ValidationError(f"order must be one of {ORDERS}, got {self.order!r}")
+        if self.order not in (2, 3):
+            message = f"order must be 2 or 3, got {self.order!r}: degree 4 is least-squares only"
+            raise ValidationError(message)
         if not 2 <= self.keypoints <= MAX_KEYPOINTS:
             raise ValidationError(
                 f"keypoints must be in [2, {MAX_KEYPOINTS}], got {self.keypoints}"
@@ -236,8 +236,6 @@ def fit_lanes(
     non-finite gradient, raises NonFiniteError, whose lane attribute is
     the lane's index in the stack.
     """
-    if cfg.order == 4:
-        raise ValidationError("lane curves are cubic; degree 4 is least-squares only")
     n_lanes = len(targets.u_values)
     if len(starts) != n_lanes:
         raise DimensionMismatchError("need one start vector per target")
@@ -286,8 +284,6 @@ def lane_starts(points: list[np.ndarray], cfg: FitConfig = FitConfig()) -> np.nd
     coefficients, DegenerateInputError for z whose powers overflow, and
     ValidationError for a non-finite coefficient or height.
     """
-    if cfg.order == 4:
-        raise ValidationError("lane curves are cubic; degree 4 is least-squares only")
     order, n_lanes = cfg.order, len(points)
     starts = np.zeros((n_lanes, cfg.keypoints + 6))
     if not n_lanes:
@@ -492,7 +488,6 @@ def fit_dataset(frames: list, mode: str, cfg: FitConfig = FitConfig()) -> list[l
         targets = LaneTargets(
             rows=rows,
             u_values=u_values,
-            present=~np.isnan(u_values),
             v_ends=np.array([(lane.v[0], lane.v[-1]) for lane in lane2d]).reshape(-1, 2),
             camera=cameras[frame_of],
             labels=points if mode == "3d" else None,

@@ -152,11 +152,6 @@ def sample_lanes(lanes: list[Lane3D], count: int = DEFAULT_SAMPLE_COUNT) -> np.n
 
 # A lane's free parameters as one flat vector, used by losses and fitting:
 # [a, b, c, d, h_0 .. h_{n-1}, z_min, z_max], length n + 6.
-CURVE_SLICE = slice(0, 4)
-IDX_Z_MIN = -2
-IDX_Z_MAX = -1
-
-
 def lane_to_vector(lane: Lane3D) -> np.ndarray:
     c = lane.curve
     return np.concatenate(
@@ -172,10 +167,6 @@ def lane_from_vector(vec: np.ndarray) -> Lane3D:
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1 or vec.size < 8:
         raise ValidationError("parameter vector must be 1-d with length n + 6, n >= 2")
-    curve = BevCurve(*vec[CURVE_SLICE])
-    profile = HeightProfile(
-        heights=tuple(vec[4:IDX_Z_MIN]),
-        z_min=float(vec[IDX_Z_MIN]),
-        z_max=float(vec[IDX_Z_MAX]),
-    )
+    curve = BevCurve(*vec[:4])
+    profile = HeightProfile(heights=tuple(vec[4:-2]), z_min=float(vec[-2]), z_max=float(vec[-1]))
     return Lane3D(curve=curve, profile=profile)

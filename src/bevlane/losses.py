@@ -26,13 +26,12 @@ are their stacks of one.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .assignment import ResampledLane2D, crossing_fraction, first_segments_batch
+from .assignment import ResampledLane2D, _crossed_cells
 from .camera import CameraIntrinsics
 from .errors import DimensionMismatchError, GridMismatchError, ValidationError
 from .geometry import Lane3D, lane_to_vector
@@ -150,26 +149,25 @@ class LaneTargets:
     """The targets of a stack of lanes, each with its camera.
 
     All lanes share one row grid, rows. u_values is (L, rows), the
-    resample_lanes rows of the targets, and present marks where they are
-    not NaN. v_ends holds each target's [v_first, v_last] and camera its
-    [fx, fy, ox, oy], so each lane projects through its own frame's
-    intrinsics. labels is None for 2D-only targets, or else holds each
-    lane's 3D label points, an (m, 3) array of [x, y, z], which
-    construction puts in order of z (by_depth).
+    resample_lanes rows of the targets, NaN where a target is absent, and
+    present, the rows each target covers, is read off the NaN. v_ends
+    holds each target's [v_first, v_last] and camera its [fx, fy, ox,
+    oy], so each lane projects through its own frame's intrinsics.
+    labels is None for 2D-only targets, or else holds each lane's 3D
+    label points, an (m, 3) array of [x, y, z], which construction puts
+    in order of z (by_depth).
     """
 
     rows: np.ndarray
     u_values: np.ndarray
-    present: np.ndarray
     v_ends: np.ndarray
     camera: np.ndarray
     labels: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         n_lanes = len(self.u_values)
-        shape = (n_lanes, self.rows.size)
-        if self.u_values.shape != shape or self.present.shape != shape:
-            raise DimensionMismatchError("need one row of u values and presence per target lane")
+        if self.u_values.shape != (n_lanes, self.rows.size):
+            raise DimensionMismatchError("need one row of u values per target lane")
         if self.v_ends.shape != (n_lanes, 2):
             raise DimensionMismatchError("need one [v_first, v_last] per target lane")
         if self.camera.shape != (n_lanes, 4):
@@ -179,6 +177,11 @@ class LaneTargets:
             if len(labels) != n_lanes or any(g.ndim != 2 or g.shape[1] != 3 for g in labels):
                 raise DimensionMismatchError("need one (m, 3) label array per target lane")
             object.__setattr__(self, "labels", tuple(by_depth(g) for g in labels))
+
+    @property
+    def present(self) -> np.ndarray:
+        """The rows each target covers: where u_values is not NaN."""
+        return ~np.isnan(self.u_values)
 
     @classmethod
     def stack(
@@ -196,7 +199,6 @@ class LaneTargets:
         return cls(
             rows=rows,
             u_values=np.array([g.u_values for g in gts]).reshape(shape),
-            present=np.array([g.present for g in gts], dtype=bool).reshape(shape),
             v_ends=np.array([[g.v_first, g.v_last] for g in gts]).reshape(-1, 2),
             camera=np.array([[k.fx, k.fy, k.ox, k.oy] for k in intrinsics]).reshape(-1, 4),
             labels=labels3d,
@@ -205,7 +207,7 @@ class LaneTargets:
     def take(self, idx: np.ndarray) -> "LaneTargets":
         """The targets of the lanes at idx."""
         labels = None if self.labels is None else tuple(self.labels[i] for i in idx)
-        arrays = (self.u_values, self.present, self.v_ends, self.camera)
+        arrays = (self.u_values, self.v_ends, self.camera)
         return LaneTargets(self.rows, *(a[idx] for a in arrays), labels)
 
     def named(self, terms: np.ndarray, loss: float) -> dict[str, float]:
@@ -236,22 +238,18 @@ class _Projection:
     w: np.ndarray
 
 
-@functools.lru_cache(maxsize=8)
 def _sample_tables(m: int, n: int):
     """The parameter-free tables of m uniform samples over n height keypoints.
 
     Returns (s, left, w, dz_dspan): the samples' span fractions s, the
     left keypoint of each and its interpolation weight w, and dz/d[z_min,
-    z_max] = [1 - s, s], shape (2, m). All are read-only.
+    z_max] = [1 - s, s], shape (2, m).
     """
     s = np.linspace(0.0, 1.0, m)
     pos = s * (n - 1)
     left = np.clip(np.floor(pos).astype(int), 0, n - 2)
     w = pos - left
-    dz_dspan = np.stack([1.0 - s, s])
-    for table in (s, left, w, dz_dspan):
-        table.setflags(write=False)
-    return s, left, w, dz_dspan
+    return s, left, w, np.stack([1.0 - s, s])
 
 
 def _project(theta: np.ndarray, camera: np.ndarray, sample_count: int) -> _Projection:
@@ -380,25 +378,21 @@ def _perspective_batch(theta: np.ndarray, targets: LaneTargets):
     proj = _project(theta, targets.camera, m)
     u, v = proj.u, proj.v
 
-    found, seg = first_segments_batch(v, targets.rows)
-    lane, row = np.nonzero(found & targets.present)
+    # One entry per (lane, row) both cover, in lane then row order: the
+    # sample a starting its crossing segment and the crossing fraction t.
+    lane, row, a, t = _crossed_cells(v, targets.rows, targets.present)
     count = np.bincount(lane, minlength=n_lanes)
     overlap = count > 0
-
-    # One entry per (lane, row) both cover, in lane then row order.
-    a = lane * m + seg[lane, row]
     b = a + 1
     ua, ub = u.ravel()[a], u.ravel()[b]
-    va, vb = v.ravel()[a], v.ravel()[b]
-    dv = vb - va
-    t = crossing_fraction(targets.rows[row], va, dv)
+    dv = v.ravel()[b] - v.ravel()[a]
     one_t = 1.0 - t
     diff = one_t * ua + t * ub - targets.u_values[lane, row]
     l_per, g_rows = _iou_loss_rows(diff, lane, count, PERSPECTIVE_E)
 
     # Through the crossing fraction t = (r - va) / (vb - va) the row
     # placement feeds back into u: dt/dva = (t - 1) / dv, dt/dvb = -t / dv.
-    # A segment lying on its row has t = 0 (as in first_crossings_batch)
+    # A segment lying on its row has t = 0 (as in _crossed_cells)
     # whatever its ends do, so there dt/dv = 0.
     flat = dv == 0.0
     g_t = np.where(flat, 0.0, g_rows * (ub - ua) / np.where(flat, 1.0, dv))

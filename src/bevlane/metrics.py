@@ -8,10 +8,10 @@ Row-anchor accuracy follows the fraction-of-correct-points convention
 with a pixel tolerance. Curve distance is a symmetric mean
 point-to-polyline distance in meters between matched 3D lanes.
 evaluate is the one pass over a dataset and its predictions: it samples
-and projects every predicted 3D lane once, resamples each image
-height's lanes as one stack, counts row-anchor hits and matching costs
-for all of that height's frames at once, and per frame keeps only the
-F1 raster, the assignments and one curve-distance call.
+and projects every predicted 3D lane once (sample_predictions), resamples
+each image height's lanes as one stack, counts row-anchor hits and
+matching costs for all of that height's frames at once, and per frame
+keeps only the F1 raster, the assignments and one curve-distance call.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float):
     h, w = image.height, image.width
     radius = (width - 1.0) / 2.0
     n_lanes = len(lanes)
-    if radius < 0.0 or n_lanes == 0:
+    if n_lanes == 0:
         nothing = np.zeros(0, dtype=np.int64)
         return nothing, nothing, np.zeros(n_lanes + 1, dtype=np.int64)
 
@@ -250,7 +250,7 @@ def _lane_runs(lanes: list[Lane2D], image: ImageSpec, width: float):
 
 
 def _row_range(v_lo, v_hi, h: int):
-    """The first and last pixel rows whose centers lie in [v_lo, v_hi], cut to [0, h)."""
+    """The first and last pixel rows (or columns) with centers in [v_lo, v_hi], cut to [0, h)."""
     first = np.ceil(np.clip(v_lo - 0.5, 0, h)).astype(np.int64)
     last = np.floor(np.clip(v_hi - 0.5, -1, h - 1)).astype(np.int64)
     return first, last
@@ -311,10 +311,7 @@ def _capsule_columns(ua, ub, rel_a, rel_b, du, dv, seg_len2, radii, w):
             for end, rel2 in ((ua, rel_a2), (ub, rel_b2)):
                 half = np.sqrt(radius2 - rel2)
                 lo, hi = np.fmin(lo, end - half), np.fmax(hi, end + half)
-        columns.append((
-            np.ceil(np.clip(lo - 0.5, 0, w)).astype(np.int64),
-            np.floor(np.clip(hi - 0.5, -1, w - 1)).astype(np.int64),
-        ))
+        columns.append(_row_range(lo, hi, w))
     return columns
 
 
@@ -680,6 +677,33 @@ def cd_error_per_pair(
     return values
 
 
+def sample_predictions(frames: list, lanes3d: list, sample_count: int = DEFAULT_SAMPLE_COUNT):
+    """The predicted Lane3Ds of each frame (datagen.FrameRecord) in lanes3d,
+    sampled at sample_count points and projected through the frame's camera
+    in one pass: per frame, an (L, sample_count, 3) array and L Lane2Ds.
+
+    evaluate and every render view read predicted 3D lanes here alone. A
+    non-finite projection is refused as a Lane2D, then one past MAX_PIXEL,
+    naming its frame and lane; overflow warns nothing.
+    """
+    n_lanes = [len(lanes) for lanes in lanes3d]
+    splits = np.cumsum(n_lanes)[:-1]
+    cameras = [[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.ox, f.intrinsics.oy] for f in frames]
+    cameras = np.repeat(np.reshape(cameras, (-1, 4)), n_lanes, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = sample_lanes([lane for lanes in lanes3d for lane in lanes], sample_count)
+        uv = project_stack(cameras, samples)
+    projected = [list(map(Lane2D, frame_uv)) for frame_uv in np.split(uv, splits)]
+    far = np.flatnonzero((np.abs(uv) > MAX_PIXEL).any(axis=(1, 2)))
+    if far.size:
+        n = int(np.searchsorted(np.cumsum(n_lanes), far[0], side="right"))
+        raise SchemaError(
+            f"frame {frames[n].frame_id}: predicted lane {far[0] - sum(n_lanes[:n])} "
+            f"projects past |u| or |v| = {MAX_PIXEL:g} px"
+        )
+    return np.split(samples, splits), projected
+
+
 def evaluate(
     frames: list,
     preds: list,
@@ -692,12 +716,11 @@ def evaluate(
 
     frames are datagen.FrameRecords and preds prediction records (frame_id
     with lanes3d or lanes2d), at most one per frame; a frame without one
-    predicts no lanes. Each predicted 3D lane is sampled at sample_count
-    points, all in one pass, and projected through its own frame's camera,
-    so its 2D lane and its curve distance read the same points. Before any
-    frame is scored, a curve that overflows is refused (as a Lane2D), and
-    so is one that projects past MAX_PIXEL, naming its frame and lane.
-    Each image height's lanes of each side are resampled in one call on
+    predicts no lanes. Before any frame is scored, sample_predictions
+    samples and projects every predicted 3D lane at sample_count points,
+    so its 2D lane and its curve distance read the same points, and
+    refuses one that overflows or projects past MAX_PIXEL. Each image
+    height's lanes of each side are resampled in one call on
     every row of that height and padded to one (frames, lanes, rows)
     stack. Row-anchor hits (every row_step-th row from mid-image down)
     and matching costs come from those stacks in one pass per prediction
@@ -709,25 +732,8 @@ def evaluate(
     by_id = {p.frame_id: p for p in preds}
     preds = [by_id.get(frame.frame_id) for frame in frames]
     lanes3d = [pred.lanes3d if pred else () for pred in preds]
-    n_lanes3d = [len(lanes) for lanes in lanes3d]
-    splits = np.cumsum(n_lanes3d)[:-1]
-    cameras = [[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.ox, f.intrinsics.oy] for f in frames]
-    cameras = np.repeat(np.reshape(cameras, (-1, 4)), n_lanes3d, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        samples = sample_lanes([lane for lanes in lanes3d for lane in lanes], sample_count)
-        projected = project_stack(cameras, samples)
-    samples = np.split(samples, splits)
-    pred2d = [
-        [*(pred.lanes2d if pred else ()), *map(Lane2D, uv)]
-        for pred, uv in zip(preds, np.split(projected, splits))
-    ]
-    far = np.flatnonzero((np.abs(projected) > MAX_PIXEL).any(axis=(1, 2)))
-    if far.size:
-        n = int(np.searchsorted(np.cumsum(n_lanes3d), far[0], side="right"))
-        raise SchemaError(
-            f"frame {frames[n].frame_id}: predicted lane {far[0] - sum(n_lanes3d[:n])} "
-            f"projects past |u| or |v| = {MAX_PIXEL:g} px"
-        )
+    samples, projected = sample_predictions(frames, lanes3d, sample_count)
+    pred2d = [[*(pred.lanes2d if pred else ()), *lanes] for pred, lanes in zip(preds, projected)]
 
     totals = {t: [0, 0, 0] for t in cfg.iou_thresholds}
     correct_points = gt_points = matched = 0

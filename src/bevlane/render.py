@@ -3,17 +3,20 @@
 Three views: the image plane (perspective), the top-down x-z plane
 (bev), and the side y-z plane (profile). Output is a plain SVG string
 with fixed float formatting, so identical inputs produce identical
-bytes.
+bytes. Predicted 3D lanes are sampled and projected by eval's checked
+sampler, metrics.sample_predictions, so every view refuses what eval
+refuses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .camera import Lane2D, project_lane
+from .camera import Lane2D
 from .datagen import FrameRecord
 from .errors import ValidationError
-from .geometry import DEFAULT_SAMPLE_COUNT, Lane3D, sample_lane
+from .geometry import DEFAULT_SAMPLE_COUNT, Lane3D
+from .metrics import sample_predictions
 
 VIEWS = ("perspective", "bev", "profile")
 
@@ -32,24 +35,18 @@ def _polyline(points: np.ndarray, style: str) -> str:
     return f'<polyline style="{style}" points="{coords}"/>'
 
 
-def _pred_points_3d(preds, sample_count):
-    out = []
-    for lane in preds or []:
-        if isinstance(lane, Lane3D):
-            out.append(sample_lane(lane, sample_count))
-    return out
-
-
-def _pred_points_2d(preds, frame, sample_count):
-    out = []
-    for lane in preds or []:
-        if isinstance(lane, Lane3D):
-            out.append(project_lane(frame.intrinsics, lane, sample_count).points)
-        elif isinstance(lane, Lane2D):
-            out.append(np.asarray(lane.points))
-        else:
+def _pred_points(frame, preds, sample_count):
+    """The 3D samples of the predicted Lane3Ds, and the 2D points of every
+    predicted lane in order: a Lane3D's projection or a Lane2D's own."""
+    preds = list(preds or [])
+    for lane in preds:
+        if not isinstance(lane, (Lane3D, Lane2D)):
             raise ValidationError(f"cannot render prediction of type {type(lane).__name__}")
-    return out
+    lanes3d = [lane for lane in preds if isinstance(lane, Lane3D)]
+    (samples,), (projected,) = sample_predictions([frame], [lanes3d], sample_count)
+    projected = iter(projected)
+    return samples, [(next(projected) if isinstance(lane, Lane3D) else lane).points
+                     for lane in preds]
 
 
 def _svg(width: float, height: float, body: list[str], label: str) -> str:
@@ -60,16 +57,15 @@ def _svg(width: float, height: float, body: list[str], label: str) -> str:
     return "\n".join([head, f"<desc>{label}</desc>", *body, "</svg>"]) + "\n"
 
 
-def _planar_view(frame, preds, sample_count, axes):
-    """Shared scaffolding for the bev and profile views.
+def _planar_view(frame, samples, axes):
+    """Shared scaffolding for the bev and profile views, given the predicted samples.
 
     axes maps 3D points to (horizontal, vertical) data coordinates; the
     vertical axis is drawn increasing upward for bev (far away = top)
     and downward for profile (depth below camera grows downward).
     """
     h_idx, v_idx, flip_v, canvas_w, canvas_h = axes
-    groups = [np.asarray(pts) for pts in frame.lanes3d]
-    groups += _pred_points_3d(preds, sample_count)
+    groups = [np.asarray(pts) for pts in frame.lanes3d] + list(samples)
     if not groups:
         raise ValidationError("nothing to render")
     allpts = np.vstack(groups)
@@ -100,7 +96,7 @@ def _planar_view(frame, preds, sample_count, axes):
     ]
     for pts in frame.lanes3d:
         body.append(_polyline(to_canvas(np.asarray(pts)), _GT_STYLE))
-    for pts in _pred_points_3d(preds, sample_count):
+    for pts in samples:
         body.append(_polyline(to_canvas(pts), _PRED_STYLE))
     return body, canvas_w, canvas_h
 
@@ -114,23 +110,25 @@ def render_svg(
     """Render one frame (and optional predicted lanes) to an SVG string.
 
     preds may hold Lane3D (projected or sampled as the view needs) or,
-    for the perspective view, Lane2D polylines.
+    for the perspective view, Lane2D polylines. A Lane3D that eval would
+    refuse raises as there.
     """
     if view not in VIEWS:
         raise ValidationError(f"view must be one of {VIEWS}, got {view!r}")
     label = f"frame {frame.frame_id} {frame.tag} ({view})".strip()
+    samples, points2d = _pred_points(frame, preds, sample_count)
 
     if view == "perspective":
         w, h = float(frame.image.width), float(frame.image.height)
         body = [f'<rect x="0" y="0" width="{_fmt(w)}" height="{_fmt(h)}" style="{_FRAME_STYLE}"/>']
         for lane in frame.lanes2d:
             body.append(_polyline(lane.points, _GT_STYLE))
-        for pts in _pred_points_2d(preds, frame, sample_count):
+        for pts in points2d:
             body.append(_polyline(pts, _PRED_STYLE))
         return _svg(w, h, body, label)
 
     if view == "bev":
-        body, w, h = _planar_view(frame, preds, sample_count, (0, 2, True, 400.0, 600.0))
+        body, w, h = _planar_view(frame, samples, (0, 2, True, 400.0, 600.0))
     else:
-        body, w, h = _planar_view(frame, preds, sample_count, (2, 1, False, 600.0, 200.0))
+        body, w, h = _planar_view(frame, samples, (2, 1, False, 600.0, 200.0))
     return _svg(w, h, body, label)

@@ -3,11 +3,11 @@
 Runs the CLI on acceptance criterion 2's MIXED_SPEC (25 frames per
 scene) at each seed of SEEDS: generate, fit and eval in the 3d, 2d and
 baseline modes, anchors -k 8 and render --frame 4 of the 3d
-predictions. Each file written and each stage's stdout is hashed; in
-the stdout the run's directory reads <dir>, so the digests do not
-depend on where the run happened. test_golden.py compares a fresh run with
-tests/golden/manifest.json. After a change that moves artifacts on
-purpose, rewrite the manifest with
+predictions in each view. Each file written and each stage's stdout is
+hashed; in the stdout the run's directory reads <dir>, so the digests
+do not depend on where the run happened. test_golden.py compares a
+fresh run with tests/golden/manifest.json. After a change that moves
+artifacts on purpose, rewrite the manifest with
 
     PYTHONPATH=src python tests/golden_digests.py
 
@@ -60,8 +60,11 @@ def _stages(seed: int) -> list[tuple[str, list[str]]]:
                                         "--out", f"report-{mode}.json"]))
     stages.append(("anchors", ["anchors", "--dataset", "dataset.jsonl", "-k", "8",
                                "--out", "anchors.json"]))
-    stages.append(("render", ["render", "--dataset", "dataset.jsonl", "--pred", "preds-3d.jsonl",
-                              "--frame", "4", "--view", "perspective", "--out", "frame.svg"]))
+    for view, name, out in (("perspective", "render", "frame.svg"),
+                            ("bev", "render-bev", "frame-bev.svg"),
+                            ("profile", "render-profile", "frame-profile.svg")):
+        stages.append((name, ["render", "--dataset", "dataset.jsonl", "--pred", "preds-3d.jsonl",
+                              "--frame", "4", "--view", view, "--out", out]))
     return stages
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from bevlane.assignment import (
+    _crossed_cells,
     _lsap,
     cost_matrix,
     first_crossings,
-    first_crossings_batch,
     hungarian_assign,
     match_lanes,
     resample_lane,
@@ -77,8 +77,23 @@ def test_first_crossings_picks_first_branch():
     assert present[0] and us[0] == pytest.approx(0.0 + 10.0 * (200.0 - 150.0) / 100.0)
 
 
+def _crossings_grid(v, rows, keep=None):
+    """_crossed_cells spread back onto the (lanes, rows) grid: found, the
+    segment index and t per cell, seg 0 and t 0 where nothing crosses."""
+    lane, row, at, t_crossed = _crossed_cells(v, rows, keep)
+    found = np.zeros((len(v), rows.size), dtype=bool)
+    seg = np.zeros(found.shape, dtype=np.int64)
+    t = np.zeros(found.shape)
+    found[lane, row], seg[lane, row], t[lane, row] = True, at - lane * v.shape[1], t_crossed
+    return found, seg, t
+
+
 def _assert_crossings_match_oracle(v, rows):
-    found, seg, t = first_crossings_batch(v, rows)
+    found, seg, t = _crossings_grid(v, rows)
+    # a mask keeps only the cells it marks, each with the same segment and t
+    keep = np.arange(found.size).reshape(found.shape) % 3 != 1
+    for got, want in zip(_crossings_grid(v, rows, keep), (found & keep, seg * keep, t * keep)):
+        assert np.array_equal(got, want)
     for lane, lane_v in enumerate(v):
         want_found, want_seg, want_t = first_crossings_oracle(lane_v, rows)
         one = first_crossings(np.column_stack([np.zeros(lane_v.size), lane_v]), rows)

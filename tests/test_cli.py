@@ -1029,6 +1029,51 @@ def test_overflowing_predicted_curve_exits_2(flat_dataset, tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def _huge_cubic(record):
+    record["lanes3d"][0]["curve"]["a"] = 1e306
+
+
+def _far_end(record):
+    record["lanes3d"][0]["z_max"] = 1e200
+
+
+def _near_start(record):
+    record["lanes3d"][1]["z_min"] = 1e-12
+
+
+@pytest.mark.parametrize("edit", [_huge_cubic, _far_end, _near_start])
+def test_render_refuses_what_eval_refuses(flat_dataset, tmp_path, edit):
+    # render samples and projects predicted lanes through eval's checked
+    # sampler, so every view refuses the lane with eval's own message
+    preds = tmp_path / "preds.jsonl"
+    assert _run(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", str(preds)])[0] == 0
+    pred = _edit_first_record(preds, tmp_path / "p.jsonl", edit)
+    code, want = _run(["eval", "--dataset", flat_dataset, "--pred", pred,
+                       "--out", str(tmp_path / "r.json")])
+    assert code == 2 and want.startswith("error: ") and want.count("\n") == 1
+    for view in ("perspective", "bev", "profile"):
+        out = tmp_path / f"{view}.svg"
+        argv = ["render", "--dataset", flat_dataset, "--pred", pred, "--frame", "0",
+                "--view", view, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run(argv)
+        assert (code, err) == (2, want), view
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, code", [("3d", 2), ("2d", 2), ("baseline", 0)])
+def test_order_4_fits_the_baseline_only(flat_dataset, tmp_path, mode, code):
+    # a lane curve is cubic; the u(v) baseline takes degree 4
+    argv = ["fit", "--dataset", flat_dataset, "--mode", mode, "--order", "4",
+            "--out", str(tmp_path / "p.jsonl")]
+    got, err = _run(argv)
+    assert got == code
+    assert err == ("" if code == 0 else
+                   "error: order must be 2 or 3, got 4: degree 4 is least-squares only\n")
+
+
 @pytest.fixture(scope="module")
 def preset_dataset(tmp_path_factory):
     """One frame of each ground preset, and its 3d fit."""
@@ -1380,9 +1425,19 @@ if HAVE_HYPOTHESIS:
             if isinstance(value, (dict, list)):
                 yield from _leaf_paths(value, prefix + (key,))
 
-    FUZZ_TARGETS = [("spec", p) for p in _leaf_paths(FUZZ_SPEC)] + [
-        ("config", p) for p in _leaf_paths(FUZZ_CONFIG)
+    # The fields of a prediction record: its frame id and, for each of its
+    # two lanes, the curve, the nearest and farthest height and the span.
+    PRED_FIELDS = [("frame_id",)] + [
+        ("lanes3d", lane, *field)
+        for lane in (0, 1)
+        for field in [*(("curve", c) for c in "abcd"), ("heights", 0), ("heights", -1),
+                      ("z_min",), ("z_max",)]
     ]
+    FUZZ_TARGETS = (
+        [("spec", p) for p in _leaf_paths(FUZZ_SPEC)]
+        + [("config", p) for p in _leaf_paths(FUZZ_CONFIG)]
+        + [("pred", p) for p in PRED_FIELDS]
+    )
 
     def _substitute(document, path, fragment):
         """The document as JSON text with the value at path replaced by a raw fragment."""
@@ -1406,6 +1461,18 @@ if HAVE_HYPOTHESIS:
     def test_cli_exits_cleanly_on_any_field(fuzz_dir, data):
         which, path = data.draw(st.sampled_from(FUZZ_TARGETS), label="field")
         fragment = data.draw(_FRAGMENTS, label="value")
+        if which == "pred":
+            # a prediction record's field, through eval and a drawn render view
+            header, record = (fuzz_dir / "p.jsonl").read_text().splitlines()
+            edited = fuzz_dir / "edited.jsonl"
+            edited.write_text(f"{header}\n{_substitute(json.loads(record), path, fragment)}\n")
+            view = data.draw(st.sampled_from(["perspective", "bev", "profile"]), label="view")
+            common = ["--dataset", str(fuzz_dir / "d.jsonl"), "--pred", str(edited)]
+            for argv in (["eval", *common], ["render", *common, "--view", view]):
+                code, err = _run([*argv, "--out", str(fuzz_dir / "out")])
+                assert code in (0, 2, 3), argv[0]
+                assert "Traceback" not in err and "RuntimeWarning" not in err
+            return
         documents = {"spec": FUZZ_SPEC, "config": FUZZ_CONFIG}
         for name, document in documents.items():
             text = _substitute(document, path, fragment) if name == which else json.dumps(document)

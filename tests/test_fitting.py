@@ -229,7 +229,7 @@ def test_lane_gap_start_degrades_smoothly_with_taper(merge):
             assert (np.abs(u[3] - u[2]) < fitting.MIN_GAP_PX).sum() >= 5
         points = lane_gap_points(lanes2d, u, rows, k, 1.5)
         targets = LaneTargets(
-            rows, u, ~np.isnan(u), np.array([[lane.v[0], lane.v[-1]] for lane in lanes2d]),
+            rows, u, np.array([[lane.v[0], lane.v[-1]] for lane in lanes2d]),
             np.tile([k.fx, k.fy, k.ox, k.oy], (4, 1)),
         )
         fits = fit_lanes(targets, fitting.lane_starts(points))
