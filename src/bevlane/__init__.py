@@ -25,13 +25,7 @@ from .geometry import (
     lane_to_vector,
     sample_lane,
 )
-from .losses import (
-    bev_iou_loss,
-    endpoint_z_loss,
-    height_loss,
-    height_variance_reg,
-    perspective_losses,
-)
+from .losses import bev_iou_loss, height_loss, perspective_losses
 
 __version__ = "0.1.0"
 
@@ -45,9 +39,7 @@ __all__ = [
     "MatchResult",
     "ResampledLane2D",
     "bev_iou_loss",
-    "endpoint_z_loss",
     "height_loss",
-    "height_variance_reg",
     "hungarian_assign",
     "invert_to_ground",
     "lane_from_vector",

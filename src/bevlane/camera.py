@@ -17,10 +17,30 @@ import numpy as np
 from .errors import DomainError, ValidationError
 from .geometry import DEFAULT_SAMPLE_COUNT, Lane3D, sample_lane
 
+# The largest |u| and |v| of a 2D point the readers accept, in pixels, and
+# the largest |fx|, |fy|, |ox| and |oy| of a camera. The kernels' highest
+# power of a pixel coordinate is the fourth (fit --mode baseline's
+# degree-4 np.vander on v), and the raster and k-means sum squared
+# differences of two coordinates, up to (2 * MAX_PIXEL) ** 2. Those stay
+# finite below about 1e77, the fourth root of float64's maximum (1.8e308).
+# The raster's work sets a tighter bound: it tests one by one the pixels
+# within metrics._EDGE_BAND (1e-9) of the coordinate magnitude of a
+# capsule's edge, a band about a pixel wide at 1e9. Eval of one frame of
+# zig-zag lanes took 44 MB at 1e9, 443 MB at 1e10 and over 3 GB at 1e11.
+# At 1e9 a fourth power is 1e36 and a squared difference 4e18. An
+# intrinsic of 1e300 made the 3d fit's IoU gradient overflow.
+MAX_PIXEL = 1e9
+# The largest image width and height, in pixels. Fit and eval hold one
+# float64 per (lane, row) of an image height: 400 lanes at 10,000 rows
+# are 32 MB. The raster's edge band also widens with the width; at 1e12
+# px it is 1,000 px, and eval of one such frame was killed for memory.
+MAX_IMAGE_SIDE = 10_000
+
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
-    """Focal lengths and principal point, all in pixels."""
+    """Focal lengths and principal point, all in pixels, each at most
+    MAX_PIXEL in magnitude."""
 
     fx: float
     fy: float
@@ -32,6 +52,8 @@ class CameraIntrinsics:
             value = float(getattr(self, name))
             if not math.isfinite(value):
                 raise ValidationError(f"{name} must be finite")
+            if abs(value) > MAX_PIXEL:
+                raise ValidationError(f"|{name}| must be at most {MAX_PIXEL:g}, got {value:g}")
             object.__setattr__(self, name, value)
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValidationError("focal lengths must be positive")
@@ -39,7 +61,7 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class ImageSpec:
-    """Pixel dimensions of the image plane."""
+    """Pixel dimensions of the image plane, 1 to MAX_IMAGE_SIDE each."""
 
     width: int
     height: int
@@ -51,6 +73,11 @@ class ImageSpec:
         object.__setattr__(self, "height", int(self.height))
         if self.width < 1 or self.height < 1:
             raise ValidationError("image dimensions must be >= 1")
+        for name in ("width", "height"):
+            if getattr(self, name) > MAX_IMAGE_SIDE:
+                raise ValidationError(
+                    f"image {name} must be at most {MAX_IMAGE_SIDE}, got {getattr(self, name)}"
+                )
 
 
 class Lane2D:

@@ -7,15 +7,15 @@ baseline). lane_starts, the one start, fits a whole stack of lanes at
 once into the matrix of their vectors: one depth check and one power
 table over every lane's points, then a least-squares curve and
 interpolated heights per lane. With 3D labels the points are the labels
-in order of z (by_depth); label_init is the start of one lane. With 2D
-labels only they come from the frame's shared ground: lane_gap_points
-reads one depth per image row from the gaps between adjacent lanes and
-back-projects every lane's rows at it, and a lane it cannot serve falls
-back to the flat-ground points of ipm_points within Z_CAP (ipm_init
-starts one lane from all of its flat-ground points). fit_lanes, the one
-fitter, takes one losses.LaneTargets stack on a row grid and the start
-matrix and scores each start once with losses.lane_losses, in blocks of
-ACTIVE_LANES; fit_lane_3d and fit_lane_2d are its stacks of one.
+in order of z (by_depth). With 2D labels only they come from the frame's
+shared ground: lane_gap_points reads one depth per image row from the
+gaps between adjacent lanes and back-projects every lane's rows at it,
+and a lane it cannot serve falls back to the flat-ground points of
+ipm_points within Z_CAP (ipm_init starts one lane from all of its
+flat-ground points). fit_lanes, the one fitter, takes one
+losses.LaneTargets stack on a row grid and the start matrix and scores
+each start once with losses.lane_losses, in blocks of ACTIVE_LANES;
+fit_lane_3d and fit_lane_2d are its stacks of one.
 Neither branch descends: on the mixed-ground set, descent from the
 lane-gap start lowered 2D mF1 from 0.98 to 0.90-0.92. fit_dataset is the
 one pass over a dataset: per image height, one stack of its lanes is
@@ -74,7 +74,7 @@ class FitConfig:
     geometry.lane_to_vector, and order 2 pins its cubic coefficient at 0.
 
     keypoints is the number of height keypoints per lane, 2 to
-    MAX_KEYPOINTS. label_init and ipm_init read both, and fit_lanes
+    MAX_KEYPOINTS. lane_starts and ipm_init read both, and fit_lanes
     reads order. The CLI takes its defaults from here.
     """
 
@@ -333,13 +333,6 @@ def lane_starts(points: list[np.ndarray], cfg: FitConfig = FitConfig()) -> np.nd
         name = "abcd"[j] if j < 4 else "height"
         raise ValidationError(f"{name} must be finite, got {float(starts[i, j])!r}", lane=i)
     return starts
-
-
-def label_init(gt3: np.ndarray, cfg: FitConfig = FitConfig()) -> Lane3D:
-    """The 3D twin of ipm_init: a cubic lane whose curve, span and heights
-    are read off its 3D labeled points, in order of z, by least squares.
-    It is lane_starts on a stack of one."""
-    return lane_from_vector(lane_starts([by_depth(gt3)], cfg)[0])
 
 
 def fit_lane_3d(

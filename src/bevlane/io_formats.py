@@ -42,7 +42,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .anchors import AnchorSet, LaneDescriptor
-from .camera import CameraIntrinsics, ImageSpec, Lane2D
+from .camera import MAX_PIXEL, CameraIntrinsics, ImageSpec, Lane2D
 from .datagen import SCENE_PRESETS, FrameRecord, JitterSpec, SceneSpec
 from .errors import SchemaError, ValidationError, VersionError
 from .geometry import BevCurve, HeightProfile, Lane3D, lane_to_vector
@@ -53,18 +53,6 @@ _CACHE_SUFFIX = ".pts"
 _CACHE_VERSION = "1"
 # read_dataset hashes the dataset file in blocks of this many bytes.
 _HASH_BLOCK = 1 << 20
-# The largest |u| and |v| of a 2D point the readers accept, in pixels.
-# The kernels' highest power of a pixel coordinate is the fourth (fit
-# --mode baseline's degree-4 np.vander on v), and the raster and k-means
-# sum squared differences of two coordinates, up to (2 * MAX_PIXEL) ** 2.
-# Those stay finite below about 1e77, the fourth root of float64's
-# maximum (1.8e308). The raster's work sets a tighter bound: it tests one
-# by one the pixels within metrics._EDGE_BAND (1e-9) of the coordinate
-# magnitude of a capsule's edge, a band about a pixel wide at 1e9. Eval
-# of one frame of zig-zag lanes took 44 MB at 1e9, 443 MB at 1e10 and
-# over 3 GB at 1e11. At 1e9 a fourth power is 1e36 and a squared
-# difference 4e18.
-MAX_PIXEL = 1e9
 # The largest |x|, |y| and z of a lanes3d point the readers accept, in
 # meters. The kernels' highest power of a meter coordinate is the cube
 # (lane_starts' np.vander on z, and z ** 3 in the BEV term's gradient),

@@ -20,8 +20,8 @@ smooth.
 Every term runs on an (L, P) stack of lanes at once, and lane_losses
 sums them, unweighted, into the one objective of both branches; whether
 the targets carry 3D labels picks the branch. perspective_losses,
-project_with_jacobian, bev_iou_loss, height_loss and endpoint_z_loss
-are their stacks of one.
+project_with_jacobian, bev_iou_loss and height_loss are their stacks of
+one.
 """
 
 from __future__ import annotations
@@ -73,16 +73,6 @@ def height_loss(pred: Lane3D, gt_heights: np.ndarray):
     return float(loss[0]), grad[0]
 
 
-def endpoint_z_loss(pred: Lane3D, gt_z_min: float, gt_z_max: float):
-    """|dz_min| + |dz_max| between predicted and target span endpoints.
-
-    Returns (loss, (d/dz_min, d/dz_max)).
-    """
-    span = np.array([[pred.z_min, pred.z_max]])
-    loss, grad = _span_term(span, np.array([[gt_z_min, gt_z_max]], dtype=float))
-    return float(loss[0]), (float(grad[0, 0]), float(grad[0, 1]))
-
-
 def _bev_term(curve: np.ndarray, z: np.ndarray, gt_x: np.ndarray, e: float):
     """1 - mean BEV IoU of (L, 4) power curves at samples z (L, m) against
     offsets gt_x there, and its gradient over the curve, (L, 4)."""
@@ -111,19 +101,11 @@ def _powers(z: np.ndarray) -> np.ndarray:
     return np.stack([z * z * z, z * z, z, np.ones_like(z)], axis=-2)
 
 
-def height_variance_reg(pred: Lane3D):
-    """Population standard deviation of the keypoint heights.
-
-    With 2D-only supervision nothing pins the profile vertically, so the
-    spread itself is penalized. Returns (sigma, gradient over keypoints);
-    the gradient at sigma = 0 is the zero subgradient.
-    """
-    sigma, grad = _height_spread(np.asarray(pred.profile.heights, dtype=float))
-    return float(sigma), grad
-
-
 def _height_spread(heights: np.ndarray):
-    """Spread of the keypoints along the last axis and its gradient; one sigma per lane."""
+    """Population standard deviation of the keypoints along the last axis,
+    one sigma per lane, and its gradient, which is the zero subgradient at
+    sigma = 0. With 2D-only supervision nothing pins the profile
+    vertically, so the spread itself is penalized."""
     centered = heights - heights.mean(axis=-1, keepdims=True)
     sigma = np.sqrt(np.mean(centered**2, axis=-1))
     flat = (sigma == 0.0)[..., None]
@@ -404,10 +386,14 @@ def _perspective_batch(theta: np.ndarray, targets: LaneTargets):
     # l_v reads v at the two end samples alone. The first sample sits on
     # keypoint 0 and on z_min, the last on keypoint n - 1 and on z_max
     # (w is 0 and 1 there, and dz/dspan is [1, 0] and [0, 1]), so each
-    # end feeds one height and one span endpoint.
-    d_ends = v[:, [0, -1]] - targets.v_ends
+    # end feeds one height and one span endpoint. Both ends are clipped to
+    # the grid's rows, so an end the image cannot show costs nothing and
+    # feeds no gradient; an empty grid overlaps no lane, so any bounds do.
+    lo, hi = (targets.rows.min(), targets.rows.max()) if targets.rows.size else (0.0, 0.0)
+    end_rows = v[:, [0, -1]]
+    d_ends = np.clip(end_rows, lo, hi) - np.clip(targets.v_ends, lo, hi)
     l_v = np.abs(d_ends[:, 0]) + np.abs(d_ends[:, 1])
-    w_end = np.sign(d_ends)
+    w_end = np.where((lo <= end_rows) & (end_rows <= hi), np.sign(d_ends), 0.0)
     grad_v = np.zeros((n_lanes, dg))
     grad_v[:, [4, -3]] = w_end * proj.dv_dy[:, [0, -1]]
     grad_v[:, -2] = w_end[:, 0] * proj.dv_dspan[:, 0, 0]
@@ -445,7 +431,8 @@ def perspective_losses(
 
     l_per is the widened-lane IoU loss over the grid rows both lanes
     cover; l_v compares the continuous endpoint rows of the projection
-    (v at z_min and z_max) with the target polyline's endpoint rows.
+    (v at z_min and z_max) with the target polyline's endpoint rows, each
+    clipped to the grid's rows.
     Gradients run over the lane's geometry parameters.
 
     geo_params stands in for the parameter vector derived from pred, so

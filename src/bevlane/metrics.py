@@ -23,10 +23,9 @@ import numpy as np
 from .assignment import (
     DEFAULT_MATCH_THRESHOLD, by_height, cost_matrix, hungarian_assign, resample_lanes
 )
-from .camera import ImageSpec, Lane2D, project_stack
+from .camera import MAX_PIXEL, ImageSpec, Lane2D, project_stack
 from .errors import DimensionMismatchError, NonFiniteError, SchemaError, ValidationError
 from .geometry import DEFAULT_SAMPLE_COUNT, sample_lanes
-from .io_formats import MAX_PIXEL
 
 DEFAULT_IOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
 # Row-anchor accuracy counts a lane pair once this fraction of its points is correct.
@@ -365,14 +364,6 @@ def counts_to_f1(tp: int, fp: int, fn: int) -> CountsF1:
     return CountsF1(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1)
 
 
-@dataclass(frozen=True)
-class F1Result:
-    """Per-threshold detection scores and their mean F1."""
-
-    counts: dict[float, CountsF1]
-    mf1: float
-
-
 def lane_iou_matrix(
     preds: list[Lane2D], gts: list[Lane2D], image: ImageSpec, cfg: EvalConfig = EvalConfig()
 ) -> np.ndarray:
@@ -429,20 +420,6 @@ def f1_counts(
             tp = sum(1 for i, j, _ in result.pairs if iou[i, j] >= t)
         out[t] = (tp, len(preds) - tp, len(gts) - tp)
     return out
-
-
-def f1_suite(
-    preds: list[Lane2D], gts: list[Lane2D], image: ImageSpec, cfg: EvalConfig = EvalConfig()
-) -> F1Result:
-    """Detection F1 swept over the configured IoU thresholds."""
-    return _f1_result(f1_counts(preds, gts, image, cfg))
-
-
-def _f1_result(counts: dict[float, tuple[int, int, int]]) -> F1Result:
-    """Scores per threshold from raw (tp, fp, fn), and their mean F1, for
-    f1_suite's frame and evaluate's dataset alike."""
-    scores = {t: counts_to_f1(*c) for t, c in counts.items()}
-    return F1Result(counts=scores, mf1=float(np.mean([c.f1 for c in scores.values()])))
 
 
 @dataclass(frozen=True)
@@ -683,24 +660,29 @@ def sample_predictions(frames: list, lanes3d: list, sample_count: int = DEFAULT_
     in one pass: per frame, an (L, sample_count, 3) array and L Lane2Ds.
 
     evaluate and every render view read predicted 3D lanes here alone. A
-    non-finite projection is refused as a Lane2D, then one past MAX_PIXEL,
-    naming its frame and lane; overflow warns nothing.
+    lane whose projection is not finite is refused, then one past
+    MAX_PIXEL, each naming its frame and lane, the first frame first;
+    overflow warns nothing.
     """
     n_lanes = [len(lanes) for lanes in lanes3d]
-    splits = np.cumsum(n_lanes)[:-1]
+    ends = np.cumsum(n_lanes)
+    splits = ends[:-1]
     cameras = [[f.intrinsics.fx, f.intrinsics.fy, f.intrinsics.ox, f.intrinsics.oy] for f in frames]
     cameras = np.repeat(np.reshape(cameras, (-1, 4)), n_lanes, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
         samples = sample_lanes([lane for lanes in lanes3d for lane in lanes], sample_count)
         uv = project_stack(cameras, samples)
+    refused = ~np.isfinite(uv).all(axis=(1, 2))
+    reason = "projects to points that are not finite"
+    if not refused.any():
+        refused = (np.abs(uv) > MAX_PIXEL).any(axis=(1, 2))
+        reason = f"projects past |u| or |v| = {MAX_PIXEL:g} px"
+    if refused.any():
+        i = int(np.argmax(refused))
+        n = int(np.searchsorted(ends, i, side="right"))
+        lane = i - int(ends[n] - n_lanes[n])
+        raise SchemaError(f"frame {frames[n].frame_id}: predicted lane {lane} {reason}")
     projected = [list(map(Lane2D, frame_uv)) for frame_uv in np.split(uv, splits)]
-    far = np.flatnonzero((np.abs(uv) > MAX_PIXEL).any(axis=(1, 2)))
-    if far.size:
-        n = int(np.searchsorted(np.cumsum(n_lanes), far[0], side="right"))
-        raise SchemaError(
-            f"frame {frames[n].frame_id}: predicted lane {far[0] - sum(n_lanes[:n])} "
-            f"projects past |u| or |v| = {MAX_PIXEL:g} px"
-        )
     return np.split(samples, splits), projected
 
 
@@ -724,10 +706,11 @@ def evaluate(
     every row of that height and padded to one (frames, lanes, rows)
     stack. Row-anchor hits (every row_step-th row from mid-image down)
     and matching costs come from those stacks in one pass per prediction
-    slot. Per frame, F1 counts come from f1_counts, lanes pair up for
-    row-anchor accuracy on the frame's slices, and 3D pairs matched on
-    the rows within match_threshold give curve distances, the report's
-    mean over all of them.
+    slot. Per frame, F1 counts come from f1_counts (their dataset sums
+    give each threshold's counts_to_f1 scores and mF1, the mean F1), lanes
+    pair up for row-anchor accuracy on the frame's slices, and 3D pairs
+    matched on the rows within match_threshold give curve distances, the
+    report's mean over all of them.
     """
     by_id = {p.frame_id: p for p in preds}
     preds = [by_id.get(frame.frame_id) for frame in frames]
@@ -768,7 +751,7 @@ def evaluate(
                 except NonFiniteError as exc:
                     raise NonFiniteError(f"frame {frame.frame_id}: {exc}") from exc
 
-    f1 = _f1_result(totals)
+    scores = {t: counts_to_f1(*c) for t, c in totals.items()}
     n_pred = sum(len(lanes) for lanes in pred2d)
     n_gt = sum(len(frame.lanes2d) for frame in frames)
     cd_values = np.concatenate([np.zeros(0), *cd_values])
@@ -776,8 +759,8 @@ def evaluate(
         "frames": len(frames),
         "pred_lanes": n_pred,
         "gt_lanes": n_gt,
-        "f1": {f"{t:.2f}": asdict(c) for t, c in f1.counts.items()},
-        "mf1": f1.mf1,
+        "f1": {f"{t:.2f}": asdict(c) for t, c in scores.items()},
+        "mf1": float(np.mean([c.f1 for c in scores.values()])),
         "tusimple": {
             "accuracy": correct_points / gt_points if gt_points else 0.0,
             "fp_rate": (n_pred - matched) / n_pred if n_pred else 0.0,

@@ -30,10 +30,10 @@ from bevlane.fitting import (
 from bevlane.geometry import BevCurve, sample_lane
 from bevlane.io_formats import read_dataset, read_predictions, read_report
 from bevlane.losses import (
+    _height_spread,
+    _span_term,
     bev_iou_loss,
-    endpoint_z_loss,
     height_loss,
-    height_variance_reg,
     perspective_losses,
 )
 from gradcheck import (
@@ -151,7 +151,7 @@ def test_criterion_3_2d_only_pipeline(tmp_path):
         for gt2d, lane in zip(frame.lanes2d, pred.lanes3d):
             gt_rl = resample_lane(gt2d, frame.image)
             out = perspective_losses(lane, frame.intrinsics, gt_rl)
-            sigma, _ = height_variance_reg(lane)
+            sigma, _ = _height_spread(np.asarray(lane.profile.heights))
             assert out.l_per < 1e-3
             assert sigma < 1e-2
             worst_per = max(worst_per, out.l_per)
@@ -237,18 +237,17 @@ def test_criterion_4_gradients_match_finite_differences(rng, k, image):
 
         gt_span = geo[-2:] - rng.choice([-1.0, 1.0], 2) * rng.uniform(0.01, 2.0, 2)
 
-        def f_z(span, geo=geo, gt_span=gt_span):
-            lane = geo_to_lane(np.concatenate([geo[:-2], span]))
-            return endpoint_z_loss(lane, gt_span[0], gt_span[1])[0]
+        def f_z(span, gt_span=gt_span):
+            return _span_term(span[None], gt_span[None])[0][0]
 
-        _, grad = endpoint_z_loss(lane, gt_span[0], gt_span[1])
-        assert_grad_close(np.asarray(grad), fd_gradient(f_z, geo[-2:], np.ones(2)), label="l_z")
+        _, grad = _span_term(geo[None, -2:], gt_span[None])
+        assert_grad_close(grad[0], fd_gradient(f_z, geo[-2:], np.ones(2)), label="l_z")
         checked["l_z"] = checked.get("l_z", 0) + 1
 
-        def f_sigma(h, geo=geo):
-            return height_variance_reg(geo_to_lane(np.concatenate([geo[:4], h, geo[-2:]])))[0]
+        def f_sigma(h):
+            return _height_spread(h)[0]
 
-        sigma, grad = height_variance_reg(lane)
+        sigma, grad = _height_spread(geo[4:-2])
         assert sigma > 1e-3
         assert_grad_close(grad, fd_gradient(f_sigma, geo[4:-2], np.ones(72)), label="sigma_h")
         checked["sigma_h"] = checked.get("sigma_h", 0) + 1
@@ -293,12 +292,17 @@ def test_criterion_5_assignment_is_optimal(rng):
 
 
 def test_criterion_6_f1_counts_match_pixel_oracle(rng):
-    """f1_suite counts equal a per-pixel rasterization plus exhaustive
-    matching oracle on 50 64x64 cases, exactly; mF1 equals the mean of
+    """f1_counts counts equal a per-pixel rasterization plus exhaustive
+    matching oracle on 50 64x64 cases, exactly, and so do the counts of
+    evaluate's report on each case as a frame; its mF1 equals the mean of
     the ten per-threshold F1 values to 1e-12."""
-    from bevlane.metrics import EvalConfig, f1_suite
+    from bevlane.camera import CameraIntrinsics
+    from bevlane.datagen import FrameRecord
+    from bevlane.io_formats import PredictionFrame
+    from bevlane.metrics import EvalConfig, evaluate, f1_counts
 
     image = ImageSpec(64, 64)
+    camera = CameraIntrinsics(fx=100.0, fy=100.0, ox=32.0, oy=16.0)
     cfg = EvalConfig(lane_width=12.0)
     cases = 0
     for _ in range(50):
@@ -311,8 +315,7 @@ def test_criterion_6_f1_counts_match_pixel_oracle(rng):
 
         preds = [draw() for _ in range(n_p)]
         gts = [draw() for _ in range(n_g)]
-        result = f1_suite(preds, gts, image, cfg)
-        got = {t: (c.tp, c.fp, c.fn) for t, c in result.counts.items()}
+        got = f1_counts(preds, gts, image, cfg)
         want = f1_counts_oracle(
             [p.points for p in preds],
             [g.points for g in gts],
@@ -322,8 +325,12 @@ def test_criterion_6_f1_counts_match_pixel_oracle(rng):
             cfg.iou_thresholds,
         )
         assert got == want
-        mean_f1 = sum(c.f1 for c in result.counts.values()) / len(result.counts)
-        assert abs(result.mf1 - mean_f1) <= 1e-12
+        frame = FrameRecord(0, "", 0, camera, image, 1.5, (), tuple(gts))
+        report = evaluate([frame], [PredictionFrame(0, lanes2d=tuple(preds))], cfg)
+        scores = report["f1"].values()
+        assert [(c["tp"], c["fp"], c["fn"]) for c in scores] == list(want.values())
+        mean_f1 = sum(c["f1"] for c in scores) / len(scores)
+        assert abs(report["mf1"] - mean_f1) <= 1e-12
         cases += 1
     assert cases == 50
     print(f"criterion 6 PASS: {cases} cases, counts exact and mF1 within 1e-12")

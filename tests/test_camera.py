@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D, invert_to_ground, project_lane, project_points
+from bevlane.camera import (
+    MAX_IMAGE_SIDE,
+    MAX_PIXEL,
+    CameraIntrinsics,
+    ImageSpec,
+    Lane2D,
+    invert_to_ground,
+    project_lane,
+    project_points,
+)
 from bevlane.errors import DomainError, ValidationError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D
 
@@ -34,6 +43,26 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=0.0, fy=1000.0, ox=0.0, oy=0.0)
     with pytest.raises(ValidationError):
         ImageSpec(width=0, height=10)
+
+
+@pytest.mark.parametrize("name", ["fx", "fy", "ox", "oy"])
+def test_intrinsics_are_bounded_by_max_pixel(name):
+    fields = {"fx": 1000.0, "fy": 1000.0, "ox": 400.0, "oy": 160.0}
+    sign = -1.0 if name in ("ox", "oy") else 1.0
+    assert getattr(CameraIntrinsics(**{**fields, name: sign * MAX_PIXEL}), name) == sign * MAX_PIXEL
+    with pytest.raises(ValidationError, match=rf"^\|{name}\| must be at most 1e\+09, got 1e\+300$"):
+        CameraIntrinsics(**{**fields, name: 1e300})
+    with pytest.raises(ValidationError, match=rf"^\|{name}\| must be at most"):
+        CameraIntrinsics(**{**fields, name: sign * np.nextafter(MAX_PIXEL, np.inf)})
+
+
+@pytest.mark.parametrize("name", ["width", "height"])
+def test_image_sides_are_bounded(name):
+    assert getattr(ImageSpec(**{"width": 800, "height": 320, name: MAX_IMAGE_SIDE}), name) == 10_000
+    for value in (MAX_IMAGE_SIDE + 1, 10**12):
+        message = f"^image {name} must be at most 10000, got {value}$"
+        with pytest.raises(ValidationError, match=message):
+            ImageSpec(**{"width": 800, "height": 320, name: value})
 
 
 def test_invert_examples(k):

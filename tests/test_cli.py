@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bevlane import fitting, io_formats, metrics
+from bevlane import fitting, io_formats, metrics, render
 from bevlane.anchors import MAX_ANCHORS
 from bevlane.assignment import match_lanes, resample_lane, resample_lanes, row_grid
 from bevlane.camera import project_lane
@@ -478,7 +478,8 @@ class TestEval:
             out = str(tmp_path / "r.json")
             return _run(["eval", "--dataset", flat_dataset, "--pred", pred, "--out", out])
 
-        assert run(str(edited)) == (2, "error: lane points must be finite\n")
+        want = "error: frame 1: predicted lane 0 projects to points that are not finite\n"
+        assert run(str(edited)) == (2, want)
         assert run(far)[0] == 3  # frame 0's curve distance alone
 
     @pytest.mark.parametrize("command", ["eval", "render"])
@@ -728,6 +729,7 @@ BAD_INPUTS = {
     "scenes-object": ({"scenes": SCENE}, {}),
     "spec-unknown-key": ({"scenes": [SCENE], "extra": 1}, {}),
     "samples-over-limit": ({**SCENE, "samples_per_lane": MAX_SAMPLE_COUNT + 1}, {}),
+    "image-width-over-limit": ({**SCENE, "image": {"width": 10001}}, {}),
     "config-frames-over-limit": (SCENE, {"generate": {"frames": MAX_FRAMES_PER_SPEC + 1}}),
     "config-frames-huge": (SCENE, {"generate": {"frames": 10**30}}),
     # finite, but the lane points overflow, or the jitter draw's range does
@@ -927,6 +929,39 @@ def test_unusable_camera_height_exits_2(flat_dataset, tmp_path, value, message):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        # the row stacks of fit and eval hold one float per row: this one
+        # asked for 7.28 TiB
+        ("image", "height", 10**12, "image height must be at most 10000, got 1000000000000"),
+        # the 3d fit's IoU gradient overflowed, with a RuntimeWarning
+        ("intrinsics", "fx", 1e300, "|fx| must be at most 1e+09, got 1e+300"),
+        ("intrinsics", "ox", 1e300, "|ox| must be at most 1e+09, got 1e+300"),
+    ],
+    ids=["height", "fx", "ox"],
+)
+def test_unbounded_image_or_camera_exits_2(flat_dataset, tmp_path, section, field, value, message):
+    preds = str(tmp_path / "preds.jsonl")
+    assert _run(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", preds])[0] == 0
+
+    def edit(record):
+        record[section][field] = value
+
+    dataset = _edit_first_record(flat_dataset, tmp_path / "d.jsonl", edit)
+    out = str(tmp_path / "out")
+    for argv in (
+        *(["fit", "--dataset", dataset, "--mode", mode, "--out", out] for mode in ("3d", "2d")),
+        ["eval", "--dataset", dataset, "--pred", preds, "--out", out],
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = _run(argv)
+        assert (code, err) == (2, f"error: {dataset}:2: bad frame record: {message}\n"), argv
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not os.path.exists(out)
+
+
 def _edit_first_record(path, out, edit):
     """A copy of a JSON Lines file at out with edit applied to its first record."""
     lines = open(path).read().splitlines()
@@ -1025,7 +1060,7 @@ def test_overflowing_predicted_curve_exits_2(flat_dataset, tmp_path):
         warnings.simplefilter("always")
         code, err = _run(argv)
     assert code == 2
-    assert err == "error: lane points must be finite\n"
+    assert err == "error: frame 0: predicted lane 0 projects to points that are not finite\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -1433,10 +1468,21 @@ if HAVE_HYPOTHESIS:
         for field in [*(("curve", c) for c in "abcd"), ("heights", 0), ("heights", -1),
                       ("z_min",), ("z_max",)]
     ]
+    # The fields of a dataset record: its image size, camera and frame id,
+    # the v of lane 0's nearest 2D point and the z of its nearest 3D point.
+    DATASET_FIELDS = [
+        *(("image", side) for side in ("width", "height")),
+        *(("intrinsics", name) for name in ("fx", "fy", "ox", "oy")),
+        ("camera_height",),
+        ("frame_id",),
+        ("lanes2d", 0, 0, 1),
+        ("lanes3d", 0, 0, 2),
+    ]
     FUZZ_TARGETS = (
         [("spec", p) for p in _leaf_paths(FUZZ_SPEC)]
         + [("config", p) for p in _leaf_paths(FUZZ_CONFIG)]
         + [("pred", p) for p in PRED_FIELDS]
+        + [("dataset", p) for p in DATASET_FIELDS]
     )
 
     def _substitute(document, path, fragment):
@@ -1461,6 +1507,27 @@ if HAVE_HYPOTHESIS:
     def test_cli_exits_cleanly_on_any_field(fuzz_dir, data):
         which, path = data.draw(st.sampled_from(FUZZ_TARGETS), label="field")
         fragment = data.draw(_FRAGMENTS, label="value")
+        if which == "dataset":
+            # a dataset record's field, through one drawn stage
+            header, record = (fuzz_dir / "d.jsonl").read_text().splitlines()
+            edited = fuzz_dir / "edited-d.jsonl"
+            edited.write_text(f"{header}\n{_substitute(json.loads(record), path, fragment)}\n")
+            preds = str(fuzz_dir / "p.jsonl")
+            stages = [
+                *(["fit", "--mode", mode] for mode in ("3d", "2d", "baseline")),
+                ["eval", "--pred", preds],
+                ["anchors", "-k", "2"],
+                *(["render", "--pred", preds, "--view", view] for view in render.VIEWS),
+            ]
+            command, *flags = data.draw(st.sampled_from(stages), label="stage")
+            argv = [command, "--dataset", str(edited), *flags, "--out", str(fuzz_dir / "out")]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, err = _run(argv)
+            assert code in (0, 2, 3), argv
+            assert "Traceback" not in err and "RuntimeWarning" not in err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            return
         if which == "pred":
             # a prediction record's field, through eval and a drawn render view
             header, record = (fuzz_dir / "p.jsonl").read_text().splitlines()

@@ -33,7 +33,6 @@ from bevlane.fitting import (
     fit_lanes,
     fit_perspective_baseline,
     ipm_init,
-    label_init,
     lane_gap_points,
     reprojection_residuals,
 )
@@ -46,7 +45,7 @@ from bevlane.geometry import (
     sample_lane,
 )
 from bevlane.io_formats import read_scene_spec
-from bevlane.losses import LaneTargets, lane_losses
+from bevlane.losses import LaneTargets, by_depth, lane_losses
 from bevlane.metrics import cd_error_per_pair
 from oracles import normal_equations_fit
 from test_acceptance import MIXED_SPEC
@@ -325,7 +324,7 @@ def _labelled_block():
         camera = CameraIntrinsics(fx=1000.0 - 40 * i, fy=1000.0 + 30 * i, ox=400.0, oy=160.0 - i)
         frame = datagen.generate_frame(make(intrinsics=camera), seed=11)
         labels.extend(np.asarray(gt3)[::-1] for gt3 in frame.lanes3d[1:3])
-    starts = [label_init(gt3) for gt3 in labels]
+    starts = [lane_from_vector(fitting.lane_starts([by_depth(gt3)])[0]) for gt3 in labels]
     return gts, cams, starts + inits[-1:], labels + labels[:1]
 
 
@@ -390,10 +389,9 @@ def test_fit_lane_2d_rejects_degree4(k, image):
     gt = resample_lane(project_lane(k, gt_lane, 72), image)
     with pytest.raises(ValidationError):
         fit_lane_2d(gt, k, gt_lane, FitConfig(order=4))
-    # neither start fits a quartic lane
+    # nor does the flat-ground start; test_lane_starts_name_the_first_failing_lane
+    # refuses the labelled one
     frame = datagen.generate_frame(datagen.flat_scene())
-    with pytest.raises(ValidationError, match="degree 4"):
-        label_init(frame.lanes3d[1], FitConfig(order=4))
     with pytest.raises(ValidationError, match="degree 4"):
         ipm_init(frame.lanes2d[1], frame.intrinsics, 1.5, FitConfig(order=4))
 
@@ -467,7 +465,7 @@ def test_fit_lane_3d_noisy_labels_ignore_descent_knobs(k, rng):
     gt2d = resample_lane(frame.lanes2d[2], frame.image)
     # the fit is the noisy labels' least-squares start, scored once
     refined = fit_lane_3d(noisy, gt2d, frame.intrinsics)
-    assert np.array_equal(lane_to_vector(refined.lane), lane_to_vector(label_init(noisy)))
+    assert np.array_equal(lane_to_vector(refined.lane), fitting.lane_starts([by_depth(noisy)])[0])
     assert refined.iterations == 0
     z = gt3[:, 2]
     # the lane is straight laterally; require the fit not to invent curvature

@@ -14,10 +14,10 @@ from bevlane.camera import CameraIntrinsics
 from bevlane.geometry import sample_lane
 from bevlane.losses import (
     LaneTargets,
+    _height_spread,
+    _span_term,
     bev_iou_loss,
-    endpoint_z_loss,
     height_loss,
-    height_variance_reg,
     lane_losses,
     perspective_losses,
 )
@@ -68,30 +68,26 @@ def test_height_gradient(rng):
 
 
 def test_endpoint_z_gradient(rng):
+    # l_z, lane_losses' span term, on a stack of one
     for _ in range(N_CONFIGS):
         geo = sample_geo(rng)
-        lane = geo_to_lane(geo)
         gt_span = geo[-2:] - signed_margin(rng, 2, 0.01, 2.0)
 
-        def f(span, geo=geo, gt_span=gt_span):
-            lane = geo_to_lane(np.concatenate([geo[:-2], span]))
-            return endpoint_z_loss(lane, gt_span[0], gt_span[1])[0]
+        def f(span, gt_span=gt_span):
+            return _span_term(span[None], gt_span[None])[0][0]
 
-        _, grad = endpoint_z_loss(lane, gt_span[0], gt_span[1])
+        _, grad = _span_term(geo[None, -2:], gt_span[None])
         fd = fd_gradient(f, geo[-2:], np.ones(2))
-        assert_grad_close(np.asarray(grad), fd, label="l_z")
+        assert_grad_close(grad[0], fd, label="l_z")
 
 
 def test_height_variance_gradient(rng):
+    # l_reg, lane_losses' height spread, of one lane's keypoints
     for _ in range(N_CONFIGS):
         geo = sample_geo(rng)
-        sigma, grad = height_variance_reg(geo_to_lane(geo))
+        sigma, grad = _height_spread(geo[4:-2])
         assert sigma > 1e-3
-
-        def f(h, geo=geo):
-            return height_variance_reg(geo_to_lane(np.concatenate([geo[:4], h, geo[-2:]])))[0]
-
-        fd = fd_gradient(f, geo[4:-2], np.ones(72))
+        fd = fd_gradient(lambda h: _height_spread(h)[0], geo[4:-2], np.ones(72))
         assert_grad_close(grad, fd, label="sigma_h")
 
 
@@ -176,13 +172,13 @@ def test_lane_losses_gradient_with_labels_over_a_stack(rng, k, image):
         z = np.linspace(pred.z_min, pred.z_max, 72)
         l_bev, g_bev = bev_iou_loss(pred, np.interp(z, g3[:, 2], g3[:, 0]))
         l_h, g_h = height_loss(pred, np.interp(pred.profile.keypoint_z(), g3[:, 2], g3[:, 1]))
-        l_z, g_z = endpoint_z_loss(pred, g3[0, 2], g3[-1, 2])
+        (l_z,), (g_z,) = _span_term(np.array([[pred.z_min, pred.z_max]]), g3[None, [0, -1], 2])
         assert np.array_equal(terms[lane], [per.l_per, per.l_v, l_bev, l_h, l_z])
         assert loss[lane] == (l_bev + l_h + l_z) + (per.l_per + per.l_v)
         want = per.grad_per + per.grad_v
         want[:4] += g_bev
         want[4:-2] += g_h
-        want[-2:] += np.array(g_z)
+        want[-2:] += g_z
         assert np.array_equal(grad[lane], want)
 
 

@@ -16,14 +16,15 @@ from bevlane.losses import (
     PERSPECTIVE_E,
     LaneTargets,
     bev_iou_loss,
-    endpoint_z_loss,
+    by_depth,
     height_loss,
-    height_variance_reg,
     lane_losses,
     perspective_losses,
 )
-from bevlane.fitting import FitConfig, label_init
-from bevlane.losses import _contract, _iou_loss_rows, _powers, _project, _Projection
+from bevlane.fitting import FitConfig, lane_starts
+from bevlane.losses import (
+    _contract, _height_spread, _iou_loss_rows, _powers, _project, _Projection, _span_term
+)
 from oracles import lane_iou_oracle
 
 
@@ -94,15 +95,19 @@ def test_height_loss_cases():
 
 
 def test_endpoint_z_loss_cases():
-    assert endpoint_z_loss(make_lane(z_min=5, z_max=50), 5.0, 50.0)[0] == 0.0
-    assert endpoint_z_loss(make_lane(z_min=5, z_max=50), 6.0, 48.0)[0] == pytest.approx(3.0)
-    assert endpoint_z_loss(make_lane(z_min=5, z_max=50), 5.0, 50.5)[0] == pytest.approx(0.5)
+    # l_z, lane_losses' span term, of the span [5, 50] against three targets
+    targets = np.array([[5.0, 50.0], [6.0, 48.0], [5.0, 50.5]])
+    loss, _ = _span_term(np.full((3, 2), [5.0, 50.0]), targets)
+    assert loss[0] == 0.0
+    assert loss[1] == pytest.approx(3.0)
+    assert loss[2] == pytest.approx(0.5)
 
 
 def test_height_variance_reg_cases():
-    assert height_variance_reg(make_lane(heights=[1.5, 1.5, 1.5], n=3))[0] == 0.0
-    assert height_variance_reg(make_lane(heights=[0.0, 2.0], n=2))[0] == pytest.approx(1.0)
-    assert height_variance_reg(make_lane(heights=[0.0, 0.0, 3.0, 3.0], n=4))[0] == pytest.approx(1.5)
+    # l_reg, lane_losses' height spread without labels
+    assert _height_spread(np.array([1.5, 1.5, 1.5]))[0] == 0.0
+    assert _height_spread(np.array([0.0, 2.0]))[0] == pytest.approx(1.0)
+    assert _height_spread(np.array([0.0, 0.0, 3.0, 3.0]))[0] == pytest.approx(1.5)
 
 
 def test_perspective_losses_zero_on_exact_backprojection(k, image):
@@ -112,6 +117,29 @@ def test_perspective_losses_zero_on_exact_backprojection(k, image):
     assert out.overlap
     assert out.l_per == pytest.approx(0.0, abs=1e-12)
     assert out.l_v == 0.0
+
+
+def test_l_v_reads_only_the_rows_the_image_shows(k, image):
+    # a synthetic label starts at z = 3 m, 340 rows below this 320-row
+    # image. A start whose near end is the bottom row, or lies below it,
+    # pays nothing for the end the image cannot show; one that stops
+    # short of the bottom row pays the rows between.
+    gt = resample_lane(project_lane(k, make_lane(d=1.0, z_min=3.0), 72), image)
+    assert gt.v_first == 660.0
+    near = [1500.0 / 159.0, 2.0, 1500.0 / 140.0]  # near ends at rows 319, 910 and 300
+    theta = np.stack([lane_to_vector(make_lane(d=1.0, z_min=z)) for z in near])
+    targets = LaneTargets.stack([gt] * 3, [k] * 3)
+    _, l_v, _, grad_v, overlap = losses._perspective_batch(theta, targets)
+    assert overlap.all()
+    assert l_v[0] == pytest.approx(0.0, abs=1e-9)
+    assert l_v[1] == 0.0 and not grad_v[1].any()
+    assert l_v[2] == pytest.approx(19.0)
+    assert grad_v[2, [4, -2]].all()  # its near end still moves with z_min and height 0
+
+
+def test_lane_losses_of_an_empty_stack_is_empty():
+    loss, grad, terms, overlap = lane_losses(np.zeros((0, 78)), LaneTargets.stack([], []))
+    assert (loss.shape, grad.shape, terms.shape, overlap.shape) == ((0,), (0, 78), (0, 3), (0,))
 
 
 def test_perspective_losses_segment_on_a_grid_row_has_finite_gradient(image):
@@ -226,7 +254,8 @@ def test_scale_ambiguity_regularizer_pins_scale(k, image):
     out_scaled = perspective_losses(scaled, k, gt)
     assert out_scaled.l_per == pytest.approx(out_base.l_per, abs=1e-9)
     assert out_scaled.l_v == pytest.approx(out_base.l_v, abs=1e-9)
-    assert height_variance_reg(scaled)[0] == pytest.approx(s * height_variance_reg(base)[0], rel=1e-12)
+    sigma_base, sigma_scaled = _height_spread(np.array([heights, s * heights]))[0]
+    assert sigma_scaled == pytest.approx(s * sigma_base, rel=1e-12)
 
 
 def _dense_project(theta, camera, sample_count):
@@ -290,10 +319,12 @@ def _dense_perspective_batch(theta, targets):
     w_u = np.bincount(a, g_rows * (1.0 - t), size) + np.bincount(a + 1, g_rows * t, size)
     w_v = np.bincount(a, g_t * (t - 1.0), size) + np.bincount(a + 1, -g_t * t, size)
     grad_per = _contract(proj, dg - 6, w_u.reshape(n_lanes, m), w_v.reshape(n_lanes, m))
-    d_ends = v[:, [0, -1]] - targets.v_ends
+    lo, hi = targets.rows.min(), targets.rows.max()
+    d_ends = np.clip(v[:, [0, -1]], lo, hi) - np.clip(targets.v_ends, lo, hi)
     l_v = np.abs(d_ends[:, 0]) + np.abs(d_ends[:, 1])
     w_end = np.zeros((n_lanes, m))
-    w_end[:, [0, -1]] = np.sign(d_ends)
+    inside = (lo <= v[:, [0, -1]]) & (v[:, [0, -1]] <= hi)
+    w_end[:, [0, -1]] = np.where(inside, np.sign(d_ends), 0.0)
     grad_v = _contract(proj, dg - 6, np.zeros((n_lanes, m)), w_end)
     l_per[~overlap] = np.inf
     l_v[~overlap] = np.inf
@@ -317,7 +348,7 @@ def _kernel_stack(keypoints):
         for lane2d, gt3 in zip(frame.lanes2d, frame.lanes3d):
             gts.append(resample_lane(lane2d, frame.image))
             cams.append(frame.intrinsics)
-            thetas.append(lane_to_vector(label_init(gt3, cfg)))
+            thetas.append(lane_starts([by_depth(gt3)], cfg)[0])
     thetas[1][0] = 0.0
     k = CameraIntrinsics(fx=1000.0, fy=1000.0, ox=400.0, oy=160.0)
     image = ImageSpec(width=800, height=320)

@@ -8,7 +8,7 @@ import pytest
 
 from bevlane import datagen
 from bevlane.assignment import resample_lanes
-from bevlane.camera import ImageSpec, Lane2D
+from bevlane.camera import CameraIntrinsics, ImageSpec, Lane2D
 from bevlane.errors import DimensionMismatchError, NonFiniteError, ValidationError
 from bevlane.geometry import BevCurve, HeightProfile, Lane3D, sample_lane
 from bevlane.metrics import (
@@ -17,7 +17,6 @@ from bevlane.metrics import (
     counts_to_f1,
     evaluate,
     f1_counts,
-    f1_suite,
     lane_iou_matrix,
     mask_iou,
     point_polyline_distances,
@@ -310,6 +309,11 @@ def brute_force_counts(preds, gts, image, cfg):
     )
 
 
+def f1_scores(preds, gts, image, cfg=EvalConfig()):
+    """One frame's scores per IoU threshold: counts_to_f1 of its f1_counts."""
+    return {t: counts_to_f1(*c) for t, c in f1_counts(preds, gts, image, cfg).items()}
+
+
 class TestF1Suite:
     def test_counts_match_exhaustive_oracle(self, rng):
         cfg = EvalConfig(lane_width=12.0, iou_thresholds=(0.3, 0.5, 0.7))
@@ -324,17 +328,19 @@ class TestF1Suite:
     def test_perfect_detection(self):
         image = ImageSpec(100, 100)
         lanes = [Lane2D([[30.0, 90.0], [35.0, 10.0]]), Lane2D([[70.0, 90.0], [65.0, 10.0]])]
-        result = f1_suite(lanes, lanes, image)
-        assert all(c.f1 == 1.0 for c in result.counts.values())
-        assert result.mf1 == 1.0
+        scores = f1_scores(lanes, lanes, image)
+        assert all(c.f1 == 1.0 for c in scores.values())
+        assert np.mean([c.f1 for c in scores.values()]) == 1.0
 
     def test_mf1_is_mean_of_threshold_f1(self, rng):
         preds = [random_lane2d(rng, SMALL) for _ in range(3)]
         gts = [random_lane2d(rng, SMALL) for _ in range(2)]
         cfg = EvalConfig(lane_width=12.0)
-        result = f1_suite(preds, gts, SMALL, cfg)
-        mean = sum(c.f1 for c in result.counts.values()) / len(result.counts)
-        assert abs(result.mf1 - mean) <= 1e-12
+        camera = CameraIntrinsics(fx=100.0, fy=100.0, ox=32.0, oy=16.0)
+        frame = datagen.FrameRecord(0, "", 0, camera, SMALL, 1.5, (), tuple(gts))
+        report = evaluate([frame], [PredictionFrame(0, lanes2d=tuple(preds))], cfg)
+        mean = sum(c["f1"] for c in report["f1"].values()) / len(report["f1"])
+        assert abs(report["mf1"] - mean) <= 1e-12
 
     def test_tp_monotone_in_threshold(self, rng):
         cfg = EvalConfig(lane_width=12.0)
@@ -359,21 +365,22 @@ class TestF1Suite:
             assert (tp, fp, fn) == (0, 0, 1)
 
     def test_no_lanes_at_all(self):
-        result = f1_suite([], [], SMALL)
-        assert all(c.f1 == 0.0 for c in result.counts.values())
+        scores = f1_scores([], [], SMALL)
+        assert all(c.f1 == 0.0 for c in scores.values())
 
     def test_evaluate_reports_the_f1_suite_scores(self):
-        # the report's F1 section and mF1 are f1_suite's scores, which
-        # criterion 6 checks against the pixel oracle; a frame without a
-        # prediction record predicts nothing
+        # the report's F1 section and mF1 are the counts_to_f1 scores of
+        # f1_counts, which criterion 6 checks against the pixel oracle, and
+        # their mean F1; a frame without a prediction record predicts nothing
         frame = datagen.generate_frame(datagen.bump_scene(seed=4), frame_id=7)
         shifted = [Lane2D(lane.points + [6.0 * i, 0.0]) for i, lane in enumerate(frame.lanes2d)]
         cfg = EvalConfig(lane_width=20.0)
-        suite = f1_suite(shifted, list(frame.lanes2d), frame.image, cfg)
-        assert 0.0 < suite.mf1 < 1.0
+        scores = f1_scores(shifted, list(frame.lanes2d), frame.image, cfg)
+        mf1 = float(np.mean([c.f1 for c in scores.values()]))
+        assert 0.0 < mf1 < 1.0
         report = evaluate([frame], [PredictionFrame(frame_id=7, lanes2d=tuple(shifted))], cfg)
-        assert report["f1"] == {f"{t:.2f}": asdict(c) for t, c in suite.counts.items()}
-        assert report["mf1"] == suite.mf1
+        assert report["f1"] == {f"{t:.2f}": asdict(c) for t, c in scores.items()}
+        assert report["mf1"] == mf1
         report = evaluate([frame], [], cfg)
         assert {(c["tp"], c["fp"], c["fn"]) for c in report["f1"].values()} == {(0, 0, 4)}
         assert report["pred_lanes"] == 0 and report["cd_error"] is None
