@@ -1,11 +1,8 @@
 """Command-line pipeline: generate, fit, eval, anchors, render.
 
-Every flag is declared once, in build_parser. Flags can also come from a
-JSON config file (--config) whose top level maps subcommand names to
-{flag dest: value} sections; config values go through the same parser as
-flags, and explicit command-line values win. Exit codes: 0 success, 2
-usage or schema problems, 3 when a computation gives non-finite values
-(a fit's objective, or eval's curve distance).
+Every setting is a flag, declared once, in build_parser. Exit codes: 0
+success, 2 usage or schema problems, 3 when a computation gives
+non-finite values (a fit's objective, or eval's curve distance).
 """
 
 from __future__ import annotations
@@ -177,6 +174,7 @@ def _cmd_render(opts) -> int:
     pred_lanes = None
     if opts.pred is not None:
         preds = io_formats.read_predictions(opts.pred)
+        io_formats.validate_predictions(preds, frames)
         for p in preds:
             if p.frame_id == frame.frame_id:
                 pred_lanes = list(p.lanes3d) if p.lanes3d else list(p.lanes2d)
@@ -197,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text, flags):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--config", help="JSON config file with per-command sections")
         for flag, kwargs in flags.items():
             p.add_argument(flag, **kwargs)
 
@@ -310,40 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _splice_config(argv: list[str]) -> tuple[dict, list[str]]:
-    """The --config section of argv's command, and argv with it after the command.
-
-    Section keys are flag dests. Each value becomes a --flag=value token,
-    so it passes the flag's type and choices checks, and explicit flags,
-    which come later, win.
-    """
-    pre = argparse.ArgumentParser(prog="bevlane", add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv[1:])[0].config
-    if path is None:
-        return {}, argv
-    section = io_formats.read_json_object(path).get(argv[0], {})
-    if not isinstance(section, dict):
-        raise SchemaError(f"{path}: section {argv[0]!r} must be an object")
-    tokens = []
-    for key, value in section.items():
-        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-            raise SchemaError(f"{path}: {argv[0]}.{key} must be a string or a number")
-        tokens.append(f"{'-' if len(key) == 1 else '--'}{key.replace('_', '-')}={value}")
-    return section, argv[:1] + tokens + argv[1:]
-
-
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        section, argv = _splice_config(argv)
-        args, extras = parser.parse_known_args(argv)
-        unknown = set(section) - (set(vars(args)) - {"command", "config", "func"})
-        if unknown:
-            raise SchemaError(f"unknown config keys for {args.command!r}: {sorted(unknown)}")
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0

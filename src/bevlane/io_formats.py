@@ -5,10 +5,10 @@ kind. Floats are written with Python's shortest-repr JSON encoding,
 float.__repr__, which round-trips exactly. write_dataset and
 write_predictions format each distinct value of a record's floats once
 and write that text wherever the value occurs, so their bytes equal
-json.dumps's. Floats are
-read as plain floats, and each reader checks that what it builds is
-finite. Writes go through a temp file and an atomic replace so readers
-never observe a half-written file. Scene specs and CLI config files are
+json.dumps's. Floats are read as plain floats, and each reader checks
+that what it builds is finite. write_dataset runs read_dataset's record
+checks before it writes. Writes go through a temp file and an atomic
+replace so readers never observe a half-written file. Scene specs are
 read with the same JSON decoder as the data files. JSON Lines records
 end at a newline only: a raw U+2028 or other Unicode line break inside
 a string is part of the line.
@@ -227,7 +227,7 @@ def _parse_object(text: str, where: str, kind: str | None = None) -> dict:
 
 
 def _read_document(path: str, kind: str | None = None) -> dict:
-    """A whole-file JSON object (report, anchors, spec or config), every float finite."""
+    """A whole-file JSON object (report, anchors or scene spec), every float finite."""
     obj = _parse_object(_read_text(path), path, kind)
     _check_finite_tree(obj, path)
     return obj
@@ -252,22 +252,25 @@ def _field(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _lanes2d(items, where: str, name: str) -> tuple[Lane2D, ...]:
-    """The 2D lanes of a record, each point's |u| and |v| at most MAX_PIXEL."""
+def _lanes2d(items, where: str) -> tuple[Lane2D, ...]:
+    """The 2D lanes of a record."""
     try:
-        lanes = tuple(Lane2D(_numeric(p, where, name)) for p in items)
+        return tuple(Lane2D(_numeric(p, where, "lanes2d")) for p in items)
     except (TypeError, ValueError, ValidationError) as exc:
-        raise SchemaError(f"{where}: bad {name}: {exc}") from exc
+        raise SchemaError(f"{where}: bad lanes2d: {exc}") from exc
+
+
+def _check_pixels(lanes: tuple[Lane2D, ...], where: str) -> None:
+    """Raise unless each point's |u| and |v| is at most MAX_PIXEL."""
     if lanes and np.abs(np.concatenate([lane.points for lane in lanes])).max() > MAX_PIXEL:
         lane, point = next(
             (i, j) for i, lane in enumerate(lanes) for j, uv in enumerate(lane.points)
             if np.abs(uv).max() > MAX_PIXEL
         )
         raise SchemaError(
-            f"{where}: {name} lane {lane}, point {point}: |u| and |v| must be at most "
+            f"{where}: lanes2d lane {lane}, point {point}: |u| and |v| must be at most "
             f"{MAX_PIXEL:g}, got {lanes[lane].points[point].tolist()}"
         )
-    return lanes
 
 
 def _intrinsics_to_json(k: CameraIntrinsics) -> dict:
@@ -354,7 +357,7 @@ def write_dataset(frames: list[FrameRecord], path: str) -> None:
     lines = [_header("dataset")]
     shapes = []
     points = []
-    for frame in frames:
+    for n, frame in enumerate(frames):
         lanes3d = [np.asarray(p, dtype=float) for p in frame.lanes3d]
         lanes2d = [np.asarray(lane.points, dtype=float) for lane in frame.lanes2d]
         record = {
@@ -376,6 +379,7 @@ def write_dataset(frames: list[FrameRecord], path: str) -> None:
         record["lanes2d"] = [list(p.shape) for p in lanes2d]
         shapes.append(record)
         points += lanes3d + lanes2d
+        _check_frame(frame, f"{path}:{n + 2}")
     dataset_sha256 = hashlib.sha256()
     _atomic_write(path, (line.encode("utf-8") + b"\n" for line in lines), dataset_sha256)
     body = [_dump(shapes).encode("ascii") + b"\n"]
@@ -444,10 +448,18 @@ def _frame(obj: dict, where: str) -> FrameRecord:
                 np.array(_numeric(p, where, "lanes3d"), dtype=float)
                 for p in _field(obj, "lanes3d", where)
             ),
-            lanes2d=_lanes2d(_field(obj, "lanes2d", where), where, "lanes2d"),
+            lanes2d=_lanes2d(_field(obj, "lanes2d", where), where),
         )
     except (TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise SchemaError(f"{where}: bad frame record: {exc}") from exc
+    _check_frame(frame, where)
+    return frame
+
+
+def _check_frame(frame: FrameRecord, where: str) -> None:
+    """Raise unless read_dataset accepts the frame's camera height and lane
+    points; where names its line. write_dataset runs it too, before writing."""
+    _check_pixels(frame.lanes2d, where)
     if not frame.camera_height > 0.0:
         raise SchemaError(f"{where}: camera_height must be > 0, got {frame.camera_height}")
     if frame.lanes3d and len(frame.lanes3d) != len(frame.lanes2d):
@@ -463,7 +475,6 @@ def _frame(obj: dict, where: str) -> FrameRecord:
                 f"{where}: lanes3d lane {lane}, point {far[0]}: |x|, |y| and z must be at "
                 f"most {MAX_METERS:g}, got {pts[far[0]].tolist()}"
             )
-    return frame
 
 
 def read_dataset(path: str) -> list[FrameRecord]:
@@ -523,10 +534,11 @@ def read_predictions(path: str) -> list[PredictionFrame]:
                 lanes3d=tuple(
                     _lane3d_from_json(l, where) for l in obj.get("lanes3d", [])
                 ),
-                lanes2d=_lanes2d(obj.get("lanes2d", []), where, "lanes2d"),
+                lanes2d=_lanes2d(obj.get("lanes2d", []), where),
             )
         except (TypeError, ValueError, OverflowError, ValidationError) as exc:
             raise SchemaError(f"{where}: bad prediction record: {exc}") from exc
+        _check_pixels(frame.lanes2d, where)
         if frame.lanes3d and frame.lanes2d:
             raise SchemaError(f"{where}: a record holds lanes3d or lanes2d, not both")
         frames.append(frame)
@@ -597,11 +609,6 @@ def read_report(path: str) -> dict:
     return _read_document(path, "report")
 
 
-def read_json_object(path: str) -> dict:
-    """A JSON object file without an envelope: a scene spec or a CLI config."""
-    return _read_document(path)
-
-
 def read_scene_spec(path: str) -> tuple[list[SceneSpec], JitterSpec | None]:
     """Scenes and jitter from a spec file.
 
@@ -609,7 +616,7 @@ def read_scene_spec(path: str) -> tuple[list[SceneSpec], JitterSpec | None]:
     with jitter optional. A scene object may name a preset; each other key
     overrides that field of the preset's scene (or of SceneSpec()).
     """
-    obj = read_json_object(path)
+    obj = _read_document(path)
     if "scenes" not in obj:
         return [_scene(obj, f"{path}:scene")], None
     if set(obj) - {"scenes", "jitter"} or not isinstance(obj["scenes"], list):

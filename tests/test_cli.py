@@ -643,61 +643,6 @@ class TestRender:
         assert code == 2
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_cli_wins(self, tmp_path):
-        spec = write_json(tmp_path / "spec.json", FLAT_SPEC)
-        config = write_json(tmp_path / "config.json", {"generate": {"frames": 2, "spec": spec}})
-        out = str(tmp_path / "d.jsonl")
-        assert main(["generate", "--config", config, "--out", out]) == 0
-        assert len(read_dataset(out)) == 2
-        # An explicit flag overrides the config section.
-        assert main(["generate", "--config", config, "--frames", "5", "--out", out]) == 0
-        assert len(read_dataset(out)) == 5
-
-    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
-        spec = write_json(tmp_path / "spec.json", FLAT_SPEC)
-        config = write_json(tmp_path / "config.json", {"generate": {"bogus": 1}})
-        code = main([
-            "generate", "--config", config, "--spec", spec,
-            "--out", str(tmp_path / "d.jsonl"),
-        ])
-        assert code == 2
-        assert "unknown config keys" in capsys.readouterr().err
-
-    def test_config_with_every_flag_matches_flags(self, flat_dataset, tmp_path):
-        spec = write_json(tmp_path / "spec.json", FLAT_SPEC)
-        preds = str(tmp_path / "preds.jsonl")
-        assert main(["fit", "--dataset", flat_dataset, "--out", preds]) == 0
-        sections = {
-            "generate": {"spec": spec, "frames": 2, "seed": 5},
-            "fit": {
-                "dataset": flat_dataset, "mode": "2d", "order": 2, "keypoints": 40,
-            },
-            "eval": {
-                "dataset": flat_dataset, "pred": preds, "lane_width": 25.0,
-                "match_threshold": 20.0, "sample_count": 50, "tusimple_tol": 15.0,
-                "tusimple_row_step": 8,
-            },
-            "anchors": {
-                "dataset": flat_dataset, "k": 3, "rows": 20, "seed": 4, "match_threshold": 25.0,
-            },
-            "render": {
-                "dataset": flat_dataset, "pred": preds, "frame": 1, "view": "bev",
-                "sample_count": 40,
-            },
-        }
-        for command, section in sections.items():
-            by_flags, by_config = str(tmp_path / "flags.out"), str(tmp_path / "config.out")
-            argv = [command, "--out", by_flags]
-            for key, value in section.items():
-                argv += ["-" + key if len(key) == 1 else "--" + key.replace("_", "-"), str(value)]
-            config = write_json(tmp_path / "config.json", {command: {**section, "out": by_config}})
-            assert main(argv) == 0, argv
-            assert main([command, "--config", config]) == 0, command
-            with open(by_flags, "rb") as a, open(by_config, "rb") as b:
-                assert a.read() == b.read(), command
-
-
 def _run(argv):
     """main(argv) with its output captured: (exit code, stderr)."""
     err = io.StringIO()
@@ -710,31 +655,40 @@ SCENE = {"preset": "bump", "lateral_offsets": [-1.75, 1.75], "samples_per_lane":
 
 
 BAD_INPUTS = {
-    "spec-seed-1e400": ({**SCENE, "seed": 1e400}, {}),
-    "spec-seed-negative": ({**SCENE, "seed": -1}, {}),
-    "config-seed-1e400": (SCENE, {"generate": {"seed": 1e400}}),
-    "config-seed-negative": (SCENE, {"generate": {"seed": -1}}),
-    "config-frames-text": (SCENE, {"generate": {"frames": "x"}}),
-    "config-frames-list": (SCENE, {"generate": {"frames": [1]}}),
-    "centerline-list": ({**SCENE, "centerline": [1]}, {}),
-    "ground-text": ({**SCENE, "ground": "flat"}, {}),
-    "ground-unknown-key": ({**SCENE, "ground": {"amp": 0.5}}, {}),
-    "ground-seed-negative": ({**SCENE, "ground": {"seed": -2}}, {}),
-    "z-range-short": ({**SCENE, "z_range": [3.0]}, {}),
-    "samples-float": ({**SCENE, "samples_per_lane": 40.5}, {}),
-    "tag-number": ({**SCENE, "tag": 7}, {}),
-    "preset-list": ({**SCENE, "preset": ["flat"]}, {}),
-    "curve-delta-short": ({"scenes": [SCENE], "jitter": {"curve_delta": [0.1]}}, {}),
-    "grade-delta-text": ({"scenes": [SCENE], "jitter": {"grade_delta": "x"}}, {}),
-    "scenes-object": ({"scenes": SCENE}, {}),
-    "spec-unknown-key": ({"scenes": [SCENE], "extra": 1}, {}),
-    "samples-over-limit": ({**SCENE, "samples_per_lane": MAX_SAMPLE_COUNT + 1}, {}),
-    "image-width-over-limit": ({**SCENE, "image": {"width": 10001}}, {}),
-    "config-frames-over-limit": (SCENE, {"generate": {"frames": MAX_FRAMES_PER_SPEC + 1}}),
-    "config-frames-huge": (SCENE, {"generate": {"frames": 10**30}}),
+    "spec-seed-1e400": ({**SCENE, "seed": 1e400}, []),
+    "spec-seed-negative": ({**SCENE, "seed": -1}, []),
+    "flag-seed-1e400": (SCENE, ["--seed", "1e400"]),
+    "flag-seed-negative": (SCENE, ["--seed", "-1"]),
+    "flag-frames-text": (SCENE, ["--frames", "x"]),
+    "flag-frames-list": (SCENE, ["--frames", "[1]"]),
+    "centerline-list": ({**SCENE, "centerline": [1]}, []),
+    "ground-text": ({**SCENE, "ground": "flat"}, []),
+    "ground-unknown-key": ({**SCENE, "ground": {"amp": 0.5}}, []),
+    "ground-seed-negative": ({**SCENE, "ground": {"seed": -2}}, []),
+    "z-range-short": ({**SCENE, "z_range": [3.0]}, []),
+    "samples-float": ({**SCENE, "samples_per_lane": 40.5}, []),
+    "tag-number": ({**SCENE, "tag": 7}, []),
+    "preset-list": ({**SCENE, "preset": ["flat"]}, []),
+    "curve-delta-short": ({"scenes": [SCENE], "jitter": {"curve_delta": [0.1]}}, []),
+    "grade-delta-text": ({"scenes": [SCENE], "jitter": {"grade_delta": "x"}}, []),
+    "scenes-object": ({"scenes": SCENE}, []),
+    "spec-unknown-key": ({"scenes": [SCENE], "extra": 1}, []),
+    "samples-over-limit": ({**SCENE, "samples_per_lane": MAX_SAMPLE_COUNT + 1}, []),
+    "image-width-over-limit": ({**SCENE, "image": {"width": 10001}}, []),
     # finite, but the lane points overflow, or the jitter draw's range does
-    "centerline-huge": ({**SCENE, "centerline": {"a": 1e300}}, {}),
-    "grade-delta-huge": ({"scenes": [SCENE], "jitter": {"grade_delta": 1.7e308}}, {}),
+    "centerline-huge": ({**SCENE, "centerline": {"a": 1e300}}, []),
+    "grade-delta-huge": ({"scenes": [SCENE], "jitter": {"grade_delta": 1.7e308}}, []),
+    # finite points past the dataset reader's bounds
+    "z-range-near-zero": ({"preset": "flat", "z_range": [1e-7, 80.0]}, []),
+    "offsets-huge": ({"preset": "flat", "lateral_offsets": [-2e9, 2e9]}, []),
+    "z-range-far": ({"preset": "flat", "z_range": [1e9, 2e9]}, []),
+}
+# What generate prints for the cases whose records the dataset reader
+# would refuse, after "error: <dataset>:2: ", the line the record would have.
+READER_REFUSALS = {
+    "z-range-near-zero": "lanes2d lane 0, point 0: |u| and |v| must be at most 1e+09",
+    "offsets-huge": "lanes2d lane 0, point 0: |u| and |v| must be at most 1e+09",
+    "z-range-far": "lanes3d lane 0, point 1: |x|, |y| and z must be at most 1e+09",
 }
 
 
@@ -792,35 +746,18 @@ def test_count_flags_refuse_values_below_their_floor(tmp_path, command, flag, li
         assert f"must be in [{floor}, {limit}], got {value}" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("spec, config", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
-def test_bad_spec_or_config_exits_2(tmp_path, spec, config):
-    argv = ["generate", "--spec", write_json(tmp_path / "spec.json", spec)]
-    if config:
-        argv += ["--config", write_json(tmp_path / "config.json", config)]
-    code, err = _run(argv + ["--out", str(tmp_path / "d.jsonl")])
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_spec_or_config_exits_2(tmp_path, case):
+    # a bad scene spec or flag value; generate writes neither the dataset nor its cache
+    spec, flags = BAD_INPUTS[case]
+    out = tmp_path / "d.jsonl"
+    argv = ["generate", "--spec", write_json(tmp_path / "spec.json", spec), *flags]
+    code, err = _run(argv + ["--out", str(out)])
     assert code == 2
     assert "error:" in err and "Traceback" not in err
-
-
-@pytest.mark.parametrize(
-    "command, section",
-    [
-        ("eval", {"lane_width": "wide"}),
-        ("eval", {"tusimple_row_step": 0}),
-        ("eval", {"sample_count": None}),
-        ("fit", {"mode": "psychic"}),
-        ("fit", {"config": "other.json"}),
-        ("anchors", {"k": 2, "seed": -1}),
-    ],
-)
-def test_bad_config_section_exits_2(flat_dataset, tmp_path, command, section):
-    preds = str(tmp_path / "preds.jsonl")
-    assert main(["fit", "--dataset", flat_dataset, "--out", preds]) == 0
-    config = write_json(tmp_path / "config.json", {command: section})
-    argv = [command, "--config", config, "--dataset", flat_dataset, "--out", str(tmp_path / "o")]
-    code, err = _run(argv + (["--pred", preds] if command == "eval" else []))
-    assert code == 2
-    assert "error:" in err and "Traceback" not in err
+    if case in READER_REFUSALS:
+        assert err.startswith(f"error: {out}:2: {READER_REFUSALS[case]}, got ")
+    assert os.listdir(tmp_path) == ["spec.json"]
 
 
 @pytest.mark.parametrize(
@@ -837,6 +774,9 @@ def test_bad_config_section_exits_2(flat_dataset, tmp_path, command, section):
         ("eval", ["--sample-count", "1"]),
         ("render", ["--sample-count", "1"]),
         ("anchors", ["-k", "2", "--rows", "1"]),
+        ("eval", ["--lane-width", "wide"]),
+        ("eval", ["--tusimple-row-step", "0"]),
+        ("eval", ["--sample-count", "None"]),
     ],
 )
 def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, flags):
@@ -848,7 +788,6 @@ def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, f
     assert "error:" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize(
     "command, key, value",
     [
@@ -862,7 +801,7 @@ def test_out_of_range_weight_or_width_exits_2(flat_dataset, tmp_path, command, f
         ("anchors", "restarts", 2),
     ],
 )
-def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, command, key, value, via):
+def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, command, key, value):
     # the 2D fit runs no descent, the loss settings, the raster resolution
     # and the k-means restart count are constants, and the 2D start reads
     # the frame's camera height, so these are refused like any unknown
@@ -871,17 +810,12 @@ def test_removed_descent_and_restart_options_exit_2(flat_dataset, tmp_path, comm
     argv += {"fit": ["--mode", "2d"], "eval": ["--pred", str(tmp_path / "p")]}.get(
         command, ["-k", "2"]
     )
-    if via == "flag":
-        argv += ["--" + key.replace("_", "-"), str(value)]
-        message = "unrecognized arguments"
-    else:
-        argv += ["--config", write_json(tmp_path / "config.json", {command: {key: value}})]
-        message = "unknown config keys"
+    argv += ["--" + key.replace("_", "-"), str(value)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, err = _run(argv)
     assert code == 2
-    assert message in err and "Traceback" not in err and "RuntimeWarning" not in err
+    assert "unrecognized arguments" in err and "Traceback" not in err and "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
@@ -911,6 +845,8 @@ def test_non_finite_fit_setting_exits_2(flat_dataset, tmp_path, flags, field):
         (0.0, "camera_height must be > 0"),
         # the back-projected depths are finite, but their cubes are not
         (1e300, "too large"),
+        # the lane-gap start's depths overflow, leaving a lane too few points
+        (1e307, "distinct z values"),
     ],
 )
 def test_unusable_camera_height_exits_2(flat_dataset, tmp_path, value, message):
@@ -1076,10 +1012,21 @@ def _near_start(record):
     record["lanes3d"][1]["z_min"] = 1e-12
 
 
-@pytest.mark.parametrize("edit", [_huge_cubic, _far_end, _near_start])
+def _repeated_frame(record):
+    record["frame_id"] = 1
+
+
+def _unknown_frame(record):
+    record["frame_id"] = 99
+
+
+@pytest.mark.parametrize(
+    "edit", [_huge_cubic, _far_end, _near_start, _repeated_frame, _unknown_frame]
+)
 def test_render_refuses_what_eval_refuses(flat_dataset, tmp_path, edit):
-    # render samples and projects predicted lanes through eval's checked
-    # sampler, so every view refuses the lane with eval's own message
+    # render checks the predictions' frame ids as eval does, and samples and
+    # projects predicted lanes through eval's checked sampler, so every view
+    # refuses the file with eval's own message
     preds = tmp_path / "preds.jsonl"
     assert _run(["fit", "--dataset", flat_dataset, "--mode", "3d", "--out", str(preds)])[0] == 0
     pred = _edit_first_record(preds, tmp_path / "p.jsonl", edit)
@@ -1198,20 +1145,13 @@ def jittered_dataset(tmp_path_factory):
     return dataset, defaults
 
 
-@pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("key, value", [("order", 2), ("keypoints", 40)])
 @pytest.mark.parametrize("mode", ["3d", "2d", "baseline"])
-def test_fit_setting_changes_predictions_or_exits_2(
-    jittered_dataset, tmp_path, mode, key, value, via
-):
+def test_fit_setting_changes_predictions_or_exits_2(jittered_dataset, tmp_path, mode, key, value):
     # a setting that a mode does not read is refused rather than ignored
     dataset, defaults = jittered_dataset
     out = tmp_path / "p.jsonl"
-    argv = ["fit", "--dataset", dataset, "--mode", mode, "--out", str(out)]
-    if via == "flag":
-        argv += [f"--{key}", str(value)]
-    else:
-        argv += ["--config", write_json(tmp_path / "config.json", {"fit": {key: value}})]
+    argv = ["fit", "--dataset", dataset, "--mode", mode, "--out", str(out), f"--{key}", str(value)]
     code, err = _run(argv)
     if (mode, key) == ("baseline", "keypoints"):
         assert code == 2
@@ -1327,18 +1267,16 @@ def test_start_error_names_a_later_frame_and_its_lane(flat_dataset, tmp_path, ed
     assert record["frame_id"] == 1 and not out.exists()
 
 
-@pytest.mark.parametrize("which", ["spec", "config", "dataset"])
+@pytest.mark.parametrize("which", ["spec", "dataset"])
 def test_non_utf8_input_exits_2(flat_dataset, tmp_path, which):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(FLAT_SPEC))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"generate": {"frames": 1}}))
     dataset = tmp_path / "dataset.jsonl"
     dataset.write_bytes(Path(flat_dataset).read_bytes())
-    target = {"spec": spec, "config": config, "dataset": dataset}[which]
+    target = {"spec": spec, "dataset": dataset}[which]
     target.write_bytes(target.read_text().encode("utf-16"))
     argvs = [
-        ["generate", "--spec", str(spec), "--config", str(config), "--out", str(tmp_path / "d")],
+        ["generate", "--spec", str(spec), "--out", str(tmp_path / "d")],
         ["fit", "--dataset", str(dataset), "--out", str(tmp_path / "p")],
     ]
     code, err = _run(argvs[which == "dataset"])
@@ -1442,14 +1380,15 @@ if HAVE_HYPOTHESIS:
         "jitter": {"curve_delta": [0.0, 1e-4, 0.01, 0.2], "amplitude_delta": 0.05,
                    "grade_delta": 0.01, "wavelength_delta": 2.0},
     }
-    # Every count field of fit and anchors is bounded (the 2D fit runs no
+    # The flags each command runs with, one of which takes a drawn value.
+    # Every count flag of fit and anchors is bounded (the 2D fit runs no
     # descent and the k-means restarts are a constant), so none is left out
     # for fear of a drawn 10**6 running for minutes.
-    FUZZ_CONFIG = {
-        "generate": {"frames": 1, "seed": 3},
-        "eval": {"lane_width": 30.0, "match_threshold": 30.0, "tusimple_row_step": 10},
-        "fit": {"mode": "2d", "keypoints": 72},
-        "anchors": {"k": 2, "seed": 0, "rows": 36},
+    FUZZ_FLAGS = {
+        "generate": {"--frames": 1, "--seed": 3},
+        "eval": {"--lane-width": 30.0, "--match-threshold": 30.0, "--tusimple-row-step": 10},
+        "fit": {"--mode": "2d", "--keypoints": 72},
+        "anchors": {"-k": 2, "--seed": 0, "--rows": 36},
     }
 
     def _leaf_paths(obj, prefix=()):
@@ -1480,7 +1419,7 @@ if HAVE_HYPOTHESIS:
     ]
     FUZZ_TARGETS = (
         [("spec", p) for p in _leaf_paths(FUZZ_SPEC)]
-        + [("config", p) for p in _leaf_paths(FUZZ_CONFIG)]
+        + [("flag", (command, flag)) for command, flags in FUZZ_FLAGS.items() for flag in flags]
         + [("pred", p) for p in PRED_FIELDS]
         + [("dataset", p) for p in DATASET_FIELDS]
     )
@@ -1540,19 +1479,21 @@ if HAVE_HYPOTHESIS:
                 assert code in (0, 2, 3), argv[0]
                 assert "Traceback" not in err and "RuntimeWarning" not in err
             return
-        documents = {"spec": FUZZ_SPEC, "config": FUZZ_CONFIG}
-        for name, document in documents.items():
-            text = _substitute(document, path, fragment) if name == which else json.dumps(document)
-            (fuzz_dir / f"{name}.json").write_text(text)
-        config = str(fuzz_dir / "config.json")
+        # a scene spec field through generate, or a flag's value, as one
+        # --flag=value token, through its command
+        spec = _substitute(FUZZ_SPEC, path, fragment) if which == "spec" else json.dumps(FUZZ_SPEC)
+        (fuzz_dir / "spec.json").write_text(spec)
+        command = path[0] if which == "flag" else "generate"
+        flags = {**FUZZ_FLAGS[command], **({path[1]: fragment} if which == "flag" else {})}
         dataset = str(fuzz_dir / "d.jsonl")
         argv = {
+            "generate": ["generate", "--spec", str(fuzz_dir / "spec.json")],
             "eval": ["eval", "--dataset", dataset, "--pred", str(fuzz_dir / "p.jsonl")],
             "fit": ["fit", "--dataset", dataset],
             "anchors": ["anchors", "--dataset", dataset],
-        }.get(path[0], ["generate", "--spec", str(fuzz_dir / "spec.json")])
-        argv += ["--config", config, "--out", str(fuzz_dir / "out")]
-        code, err = _run(argv)
+        }[command]
+        argv += [f"{flag}={value}" for flag, value in flags.items()]
+        code, err = _run(argv + ["--out", str(fuzz_dir / "out")])
         assert code in (0, 2, 3)
         assert "Traceback" not in err
 
@@ -1573,3 +1514,39 @@ class TestParser:
         code, err = _run(["project", "--dataset", "d", "--pred", "p", "--out", "o"])
         assert code == 2
         assert "invalid choice: 'project'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["generate", "fit", "eval", "anchors", "render"])
+    def test_config_option_is_refused(self, tmp_path, command):
+        # every setting is a flag: --config is refused like any unknown
+        # option, before any file is read or written
+        argv = _count_flag_argv(tmp_path, command) + ["--config", str(tmp_path / "c.json")]
+        code, err = _run(argv)
+        assert code == 2
+        assert "unrecognized arguments: --config" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == []
+
+    def test_every_flag_set_exits_0(self, flat_dataset, tmp_path):
+        # each command runs with every flag at a value other than its default
+        spec = write_json(tmp_path / "spec.json", FLAT_SPEC)
+        preds = str(tmp_path / "preds.jsonl")
+        assert main(["fit", "--dataset", flat_dataset, "--out", preds]) == 0
+        runs = {
+            "generate": ["--spec", spec, "--frames", "2", "--seed", "5"],
+            "fit": ["--dataset", flat_dataset, "--mode", "2d", "--order", "2", "--keypoints", "40"],
+            "eval": [
+                "--dataset", flat_dataset, "--pred", preds, "--lane-width", "25.0",
+                "--match-threshold", "20.0", "--sample-count", "50", "--tusimple-tol", "15.0",
+                "--tusimple-row-step", "8",
+            ],
+            "anchors": [
+                "--dataset", flat_dataset, "-k", "3", "--rows", "20", "--seed", "4",
+                "--match-threshold", "25.0",
+            ],
+            "render": [
+                "--dataset", flat_dataset, "--pred", preds, "--frame", "1", "--view", "bev",
+                "--sample-count", "40",
+            ],
+        }
+        for command, flags in runs.items():
+            argv = [command, *flags, "--out", str(tmp_path / f"{command}.out")]
+            assert main(argv) == 0, argv

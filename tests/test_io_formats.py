@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 from functools import lru_cache
 from types import SimpleNamespace
@@ -171,7 +172,9 @@ class TestDatasetRoundTrip:
         frames = sample_dataset()
         frames[1] = type(frames[1])(**{**vars(frames[1]), "lanes3d": frames[1].lanes3d[:-1]})
         path = str(tmp_path / "dataset.jsonl")
-        write_dataset(frames, path)
+        with pytest.raises(SchemaError, match=":3: 3 lanes3d for 4 lanes2d"):
+            write_dataset(frames, path)
+        write_unchecked(frames, path)
         with pytest.raises(SchemaError, match=":3: 3 lanes3d for 4 lanes2d"):
             read_dataset(path)
         frames[1] = type(frames[1])(**{**vars(frames[1]), "lanes3d": ()})
@@ -246,6 +249,14 @@ def outcome(path: str):
         return read_dataset(path)
     except (SchemaError, VersionError) as exc:
         return type(exc), str(exc)
+
+
+def write_unchecked(frames, path: str) -> None:
+    """write_dataset without the record checks it shares with read_dataset:
+    a dataset and point cache that the reader must refuse."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io_formats, "_check_frame", lambda frame, where: None)
+        write_dataset(frames, path)
 
 
 @pytest.fixture
@@ -467,10 +478,15 @@ class TestPointCache:
         ids=["camera-height", "lane-count", "one-point", "no-point", "far-u", "far-v"],
     )
     def test_record_checks_hold_on_the_cache_path(self, tmp_path, decodes, index, change, message):
+        # the writer refuses the record with the reader's message and writes
+        # nothing; written without that check, both read paths refuse it alike
         frames = sample_dataset()
         frames[index] = type(frames[index])(**{**vars(frames[index]), **change(frames[index])})
         path = str(tmp_path / "dataset.jsonl")
-        write_dataset(frames, path)
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            write_dataset(frames, path)
+        assert os.listdir(tmp_path) == []
+        write_unchecked(frames, path)
         got = outcome(path)
         assert len(decodes) == 1
         assert got == read_without_cache(path)
@@ -515,7 +531,7 @@ class TestPointCache:
         frames = sample_dataset()
         frames[1] = type(frames[1])(**{**vars(frames[1]), **change(frames[1])})
         path = str(tmp_path / "dataset.jsonl")
-        write_dataset(frames, path)
+        write_unchecked(frames, path)
         got = outcome(path)
         assert len(decodes) == 1
         assert got == read_without_cache(path)
